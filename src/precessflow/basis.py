@@ -76,8 +76,8 @@ def poincare_field(beta, eps_p) -> VectorField:
     u = (-y, x - (2 eps/beta)(1+beta) z, (2 eps/beta) y); solenoidal and exactly
     tangent to the spheroid for every beta > -1, beta != 0.
     """
-    fb = Fraction(beta) if not isinstance(beta, str) else Fraction(beta)
-    fe = Fraction(eps_p) if not isinstance(eps_p, str) else Fraction(eps_p)
+    fb = Fraction(beta)
+    fe = Fraction(eps_p)
     if fb == 0:
         raise ValueError("beta must be nonzero (the flow is singular at beta = 0)")
     if fb <= -1:
@@ -299,36 +299,26 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    raw_arr = np.stack([monomials.field_to_array(f.to_float(), degree) for f in raw])
     j_nn = monomials.gram(domain, degree, degree)
-    g_raw = np.einsum("icm,mn,jcn->ij", raw_arr, j_nn, raw_arr)
+    raw_arr, g_raw = _coeff_gram(raw, degree, j_nn)
     g_raw = 0.5 * (g_raw + g_raw.T)
     raw_cond = float(np.linalg.cond(g_raw))
 
-    q = _orthonormal_coefficients(g_raw)
-
-    if method == "exact":
-        fields = _combine_exact(raw, q)
-    else:
-        arr = np.einsum("ik,kcm->icm", q, raw_arr)
-        fields = [monomials.array_to_field(arr[i], degree) for i in range(arr.shape[0])]
-
-    coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
-    gram = np.einsum("icm,mn,jcn->ij", coeff, j_nn, coeff)
-    dev = float(np.max(np.abs(gram - np.eye(len(fields)))))
-    if dev > 1e-13:
-        # one symmetric polish pass fixes residual loss of orthogonality
-        chol = np.linalg.cholesky(0.5 * (gram + gram.T))
-        correction = np.linalg.inv(chol)
-        q = correction @ q
+    def orthonormalize(q):
         if method == "exact":
             fields = _combine_exact(raw, q)
         else:
             arr = np.einsum("ik,kcm->icm", q, raw_arr)
             fields = [monomials.array_to_field(arr[i], degree) for i in range(arr.shape[0])]
-        coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
-        gram = np.einsum("icm,mn,jcn->ij", coeff, j_nn, coeff)
-        dev = float(np.max(np.abs(gram - np.eye(len(fields)))))
+        gram = _coeff_gram(fields, degree, j_nn)[1]
+        return fields, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
+
+    q = _orthonormal_coefficients(g_raw)
+    fields, gram, dev = orthonormalize(q)
+    if dev > 1e-13:
+        # one symmetric polish pass fixes residual loss of orthogonality
+        correction = np.linalg.inv(np.linalg.cholesky(0.5 * (gram + gram.T)))
+        fields, gram, dev = orthonormalize(correction @ q)
     if dev > GRAM_IDENTITY_TOL:
         raise RuntimeError(f"orthonormalization failed: gram deviates from identity by {dev:.3e}")
 
@@ -336,6 +326,12 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
     if method == "exact":
         _check_exact_invariants(basis)
     return basis
+
+
+def _coeff_gram(fields: list[VectorField], degree: int, j_nn: np.ndarray):
+    """(dim, 3, D_N) float coefficients of the fields and their mass Gram."""
+    coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
+    return coeff, np.einsum("icm,mn,jcn->ij", coeff, j_nn, coeff)
 
 
 def _combine_exact(raw: list[VectorField], q: np.ndarray) -> list[VectorField]:
@@ -458,7 +454,5 @@ def load_basis(path) -> Basis:
         raise ValueError("basis export is missing its header")
     if dim is not None and dim != len(fields):
         raise ValueError(f"basis export announces dim {dim} but carries {len(fields)} fields")
-    coeff = np.stack([monomials.field_to_array(f, degree) for f in fields])
-    j_nn = monomials.gram(domain, degree, degree)
-    gram = np.einsum("icm,mn,jcn->ij", coeff, j_nn, coeff)
+    gram = _coeff_gram(fields, degree, monomials.gram(domain, degree, degree))[1]
     return Basis(domain, degree, fields, gram, float("nan"))

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import build_basis, poincare_field, project, save_basis, solid_rotation
 from .geometry import Domain
 from .operators import BC_FORMS, BoundaryCondition, assemble, residual
-from .spectral import coercivity_constant, viscous_kernel
+from .spectral import NEUTRAL_MODE_DIMS, coercivity_constant, viscous_kernel
 from .timestepper import BlowUpError, ScenarioConfig
 from .timestepper import run as run_scenario
 from . import verification
@@ -36,9 +36,6 @@ KNOWN_KEYS = {
     "constraint.mode",
     "output.path",
 }
-
-STEADY_SWEEP = (0.0, 0.025, -0.025, 0.1, -0.1, 1.0)
-STEADY_TOL = 1e-10
 
 
 class ConfigError(ValueError):
@@ -121,11 +118,9 @@ def domain_from_config(cfg) -> Domain:
 def scenario_from_config(cfg) -> ScenarioConfig:
     _require(cfg, "basis.degree", "bc.form", "physics.nu_inverse", "physics.eps_p",
              "init.type", "time.dt", "time.t_end", "time.record_every")
-    has_beta = "domain.beta" in cfg
-    if has_beta and any(f"domain.{axis}" in cfg for axis in "abc"):
-        raise ConfigError("domain.beta and explicit axes are mutually exclusive")
-    if not has_beta and not all(f"domain.{axis}" in cfg for axis in "abc"):
-        raise ConfigError("specify domain.beta or all of domain.a, domain.b, domain.c")
+    domain_from_config(cfg)
+    axes = ({"beta": _fraction(cfg, "domain.beta")} if "domain.beta" in cfg
+            else {axis: _fraction(cfg, f"domain.{axis}") for axis in "abc"})
     scenario = ScenarioConfig(
         degree=_int(cfg, "basis.degree"),
         bc_form=cfg["bc.form"],
@@ -135,10 +130,7 @@ def scenario_from_config(cfg) -> ScenarioConfig:
         dt=_float(cfg, "time.dt"),
         t_end=_float(cfg, "time.t_end"),
         record_every=_float(cfg, "time.record_every"),
-        beta=_fraction(cfg, "domain.beta") if has_beta else None,
-        a=_fraction(cfg, "domain.a") if not has_beta else None,
-        b=_fraction(cfg, "domain.b") if not has_beta else None,
-        c=_fraction(cfg, "domain.c") if not has_beta else None,
+        **axes,
         init_amplitude=_float(cfg, "init.amplitude", 0.0),
         init_omega=_float(cfg, "init.omega", 0.0),
         init_eps_p=_float(cfg, "init.eps_p") if "init.eps_p" in cfg else None,
@@ -201,7 +193,7 @@ def cmd_eig(args) -> int:
     print(f"K_N (degree {basis.degree}, excluding {coerc.excluded_subspace}): {coerc.K_N:.12g}")
     print(f"smallest eigenvalues (strain form): "
           + " ".join(f"{v:.6g}" for v in k_sym.eigenvalues[:5]))
-    expected = {"sphere": 3, "spheroid_z": 1, "triaxial": 0}[domain.kind]
+    expected = NEUTRAL_MODE_DIMS[domain.kind]
     ok = k_sym.kernel_dim == expected and k_grad.kernel_dim == 0
     print(f"trichotomy check: {'PASS' if ok else 'FAIL'} "
           f"(expected {expected}/0 for kind {domain.kind})")
@@ -229,10 +221,10 @@ def cmd_steady(args) -> int:
     # stress form; for other forms the sweep rows are informative
     sweep_is_checked = form == "poincare_stress"
     failures = 0
-    for omega in STEADY_SWEEP:
+    for omega in verification.STEADY_SWEEP:
         res = float(np.max(np.abs(residual(c_p + omega * c_r, ops))))
         checked = omega == 0.0 or sweep_is_checked
-        ok = res < STEADY_TOL
+        ok = res < verification.STEADY_TOL
         if checked and not ok:
             failures += 1
         tag = ("PASS" if ok else "FAIL") if checked else "info"
@@ -313,9 +305,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -97,20 +97,19 @@ class OperatorSet:
         return self.nu * self.A_sym
 
 
-def _core_matrices(basis: Basis, axis: tuple[float, float, float], include_advection: bool):
-    key = ("core", axis, include_advection)
-    cached = basis._assembly_cache.get(key)
-    if cached is not None:
-        return cached
-    # reuse the bc-independent pieces from a previous assembly with advection
-    full = basis._assembly_cache.get(("core", axis, True))
-    if full is not None:
-        return full
+def _cached(basis: Basis, key, build, *args):
+    """basis._assembly_cache[key], built as build(basis, *args) on first request."""
+    cache = basis._assembly_cache
+    if key not in cache:
+        cache[key] = build(basis, *args)
+    return cache[key]
 
+
+def _core_matrices(basis: Basis) -> dict:
+    """The axis- and bc-independent matrices, plus db and strain for forcing and T."""
     domain = basis.domain
     n = basis.degree
     bc_arr = basis.coeff_array                        # (dim, 3, D_N)
-    dim = bc_arr.shape[0]
     j_nn = monomials.gram(domain, n, n)
     j_dd = monomials.gram(domain, n - 1, n - 1)
 
@@ -131,13 +130,6 @@ def _core_matrices(basis: Basis, axis: tuple[float, float, float], include_advec
     a_sym = 0.5 * (a_sym + a_sym.T)
     a_grad = 0.5 * (a_grad + a_grad.T)
 
-    w = np.asarray(axis, dtype=float)
-    wb = np.empty_like(bc_arr)
-    wb[:, 0] = w[1] * bc_arr[:, 2] - w[2] * bc_arr[:, 1]
-    wb[:, 1] = w[2] * bc_arr[:, 0] - w[0] * bc_arr[:, 2]
-    wb[:, 2] = w[0] * bc_arr[:, 1] - w[1] * bc_arr[:, 0]
-    c_mat = np.einsum("icm,mn,jcn->ij", bc_arr, j_nn, wb, optimize=True)
-
     ivec_up = monomials.integral_vector(domain, n + 1)
     shifted = [[monomials.apply_shift(bc_arr[:, c, :], n, a) for c in range(3)]
                for a in range(3)]
@@ -146,26 +138,38 @@ def _core_matrices(basis: Basis, axis: tuple[float, float, float], include_advec
         (shifted[2][0] - shifted[0][2]) @ ivec_up,
         (shifted[0][1] - shifted[1][0]) @ ivec_up,
     ])
+    return dict(M=m_mat, A_sym=a_sym, A_grad=a_grad, mom=mom, Hn=hn, Hs=hs,
+                db=db, strain=strain)
 
-    t_tensor = None
-    if include_advection:
-        g3 = monomials.triple_product_table(domain, n, n - 1, n)
-        u = np.einsum("mno,kco->mnkc", g3, bc_arr, optimize=True)
-        v2 = np.einsum("jcan,mnkc->majk", db, u, optimize=True)
-        t_tensor = np.einsum("iam,majk->ijk", bc_arr, v2, optimize=True)
 
-    core = dict(M=m_mat, A_sym=a_sym, A_grad=a_grad, C_x=c_mat, T=t_tensor,
-                mom=mom, Hn=hn, Hs=hs, db=db, strain=strain)
-    basis._assembly_cache[key] = core
-    return core
+def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarray:
+    bc_arr = basis.coeff_array
+    w = np.asarray(axis, dtype=float)
+    wb = np.empty_like(bc_arr)
+    wb[:, 0] = w[1] * bc_arr[:, 2] - w[2] * bc_arr[:, 1]
+    wb[:, 1] = w[2] * bc_arr[:, 0] - w[0] * bc_arr[:, 2]
+    wb[:, 2] = w[0] * bc_arr[:, 1] - w[1] * bc_arr[:, 0]
+    j_nn = monomials.gram(basis.domain, basis.degree, basis.degree)
+    return np.einsum("icm,mn,jcn->ij", bc_arr, j_nn, wb, optimize=True)
+
+
+def _advection_tensor(basis: Basis, db: np.ndarray) -> np.ndarray:
+    n = basis.degree
+    bc_arr = basis.coeff_array
+    g3 = monomials.triple_product_table(basis.domain, n, n - 1, n)
+    u = np.einsum("mno,kco->mnkc", g3, bc_arr, optimize=True)
+    v2 = np.einsum("jcan,mnkc->majk", db, u, optimize=True)
+    return np.einsum("iam,majk->ijk", bc_arr, v2, optimize=True)
 
 
 def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
              precession_axis=(1.0, 0.0, 0.0), include_advection: bool = True) -> OperatorSet:
     """Assemble the full operator set for one boundary-condition/viscosity choice.
 
-    The bc-independent matrices are cached on the basis, so repeated assembly
-    with different (nu, eps_p, bc) is cheap.
+    The bc-independent matrices are cached on the basis: the axis-independent
+    ones once, C_x per precession axis and T on first request.  Repeated
+    assembly with different (nu, eps_p, bc) is cheap, and T is None whenever
+    include_advection is False.
     """
     if not nu > 0:
         raise ValueError("viscosity must be positive")
@@ -173,12 +177,14 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
     if abs(sum(a * a for a in axis) - 1.0) > 1e-12:
         raise ValueError("precession axis must be a unit vector")
 
-    core = _core_matrices(basis, axis, include_advection)
+    core = _cached(basis, "core", _core_matrices)
+    c_x = _cached(basis, ("C_x", axis), _coriolis_matrix, axis)
+    t_tensor = _cached(basis, "T", _advection_tensor, core["db"]) if include_advection else None
     f_bc = _forcing_vector(basis, bc, nu, core)
     return OperatorSet(
         basis=basis, bc=bc, nu=float(nu), eps_p=float(eps_p), precession_axis=axis,
-        M=core["M"], A_sym=core["A_sym"], A_grad=core["A_grad"], C_x=core["C_x"],
-        T=core["T"], F_bc=f_bc, mom=core["mom"], Hn=core["Hn"], Hs=core["Hs"],
+        M=core["M"], A_sym=core["A_sym"], A_grad=core["A_grad"], C_x=c_x,
+        T=t_tensor, F_bc=f_bc, mom=core["mom"], Hn=core["Hn"], Hs=core["Hs"],
     )
 
 

@@ -18,6 +18,9 @@ import scipy.linalg
 
 from .operators import OperatorSet
 
+# kernel dimension of the strain-rate stiffness for each domain kind
+NEUTRAL_MODE_DIMS = {"sphere": 3, "spheroid_z": 1, "triaxial": 0}
+
 
 @dataclass
 class KernelReport:

@@ -2,16 +2,17 @@
 
     M du/dt + N(u,u) + V u + 2 eps_p C_x u = F_bc
 
-Viscous and Coriolis terms are implicit (the linear operator is constant, so
-its LU factorization is computed once per run); advection is explicit through
-the second-order extrapolant u* = 2 u^n - u^(n-1).  The first step bootstraps
-with backward Euler.  dt is fixed within a run for reproducible output.
+Viscous and Coriolis terms are implicit.  The linear operator is constant, so
+three matrices are LU-factored once per (operator set, dt): the full-step and
+half-step backward-Euler matrices of the startup and the BDF2 matrix.
+Advection is explicit through the second-order extrapolant
+u* = 2 u^n - u^(n-1).  The first step bootstraps with backward Euler.  dt is
+fixed within a run for reproducible output.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,12 +67,13 @@ def step(state: State, ops: OperatorSet, dt: float, include_advection: bool = Tr
     """One BDF2 step; the first step is Richardson-extrapolated backward Euler.
 
     The advecting velocity is the extrapolant 2 u^n - u^(n-1); the constant
-    implicit matrix (3/(2 dt)) M + V + 2 eps_p C_x is factored once per run
-    and cannot be singular for nu > 0, dt > 0.  The startup combines one full
-    and two half backward-Euler steps (2 u_{dt/2,dt/2} - u_dt), which keeps
-    the whole trajectory second-order accurate; a plain backward-Euler start
-    would leave a first-order startup artifact in difference-based
-    diagnostics such as the momentum-balance residual.
+    implicit matrix (3/(2 dt)) M + V + 2 eps_p C_x is factored once per
+    (operator set, dt) and cannot be singular for nu > 0, dt > 0.  The
+    startup combines one full and two half backward-Euler steps
+    (2 u_{dt/2,dt/2} - u_dt), which keeps the whole trajectory second-order
+    accurate; a plain backward-Euler start would leave a first-order startup
+    artifact in difference-based diagnostics such as the momentum-balance
+    residual.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -170,7 +172,7 @@ class ScenarioConfig:
         return Domain(self.a, self.b, self.c)
 
 
-def _poincare_data(cfg: ScenarioConfig, domain: Domain, eps_value) -> object:
+def _poincare_data(domain: Domain, eps_value) -> object:
     if abs(domain.a - 1.0) > 1e-12 or abs(domain.b - 1.0) > 1e-12:
         raise ValueError("the Poincare flow needs unit equatorial axes (a = b = 1)")
     beta = domain.beta
@@ -180,19 +182,17 @@ def _poincare_data(cfg: ScenarioConfig, domain: Domain, eps_value) -> object:
 
 
 def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
-    domain = basis.domain
+    eps = cfg.init_eps_p if cfg.init_eps_p is not None else cfg.eps_p
     if cfg.init_type == "solid_rotation":
         coeffs, _ = project(solid_rotation((0, 0, 1)), basis)
         return cfg.init_amplitude * coeffs
     if cfg.init_type == "poincare":
-        eps = cfg.init_eps_p if cfg.init_eps_p is not None else cfg.eps_p
-        coeffs, res = project(_poincare_data(cfg, domain, eps), basis)
+        coeffs, res = project(_poincare_data(basis.domain, eps), basis)
         if res > 1e-10:
             raise ValueError("Poincare flow is not representable in this basis")
         return coeffs
     if cfg.init_type == "poincare_plus_rotation":
-        eps = cfg.init_eps_p if cfg.init_eps_p is not None else cfg.eps_p
-        c_p, _ = project(_poincare_data(cfg, domain, eps), basis)
+        c_p, _ = project(_poincare_data(basis.domain, eps), basis)
         c_r, _ = project(solid_rotation((0, 0, 1)), basis)
         return c_p + cfg.init_omega * c_r
     data = np.loadtxt(cfg.init_path).ravel()
@@ -214,7 +214,7 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
 
     bc_data = None
     if cfg.bc_form in ("poincare_stress", "poincare_normal_gradient"):
-        bc_data = _poincare_data(cfg, domain, cfg.eps_p)
+        bc_data = _poincare_data(domain, cfg.eps_p)
     bc = BoundaryCondition(cfg.bc_form, bc_data)
     ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p,
                    include_advection=cfg.include_advection)
@@ -234,31 +234,29 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     series = diagnostics.TimeSeries(records=[], dt=cfg.dt,
                                     record_interval=every * cfg.dt)
 
-    def emit(st):
-        series.records.append(diagnostics.record(st, ops, ctx))
+    k = 0
+
+    def per_step(st):
+        nonlocal k
+        k += 1
+        if cfg.constraint_mode is not None:
+            st = diagnostics.constraint_projection(st, ops, cfg.constraint_mode, ctx)
+        if k == restart_step:
+            st = _apply_restart(st, cfg, basis)
+        if k % every == 0 or k == n_steps:
+            series.records.append(diagnostics.record(st, ops, ctx))
+        return st
 
     if restart_step == 0:
         state = _apply_restart(state, cfg, basis)
-    emit(state)
+    series.records.append(diagnostics.record(state, ops, ctx))
     try:
-        for k in range(1, n_steps + 1):
-            state = step(state, ops, cfg.dt, cfg.include_advection)
-            if np.linalg.norm(state.coeffs) > max_norm:
-                raise BlowUpError(
-                    f"state norm exceeded {cfg.blowup_factor:.1e} x initial at "
-                    f"t = {state.t:.6g}", series)
-            if cfg.constraint_mode is not None:
-                state = diagnostics.constraint_projection(state, ops, cfg.constraint_mode, ctx)
-            if restart_step is not None and k == restart_step:
-                state = _apply_restart(state, cfg, basis)
-            if k % every == 0 or k == n_steps:
-                emit(state)
+        integrate(state, ops, cfg.dt, n_steps, cfg.include_advection, max_norm, per_step)
     except BlowUpError as exc:
         series.finalize()
         if cfg.output_path:
             series.to_csv(cfg.output_path)
-        if exc.series is None:
-            exc.series = series
+        exc.series = series
         raise
 
     series.finalize()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from precessflow.basis import poincare_field, project, solid_rotation
+from precessflow.basis import build_basis, poincare_field, project, solid_rotation
 from precessflow.operators import (BoundaryCondition, advection_term, angular_momentum,
                                    assemble, dump_operator_set,
                                    momentum_coupling_identity, residual)
@@ -110,6 +110,19 @@ class TestAssemble:
         ops1 = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
         ops2 = assemble(basis, BoundaryCondition("normal_gradient"), nu=2.0, eps_p=0.1)
         assert ops1.T is ops2.T
+
+    def test_no_advection_independent_of_cache_history(self):
+        # an earlier assembly with advection must not leak T into a later
+        # include_advection=False assembly on the same basis
+        bc = BoundaryCondition("poincare_stress", U_P)
+        warm = build_basis(DOMAINS["spheroid"], 2)
+        assert assemble(warm, bc, nu=1.0, eps_p=0.25).T is not None
+        ops_warm = assemble(warm, bc, nu=1.0, eps_p=0.25, include_advection=False)
+        ops_cold = assemble(build_basis(DOMAINS["spheroid"], 2), bc, nu=1.0, eps_p=0.25,
+                            include_advection=False)
+        assert ops_warm.T is None
+        c = 0.5 * np.random.default_rng(7).standard_normal(ops_warm.dim)
+        np.testing.assert_array_equal(residual(c, ops_warm), residual(c, ops_cold))
 
 
 class TestResidual:

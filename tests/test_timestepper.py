@@ -238,6 +238,24 @@ class TestRun:
         assert out.exists()
         assert out.read_text().splitlines()[0] == CSV_HEADER
 
+    def test_blow_up_partial_csv_holds_every_record(self, tmp_path):
+        # the guard trips mid-run: the partial CSV carries exactly the records
+        # taken before the trip, the last of them within one interval of it
+        out = tmp_path / "partial.csv"
+        cfg = base_config(bc_form="poincare_stress", nu_inverse=1.0, eps_p=0.25,
+                          init_amplitude=0.01, blowup_factor=5.0, output_path=str(out),
+                          t_end=1.0, record_every=0.02)
+        with pytest.raises(BlowUpError) as err:
+            run(cfg)
+        records = err.value.series.records
+        rows = out.read_text().splitlines()[1:]
+        assert len(records) > 1
+        assert len(rows) == len(records)
+        last_t = float(rows[-1].split(",")[0])
+        assert last_t == records[-1].t
+        t_trip = float(str(err.value).rsplit("t = ", 1)[1])
+        assert records[-1].t < t_trip <= records[-1].t + 0.02 + 1e-12
+
     def test_stokes_only_flag(self):
         series = run(base_config(include_advection=False, t_end=0.05))
         assert len(series.records) >= 2

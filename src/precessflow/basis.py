@@ -31,7 +31,7 @@ from .polynomials import Polynomial3, VectorField
 
 __all__ = [
     "Basis", "build_basis", "curl_form_fields", "stream_cross_field",
-    "poincare_field", "solid_rotation", "project", "save_basis", "load_basis",
+    "poincare_field", "solid_rotation", "project", "save_basis", "load_basis", "gram_form",
 ]
 
 GRAM_IDENTITY_TOL = 1e-12
@@ -41,24 +41,17 @@ class Basis:
     """Orthonormal basis of the tangent solenoidal polynomial space."""
 
     def __init__(self, domain: Domain, degree: int, fields: list[VectorField],
-                 gram: np.ndarray, raw_gram_cond: float):
+                 coeff_array: np.ndarray, gram: np.ndarray, raw_gram_cond: float):
         self.domain = domain
         self.degree = degree
         self.fields = fields
+        # (dim, 3, D_N) float coefficients over the degree-N monomial list
+        self.coeff_array = coeff_array
+        self.coeff_array.flags.writeable = False
         self.gram = gram
         self.raw_gram_cond = raw_gram_cond
         self.dim = len(fields)
-        self._coeff_array = None
         self._assembly_cache: dict = {}
-
-    @property
-    def coeff_array(self) -> np.ndarray:
-        """(dim, 3, D_N) float coefficients over the degree-N monomial list."""
-        if self._coeff_array is None:
-            self._coeff_array = np.stack(
-                [monomials.field_to_array(f.to_float(), self.degree) for f in self.fields])
-            self._coeff_array.flags.writeable = False
-        return self._coeff_array
 
     def gram_identity_deviation(self) -> float:
         return float(np.max(np.abs(self.gram - np.eye(self.dim))))
@@ -218,24 +211,22 @@ def _constraint_rows(domain: Domain, degree: int):
     return rows, dim_v, dim_q
 
 
-def _raw_fields_exact(domain: Domain, degree: int) -> list[VectorField]:
-    rows, dim_v, dim_q = _constraint_rows(domain, degree)
-    vectors = _fraction_nullspace(rows, 3 * dim_v + dim_q)
-    exps = monomials.exponents(degree)
+def _fields_from_nullspace(vectors, dim_v: int, degree: int) -> list[VectorField]:
+    """Velocity fields of nullspace vectors laid out as (v_x, v_y, v_z, q) coefficients.
+
+    No field comes out zero: v = 0 forces chi q = 0, hence q = 0.
+    """
+    exps = [tuple(e) for e in monomials.exponents(degree).tolist()]
     fields = []
     for vec in vectors:
-        comps = []
-        for axis in range(3):
-            coeffs = {}
-            for idx, e in enumerate(exps):
-                c = vec[axis * dim_v + idx]
-                if c:
-                    coeffs[tuple(int(v) for v in e)] = c
-            comps.append(Polynomial3(coeffs))
-        field = VectorField(tuple(comps))
-        if any(not comp.is_zero() for comp in field.components):
-            fields.append(field)
+        comps = (Polynomial3(dict(zip(exps, vec[a * dim_v:(a + 1) * dim_v]))) for a in range(3))
+        fields.append(VectorField(tuple(comps)))
     return fields
+
+
+def _raw_fields_exact(domain: Domain, degree: int) -> list[VectorField]:
+    rows, dim_v, dim_q = _constraint_rows(domain, degree)
+    return _fields_from_nullspace(_fraction_nullspace(rows, 3 * dim_v + dim_q), dim_v, degree)
 
 
 def _raw_fields_svd(domain: Domain, degree: int, rank_rtol: float = 1e-10) -> list[VectorField]:
@@ -248,18 +239,7 @@ def _raw_fields_svd(domain: Domain, degree: int, rank_rtol: float = 1e-10) -> li
             mat[i, c] = float(v)
     u, s, vt = np.linalg.svd(mat, full_matrices=True)
     rank = int(np.sum(s > rank_rtol * s[0])) if s.size else 0
-    null = vt[rank:].T
-    exps = monomials.exponents(degree)
-    fields = []
-    for k in range(null.shape[1]):
-        comps = []
-        for axis in range(3):
-            coeffs = {tuple(int(v) for v in e): null[axis * dim_v + idx, k]
-                      for idx, e in enumerate(exps)
-                      if abs(null[axis * dim_v + idx, k]) > 0}
-            comps.append(Polynomial3(coeffs))
-        fields.append(VectorField(tuple(comps)))
-    return fields
+    return _fields_from_nullspace(vt[rank:], dim_v, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -310,28 +290,38 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
         else:
             arr = np.einsum("ik,kcm->icm", q, raw_arr)
             fields = [monomials.array_to_field(arr[i], degree) for i in range(arr.shape[0])]
-        gram = _coeff_gram(fields, degree, j_nn)[1]
-        return fields, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
+        coeff, gram = _coeff_gram(fields, degree, j_nn)
+        return fields, coeff, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
 
     q = _orthonormal_coefficients(g_raw)
-    fields, gram, dev = orthonormalize(q)
+    fields, coeff, gram, dev = orthonormalize(q)
     if dev > 1e-13:
         # one symmetric polish pass fixes residual loss of orthogonality
         correction = np.linalg.inv(np.linalg.cholesky(0.5 * (gram + gram.T)))
-        fields, gram, dev = orthonormalize(correction @ q)
+        fields, coeff, gram, dev = orthonormalize(correction @ q)
     if dev > GRAM_IDENTITY_TOL:
         raise RuntimeError(f"orthonormalization failed: gram deviates from identity by {dev:.3e}")
 
-    basis = Basis(domain, degree, fields, gram, raw_cond)
+    basis = Basis(domain, degree, fields, coeff, gram, raw_cond)
     if method == "exact":
         _check_exact_invariants(basis)
     return basis
 
 
+def gram_form(a: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """G[i, k] = sum_c a[i, c] . J . b[k, c]: every bilinear form over coefficient arrays.
+
+    a is (rows, C, D_a), j is (D_a, D_b) and b is (cols, C, D_b); a field's
+    Gram, a one-row projection and each stiffness form (C = 9 tensor
+    components) all take this one summation path.
+    """
+    return np.einsum("icm,mn,jcn->ij", a, j, b, optimize=True)
+
+
 def _coeff_gram(fields: list[VectorField], degree: int, j_nn: np.ndarray):
     """(dim, 3, D_N) float coefficients of the fields and their mass Gram."""
     coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
-    return coeff, np.einsum("icm,mn,jcn->ij", coeff, j_nn, coeff)
+    return coeff, gram_form(coeff, j_nn, coeff)
 
 
 def _combine_exact(raw: list[VectorField], q: np.ndarray) -> list[VectorField]:
@@ -381,7 +371,7 @@ def project(v: VectorField, basis: Basis):
     deg = max(v.degree, 0)
     arr = monomials.field_to_array(v.to_float(), deg)
     j_vb = monomials.gram(basis.domain, deg, basis.degree)
-    rhs = np.einsum("cm,mn,icn->i", arr, j_vb, basis.coeff_array)
+    rhs = gram_form(arr[None], j_vb, basis.coeff_array)[0]
     coeffs = np.linalg.solve(basis.gram, rhs)
     top = max(deg, basis.degree)
     dim_top = monomials.space_dim(top)
@@ -390,7 +380,7 @@ def project(v: VectorField, basis: Basis):
     recon = np.einsum("i,icm->cm", coeffs, basis.coeff_array)
     res_arr[:, :recon.shape[1]] -= recon
     j_tt = monomials.gram(basis.domain, top, top)
-    res2 = float(np.einsum("cm,mn,cn->", res_arr, j_tt, res_arr))
+    res2 = float(gram_form(res_arr[None], j_tt, res_arr[None])[0, 0])
     return coeffs, math.sqrt(max(res2, 0.0))
 
 
@@ -454,5 +444,5 @@ def load_basis(path) -> Basis:
         raise ValueError("basis export is missing its header")
     if dim is not None and dim != len(fields):
         raise ValueError(f"basis export announces dim {dim} but carries {len(fields)} fields")
-    gram = _coeff_gram(fields, degree, monomials.gram(domain, degree, degree))[1]
-    return Basis(domain, degree, fields, gram, float("nan"))
+    coeff, gram = _coeff_gram(fields, degree, monomials.gram(domain, degree, degree))
+    return Basis(domain, degree, fields, coeff, gram, float("nan"))

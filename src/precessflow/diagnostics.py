@@ -29,6 +29,9 @@ CSV_HEADER = ("t,E_K,dEK_dt,dissipation,delta_EK,lambda,E_perp,"
 
 CONSTRAINT_MODES = ("rot_momentum", "orth_poincare", "total_momentum")
 
+# (n_theta, n_phi) of the surface rule behind the constraint functionals
+SURFACE_ORDERS = (32, 64)
+
 
 @dataclass
 class DiagnosticsRecord:
@@ -63,7 +66,7 @@ class DiagnosticsContext:
         basis = ops.basis
         domain = basis.domain
         self.ops = ops
-        self.rule = rule if rule is not None else surface_rule(domain, 32, 64)
+        self.rule = rule if rule is not None else surface_rule(domain, *SURFACE_ORDERS)
         self.u_p = u_p
         if u_p is not None:
             self.c_p, p_res = project(u_p, basis)

@@ -21,15 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import monomials
-from .basis import Basis, solid_rotation
+from .basis import Basis, gram_form, solid_rotation
 from .geometry import Domain, volume_integral
 from .polynomials import Polynomial3, VectorField
 
 BC_FORMS = ("stress_free", "poincare_stress", "normal_gradient", "poincare_normal_gradient")
-
-# strain component pairs (a, b) with multiplicities for the full tensor contraction
-_STRAIN_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_STRAIN_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 
 
 @dataclass(frozen=True)
@@ -110,23 +106,20 @@ def _core_matrices(basis: Basis) -> dict:
     domain = basis.domain
     n = basis.degree
     bc_arr = basis.coeff_array                        # (dim, 3, D_N)
-    j_nn = monomials.gram(domain, n, n)
     j_dd = monomials.gram(domain, n - 1, n - 1)
 
-    m_mat = np.einsum("icm,mn,jcn->ij", bc_arr, j_nn, bc_arr, optimize=True)
-    hn = np.einsum("icm,mn,jcn->ij", bc_arr,
-                   monomials.gram(domain, n, n, "north"), bc_arr, optimize=True)
-    hs = np.einsum("icm,mn,jcn->ij", bc_arr,
-                   monomials.gram(domain, n, n, "south"), bc_arr, optimize=True)
+    hn = gram_form(bc_arr, monomials.gram(domain, n, n, "north"), bc_arr)
+    hs = gram_form(bc_arr, monomials.gram(domain, n, n, "south"), bc_arr)
 
     # dB[i, comp, axis, :] = d(b_i)_comp / d x_axis
     db = np.stack([monomials.apply_derivative(bc_arr, n, a) for a in range(3)], axis=2)
+    strain = 0.5 * (db + db.transpose(0, 2, 1, 3))
 
-    strain = np.stack([0.5 * (db[:, bpair, apair, :] + db[:, apair, bpair, :])
-                       for (apair, bpair) in _STRAIN_PAIRS], axis=1)  # (dim, 6, D')
-    a_sym = 2.0 * np.einsum("ipm,mn,jpn,p->ij", strain, j_dd, strain,
-                            _STRAIN_WEIGHTS, optimize=True)
-    a_grad = np.einsum("icam,mn,jcan->ij", db, j_dd, db, optimize=True)
+    # 9-component views, component index 3 * comp + axis
+    s9 = strain.reshape(basis.dim, 9, -1)
+    g9 = db.reshape(basis.dim, 9, -1)
+    a_sym = 2.0 * gram_form(s9, j_dd, s9)
+    a_grad = gram_form(g9, j_dd, g9)
     a_sym = 0.5 * (a_sym + a_sym.T)
     a_grad = 0.5 * (a_grad + a_grad.T)
 
@@ -138,7 +131,7 @@ def _core_matrices(basis: Basis) -> dict:
         (shifted[2][0] - shifted[0][2]) @ ivec_up,
         (shifted[0][1] - shifted[1][0]) @ ivec_up,
     ])
-    return dict(M=m_mat, A_sym=a_sym, A_grad=a_grad, mom=mom, Hn=hn, Hs=hs,
+    return dict(M=basis.gram, A_sym=a_sym, A_grad=a_grad, mom=mom, Hn=hn, Hs=hs,
                 db=db, strain=strain)
 
 
@@ -150,7 +143,7 @@ def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarr
     wb[:, 1] = w[2] * bc_arr[:, 0] - w[0] * bc_arr[:, 2]
     wb[:, 2] = w[0] * bc_arr[:, 1] - w[1] * bc_arr[:, 0]
     j_nn = monomials.gram(basis.domain, basis.degree, basis.degree)
-    return np.einsum("icm,mn,jcn->ij", bc_arr, j_nn, wb, optimize=True)
+    return gram_form(bc_arr, j_nn, wb)
 
 
 def _advection_tensor(basis: Basis, db: np.ndarray) -> np.ndarray:
@@ -189,28 +182,19 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
 
 
 def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float, core: dict) -> np.ndarray:
-    dim = basis.dim
     if not bc.is_inhomogeneous:
-        return np.zeros(dim)
-    data = bc.data_field
-    n = basis.degree
-    ivec_d = monomials.integral_vector(basis.domain, n - 1)
+        return np.zeros(basis.dim)
     if bc.form == "poincare_stress":
-        strain = data.strain()
-        if any(strain[a][b].degree > 0 for a in range(3) for b in range(3)):
-            raise ValueError("data field must have a constant strain rate")
-        s6 = np.array([float(strain[a][b].coeffs.get((0, 0, 0), 0.0))
-                       for (a, b) in _STRAIN_PAIRS])
-        strain_int = core["strain"] @ ivec_d                 # (dim, 6)
-        return 2.0 * nu * strain_int @ (s6 * _STRAIN_WEIGHTS)
-    # poincare_normal_gradient
-    grad = data.gradient()
-    if any(grad[a][c].degree > 0 for a in range(3) for c in range(3)):
-        raise ValueError("data field must have a constant gradient")
-    g = np.array([[float(grad[a][c].coeffs.get((0, 0, 0), 0.0)) for c in range(3)]
-                  for a in range(3)])
-    grad_int = core["db"] @ ivec_d                           # (dim, 3, 3) as [i, c, a]
-    return nu * np.einsum("ica,ac->i", grad_int, g)
+        data, tensor, weight, what = bc.data_field.strain(), core["strain"], 2.0 * nu, "strain rate"
+    else:
+        data, tensor, weight, what = bc.data_field.gradient(), core["db"], nu, "gradient"
+    if any(data[a][c].degree > 0 for a in range(3) for c in range(3)):
+        raise ValueError(f"data field must have a constant {what}")
+    # data[axis][comp] = d(u_comp)/d(x_axis), flattened in the (comp, axis) order of db
+    const = np.array([float(data[a][c].coeffs.get((0, 0, 0), 0.0))
+                      for c in range(3) for a in range(3)])
+    ivec_d = monomials.integral_vector(basis.domain, basis.degree - 1)
+    return weight * (tensor.reshape(basis.dim, 9, -1) @ ivec_d) @ const
 
 
 def advection_term(ops: OperatorSet, coeffs: np.ndarray) -> np.ndarray:

@@ -138,7 +138,6 @@ class ScenarioConfig:
     output_path: str | None = None
     include_advection: bool = True
     blowup_factor: float = 1e6
-    surface_orders: tuple[int, int] = (32, 64)
     basis_method: str = "exact"
 
     def validate(self) -> None:
@@ -219,7 +218,7 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p,
                    include_advection=cfg.include_advection)
 
-    rule = surface_rule(domain, *cfg.surface_orders)
+    rule = surface_rule(domain, *diagnostics.SURFACE_ORDERS)
     ctx = diagnostics.DiagnosticsContext(ops, bc_data, rule)
 
     state = State(t=0.0, coeffs=initial_coefficients(cfg, basis))

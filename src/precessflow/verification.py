@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import diagnostics
-from .basis import Basis, build_basis, curl_form_fields, poincare_field, project, solid_rotation
+from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, poincare_field,
+                    project, solid_rotation)
 from .geometry import Domain, half_monomial_integral, monomial_integral, surface_rule
 from .operators import BoundaryCondition, advection_term, assemble, momentum_coupling_identity, residual
 from .spectral import NEUTRAL_MODE_DIMS, coercivity_constant, viscous_kernel
@@ -86,7 +87,7 @@ def _basis_checks(results, label, domain, basis: Basis, basis_fields_exact=True)
     _check(results, "basis.divergence_free", ctx, div_ok)
     _check(results, "basis.tangency", ctx, tan_ok)
     _check(results, "basis.gram_identity", ctx,
-           basis.gram_identity_deviation() < 1e-12,
+           basis.gram_identity_deviation() < GRAM_IDENTITY_TOL,
            f"dev {basis.gram_identity_deviation():.2e}")
 
     worst = max(project(f, basis)[1] for f in curl_form_fields(domain, basis.degree))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from precessflow import monomials
-from precessflow.basis import (build_basis, curl_form_fields, load_basis, poincare_field,
-                               project, save_basis, solid_rotation, stream_cross_field,
-                               _orthonormal_coefficients)
+from precessflow.basis import (build_basis, curl_form_fields, gram_form, load_basis,
+                               poincare_field, project, save_basis, solid_rotation,
+                               stream_cross_field, _orthonormal_coefficients)
 from precessflow.geometry import Domain, surface_rule, volume_integral
 from precessflow.polynomials import Polynomial3, VectorField
 
@@ -194,6 +194,31 @@ class TestCurlForm:
             assert f.tangency_remainder(domain.chi).is_zero()
             _, res = project(f, basis)
             assert res < 1e-10
+
+
+class TestGramForm:
+    @staticmethod
+    def _reference(a, j, b):
+        out = np.zeros((a.shape[0], b.shape[0]))
+        for i in range(a.shape[0]):
+            for k in range(b.shape[0]):
+                for c in range(a.shape[1]):
+                    for m in range(a.shape[2]):
+                        for n in range(b.shape[2]):
+                            out[i, k] += a[i, c, m] * j[m, n] * b[k, c, n]
+        return out
+
+    def test_matches_explicit_loops(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 3, 5))
+        j = rng.standard_normal((5, 7))          # rectangular, as for mixed degrees
+        b = rng.standard_normal((6, 3, 7))
+        np.testing.assert_allclose(gram_form(a, j, b), self._reference(a, j, b),
+                                   rtol=1e-12, atol=1e-12)
+        row = a[1][None]                         # one-row operand, as in project
+        out = gram_form(row, j, b)
+        assert out.shape == (1, 6)
+        np.testing.assert_allclose(out, self._reference(row, j, b), rtol=1e-12, atol=1e-12)
 
 
 class TestProject:

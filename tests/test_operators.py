@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from precessflow.basis import build_basis, poincare_field, project, solid_rotation
+from precessflow.basis import (build_basis, load_basis, poincare_field, project, save_basis,
+                               solid_rotation)
+from precessflow.geometry import volume_integral
 from precessflow.operators import (BoundaryCondition, advection_term, angular_momentum,
                                    assemble, dump_operator_set,
                                    momentum_coupling_identity, residual)
@@ -62,6 +64,16 @@ class TestAssemble:
     def test_mass_is_identity(self):
         ops = spheroid_ops(3)
         assert np.max(np.abs(ops.M - np.eye(ops.dim))) < 1e-12
+
+    @pytest.mark.parametrize("source", ["exact", "svd", "roundtrip"])
+    def test_mass_is_basis_gram(self, source, tmp_path):
+        basis = build_basis(DOMAINS["triaxial"], 3, "exact" if source == "roundtrip" else source)
+        if source == "roundtrip":
+            save_basis(basis, tmp_path / "basis.txt")
+            basis = load_basis(tmp_path / "basis.txt")
+        ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                       include_advection=False)
+        np.testing.assert_array_equal(ops.M, basis.gram)
 
     def test_coriolis_antisymmetric(self):
         for kind in ("sphere", "spheroid", "triaxial"):
@@ -123,6 +135,57 @@ class TestAssemble:
         assert ops_warm.T is None
         c = 0.5 * np.random.default_rng(7).standard_normal(ops_warm.dim)
         np.testing.assert_array_equal(residual(c, ops_warm), residual(c, ops_cold))
+
+
+def _contract(s, t) -> Polynomial3:
+    """Full contraction s : t of two 3x3 tensors of polynomials."""
+    return sum((s[a][c] * t[a][c] for a in range(3) for c in range(3)), Polynomial3())
+
+
+class TestEntriesAgainstExactIntegrals:
+    """Assembled entries against exact integrals of the polynomial integrands.
+
+    Entries are compared with a relative tolerance of 1e-12 (entries that
+    vanish exactly, by parity, with the same tolerance on the matrix scale).
+    """
+
+    @staticmethod
+    def _check(assembled, exact):
+        np.testing.assert_allclose(assembled, exact, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(exact)))
+
+    def test_triaxial_matrices(self):
+        # no axis symmetry on the triaxial domain can hide a transposed index
+        basis = get_basis("triaxial", 2)
+        ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                       include_advection=False)
+        domain = basis.domain
+        fields = basis.fields
+        strains = [f.strain() for f in fields]
+        grads = [f.gradient() for f in fields]
+        rng = range(basis.dim)
+        a_sym = [[2.0 * volume_integral(_contract(strains[i], strains[j]), domain)
+                  for j in rng] for i in rng]
+        a_grad = [[volume_integral(_contract(grads[i], grads[j]), domain)
+                   for j in rng] for i in rng]
+        c_x = [[volume_integral(fields[i].dot(fields[j].cross_const((1, 0, 0))), domain)
+                for j in rng] for i in rng]
+        self._check(ops.A_sym, np.array(a_sym))
+        self._check(ops.A_grad, np.array(a_grad))
+        self._check(ops.C_x, np.array(c_x))
+
+    @pytest.mark.parametrize("form", ["poincare_stress", "poincare_normal_gradient"])
+    def test_spheroid_forcing(self, form):
+        nu = 0.5
+        ops = spheroid_ops(2, form, nu=nu, eps_p=0.25)
+        domain = ops.basis.domain
+        if form == "poincare_stress":
+            f_bc = [2.0 * nu * volume_integral(_contract(f.strain(), U_P.strain()), domain)
+                    for f in ops.basis.fields]
+        else:
+            f_bc = [nu * volume_integral(_contract(f.gradient(), U_P.gradient()), domain)
+                    for f in ops.basis.fields]
+        self._check(ops.F_bc, np.array(f_bc))
 
 
 class TestResidual:

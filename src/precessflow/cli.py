@@ -83,7 +83,7 @@ def _float(cfg, key, default=None):
         return default
     try:
         return float(Fraction(cfg[key]))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 

@@ -2,8 +2,9 @@
 
 Quadratic quantities (energies, hemispheric energies, angular momentum and the
 rotation amplitude lambda) come from the exactly assembled Gram/moment
-operators.  The three surface constraint functionals are quadrature-based on
-the polynomial reconstruction of the state.  ``dEK_dt`` is a post-hoc centered
+operators.  The three surface constraint functionals are quadrature sums over
+the polynomial reconstruction of the state, precomputed as linear functionals
+of the coefficients.  ``dEK_dt`` is a post-hoc centered
 difference of the recorded energy; the instantaneous energy rate (viscous
 dissipation plus boundary-forcing work) is emitted alongside it as the
 ``dissipation`` column, so the two estimates bracket the time-discretization
@@ -59,7 +60,12 @@ class DiagnosticsRecord:
 
 
 class DiagnosticsContext:
-    """Per-run precomputed context: reference fields, surface rule, node values."""
+    """Per-run precomputed context: reference fields and the surface functionals.
+
+    The three surface functionals are linear in the coefficients: the rule's
+    weights and target values are folded through the Vandermonde once, so each
+    evaluation is one (3, dim) matvec minus constant offsets.
+    """
 
     def __init__(self, ops: OperatorSet, u_p: VectorField | None,
                  rule: SurfaceRule | None = None):
@@ -79,31 +85,31 @@ class DiagnosticsContext:
         self.gamma = volume_integral(rot.dot(rot), domain)  # ||e_z x x||^2, exact
         self.c_rot_dir, _ = project(rot, basis)             # projection of e_z x x
 
-        self.vander = monomials.vandermonde(self.rule.points, basis.degree)
-        self.rot_nodes = rot.evaluate(self.rule.points)
-        if u_p is not None:
-            self.up_nodes = u_p.evaluate(self.rule.points)
-        else:
-            self.up_nodes = np.zeros_like(self.rot_nodes)
-        # surface values of the projected rotation direction, for constraint removal
-        self.dir_nodes = self._node_values(self.c_rot_dir)
         w = self.rule.weights
-        self.den_rot = float(np.einsum("n,nc,nc->", w, self.dir_nodes, self.rot_nodes))
-        self.den_orth = float(np.einsum("n,nc,nc->", w, self.dir_nodes, self.up_nodes))
+        vander = monomials.vandermonde(self.rule.points, basis.degree)
+        rot_nodes = rot.evaluate(self.rule.points)
+        up_nodes = (u_p.evaluate(self.rule.points) if u_p is not None
+                    else np.zeros_like(rot_nodes))
 
-    def _node_values(self, coeffs: np.ndarray) -> np.ndarray:
-        field_coeffs = np.einsum("i,icm->cm", coeffs, self.ops.basis.coeff_array)
-        return self.vander @ field_coeffs.T
+        def functional(target_nodes):
+            # coefficient row of  sum_n w_n u(x_n) . target(x_n)
+            fold = vander.T @ (w[:, None] * target_nodes)           # (D_N, 3)
+            return np.einsum("icm,mc->i", basis.coeff_array, fold)
+
+        g_rot = functional(rot_nodes)
+        self.functionals = np.stack([g_rot, functional(up_nodes), g_rot])
+        self.offsets = np.array([float(np.einsum("n,nc,nc->", w, up_nodes, rot_nodes)),
+                                 float(np.einsum("n,nc,nc->", w, up_nodes, up_nodes)),
+                                 0.0])
+        self.den_rot, self.den_orth, _ = (float(v) for v in self.functionals @ self.c_rot_dir)
+        # size of the rotation direction on the surface, for the degeneracy test
+        dir_nodes = vander @ np.einsum("i,icm->cm", self.c_rot_dir, basis.coeff_array).T
+        self.degeneracy_scale = float(np.sum(w)) * max(1.0, float(np.max(np.abs(dir_nodes))))
 
     def surface_functionals(self, coeffs: np.ndarray):
         """(c_rot, c_orth, c_tot) of the state with the given coefficients."""
-        u_nodes = self._node_values(coeffs)
-        w = self.rule.weights
-        pert = u_nodes - self.up_nodes
-        c_rot = float(np.einsum("n,nc,nc->", w, pert, self.rot_nodes))
-        c_orth = float(np.einsum("n,nc,nc->", w, pert, self.up_nodes))
-        c_tot = float(np.einsum("n,nc,nc->", w, u_nodes, self.rot_nodes))
-        return c_rot, c_orth, c_tot
+        c_rot, c_orth, c_tot = self.functionals @ coeffs - self.offsets
+        return float(c_rot), float(c_orth), float(c_tot)
 
 
 def record(state, ops: OperatorSet, ctx: DiagnosticsContext) -> DiagnosticsRecord:
@@ -197,8 +203,7 @@ def constraint_projection(state, ops: OperatorSet, mode: str, rule) -> object:
         value, den = c_orth, ctx.den_orth
     else:
         value, den = c_tot, ctx.den_rot
-    scale = float(np.sum(ctx.rule.weights)) * max(1.0, float(np.max(np.abs(ctx.dir_nodes))))
-    if abs(den) <= 1e-12 * scale:
+    if abs(den) <= 1e-12 * ctx.degeneracy_scale:
         raise ValueError(f"constraint functional is degenerate on the rotation direction "
                          f"(denominator {den:.3e})")
     alpha = value / den

@@ -63,6 +63,7 @@ class OperatorSet:
     Immutable by convention after assembly; safe to share across runs.
     T index convention: T[i][j][k] = integral of (b_i . grad b_j) . b_k, so the
     advection contribution to the k-th residual entry is sum_ij c_i c_j T[i,j,k].
+    T is stored with i as its fastest index, so advection_matrix(T) is a view.
     """
 
     basis: Basis
@@ -152,7 +153,9 @@ def _advection_tensor(basis: Basis, db: np.ndarray) -> np.ndarray:
     g3 = monomials.triple_product_table(basis.domain, n, n - 1, n)
     u = np.einsum("mno,kco->mnkc", g3, bc_arr, optimize=True)
     v2 = np.einsum("jcan,mnkc->majk", db, u, optimize=True)
-    return np.einsum("iam,majk->ijk", bc_arr, v2, optimize=True)
+    t = np.einsum("iam,majk->ijk", bc_arr, v2, optimize=True)
+    # i fastest: j and k then merge into one C-contiguous axis of advection_matrix(T)
+    return np.ascontiguousarray(t.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
@@ -197,11 +200,18 @@ def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float, core: dict) 
     return weight * (tensor.reshape(basis.dim, 9, -1) @ ivec_d) @ const
 
 
+def advection_matrix(t_tensor: np.ndarray) -> np.ndarray:
+    """The (dim*dim, dim) matrix tm[j*dim + k, i] = T[i][j][k], a view of T."""
+    d = t_tensor.shape[0]
+    return t_tensor.transpose(1, 2, 0).reshape(d * d, d)
+
+
 def advection_term(ops: OperatorSet, coeffs: np.ndarray) -> np.ndarray:
-    """Galerkin advection: out[k] = sum_ij c_i c_j T[i][j][k]."""
+    """Galerkin advection: out[k] = sum_ij c_i c_j T[i][j][k], as two matvecs."""
     if ops.T is None:
         raise ValueError("operator set was assembled without the advection tensor")
-    return np.einsum("i,j,ijk->k", coeffs, coeffs, ops.T, optimize=True)
+    d = ops.dim
+    return coeffs @ (advection_matrix(ops.T) @ coeffs).reshape(d, d)
 
 
 def residual(coeffs: np.ndarray, ops: OperatorSet) -> np.ndarray:

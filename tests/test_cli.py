@@ -161,6 +161,33 @@ class TestExitCodes:
         assert out.exists()
         assert out.read_text().splitlines()[0] == CSV_HEADER
 
+    def test_run_nan_coefficient_file_is_usage_error(self, tmp_path, capsys):
+        init = tmp_path / "init.txt"
+        np.savetxt(init, np.full(get_basis("spheroid", 2).dim, np.nan))
+        out = tmp_path / "run.csv"
+        text = RUN_LINES.replace("init.type = solid_rotation\ninit.amplitude = 0.1\n",
+                                 f"init.type = coefficients\ninit.path = {init}\n")
+        cfg = write(tmp_path, "nan.cfg", text + f"output.path = {out}\n")
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+        assert not out.exists()
+
+    def test_run_nan_restart_omega_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        cfg = write(tmp_path, "nan.cfg", RUN_LINES + "restart.time = 0.02\n"
+                    f"restart.omega = nan\noutput.path = {out}\n")
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "restart.omega" in err
+        assert not out.exists()
+
+    def test_run_overflowing_value_is_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "big.cfg",
+                    RUN_LINES.replace("physics.eps_p = 0\n", "physics.eps_p = 1e400\n"))
+        assert main(["run", "--config", cfg]) == 1
+        assert "config key physics.eps_p" in capsys.readouterr().err
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["explode"]) == 1
 

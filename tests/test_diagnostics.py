@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from precessflow import monomials
 from precessflow.basis import poincare_field, project, solid_rotation
 from precessflow.diagnostics import (CSV_HEADER, DiagnosticsContext, TimeSeries,
                                      constraint_projection, momentum_balance_residual,
@@ -140,6 +141,33 @@ class TestMomentumBalance:
         series = run(cfg)
         res = momentum_balance_residual(series, 0.0)
         assert np.max(np.abs(res)) < 1e-8
+
+
+class TestSurfaceFunctionals:
+    @staticmethod
+    def node_quadrature(ctx, u_p, coeffs):
+        # reference: rebuild u at the rule's nodes and take the weighted sums
+        basis = ctx.ops.basis
+        pts, w = ctx.rule.points, ctx.rule.weights
+        field_coeffs = np.einsum("i,icm->cm", coeffs, basis.coeff_array)
+        u = monomials.vandermonde(pts, basis.degree) @ field_coeffs.T
+        rot = solid_rotation((0, 0, 1)).evaluate(pts)
+        up = u_p.evaluate(pts) if u_p is not None else np.zeros_like(rot)
+        pert = u - up
+        return (np.einsum("n,nc,nc->", w, pert, rot), np.einsum("n,nc,nc->", w, pert, up),
+                np.einsum("n,nc,nc->", w, u, rot))
+
+    @pytest.mark.parametrize("with_up", [False, True])
+    def test_match_node_quadrature(self, with_up):
+        ops = make_ops("poincare_stress", nu=1.0, eps_p=0.25, degree=3)
+        ctx = make_ctx(ops, with_up)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            c = rng.standard_normal(ops.dim)
+            got = ctx.surface_functionals(c)
+            ref = self.node_quadrature(ctx, ctx.u_p, c)
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 1e-13 * abs(r)
 
 
 class TestConstraintProjection:

@@ -7,8 +7,8 @@ import pytest
 from precessflow.basis import (build_basis, load_basis, poincare_field, project, save_basis,
                                solid_rotation)
 from precessflow.geometry import volume_integral
-from precessflow.operators import (BoundaryCondition, advection_term, angular_momentum,
-                                   assemble, dump_operator_set,
+from precessflow.operators import (BoundaryCondition, advection_matrix, advection_term,
+                                   angular_momentum, assemble, dump_operator_set,
                                    momentum_coupling_identity, residual)
 from precessflow.polynomials import Polynomial3, VectorField
 
@@ -262,6 +262,30 @@ class TestMomentumCouplingIdentity:
         for f in get_basis(kind, 3).fields:
             lhs, rhs = momentum_coupling_identity(f, domain)
             assert abs(lhs - rhs) < 1e-12
+
+
+class TestAdvectionTerm:
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_matches_tensor_contraction(self, kind, degree):
+        ops = assemble(get_basis(kind, degree), BoundaryCondition("stress_free"),
+                       nu=1.0, eps_p=0.0)
+        rng = np.random.default_rng(degree)
+        for _ in range(5):
+            c = rng.standard_normal(ops.dim)
+            expected = np.einsum("i,j,ijk->k", c, c, ops.T)
+            # relative to the largest entry: entries that vanish analytically
+            # carry only the round-off of either summation order
+            err = np.max(np.abs(advection_term(ops, c) - expected))
+            assert err <= 1e-14 * np.max(np.abs(expected))
+
+    def test_matrix_is_a_view_of_the_single_tensor(self):
+        ops = spheroid_ops(3)
+        tm = advection_matrix(ops.T)
+        assert tm.shape == (ops.dim * ops.dim, ops.dim)
+        assert np.shares_memory(tm, ops.T)
+        j, k, i = 2, 5, 7
+        assert tm[j * ops.dim + k, i] == ops.T[i, j, k]
 
 
 class TestEnergyNeutrality:

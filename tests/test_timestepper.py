@@ -41,6 +41,7 @@ class TestScenarioConfig:
         dict(dt=-0.01),
         dict(t_end=0.0),
         dict(record_every=0.0),
+        dict(t_end=math.inf),
         dict(init_type="vortex"),
         dict(init_type="coefficients"),
         dict(restart_time=5.0),
@@ -51,6 +52,13 @@ class TestScenarioConfig:
     def test_invalid(self, overrides):
         with pytest.raises(ValueError):
             base_config(**overrides).validate()
+
+    @pytest.mark.parametrize("name", ["eps_p", "init_amplitude", "init_omega", "init_eps_p",
+                                      "restart_omega", "blowup_factor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            base_config(**{name: value}).validate()
 
     def test_domain_construction(self):
         assert base_config().domain().kind == "spheroid_z"
@@ -255,6 +263,24 @@ class TestRun:
         assert last_t == records[-1].t
         t_trip = float(str(err.value).rsplit("t = ", 1)[1])
         assert records[-1].t < t_trip <= records[-1].t + 0.02 + 1e-12
+
+    def test_non_finite_coefficient_file_writes_no_csv(self, tmp_path):
+        path = tmp_path / "init.txt"
+        data = np.zeros(get_basis("spheroid", 2).dim)
+        data[1] = np.inf
+        np.savetxt(path, data)
+        out = tmp_path / "series.csv"
+        cfg = base_config(init_type="coefficients", init_path=str(path), output_path=str(out))
+        with pytest.raises(ValueError, match="non-finite"):
+            run(cfg)
+        assert not out.exists()
+
+    def test_nan_restart_omega_writes_no_csv(self, tmp_path):
+        out = tmp_path / "series.csv"
+        cfg = base_config(restart_time=0.05, restart_omega=math.nan, output_path=str(out))
+        with pytest.raises(ValueError, match="restart_omega must be finite"):
+            run(cfg)
+        assert not out.exists()
 
     def test_stokes_only_flag(self):
         series = run(base_config(include_advection=False, t_end=0.05))

@@ -12,11 +12,30 @@ forcing.  Boundary terms of the two inhomogeneous forms are reduced to volume
 integrals (the data field is linear, so its strain/gradient is constant and
 div eps(u_P) = 0), keeping assembly exact; no surface quadrature enters the
 dynamics.
+
+Reflection classes.  chi = x^2/a^2 + y^2/b^2 + z^2/c^2 - 1 is even in each
+variable, so each constraint identity of the basis construction involves
+coefficients of one parity under the three mirror reflections x_a -> -x_a
+(component c of x^e flips sign when e_a + [a == c] is odd).  The constraint
+system therefore splits by reflection class, one of 8, and the exact nullspace,
+orthonormalized against a Gram whose cross-class entries are exact zeros,
+keeps every field in one class.  Odd monomials integrate to exactly 0 over
+the ellipsoid, so T[i, j, k] = 0 unless cls(i) ^ cls(j) ^ cls(k) = 0.
+
+Packed advection.  Only the (i, j)-symmetric part of T enters
+N_k = sum_ij c_i c_j T[i, j, k].  For each output class P, G[P] holds
+T[i, j, k] + T[j, i, k] (T[i, i, k] on the diagonal) for the outputs k of
+class P and the pairs i <= j with cls(i) ^ cls(j) = P, zero-padded to one
+(classes, rows, pairs) array; advection is then two gathers of c, one batched
+matrix-vector product and one gather back to basis order, about dim^3 / 16
+multiply-adds for 8 balanced classes.  A basis with a field that mixes
+classes (the svd fallback) gets one class, and G is the symmetric half of T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +75,20 @@ class BoundaryCondition:
         return self.form in ("normal_gradient", "poincare_normal_gradient")
 
 
+class PackedAdvection(NamedTuple):
+    """Parity-packed symmetric half of T (see the module docstring).
+
+    g is (classes, rows, pairs); pi and pj are the (classes, pairs) field
+    indices of each pair; unpad maps basis index k to its flat (class, row)
+    slot.  Padding pairs point at field 0 and meet zero columns of g.
+    """
+
+    g: np.ndarray
+    pi: np.ndarray
+    pj: np.ndarray
+    unpad: np.ndarray
+
+
 @dataclass
 class OperatorSet:
     """Assembled Galerkin operators over an orthonormal basis.
@@ -63,7 +96,7 @@ class OperatorSet:
     Immutable by convention after assembly; safe to share across runs.
     T index convention: T[i][j][k] = integral of (b_i . grad b_j) . b_k, so the
     advection contribution to the k-th residual entry is sum_ij c_i c_j T[i,j,k].
-    T is stored with i as its fastest index, so advection_matrix(T) is a view.
+    advection_term reads the parity-packed copy of T, not T itself.
     """
 
     basis: Basis
@@ -76,6 +109,7 @@ class OperatorSet:
     A_grad: np.ndarray
     C_x: np.ndarray
     T: np.ndarray | None
+    T_packed: PackedAdvection | None
     F_bc: np.ndarray
     mom: np.ndarray          # (3, dim): mom[alpha][i] = integral (x cross b_i)_alpha
     Hn: np.ndarray
@@ -147,15 +181,56 @@ def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarr
     return gram_form(bc_arr, j_nn, wb)
 
 
-def _advection_tensor(basis: Basis, db: np.ndarray) -> np.ndarray:
+def reflection_classes(basis: Basis) -> np.ndarray:
+    """Reflection class of each basis field, or class 0 for all if any field mixes classes.
+
+    Bit a of a class is set when the field flips sign under x_a -> -x_a.
+    """
+    exps = monomials.exponents(basis.degree)                    # (D_N, 3)
+    flips = (exps[None] + np.eye(3, dtype=exps.dtype)[:, None]) % 2   # [comp, monomial, axis]
+    table = flips @ np.array([1, 2, 4])                         # (3, D_N)
+    nonzero = basis.coeff_array != 0
+    hi = np.where(nonzero, table, -1).max(axis=(1, 2))
+    lo = np.where(nonzero, table, 8).min(axis=(1, 2))
+    if np.array_equal(lo, hi):
+        return hi
+    return np.zeros(basis.dim, dtype=hi.dtype)
+
+
+def _pack_advection(t: np.ndarray, cls: np.ndarray) -> PackedAdvection:
+    """Gather the packed operator from T one class block at a time (no T + T^T temporary)."""
+    labels = np.unique(cls)
+    iu, ju = np.triu_indices(len(cls))
+    pair_cls = cls[iu] ^ cls[ju]
+    rows = [np.flatnonzero(cls == p) for p in labels]
+    pairs = [np.flatnonzero(pair_cls == p) for p in labels]
+    n_rows = max(len(r) for r in rows)
+    n_pairs = max(len(q) for q in pairs)
+    g = np.zeros((len(labels), n_rows, n_pairs))
+    pi = np.zeros((len(labels), n_pairs), dtype=np.intp)
+    pj = np.zeros_like(pi)
+    unpad = np.empty(len(cls), dtype=np.intp)
+    for p, (ks, q) in enumerate(zip(rows, pairs)):
+        i, j, k = iu[q], ju[q], ks[:, None]
+        pi[p, :len(q)] = i
+        pj[p, :len(q)] = j
+        block = g[p, :len(ks), :len(q)]
+        block[...] = t[i, j, k]
+        block += t[j, i, k]
+        block[:, i == j] *= 0.5       # (T_iik + T_iik) / 2 is T_iik exactly
+        unpad[ks] = p * n_rows + np.arange(len(ks))
+    return PackedAdvection(g, pi, pj, unpad)
+
+
+def _advection_operators(basis: Basis, db: np.ndarray):
+    """T and its packed copy, cached together on the basis."""
     n = basis.degree
     bc_arr = basis.coeff_array
     g3 = monomials.triple_product_table(basis.domain, n, n - 1, n)
     u = np.einsum("mno,kco->mnkc", g3, bc_arr, optimize=True)
     v2 = np.einsum("jcan,mnkc->majk", db, u, optimize=True)
     t = np.einsum("iam,majk->ijk", bc_arr, v2, optimize=True)
-    # i fastest: j and k then merge into one C-contiguous axis of advection_matrix(T)
-    return np.ascontiguousarray(t.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return t, _pack_advection(t, reflection_classes(basis))
 
 
 def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
@@ -175,12 +250,14 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
 
     core = _cached(basis, "core", _core_matrices)
     c_x = _cached(basis, ("C_x", axis), _coriolis_matrix, axis)
-    t_tensor = _cached(basis, "T", _advection_tensor, core["db"]) if include_advection else None
+    t_tensor, t_packed = (_cached(basis, "T", _advection_operators, core["db"])
+                          if include_advection else (None, None))
     f_bc = _forcing_vector(basis, bc, nu, core)
     return OperatorSet(
         basis=basis, bc=bc, nu=float(nu), eps_p=float(eps_p), precession_axis=axis,
         M=core["M"], A_sym=core["A_sym"], A_grad=core["A_grad"], C_x=c_x,
-        T=t_tensor, F_bc=f_bc, mom=core["mom"], Hn=core["Hn"], Hs=core["Hs"],
+        T=t_tensor, T_packed=t_packed, F_bc=f_bc, mom=core["mom"], Hn=core["Hn"],
+        Hs=core["Hs"],
     )
 
 
@@ -200,18 +277,13 @@ def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float, core: dict) 
     return weight * (tensor.reshape(basis.dim, 9, -1) @ ivec_d) @ const
 
 
-def advection_matrix(t_tensor: np.ndarray) -> np.ndarray:
-    """The (dim*dim, dim) matrix tm[j*dim + k, i] = T[i][j][k], a view of T."""
-    d = t_tensor.shape[0]
-    return t_tensor.transpose(1, 2, 0).reshape(d * d, d)
-
-
 def advection_term(ops: OperatorSet, coeffs: np.ndarray) -> np.ndarray:
-    """Galerkin advection: out[k] = sum_ij c_i c_j T[i][j][k], as two matvecs."""
+    """Galerkin advection: out[k] = sum_ij c_i c_j T[i][j][k], from the packed T."""
     if ops.T is None:
         raise ValueError("operator set was assembled without the advection tensor")
-    d = ops.dim
-    return coeffs @ (advection_matrix(ops.T) @ coeffs).reshape(d, d)
+    pack = ops.T_packed
+    z = coeffs[pack.pi] * coeffs[pack.pj]
+    return np.matmul(pack.g, z[..., None]).ravel()[pack.unpad]
 
 
 def residual(coeffs: np.ndarray, ops: OperatorSet) -> np.ndarray:

@@ -10,6 +10,7 @@ from precessflow.basis import (build_basis, curl_form_fields, gram_form, load_ba
                                poincare_field, project, save_basis, solid_rotation,
                                stream_cross_field, _orthonormal_coefficients)
 from precessflow.geometry import Domain, surface_rule, volume_integral
+from precessflow.operators import reflection_classes
 from precessflow.polynomials import Polynomial3, VectorField
 
 from conftest import DOMAINS, get_basis
@@ -289,3 +290,38 @@ class TestExportImport:
         path.write_text("not a basis\n")
         with pytest.raises(ValueError):
             load_basis(path)
+
+
+def _field_classes(field) -> set:
+    """Reflection classes of a field's nonzero coefficients, by explicit loops."""
+    classes = set()
+    for c, comp in enumerate(field.components):
+        for exp, coef in comp.coeffs.items():
+            if coef:
+                classes.add(sum(1 << a for a in range(3) if (exp[a] + (a == c)) % 2))
+    return classes
+
+
+class TestReflectionClasses:
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_exact_fields_are_parity_pure(self, kind, degree):
+        basis = get_basis(kind, degree)
+        cls = reflection_classes(basis)
+        assert [_field_classes(f) for f in basis.fields] == [{int(k)} for k in cls]
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_roundtrip_keeps_classes(self, kind, degree, tmp_path):
+        basis = get_basis(kind, degree)
+        path = tmp_path / "basis.txt"
+        save_basis(basis, path)
+        loaded = load_basis(path)
+        cls = reflection_classes(loaded)
+        assert [_field_classes(f) for f in loaded.fields] == [{int(k)} for k in cls]
+        np.testing.assert_array_equal(cls, reflection_classes(basis))
+
+    def test_svd_basis_gets_one_class(self):
+        basis = build_basis(DOMAINS["triaxial"], 3, method="svd")
+        assert any(len(_field_classes(f)) > 1 for f in basis.fields)
+        np.testing.assert_array_equal(reflection_classes(basis), np.zeros(basis.dim))

@@ -206,6 +206,8 @@ class TestVerifyCommand:
         assert main(["verify", "--degrees", "1", "--perturb-advection"]) == 3
         out = capsys.readouterr().out
         assert "FAIL operators.advection_antisymmetry" in out
+        # T[0, 0, 0] is off the parity rule: field 0 is a rotation, never class 0
+        assert "FAIL operators.advection_parity" in out
 
     def test_corrupted_basis_file_detected(self, tmp_path, capsys):
         path = tmp_path / "basis.txt"

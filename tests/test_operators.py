@@ -7,9 +7,9 @@ import pytest
 from precessflow.basis import (build_basis, load_basis, poincare_field, project, save_basis,
                                solid_rotation)
 from precessflow.geometry import volume_integral
-from precessflow.operators import (BoundaryCondition, advection_matrix, advection_term,
-                                   angular_momentum, assemble, dump_operator_set,
-                                   momentum_coupling_identity, residual)
+from precessflow.operators import (BoundaryCondition, advection_term, angular_momentum,
+                                   assemble, dump_operator_set, momentum_coupling_identity,
+                                   reflection_classes, residual)
 from precessflow.polynomials import Polynomial3, VectorField
 
 from conftest import DOMAINS, get_basis
@@ -266,10 +266,13 @@ class TestMomentumCouplingIdentity:
 
 class TestAdvectionTerm:
     @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
-    @pytest.mark.parametrize("degree", [2, 3, 4])
-    def test_matches_tensor_contraction(self, kind, degree):
-        ops = assemble(get_basis(kind, degree), BoundaryCondition("stress_free"),
-                       nu=1.0, eps_p=0.0)
+    @pytest.mark.parametrize("degree, method",
+                             [(2, "exact"), (3, "exact"), (4, "exact"), (5, "exact"), (3, "svd")],
+                             ids=["2", "3", "4", "5", "3-svd"])
+    def test_matches_tensor_contraction(self, kind, degree, method):
+        basis = (get_basis(kind, degree) if method == "exact"
+                 else build_basis(DOMAINS[kind], degree, method))
+        ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
         rng = np.random.default_rng(degree)
         for _ in range(5):
             c = rng.standard_normal(ops.dim)
@@ -279,13 +282,19 @@ class TestAdvectionTerm:
             err = np.max(np.abs(advection_term(ops, c) - expected))
             assert err <= 1e-14 * np.max(np.abs(expected))
 
-    def test_matrix_is_a_view_of_the_single_tensor(self):
-        ops = spheroid_ops(3)
-        tm = advection_matrix(ops.T)
-        assert tm.shape == (ops.dim * ops.dim, ops.dim)
-        assert np.shares_memory(tm, ops.T)
-        j, k, i = 2, 5, 7
-        assert tm[j * ops.dim + k, i] == ops.T[i, j, k]
+    def test_packed_operator_is_a_fraction_of_the_tensor(self):
+        ops = spheroid_ops(5)
+        assert sum(a.nbytes for a in ops.T_packed) < 0.25 * ops.T.nbytes
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_tensor_vanishes_off_the_parity_rule(self, kind, degree):
+        ops = assemble(get_basis(kind, degree), BoundaryCondition("stress_free"),
+                       nu=1.0, eps_p=0.0)
+        cls = reflection_classes(ops.basis)
+        assert len(np.unique(cls)) > 1
+        off_rule = (cls[:, None, None] ^ cls[None, :, None] ^ cls[None, None, :]) != 0
+        assert np.all(ops.T[off_rule] == 0.0)
 
 
 class TestEnergyNeutrality:

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from precessflow.basis import poincare_field, project, solid_rotation
+from precessflow import timestepper
+from precessflow.basis import build_basis, poincare_field, project, solid_rotation
 from precessflow.diagnostics import CSV_HEADER
 from precessflow.operators import BoundaryCondition, assemble
 from precessflow.spectral import viscous_kernel
 from precessflow.timestepper import (BlowUpError, ScenarioConfig, State,
                                      initial_coefficients, integrate, run, step)
 
-from conftest import get_basis
+from conftest import DOMAINS, get_basis
 
 U_P = poincare_field(Fraction(9, 16), Fraction(1, 4))
 
@@ -48,6 +50,8 @@ class TestScenarioConfig:
         dict(constraint_mode="momentum"),
         dict(beta=None),
         dict(a=1, b=1, c=1),
+        dict(blowup_factor=0.0),
+        dict(blowup_factor=-1.0),
     ])
     def test_invalid(self, overrides):
         with pytest.raises(ValueError):
@@ -158,6 +162,64 @@ class TestStep:
         state = State(0.0, 0.1 * c_r)
         with pytest.raises(BlowUpError):
             integrate(state, ops, 0.01, 10, max_norm=1e-6)
+
+
+def scipy_lu_solve(lu_piv, rhs):
+    return scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
+
+
+class TestLuSolve:
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_matches_scipy_lu_solve_bitwise(self, degree, kind, method):
+        basis = build_basis(DOMAINS[kind], degree, method)
+        ops = assemble(basis, BoundaryCondition("stress_free"), nu=0.1, eps_p=0.25,
+                       include_advection=False)
+        rng = np.random.default_rng(degree)
+        for lu_piv in timestepper._solver(ops, 0.01):
+            rhs = rng.standard_normal(ops.dim)
+            expected = scipy_lu_solve(lu_piv, rhs)
+            assert np.array_equal(timestepper._lu_solve(lu_piv, rhs.copy()), expected)
+
+    @pytest.mark.parametrize("kind, form", [
+        ("spheroid", "poincare_stress"),
+        ("triaxial", "stress_free"),
+    ])
+    def test_step_matches_scipy_reference_bitwise(self, kind, form, monkeypatch):
+        data = U_P if form.startswith("poincare") else None
+        ops = assemble(get_basis(kind, 3), BoundaryCondition(form, data),
+                       nu=1.0 / 0.024, eps_p=0.25)
+        rng = np.random.default_rng(7)
+        c0, c1 = 0.1 * rng.standard_normal((2, ops.dim))
+        starts = [State(0.0, c0), State(0.01, c1, prev_coeffs=c0)]
+        got = [step(st, ops, 0.01) for st in starts]
+        monkeypatch.setattr(timestepper, "_lu_solve", scipy_lu_solve)
+        for st, new in zip(starts, got):
+            ref = step(st, ops, 0.01)
+            assert np.array_equal(new.coeffs, ref.coeffs)
+
+    @pytest.mark.parametrize("bdf2", [False, True])
+    def test_nan_state_raises(self, bdf2):
+        ops = spheroid_ops()
+        c = np.zeros(ops.dim)
+        c[0] = math.nan
+        state = State(0.01, c, prev_coeffs=np.zeros(ops.dim) if bdf2 else None)
+        with pytest.raises(BlowUpError, match="non-finite coefficients"):
+            step(state, ops, 0.01)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_overflowing_norm_of_finite_state_is_not_flagged(self):
+        # the squared norm overflows while every entry stays finite: the
+        # step guard must let it through and leave the trip to integrate
+        ops = spheroid_ops(eps_p=0.25)
+        c_r, _ = project(solid_rotation((0, 0, 1)), ops.basis)
+        state = State(0.0, 1e200 * c_r)
+        new = step(state, ops, 0.01, include_advection=False)
+        assert np.all(np.isfinite(new.coeffs))
+        assert not math.isfinite(new.coeffs @ new.coeffs)
+        with pytest.raises(BlowUpError, match="state norm exceeded"):
+            integrate(state, ops, 0.01, 5, include_advection=False, max_norm=1e300)
 
 
 class TestInitialConditions:

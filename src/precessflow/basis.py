@@ -12,10 +12,27 @@ classical curl construction grad(chi) x grad(psi) is provided as an
 independent cross-check of the span, not as the primary construction, since
 its completeness is not established.
 
-Orthonormalization is modified Gram-Schmidt (two passes) against the exact
-mass Gram; the resulting combination coefficients are re-applied in rational
-arithmetic so every stored basis field satisfies both constraints exactly,
-not merely to round-off.
+Reflection classes.  chi is even in each variable, so every constraint
+identity involves coefficients of one parity under the three mirror
+reflections x_a -> -x_a, and each exact nullspace field lies in one of 8
+reflection classes (coefficient_classes labels them).  Odd monomials
+integrate to exactly 0 over the ellipsoid, so every cross-class entry of the
+mass Gram is an exact 0.0 in float as well: each term of its sum has a zero
+factor.
+
+Orthonormalization is modified Gram-Schmidt (two passes) run on each class
+block of the float mass Gram of the raw fields, a float contraction of exact
+monomial integrals, not an exact Gram; the per-class results are scattered
+into one block-diagonal combination matrix, so every orthonormal field stays
+in its class.  A field set that mixes classes (the svd fallback) is one
+class, and the same code orthonormalizes it as one block.  When the float
+Gram of the result still deviates from I by more than 1e-13, one polish pass
+follows; it is driven by the Gram summed per class in extended precision,
+since the float Gram's own cancellation error (coefficients reach 1e3 for O(1)
+fields) is as large as the residual it would correct.  The gate
+GRAM_IDENTITY_TOL is read on the float Gram.  The combination coefficients are
+re-applied in rational arithmetic so every stored basis field satisfies both
+constraints exactly, not merely to round-off.
 """
 
 from __future__ import annotations
@@ -32,22 +49,32 @@ from .polynomials import Polynomial3, VectorField
 __all__ = [
     "Basis", "build_basis", "curl_form_fields", "stream_cross_field",
     "poincare_field", "solid_rotation", "project", "save_basis", "load_basis", "gram_form",
+    "coefficient_classes", "InvariantError",
 ]
 
 GRAM_IDENTITY_TOL = 1e-12
+N_CLASSES = 8     # mirror-reflection classes: one bit per axis
+
+
+class InvariantError(RuntimeError):
+    """A gate of the basis construction failed: orthonormalization or an exact identity."""
 
 
 class Basis:
     """Orthonormal basis of the tangent solenoidal polynomial space."""
 
     def __init__(self, domain: Domain, degree: int, fields: list[VectorField],
-                 coeff_array: np.ndarray, gram: np.ndarray, raw_gram_cond: float):
+                 coeff_array: np.ndarray, gram: np.ndarray, raw_gram_cond: float,
+                 classes: np.ndarray):
         self.domain = domain
         self.degree = degree
         self.fields = fields
         # (dim, 3, D_N) float coefficients over the degree-N monomial list
         self.coeff_array = coeff_array
         self.coeff_array.flags.writeable = False
+        # reflection class of each field (coefficient_classes)
+        self.classes = classes
+        self.classes.flags.writeable = False
         self.gram = gram
         self.raw_gram_cond = raw_gram_cond
         self.dim = len(fields)
@@ -243,7 +270,33 @@ def _raw_fields_svd(domain: Domain, degree: int, rank_rtol: float = 1e-10) -> li
 
 
 # ---------------------------------------------------------------------------
-# orthonormalization
+# reflection classes and orthonormalization
+
+def coefficient_classes(coeff: np.ndarray, degree: int) -> np.ndarray:
+    """Reflection class of each field of a (fields, 3, D_N) coefficient array.
+
+    Bit a of a class is set when the field flips sign under x_a -> -x_a.  If
+    any field mixes classes, every field gets class 0: one class.
+    """
+    exps = monomials.exponents(degree)                          # (D_N, 3)
+    flips = (exps[None] + np.eye(3, dtype=exps.dtype)[:, None]) % 2   # [comp, monomial, axis]
+    table = flips @ np.array([1, 2, 4])                         # (3, D_N)
+    nonzero = coeff != 0
+    hi = np.where(nonzero, table, -1).max(axis=(1, 2))
+    lo = np.where(nonzero, table, N_CLASSES).min(axis=(1, 2))
+    if np.array_equal(lo, hi):
+        return hi
+    return np.zeros(coeff.shape[0], dtype=hi.dtype)
+
+
+def _by_class(fn, mat: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """fn applied to each class block of mat, scattered into one block-diagonal matrix."""
+    out = np.zeros_like(mat)
+    for p in np.unique(classes):
+        block = np.ix_(classes == p, classes == p)
+        out[block] = fn(mat[block])
+    return out
+
 
 def _orthonormal_coefficients(g_raw: np.ndarray) -> np.ndarray:
     """Q with Q G Q^T = I via modified Gram-Schmidt with reorthogonalization."""
@@ -257,7 +310,7 @@ def _orthonormal_coefficients(g_raw: np.ndarray) -> np.ndarray:
                 v -= (v @ g_raw @ q[j]) * q[j]
         nrm2 = float(v @ g_raw @ v)
         if not nrm2 > 0.0 or nrm2 < 1e-24:
-            raise RuntimeError(
+            raise InvariantError(
                 f"non-positive pivot at field {k}: nullspace fields are numerically dependent")
         q[k] = v / math.sqrt(nrm2)
     return q
@@ -285,6 +338,7 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
     raw_arr, g_raw = _coeff_gram(raw, degree, j_nn)
     g_raw = 0.5 * (g_raw + g_raw.T)
     raw_cond = float(np.linalg.cond(g_raw))
+    classes = coefficient_classes(raw_arr, degree)
 
     def orthonormalize(q):
         if method == "exact":
@@ -295,16 +349,20 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
         coeff, gram = _coeff_gram(fields, degree, j_nn)
         return fields, coeff, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
 
-    q = _orthonormal_coefficients(g_raw)
+    # q is block diagonal by class, so each orthonormal field keeps its raw field's class
+    q = _by_class(_orthonormal_coefficients, g_raw, classes)
     fields, coeff, gram, dev = orthonormalize(q)
     if dev > 1e-13:
-        # one symmetric polish pass fixes residual loss of orthogonality
-        correction = np.linalg.inv(np.linalg.cholesky(0.5 * (gram + gram.T)))
+        # one symmetric polish pass fixes residual loss of orthogonality; it is driven by
+        # the Gram in extended precision, as the float Gram's cancellation error is as
+        # large as the residual it would correct
+        correction = _by_class(lambda g: np.linalg.inv(np.linalg.cholesky(0.5 * (g + g.T))),
+                               _extended_gram(coeff, j_nn, classes), classes)
         fields, coeff, gram, dev = orthonormalize(correction @ q)
     if dev > GRAM_IDENTITY_TOL:
-        raise RuntimeError(f"orthonormalization failed: gram deviates from identity by {dev:.3e}")
+        raise InvariantError(f"orthonormalization failed: gram deviates from identity by {dev:.3e}")
 
-    basis = Basis(domain, degree, fields, coeff, gram, raw_cond)
+    basis = Basis(domain, degree, fields, coeff, gram, raw_cond, classes)
     if method == "exact":
         _check_exact_invariants(basis)
     return basis
@@ -324,6 +382,23 @@ def _coeff_gram(fields: list[VectorField], degree: int, j_nn: np.ndarray):
     """(dim, 3, D_N) float coefficients of the fields and their mass Gram."""
     coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
     return coeff, gram_form(coeff, j_nn, coeff)
+
+
+def _extended_gram(coeff: np.ndarray, j_nn: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The mass Gram of coeff, each class block summed in np.longdouble over its own monomials.
+
+    np.longdouble carries a 64-bit mantissa on x86-64, where this cuts the
+    summation error of the float gram_form by about 2000; on platforms where it
+    is a plain double the result is a float Gram.
+    """
+    gram = np.zeros((coeff.shape[0],) * 2)
+    for p in np.unique(classes):
+        rows = np.flatnonzero(classes == p)
+        mono = np.flatnonzero(np.any(coeff[rows] != 0.0, axis=(0, 1)))
+        block = coeff[np.ix_(rows, range(3), mono)].astype(np.longdouble)
+        j_block = j_nn[np.ix_(mono, mono)].astype(np.longdouble)
+        gram[np.ix_(rows, rows)] = gram_form(block, j_block, block)
+    return gram
 
 
 def _combine_exact(raw: list[VectorField], q: np.ndarray) -> list[VectorField]:
@@ -354,9 +429,9 @@ def _check_exact_invariants(basis: Basis) -> None:
     chi = basis.domain.chi
     for i, f in enumerate(basis.fields):
         if not f.divergence().is_zero():
-            raise RuntimeError(f"basis field {i} is not exactly divergence free")
+            raise InvariantError(f"basis field {i} is not exactly divergence free")
         if not f.tangency_remainder(chi).is_zero():
-            raise RuntimeError(f"basis field {i} is not exactly tangent to the boundary")
+            raise InvariantError(f"basis field {i} is not exactly tangent to the boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -447,4 +522,5 @@ def load_basis(path) -> Basis:
     if dim is not None and dim != len(fields):
         raise ValueError(f"basis export announces dim {dim} but carries {len(fields)} fields")
     coeff, gram = _coeff_gram(fields, degree, monomials.gram(domain, degree, degree))
-    return Basis(domain, degree, fields, coeff, gram, float("nan"))
+    return Basis(domain, degree, fields, coeff, gram, float("nan"),
+                 coefficient_classes(coeff, degree))

@@ -5,7 +5,7 @@ coercivity constant), ``steady`` (steady-state residual sweep), ``run`` (time
 integration to CSV), ``verify`` (full invariant battery).  Configuration is a
 line-oriented ``key = value`` file; unknown keys are rejected with their line
 number.  Exit codes: 0 success, 1 config/usage error, 2 blow-up, 3 invariant
-failure.
+failure (a failed check, or a basis that fails its construction gates).
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import build_basis, poincare_field, project, save_basis, solid_rotation
+from .basis import (InvariantError, build_basis, poincare_field, project, save_basis,
+                    solid_rotation)
 from .geometry import Domain
 from .operators import BC_FORMS, BoundaryCondition, assemble, residual
 from .spectral import NEUTRAL_MODE_DIMS, coercivity_constant, viscous_kernel
@@ -252,10 +253,21 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _degree_list(text: str) -> tuple[int, ...]:
+    """--degrees: distinct positive integers separated by commas."""
+    try:
+        degrees = tuple(int(d) for d in text.split(","))
+    except ValueError:
+        degrees = ()
+    if not degrees or min(degrees) < 1 or len(set(degrees)) != len(degrees):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct positive integers separated by commas, got {text!r}")
+    return degrees
+
+
 def cmd_verify(args) -> int:
-    degrees = tuple(int(d) for d in args.degrees.split(","))
     results = verification.run_battery(
-        degrees=degrees,
+        degrees=args.degrees,
         perturb_advection=args.perturb_advection,
         basis_file=args.basis_file,
     )
@@ -290,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=fn)
 
     p = sub.add_parser("verify")
-    p.add_argument("--degrees", default="1,2,4",
+    p.add_argument("--degrees", default="1,2,4", type=_degree_list,
                    help="comma-separated basis degrees for the battery (default 1,2,4)")
     p.add_argument("--basis-file", default=None,
                    help="also check an exported basis artifact")
@@ -308,6 +320,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ def space_dim(max_degree: int) -> int:
 
 
 def _encode(exps: np.ndarray, span: int) -> np.ndarray:
+    """Flat table index of each exponent triple; linear, so a product's code is a sum of codes."""
     return (exps[..., 0] * span + exps[..., 1]) * span + exps[..., 2]
 
 
@@ -71,18 +72,16 @@ def gram(domain: Domain, d1: int, d2: int, hemisphere: str | None = None) -> np.
     """J[m1, m2] = integral of monomial_m1 * monomial_m2."""
     total = d1 + d2
     flat = _integral_flat(domain, total, hemisphere)
-    sums = exponents(d1)[:, None, :] + exponents(d2)[None, :, :]
-    return flat[_encode(sums, total + 1)]
+    c1, c2 = (_encode(exponents(d), total + 1) for d in (d1, d2))
+    return flat[c1[:, None] + c2[None, :]]
 
 
 def triple_product_table(domain: Domain, d1: int, d2: int, d3: int) -> np.ndarray:
     """G[m1, m2, m3] = integral of the product of three monomials."""
     total = d1 + d2 + d3
     flat = _integral_flat(domain, total, None)
-    sums = (exponents(d1)[:, None, None, :]
-            + exponents(d2)[None, :, None, :]
-            + exponents(d3)[None, None, :, :])
-    return flat[_encode(sums, total + 1)]
+    c1, c2, c3 = (_encode(exponents(d), total + 1) for d in (d1, d2, d3))
+    return flat[c1[:, None, None] + c2[None, :, None] + c3[None, None, :]]
 
 
 @lru_cache(maxsize=None)

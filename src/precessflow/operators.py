@@ -19,8 +19,23 @@ coefficients of one parity under the three mirror reflections x_a -> -x_a
 (component c of x^e flips sign when e_a + [a == c] is odd).  The constraint
 system therefore splits by reflection class, one of 8, and the exact nullspace,
 orthonormalized against a Gram whose cross-class entries are exact zeros,
-keeps every field in one class.  Odd monomials integrate to exactly 0 over
-the ellipsoid, so T[i, j, k] = 0 unless cls(i) ^ cls(j) ^ cls(k) = 0.
+keeps every field in one class (basis.coefficient_classes labels them).  Odd
+monomials integrate to exactly 0 over the ellipsoid, so T[i, j, k] = 0 unless
+cls(i) ^ cls(j) ^ cls(k) = 0.
+
+Class-block assembly of T.  T is assembled only on the class triples
+(P, Q, P ^ Q), 64 of the 512 for 8 classes.  Each (class, component) block of
+the basis, and each (class, component, axis) block of its derivatives, is
+restricted to the monomials on which it is nonzero (about 1/8 of them for an
+exact basis) and zero-padded to one common width, and the classes are padded
+to one row count, so the whole assembly is a fixed number of batched numpy
+calls.  The contractions are those of the dense assembly, in its order: with
+the triple-product table over o, then over (c, n) with the derivatives, then
+over (a, m).  The o-contraction depends on the axis a only through the
+monomials it reads, so each distinct one runs once.  The dense T (which
+verify, dump and the tests read) and the packed copy below are both filled
+from the resulting (triple, i, k, j) blocks.  A basis with one class is the
+single-block case of the same code.
 
 Packed advection.  Only the (i, j)-symmetric part of T enters
 N_k = sum_ij c_i c_j T[i, j, k].  For each output class P, G[P] holds
@@ -34,13 +49,14 @@ classes (the svd fallback) gets one class, and G is the symmetric half of T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import monomials
-from .basis import Basis, gram_form, solid_rotation
+from .basis import N_CLASSES, Basis, gram_form, solid_rotation
 from .geometry import Domain, volume_integral
 from .polynomials import Polynomial3, VectorField
 
@@ -182,55 +198,143 @@ def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarr
 
 
 def reflection_classes(basis: Basis) -> np.ndarray:
-    """Reflection class of each basis field, or class 0 for all if any field mixes classes.
+    """Reflection class of each basis field (basis.coefficient_classes), 0 for all if any mixes.
 
     Bit a of a class is set when the field flips sign under x_a -> -x_a.
     """
-    exps = monomials.exponents(basis.degree)                    # (D_N, 3)
-    flips = (exps[None] + np.eye(3, dtype=exps.dtype)[:, None]) % 2   # [comp, monomial, axis]
-    table = flips @ np.array([1, 2, 4])                         # (3, D_N)
-    nonzero = basis.coeff_array != 0
-    hi = np.where(nonzero, table, -1).max(axis=(1, 2))
-    lo = np.where(nonzero, table, 8).min(axis=(1, 2))
-    if np.array_equal(lo, hi):
-        return hi
-    return np.zeros(basis.dim, dtype=hi.dtype)
+    return basis.classes
 
 
-def _pack_advection(t: np.ndarray, cls: np.ndarray) -> PackedAdvection:
-    """Gather the packed operator from T one class block at a time (no T + T^T temporary)."""
-    labels = np.unique(cls)
-    iu, ju = np.triu_indices(len(cls))
-    pair_cls = cls[iu] ^ cls[ju]
-    rows = [np.flatnonzero(cls == p) for p in labels]
-    pairs = [np.flatnonzero(pair_cls == p) for p in labels]
-    n_rows = max(len(r) for r in rows)
-    n_pairs = max(len(q) for q in pairs)
-    g = np.zeros((len(labels), n_rows, n_pairs))
-    pi = np.zeros((len(labels), n_pairs), dtype=np.intp)
+class _ClassTriples(NamedTuple):
+    """The class partition of a basis and the class triples T can be nonzero on.
+
+    rows is (classes, n_rows), padded with dim (a zero row); slot and pos give
+    each field's class slot and row within it.  Triple t pairs the slots
+    (li[t], lj[t], lk[t]) whose classes XOR to 0, and tri[li, lj] is that t.
+    """
+
+    rows: np.ndarray
+    slot: np.ndarray
+    pos: np.ndarray
+    li: np.ndarray
+    lj: np.ndarray
+    lk: np.ndarray
+    tri: np.ndarray
+
+
+def _class_triples(cls: np.ndarray) -> _ClassTriples:
+    labels = np.flatnonzero(np.bincount(cls, minlength=N_CLASSES))
+    n_cls = len(labels)
+    slot_of = np.full(N_CLASSES, -1)
+    slot_of[labels] = np.arange(n_cls)
+    slot = slot_of[cls]
+    pos = np.cumsum(slot[:, None] == np.arange(n_cls), axis=0)[np.arange(len(cls)), slot] - 1
+    rows = np.full((n_cls, pos.max() + 1), len(cls))
+    rows[slot, pos] = np.arange(len(cls))
+    li, lj = np.divmod(np.arange(n_cls * n_cls), n_cls)
+    lk = slot_of[labels[li] ^ labels[lj]]
+    li, lj, lk = li[lk >= 0], lj[lk >= 0], lk[lk >= 0]
+    tri = np.full((n_cls, n_cls), -1)
+    tri[li, lj] = np.arange(len(li))
+    return _ClassTriples(rows, slot, pos, li, lj, lk, tri)
+
+
+def _supports(arr: np.ndarray, rows: np.ndarray):
+    """Each class block of arr restricted to the monomials where it is nonzero.
+
+    arr is (dim, ..., D).  Returns the blocks (classes, ..., n_rows, width),
+    zero-padded, the support id of each block (classes, ...) and the monomial
+    list of each distinct support (supports, width); a support shorter than
+    width is padded with monomials on which its blocks vanish.
+    """
+    n_cls, n_rows = rows.shape
+    mid, n_mono = arr.shape[1:-1], arr.shape[-1]
+    blocks = np.concatenate([arr, np.zeros((1,) + arr.shape[1:])])[rows]  # (classes, rows, ..., D)
+    masks = np.any(blocks != 0.0, axis=1)
+    keys = [m.tobytes() for m in masks.reshape(-1, n_mono)]
+    ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    sid = np.array([ids[key] for key in keys])
+    distinct = np.frombuffer(b"".join(ids), dtype=bool).reshape(len(ids), n_mono)
+    width = max(int(distinct.sum(axis=1).max()), 1)
+    mono = np.argsort(~distinct, axis=1, kind="stable")[:, :width]
+    # flat index of every kept entry within its class block, then one gather
+    cols = (np.arange(sid.size // n_cls)[:, None] * n_mono + mono[sid].reshape(n_cls, -1, width))
+    flat = np.arange(n_rows)[:, None, None] * masks[0].size + cols[:, None]
+    vals = np.take_along_axis(blocks.reshape(n_cls, -1), flat.reshape(n_cls, -1), axis=1)
+    vals = np.moveaxis(vals.reshape((n_cls, n_rows) + mid + (width,)), 1, -2)
+    return vals, sid.reshape((n_cls,) + mid), mono
+
+
+def _distinct(*keys):
+    """Distinct tuples of broadcast non-negative int key arrays: inverse index and their keys."""
+    keys = [k.ravel() for k in np.broadcast_arrays(*keys)]
+    radix = [int(k.max()) + 1 for k in keys]
+    code = np.ravel_multi_index(keys, radix)
+    present = np.zeros(math.prod(radix), dtype=bool)
+    present[code] = True
+    inverse = (np.cumsum(present) - 1)[code]
+    return inverse, np.unravel_index(np.flatnonzero(present), radix)
+
+
+def _pack_advection(blocks: np.ndarray, tr: _ClassTriples) -> PackedAdvection:
+    """Gather the packed operator from the (triple, i, k, j) blocks of T, every class at once."""
+    n_cls, n_rows = tr.rows.shape
+    iu, ju = np.triu_indices(len(tr.slot))
+    si, sj = tr.slot[iu], tr.slot[ju]
+    t_ij = tr.tri[si, sj]
+    on_rule = t_ij >= 0
+    iu, ju, si, sj, t_ij = iu[on_rule], ju[on_rule], si[on_rule], sj[on_rule], t_ij[on_rule]
+    out = tr.lk[t_ij]                                 # output class slot of each pair
+    # the pair's column within its output class, pairs kept in triu order
+    col = np.cumsum(out[:, None] == np.arange(n_cls), axis=0)[np.arange(len(out)), out] - 1
+    pi = np.zeros((n_cls, col.max() + 1), dtype=np.intp)
     pj = np.zeros_like(pi)
-    unpad = np.empty(len(cls), dtype=np.intp)
-    for p, (ks, q) in enumerate(zip(rows, pairs)):
-        i, j, k = iu[q], ju[q], ks[:, None]
-        pi[p, :len(q)] = i
-        pj[p, :len(q)] = j
-        block = g[p, :len(ks), :len(q)]
-        block[...] = t[i, j, k]
-        block += t[j, i, k]
-        block[:, i == j] *= 0.5       # (T_iik + T_iik) / 2 is T_iik exactly
-        unpad[ks] = p * n_rows + np.arange(len(ks))
-    return PackedAdvection(g, pi, pj, unpad)
+    pi[out, col] = iu
+    pj[out, col] = ju
+    # T[i, j, k] + T[j, i, k] over the (zero-padded) rows k of the output class
+    pos_i, pos_j = tr.pos[iu], tr.pos[ju]
+    sym = blocks[t_ij, pos_i, :, pos_j]
+    sym += blocks[tr.tri[sj, si], pos_j, :, pos_i]
+    sym[iu == ju] *= 0.5                              # (T_iik + T_iik) / 2 is T_iik exactly
+    g = np.zeros((n_cls, n_rows, pi.shape[1]))
+    g[out, :, col] = sym
+    return PackedAdvection(g, pi, pj, tr.slot * n_rows + tr.pos)
 
 
 def _advection_operators(basis: Basis, db: np.ndarray):
-    """T and its packed copy, cached together on the basis."""
+    """T and its packed copy, assembled class triple by class triple (module docstring)."""
     n = basis.degree
-    bc_arr = basis.coeff_array
+    dim = basis.dim
+    tr = _class_triples(reflection_classes(basis))
+    b, b_sid, b_mono = _supports(basis.coeff_array, tr.rows)   # (classes, 3, rows, mb)
+    d, d_sid, d_mono = _supports(db, tr.rows)                  # (classes, 3, 3 axes, rows, md)
+    n_t, n_r, mb, md = len(tr.li), tr.rows.shape[1], b.shape[-1], d.shape[-1]
+
+    # term (t, a, c) reads the table on (m, n, o): the monomials of b_i[a], d_a b_j[c], b_k[c].
+    # Over o with b_k[c] first, once per distinct (m support, n support, k class, c).
+    w_id, (m_s, n_s, k_w, c_w) = _distinct(
+        b_sid[tr.li][:, :, None], d_sid[tr.lj].transpose(0, 2, 1), tr.lk[:, None, None],
+        np.arange(3))
     g3 = monomials.triple_product_table(basis.domain, n, n - 1, n)
-    u = np.einsum("mno,kco->mnkc", g3, bc_arr, optimize=True)
-    v2 = np.einsum("jcan,mnkc->majk", db, u, optimize=True)
-    t = np.einsum("iam,majk->ijk", bc_arr, v2, optimize=True)
-    return t, _pack_advection(t, reflection_classes(basis))
+    _, d1, d2 = g3.shape
+    g = g3.ravel()[(b_mono[m_s] * (d1 * d2))[:, None, :, None]
+                   + (d_mono[n_s] * d2)[:, :, None, None]
+                   + b_mono[b_sid[k_w, c_w]][:, None, None, :]]              # (terms, n, m, o)
+    w = np.matmul(g.reshape(len(m_s), md * mb, mb), b[k_w, c_w].swapaxes(-1, -2))
+    w = w[w_id].reshape(n_t, 3, 3 * md, mb * n_r).swapaxes(-1, -2)       # (t, a, m*k, c*n)
+    # then over (c, n) with the derivatives of b_j, then over (a, m) with b_i
+    v = np.matmul(w, d[tr.lj].transpose(0, 2, 1, 4, 3).reshape(n_t, 3, 3 * md, n_r))
+    bi = b[tr.li].transpose(0, 2, 1, 3).reshape(n_t, n_r, 3 * mb)
+    blocks = np.matmul(bi, v.reshape(n_t, 3 * mb, n_r * n_r)).reshape(n_t, n_r, n_r, n_r)
+
+    # scatter the (t, i, k, j) blocks into the dense T; padding entries (zeros) hit a spare slot
+    size = dim ** 3
+    at = [np.where(tr.rows == dim, size, tr.rows * stride) for stride in (dim * dim, dim, 1)]
+    flat = (at[0][tr.li][:, :, None, None] + at[2][tr.lk][:, None, :, None]
+            + at[1][tr.lj][:, None, None, :])
+    t = np.zeros(size + 1)
+    t[np.minimum(flat, size)] = blocks
+    return t[:size].reshape(dim, dim, dim), _pack_advection(blocks, tr)
 
 
 def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from precessflow import monomials
-from precessflow.basis import (build_basis, curl_form_fields, gram_form, load_basis,
-                               poincare_field, project, save_basis, solid_rotation,
-                               stream_cross_field, _orthonormal_coefficients)
+from precessflow.basis import (GRAM_IDENTITY_TOL, InvariantError, build_basis, coefficient_classes,
+                               curl_form_fields, gram_form, load_basis, poincare_field, project,
+                               save_basis, solid_rotation, stream_cross_field, _by_class,
+                               _coeff_gram, _orthonormal_coefficients, _raw_fields_exact,
+                               _raw_fields_svd)
 from precessflow.geometry import Domain, surface_rule, volume_integral
-from precessflow.operators import reflection_classes
+from precessflow.operators import BoundaryCondition, assemble, reflection_classes
 from precessflow.polynomials import Polynomial3, VectorField
 
 from conftest import DOMAINS, get_basis
@@ -325,3 +327,96 @@ class TestReflectionClasses:
         basis = build_basis(DOMAINS["triaxial"], 3, method="svd")
         assert any(len(_field_classes(f)) > 1 for f in basis.fields)
         np.testing.assert_array_equal(reflection_classes(basis), np.zeros(basis.dim))
+
+
+def _raw_gram(kind, degree):
+    """Float coefficients, symmetrized mass Gram and classes of the raw exact nullspace fields."""
+    raw_arr, g_raw = _coeff_gram(_raw_fields_exact(DOMAINS[kind], degree), degree,
+                                 monomials.gram(DOMAINS[kind], degree, degree))
+    return raw_arr, g_raw, coefficient_classes(raw_arr, degree)
+
+
+def _single_block_svd_build(domain, degree):
+    """The svd build as one block: MGS over the whole raw Gram, then one float polish pass."""
+    j_nn = monomials.gram(domain, degree, degree)
+    raw_arr, g_raw = _coeff_gram(_raw_fields_svd(domain, degree), degree, j_nn)
+    g_raw = 0.5 * (g_raw + g_raw.T)
+
+    def orthonormalize(q):
+        arr = np.einsum("ik,kcm->icm", q, raw_arr)
+        fields = [monomials.array_to_field(arr[i], degree) for i in range(arr.shape[0])]
+        coeff, gram = _coeff_gram(fields, degree, j_nn)
+        return coeff, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
+
+    q = _orthonormal_coefficients(g_raw)
+    coeff, gram, dev = orthonormalize(q)
+    if dev > 1e-13:
+        correction = np.linalg.inv(np.linalg.cholesky(0.5 * (gram + gram.T)))
+        coeff, gram, dev = orthonormalize(correction @ q)
+    return coeff, gram
+
+
+class TestClassBlocks:
+    """The mirror-reflection classes split M, A_sym, A_grad and the orthonormalization."""
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+    def test_cross_class_entries_are_exact_zeros(self, kind, degree):
+        _, g_raw, raw_cls = _raw_gram(kind, degree)
+        basis = get_basis(kind, degree)
+        cls = reflection_classes(basis)
+        np.testing.assert_array_equal(cls, raw_cls)
+        assert len(np.unique(cls)) > 1
+        ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                       include_advection=False)
+        cross = cls[:, None] != cls[None, :]
+        for name, mat in (("raw Gram", g_raw), ("gram", basis.gram), ("A_sym", ops.A_sym),
+                          ("A_grad", ops.A_grad)):
+            assert np.all(mat[cross] == 0.0), name
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+    def test_coriolis_couples_p_only_with_p_xor_6(self, kind, degree):
+        # rotation about e_x flips y and z: bits 2 and 4 of the class
+        basis = get_basis(kind, degree)
+        cls = reflection_classes(basis)
+        c_x = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                       include_advection=False).C_x
+        coupled = (cls[:, None] ^ cls[None, :]) == 6
+        assert np.all(c_x[~coupled] == 0.0)
+        assert np.any(c_x[coupled] != 0.0)
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+    def test_blocked_mgs_is_block_diagonal_and_matches_one_block(self, kind, degree):
+        _, g_raw, cls = _raw_gram(kind, degree)
+        g_raw = 0.5 * (g_raw + g_raw.T)
+        q = _by_class(_orthonormal_coefficients, g_raw, cls)
+        assert np.all(q[cls[:, None] != cls[None, :]] == 0.0)
+        # same Gram-Schmidt, other summation order: first-order round-off is cond * eps
+        dense = _orthonormal_coefficients(g_raw)
+        bound = np.finfo(float).eps * np.linalg.cond(g_raw) * np.max(np.abs(dense))
+        assert np.max(np.abs(q - dense)) <= bound
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_svd_build_is_the_single_block_case(self, kind, degree):
+        basis = build_basis(DOMAINS[kind], degree, method="svd")
+        np.testing.assert_array_equal(basis.classes, np.zeros(basis.dim))
+        coeff, gram = _single_block_svd_build(DOMAINS[kind], degree)
+        np.testing.assert_array_equal(basis.coeff_array, coeff)
+        np.testing.assert_array_equal(basis.gram, gram)
+
+
+class TestGramGate:
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    def test_degree_7_passes(self, kind):
+        # the float Gram reads up to about 7e-13 here (triaxial); round-off shifts of
+        # the build must not push it past the gate
+        basis = build_basis(DOMAINS[kind], 7)
+        assert basis.gram_identity_deviation() <= GRAM_IDENTITY_TOL
+
+    def test_failed_gate_raises_invariant_error(self, monkeypatch):
+        monkeypatch.setattr("precessflow.basis.GRAM_IDENTITY_TOL", 0.0)
+        with pytest.raises(InvariantError, match="orthonormalization failed"):
+            build_basis(DOMAINS["spheroid"], 2)

@@ -188,6 +188,15 @@ class TestExitCodes:
         assert main(["run", "--config", cfg]) == 1
         assert "config key physics.eps_p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["basis", "eig"])
+    def test_failed_basis_gate_is_invariant_failure(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr("precessflow.basis.GRAM_IDENTITY_TOL", 0.0)
+        cfg = write(tmp_path, "g.cfg", SPHEROID_LINES)
+        assert main([command, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert "error: orthonormalization failed" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["explode"]) == 1
 
@@ -201,6 +210,13 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "VERIFY:" in out
         assert " 0 failed" in out
+
+    @pytest.mark.parametrize("degrees", ["1,,2", "1,a", "2.5", "", "0", "-1", "1,0", "1,1", "2,1,2"])
+    def test_bad_degree_list_is_usage_error(self, capsys, degrees):
+        assert main(["verify", "--degrees", degrees]) == 1
+        err = capsys.readouterr().err
+        assert "--degrees" in err
+        assert "distinct positive integers" in err
 
     def test_perturbed_advection_detected(self, capsys):
         assert main(["verify", "--degrees", "1", "--perturb-advection"]) == 3

@@ -30,9 +30,19 @@ Gram of the result still deviates from I by more than 1e-13, one polish pass
 follows; it is driven by the Gram summed per class in extended precision,
 since the float Gram's own cancellation error (coefficients reach 1e3 for O(1)
 fields) is as large as the residual it would correct.  The gate
-GRAM_IDENTITY_TOL is read on the float Gram.  The combination coefficients are
-re-applied in rational arithmetic so every stored basis field satisfies both
-constraints exactly, not merely to round-off.
+GRAM_IDENTITY_TOL is read on the float Gram.
+
+Integer lattice.  The exact path carries each field as one row of integer
+numerators over (v_x, v_y, v_z, q) coefficients with one denominator per row,
+never as per-term Fractions.  Every float combination coefficient is m 2^-e
+exactly, so each class block of the combination is one product of Python
+ints; the float coefficients are the correctly rounded divisions num / den,
+the values float(Fraction) gives.  The combined rows are then checked
+exactly: integer maps built from the monomial derivative and shift tables and
+chi's coefficients, independent of the constraint system, confirm
+div v = 0 and v . grad(chi) = chi q on every row, so every stored basis field
+satisfies both constraints exactly, not merely to round-off.  Basis.fields
+holds the same fields with Fraction coefficients, built once from the rows.
 """
 
 from __future__ import annotations
@@ -151,8 +161,8 @@ def curl_form_fields(domain: Domain, degree: int) -> list[VectorField]:
 # ---------------------------------------------------------------------------
 # exact nullspace of the constraint system
 
-def _fraction_nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis of a sparse rational matrix (rows are {col: Fraction})."""
+def _fraction_nullspace(rows: list[dict], ncols: int) -> list[dict]:
+    """Nullspace basis of a sparse rational matrix; rows and vectors are {col: Fraction}."""
     pivot_rows: dict[int, dict] = {}  # pivot column -> normalized row
     for row in rows:
         row = {c: v for c, v in row.items() if v}
@@ -186,8 +196,7 @@ def _fraction_nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
     free_cols = [c for c in range(ncols) if c not in pivot_rows]
     vectors = []
     for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        vec = {f: Fraction(1)}
         for lead, piv in pivot_rows.items():
             if f in piv:
                 vec[lead] = -piv[f]
@@ -251,9 +260,45 @@ def _fields_from_nullspace(vectors, dim_v: int, degree: int) -> list[VectorField
     return fields
 
 
-def _raw_fields_exact(domain: Domain, degree: int) -> list[VectorField]:
+def _raw_rows_exact(domain: Domain, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact nullspace as integer rows over (v_x, v_y, v_z, q) coefficients.
+
+    Returns (nums, dens), numpy object arrays of Python ints: row i is
+    nums[i] / dens[i], with dens[i] the lcm of the row's denominators.
+    """
     rows, dim_v, dim_q = _constraint_rows(domain, degree)
-    return _fields_from_nullspace(_fraction_nullspace(rows, 3 * dim_v + dim_q), dim_v, degree)
+    ncols = 3 * dim_v + dim_q
+    vectors = _fraction_nullspace(rows, ncols)
+    nums = np.zeros((len(vectors), ncols), dtype=object)
+    dens = np.ones(len(vectors), dtype=object)
+    for i, vec in enumerate(vectors):
+        den = math.lcm(*(v.denominator for v in vec.values()))
+        for c, v in vec.items():
+            nums[i, c] = v.numerator * (den // v.denominator)
+        dens[i] = den
+    return nums, dens
+
+
+def _rows_to_float(nums: np.ndarray, dens: np.ndarray, degree: int) -> np.ndarray:
+    """(rows, 3, D_N) float velocity coefficients of integer rows.
+
+    Each entry is the Python int division num / den, correctly rounded: the
+    value float(Fraction(num, den)) takes.
+    """
+    dim_v = monomials.space_dim(degree)
+    v = nums[:, :3 * dim_v]
+    out = np.zeros(v.shape)
+    nonzero = np.nonzero(v)
+    out[nonzero] = v[nonzero] / dens[nonzero[0]]
+    return out.reshape(-1, 3, dim_v)
+
+
+def _fields_from_rows(nums: np.ndarray, dens: np.ndarray, degree: int) -> list[VectorField]:
+    """Velocity fields of integer rows, one Fraction per nonzero coefficient."""
+    dim_v = monomials.space_dim(degree)
+    vectors = [[Fraction(c, den) if c else 0 for c in row[:3 * dim_v]]
+               for row, den in zip(nums.tolist(), dens.tolist())]
+    return _fields_from_nullspace(vectors, dim_v, degree)
 
 
 def _raw_fields_svd(domain: Domain, degree: int, rank_rtol: float = 1e-10) -> list[VectorField]:
@@ -321,51 +366,57 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
 
     method='exact' solves the constraint nullspace in rational arithmetic (the
     default; rank decisions are exact, and the nullspace takes 0.1-0.2 s at
-    N = 8-10).  method='svd' takes the nullspace from a float SVD instead: a
-    fallback that needs no rational arithmetic, and an independent
-    cross-check of the exact construction.
+    N = 8-10), turns it into integer rows, applies the float combination
+    coefficients on that integer lattice and proves both constraints on the
+    combined rows before the Fraction fields are formed; a row that fails
+    raises InvariantError naming the field.  method='svd' takes the nullspace
+    from a float SVD instead: a fallback that needs no rational arithmetic,
+    and an independent cross-check of the exact construction.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    j_nn = monomials.gram(domain, degree, degree)
     if method == "exact":
-        raw = _raw_fields_exact(domain, degree)
+        nums, dens = _raw_rows_exact(domain, degree)
+        raw_arr = _rows_to_float(nums, dens, degree)
+        g_raw = gram_form(raw_arr, j_nn, raw_arr)
     elif method == "svd":
-        raw = _raw_fields_svd(domain, degree)
+        raw_arr, g_raw = _coeff_gram(_raw_fields_svd(domain, degree), degree, j_nn)
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    j_nn = monomials.gram(domain, degree, degree)
-    raw_arr, g_raw = _coeff_gram(raw, degree, j_nn)
     g_raw = 0.5 * (g_raw + g_raw.T)
     raw_cond = float(np.linalg.cond(g_raw))
     classes = coefficient_classes(raw_arr, degree)
 
     def orthonormalize(q):
+        # exact: integer rows (nums, dens); svd: float fields
         if method == "exact":
-            fields = _combine_exact(raw, q)
+            combined = _combine_rows(nums, dens, q, classes)
+            coeff = _rows_to_float(*combined, degree)
+            gram = gram_form(coeff, j_nn, coeff)
         else:
             arr = np.einsum("ik,kcm->icm", q, raw_arr)
-            fields = [monomials.array_to_field(arr[i], degree) for i in range(arr.shape[0])]
-        coeff, gram = _coeff_gram(fields, degree, j_nn)
-        return fields, coeff, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
+            combined = [monomials.array_to_field(arr[i], degree) for i in range(arr.shape[0])]
+            coeff, gram = _coeff_gram(combined, degree, j_nn)
+        return combined, coeff, gram, float(np.max(np.abs(gram - np.eye(len(coeff)))))
 
     # q is block diagonal by class, so each orthonormal field keeps its raw field's class
     q = _by_class(_orthonormal_coefficients, g_raw, classes)
-    fields, coeff, gram, dev = orthonormalize(q)
+    combined, coeff, gram, dev = orthonormalize(q)
     if dev > 1e-13:
         # one symmetric polish pass fixes residual loss of orthogonality; it is driven by
         # the Gram in extended precision, as the float Gram's cancellation error is as
         # large as the residual it would correct
         correction = _by_class(lambda g: np.linalg.inv(np.linalg.cholesky(0.5 * (g + g.T))),
                                _extended_gram(coeff, j_nn, classes), classes)
-        fields, coeff, gram, dev = orthonormalize(correction @ q)
+        combined, coeff, gram, dev = orthonormalize(correction @ q)
     if dev > GRAM_IDENTITY_TOL:
         raise InvariantError(f"orthonormalization failed: gram deviates from identity by {dev:.3e}")
 
-    basis = Basis(domain, degree, fields, coeff, gram, raw_cond, classes)
     if method == "exact":
-        _check_exact_invariants(basis)
-    return basis
+        _check_exact_rows(domain, degree, combined[0])
+        combined = _fields_from_rows(*combined, degree)
+    return Basis(domain, degree, combined, coeff, gram, raw_cond, classes)
 
 
 def gram_form(a: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -401,37 +452,83 @@ def _extended_gram(coeff: np.ndarray, j_nn: np.ndarray, classes: np.ndarray) -> 
     return gram
 
 
-def _combine_exact(raw: list[VectorField], q: np.ndarray) -> list[VectorField]:
-    """Apply float combination coefficients in rational arithmetic.
+def _combine_rows(nums: np.ndarray, dens: np.ndarray, q: np.ndarray,
+                  classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact rows of q @ (nums / dens), for q block diagonal by class.
 
-    Keeps div v = 0 and chi | v.grad(chi) as exact polynomial identities for
-    the orthonormalized fields (floats are exact rationals).
+    Each float q[i, k] is m / 2^e exactly (float.as_integer_ratio).  Row i of
+    a class block is brought over the denominator 2^E_i L, with 2^E_i the
+    largest 2^e in its row of q and L the lcm of the class's raw
+    denominators; the block is then one product of Python ints, taken over the
+    columns the class's raw rows use.
     """
-    fields = []
-    for i in range(q.shape[0]):
-        comps = [dict(), dict(), dict()]
-        for k in range(q.shape[1]):
-            if q[i, k] == 0.0:
-                continue
-            s = Fraction(q[i, k])
-            for c in range(3):
-                for exp, coef in raw[k].components[c].coeffs.items():
-                    acc = comps[c].get(exp, Fraction(0)) + s * coef
-                    if acc:
-                        comps[c][exp] = acc
-                    elif exp in comps[c]:
-                        del comps[c][exp]
-        fields.append(VectorField(tuple(Polynomial3(c) for c in comps)))
-    return fields
+    out = np.zeros((q.shape[0], nums.shape[1]), dtype=object)
+    out_dens = np.ones(q.shape[0], dtype=object)
+    for p in np.unique(classes):
+        idx = np.flatnonzero(classes == p)
+        cols = np.flatnonzero(np.any(nums[idx] != 0, axis=0))
+        lcm = math.lcm(*dens[idx])
+        raw = nums[np.ix_(idx, cols)] * (lcm // dens[idx])[:, None]
+        scaled = []
+        for i, row in zip(idx, q[np.ix_(idx, idx)].tolist()):
+            ratios = [x.as_integer_ratio() for x in row]
+            scale = max(d for _, d in ratios)
+            scaled.append([m * (scale // d) for m, d in ratios])
+            out_dens[i] = scale * lcm
+        out[np.ix_(idx, cols)] = np.array(scaled, dtype=object).dot(raw)
+    return out, out_dens
 
 
-def _check_exact_invariants(basis: Basis) -> None:
-    chi = basis.domain.chi
-    for i, f in enumerate(basis.fields):
-        if not f.divergence().is_zero():
-            raise InvariantError(f"basis field {i} is not exactly divergence free")
-        if not f.tangency_remainder(chi).is_zero():
-            raise InvariantError(f"basis field {i} is not exactly tangent to the boundary")
+def _shift_index(degree: int, exponent) -> np.ndarray:
+    """Graded-list index of x^exponent times each monomial of total degree <= degree."""
+    idx = np.arange(monomials.space_dim(degree))
+    for axis in range(3):
+        for _ in range(exponent[axis]):
+            idx = monomials.shift_arrays(degree, axis)[idx]
+            degree += 1
+    return idx
+
+
+def _check_exact_rows(domain: Domain, degree: int, nums: np.ndarray) -> None:
+    """Prove div v = 0 and v.grad(chi) = chi q on every integer row (v, q) of nums.
+
+    Both identities are linear and homogeneous, so they hold for nums / den
+    exactly when they hold for the numerators.  The maps are integer: the
+    monomial derivative and shift tables, and chi's coefficients times K, the
+    lcm of their denominators.  They are built here rather than taken from
+    _constraint_rows, so the check does not rest on the system that produced
+    the nullspace.
+    """
+    n = degree
+    dim_v = monomials.space_dim(n)
+    v = [nums[:, a * dim_v:(a + 1) * dim_v] for a in range(3)]
+    q = nums[:, 3 * dim_v:]
+
+    div = np.zeros((nums.shape[0], monomials.space_dim(n - 1)), dtype=object)
+    for a in range(3):
+        src, dst, mult = monomials.derivative_arrays(n, a)
+        div[:, dst] += v[a][:, src] * mult.astype(np.int64).astype(object)
+
+    chi = domain.chi.coeffs
+    k = math.lcm(*(c.denominator for c in chi.values()))
+    exps2 = [tuple(e) for e in monomials.exponents(2).tolist()]
+    kchi = np.array([int(chi.get(e, 0) * k) for e in exps2], dtype=object)
+    exps1 = monomials.exponents(1).tolist()
+    # K (v.grad(chi) - chi q), a polynomial of degree <= N+1
+    tan = np.zeros((nums.shape[0], monomials.space_dim(n + 1)), dtype=object)
+    for a in range(3):
+        src, dst, mult = monomials.derivative_arrays(2, a)
+        grad = np.zeros(len(exps1), dtype=object)
+        grad[dst] = kchi[src] * mult.astype(np.int64).astype(object)
+        for m in np.flatnonzero(grad != 0):
+            tan[:, _shift_index(n, exps1[m])] += v[a] * grad[m]
+    for m in np.flatnonzero(kchi != 0):
+        tan[:, _shift_index(n - 1, exps2[m])] -= q * kchi[m]
+
+    for what, residual in (("divergence free", div), ("tangent to the boundary", tan)):
+        bad = np.flatnonzero(np.any(residual != 0, axis=1))
+        if bad.size:
+            raise InvariantError(f"basis field {bad[0]} is not exactly {what}")
 
 
 # ---------------------------------------------------------------------------

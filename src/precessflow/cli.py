@@ -75,6 +75,8 @@ def _fraction(cfg, key):
         return Fraction(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"config key {key}: {exc}") from exc
+    except ZeroDivisionError:
+        raise ConfigError(f"config key {key}: zero denominator in {cfg[key]!r}") from None
 
 
 def _float(cfg, key, default=None):
@@ -83,8 +85,8 @@ def _float(cfg, key, default=None):
             raise ConfigError(f"config key {key} is required")
         return default
     try:
-        return float(Fraction(cfg[key]))
-    except (ValueError, OverflowError) as exc:
+        return float(_fraction(cfg, key))
+    except OverflowError as exc:
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 

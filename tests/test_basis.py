@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from precessflow import monomials
+from precessflow import basis as basis_module
 from precessflow.basis import (GRAM_IDENTITY_TOL, InvariantError, build_basis, coefficient_classes,
                                curl_form_fields, gram_form, load_basis, poincare_field, project,
                                save_basis, solid_rotation, stream_cross_field, _by_class,
-                               _coeff_gram, _orthonormal_coefficients, _raw_fields_exact,
-                               _raw_fields_svd)
+                               _check_exact_rows, _coeff_gram, _constraint_rows, _extended_gram,
+                               _fields_from_nullspace, _fraction_nullspace,
+                               _orthonormal_coefficients, _raw_fields_svd, _raw_rows_exact)
 from precessflow.geometry import Domain, surface_rule, volume_integral
 from precessflow.operators import BoundaryCondition, assemble, reflection_classes
 from precessflow.polynomials import Polynomial3, VectorField
@@ -327,6 +329,168 @@ class TestReflectionClasses:
         basis = build_basis(DOMAINS["triaxial"], 3, method="svd")
         assert any(len(_field_classes(f)) > 1 for f in basis.fields)
         np.testing.assert_array_equal(reflection_classes(basis), np.zeros(basis.dim))
+
+
+# ---------------------------------------------------------------------------
+# reference: the exact build in Fraction arithmetic, field by field
+
+def _raw_fields_exact(domain, degree):
+    """The exact nullspace as Fraction-valued VectorFields (velocity part only)."""
+    rows, dim_v, dim_q = _constraint_rows(domain, degree)
+    vectors = _fraction_nullspace(rows, 3 * dim_v + dim_q)
+    dense = [[vec.get(c, Fraction(0)) for c in range(3 * dim_v)] for vec in vectors]
+    return _fields_from_nullspace(dense, dim_v, degree)
+
+
+def _combine_exact(raw, q):
+    """Apply float combination coefficients to the raw fields in rational arithmetic."""
+    fields = []
+    for i in range(q.shape[0]):
+        comps = [dict(), dict(), dict()]
+        for k in range(q.shape[1]):
+            if q[i, k] == 0.0:
+                continue
+            s = Fraction(q[i, k])
+            for c in range(3):
+                for exp, coef in raw[k].components[c].coeffs.items():
+                    acc = comps[c].get(exp, Fraction(0)) + s * coef
+                    if acc:
+                        comps[c][exp] = acc
+                    elif exp in comps[c]:
+                        del comps[c][exp]
+        fields.append(VectorField(tuple(Polynomial3(c) for c in comps)))
+    return fields
+
+
+def _fraction_build(domain, degree):
+    """build_basis(method='exact') in Fraction arithmetic, with the polynomial invariant check.
+
+    Returns (coeff_array, gram, raw_gram_cond, classes, fields, polished).
+    """
+    raw = _raw_fields_exact(domain, degree)
+    j_nn = monomials.gram(domain, degree, degree)
+    raw_arr, g_raw = _coeff_gram(raw, degree, j_nn)
+    g_raw = 0.5 * (g_raw + g_raw.T)
+    classes = coefficient_classes(raw_arr, degree)
+
+    def orthonormalize(q):
+        fields = _combine_exact(raw, q)
+        coeff, gram = _coeff_gram(fields, degree, j_nn)
+        return fields, coeff, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
+
+    q = _by_class(_orthonormal_coefficients, g_raw, classes)
+    fields, coeff, gram, dev = orthonormalize(q)
+    polished = dev > 1e-13
+    if polished:
+        correction = _by_class(lambda g: np.linalg.inv(np.linalg.cholesky(0.5 * (g + g.T))),
+                               _extended_gram(coeff, j_nn, classes), classes)
+        fields, coeff, gram, dev = orthonormalize(correction @ q)
+    assert dev <= GRAM_IDENTITY_TOL
+    for f in fields:
+        assert f.divergence().is_zero()
+        assert f.tangency_remainder(domain.chi).is_zero()
+    return coeff, gram, float(np.linalg.cond(g_raw)), classes, fields, polished
+
+
+class TestIntegerLattice:
+    """The integer-row build gives what the Fraction build gives, bit for bit."""
+
+    @staticmethod
+    def _assert_same(basis, reference):
+        coeff, gram, cond, classes, fields, _ = reference
+        np.testing.assert_array_equal(basis.coeff_array, coeff)
+        np.testing.assert_array_equal(basis.gram, gram)
+        assert basis.raw_gram_cond == cond
+        np.testing.assert_array_equal(basis.classes, classes)
+        assert len(basis.fields) == len(fields)
+        for f, g in zip(basis.fields, fields):
+            for a, b in zip(f.components, g.components):
+                assert a.coeffs == b.coeffs
+                assert all(type(c) is Fraction for c in a.coeffs.values())
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_fraction_build(self, kind, degree):
+        basis = get_basis(kind, degree) if degree <= 6 else build_basis(DOMAINS[kind], degree)
+        self._assert_same(basis, _fraction_build(DOMAINS[kind], degree))
+
+    def test_matches_with_polish_pass_spheroid_n6(self):
+        reference = _fraction_build(DOMAINS["spheroid"], 6)
+        assert reference[-1], "the first pass leaves the Gram within 1e-13: no polish"
+        self._assert_same(get_basis("spheroid", 6), reference)
+
+    def test_matches_without_polish_pass_spheroid_n5(self):
+        reference = _fraction_build(DOMAINS["spheroid"], 5)
+        assert not reference[-1], "the polish pass triggers"
+        self._assert_same(get_basis("spheroid", 5), reference)
+
+
+def _velocity_row(field, degree, dim_q):
+    """Integer (v, q = 0) row of a field with integer coefficients."""
+    exps = [tuple(e) for e in monomials.exponents(degree).tolist()]
+    row = np.zeros(3 * len(exps) + dim_q, dtype=object)
+    for a, comp in enumerate(field.components):
+        for e, c in comp.coeffs.items():
+            assert Fraction(c).denominator == 1
+            row[a * len(exps) + exps.index(e)] = int(c)
+    return row
+
+
+class TestExactRowCheck:
+    """Negative controls of the integer exactness check run by build_basis."""
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 3, 5])
+    def test_raw_rows_pass(self, kind, degree):
+        nums, _ = _raw_rows_exact(DOMAINS[kind], degree)
+        _check_exact_rows(DOMAINS[kind], degree, nums)
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    def test_v_numerator_plus_one_trips_divergence(self, kind):
+        degree = 3
+        nums, _ = _raw_rows_exact(DOMAINS[kind], degree)
+        # v_x at monomial x^2 y (the first dim_v columns are v_x): d/dx of the +1 is 2 x y
+        nums[5, monomials.index_map(degree)[(2, 1, 0)]] += 1
+        with pytest.raises(InvariantError, match="basis field 5 is not exactly divergence free"):
+            _check_exact_rows(DOMAINS[kind], degree, nums)
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    def test_q_numerator_plus_one_trips_tangency(self, kind):
+        degree = 3
+        nums, _ = _raw_rows_exact(DOMAINS[kind], degree)
+        nums[7, 3 * monomials.space_dim(degree)] += 1
+        with pytest.raises(InvariantError,
+                           match="basis field 7 is not exactly tangent to the boundary"):
+            _check_exact_rows(DOMAINS[kind], degree, nums)
+
+    def test_rotation_rejected_on_triaxial(self):
+        # e_z x x is divergence free, and tangent only when a = b
+        rotation = solid_rotation((0, 0, 1))
+        degree = 2
+        dim_q = monomials.space_dim(degree - 1)
+        nums, _ = _raw_rows_exact(DOMAINS["triaxial"], degree)
+        nums[4] = _velocity_row(rotation, degree, dim_q)
+        with pytest.raises(InvariantError,
+                           match="basis field 4 is not exactly tangent to the boundary"):
+            _check_exact_rows(DOMAINS["triaxial"], degree, nums)
+        assert rotation.divergence().is_zero()
+        assert not rotation.tangency_remainder(DOMAINS["triaxial"].chi).is_zero()
+        # on the sphere the same row passes: v.grad(chi) = 0 = chi q with q = 0
+        nums, _ = _raw_rows_exact(DOMAINS["sphere"], degree)
+        nums[4] = _velocity_row(rotation, degree, dim_q)
+        _check_exact_rows(DOMAINS["sphere"], degree, nums)
+
+    def test_build_rejects_a_corrupted_combination(self, monkeypatch):
+        combine = basis_module._combine_rows
+
+        def corrupted(*args):
+            nums, dens = combine(*args)
+            nums[4, np.flatnonzero(nums[4] != 0)[0]] += 1
+            return nums, dens
+
+        monkeypatch.setattr(basis_module, "_combine_rows", corrupted)
+        with pytest.raises(InvariantError, match="basis field 4 is not exactly"):
+            build_basis(DOMAINS["triaxial"], 3)
 
 
 def _raw_gram(kind, degree):

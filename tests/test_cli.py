@@ -188,6 +188,24 @@ class TestExitCodes:
         assert main(["run", "--config", cfg]) == 1
         assert "config key physics.eps_p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, lines", [
+        (command, key, lines) for key, lines, commands in (
+            ("domain.beta", RUN_LINES.replace("domain.beta = 0.5625", "domain.beta = 1/0"),
+             ("basis", "run")),
+            ("domain.a", RUN_LINES.replace("domain.beta = 0.5625",
+                                           "domain.a = 1/0\ndomain.b = 1\ndomain.c = 1"),
+             ("basis", "run")),
+            ("time.dt", RUN_LINES.replace("time.dt = 0.01", "time.dt = 1/0"), ("run",)),
+        ) for command in commands])
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys, command, key, lines):
+        out = tmp_path / "run.csv"
+        cfg = write(tmp_path, "zero.cfg", lines + f"output.path = {out}\n")
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config key {key}: zero denominator")
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["basis", "eig"])
     def test_failed_basis_gate_is_invariant_failure(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr("precessflow.basis.GRAM_IDENTITY_TOL", 0.0)

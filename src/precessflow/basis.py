@@ -20,17 +20,16 @@ integrate to exactly 0 over the ellipsoid, so every cross-class entry of the
 mass Gram is an exact 0.0 in float as well: each term of its sum has a zero
 factor.
 
-Orthonormalization is modified Gram-Schmidt (two passes) run on each class
-block of the float mass Gram of the raw fields, a float contraction of exact
-monomial integrals, not an exact Gram; the per-class results are scattered
-into one block-diagonal combination matrix, so every orthonormal field stays
-in its class.  A field set that mixes classes (the svd fallback) is one
-class, and the same code orthonormalizes it as one block.  When the float
-Gram of the result still deviates from I by more than 1e-13, one polish pass
-follows; it is driven by the Gram summed per class in extended precision,
-since the float Gram's own cancellation error (coefficients reach 1e3 for O(1)
-fields) is as large as the residual it would correct.  The gate
-GRAM_IDENTITY_TOL is read on the float Gram.
+Orthonormalization is one kernel, the inverse Cholesky factor of a Gram, run
+on each class block and scattered into one block-diagonal combination matrix,
+so every orthonormal field stays in its class.  A field set that mixes classes
+(the svd fallback) is one class, orthonormalized as one block.  The first pass
+reads the float mass Gram of the raw fields, a float contraction of exact
+monomial integrals.  When the float Gram of the result still deviates from I
+by more than 1e-13, a polish pass runs the kernel on the Gram of the result
+summed per class in extended precision, since the float Gram's own
+cancellation error (coefficients reach 1e3 for O(1) fields) is as large as
+the residual it would correct.  The gate GRAM_IDENTITY_TOL reads the float Gram.
 
 Integer lattice.  The exact path carries each field as one row of integer
 numerators over (v_x, v_y, v_z, q) coefficients with one denominator per row,
@@ -51,6 +50,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 from . import monomials
 from .geometry import Domain
@@ -301,8 +301,8 @@ def _fields_from_rows(nums: np.ndarray, dens: np.ndarray, degree: int) -> list[V
     return _fields_from_nullspace(vectors, dim_v, degree)
 
 
-def _raw_fields_svd(domain: Domain, degree: int, rank_rtol: float = 1e-10) -> list[VectorField]:
-    """Float fallback for large N: pivoted nullspace with relative rank cutoff."""
+def _raw_coeff_svd(domain: Domain, degree: int, rank_rtol: float = 1e-10) -> np.ndarray:
+    """Float fallback: (fields, 3, D_N) coefficients of the SVD nullspace, relative rank cutoff."""
     rows, dim_v, dim_q = _constraint_rows(domain, degree)
     ncols = 3 * dim_v + dim_q
     mat = np.zeros((len(rows), ncols))
@@ -311,7 +311,7 @@ def _raw_fields_svd(domain: Domain, degree: int, rank_rtol: float = 1e-10) -> li
             mat[i, c] = float(v)
     u, s, vt = np.linalg.svd(mat, full_matrices=True)
     rank = int(np.sum(s > rank_rtol * s[0])) if s.size else 0
-    return _fields_from_nullspace(vt[rank:], dim_v, degree)
+    return vt[rank:, :3 * dim_v].reshape(-1, 3, dim_v)
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +343,25 @@ def _by_class(fn, mat: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orthonormal_coefficients(g_raw: np.ndarray) -> np.ndarray:
-    """Q with Q G Q^T = I via modified Gram-Schmidt with reorthogonalization."""
-    n = g_raw.shape[0]
-    scale = 1.0 / np.sqrt(np.diag(g_raw))
-    q = np.diag(scale)
-    for k in range(n):
-        v = q[k].copy()
-        for _ in range(2):
-            for j in range(k):
-                v -= (v @ g_raw @ q[j]) * q[j]
-        nrm2 = float(v @ g_raw @ v)
-        if not nrm2 > 0.0 or nrm2 < 1e-24:
-            raise InvariantError(
-                f"non-positive pivot at field {k}: nullspace fields are numerically dependent")
-        q[k] = v / math.sqrt(nrm2)
-    return q
+def _orthonormal_coefficients(gram: np.ndarray) -> np.ndarray:
+    """Q = L^-1 for the Cholesky factor L L^T = G of a Gram G, so that Q G Q^T = I.
+
+    Q is lower triangular: field k combines raw fields 0..k, as in Gram-Schmidt.
+    L[k, k]^2 / G[k, k], the squared sine of the angle between field k and the
+    span of fields 0..k-1, is computed to about k eps, so a Gram that is not
+    positive definite or has a pivot below n eps holds numerically dependent
+    fields: InvariantError names the first, counted within the Gram passed in.
+    """
+    g = 0.5 * (gram + gram.T)
+    n = g.shape[0]
+    chol, info = scipy.linalg.lapack.dpotrf(g, lower=1, clean=1)
+    # info > 0: dpotrf stopped at the non-positive pivot of field info - 1
+    dependent = ([info - 1] if info else
+                 np.flatnonzero(~(np.diag(chol) ** 2 >= n * np.finfo(float).eps * np.diag(g))))
+    if len(dependent):
+        raise InvariantError(f"negligible or non-positive pivot at field {dependent[0]}: "
+                             "nullspace fields are numerically dependent")
+    return scipy.linalg.lapack.dtrtri(chol, lower=1)[0]
 
 
 def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
@@ -366,12 +369,12 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
 
     method='exact' solves the constraint nullspace in rational arithmetic (the
     default; rank decisions are exact, and the nullspace takes 0.1-0.2 s at
-    N = 8-10), turns it into integer rows, applies the float combination
-    coefficients on that integer lattice and proves both constraints on the
-    combined rows before the Fraction fields are formed; a row that fails
-    raises InvariantError naming the field.  method='svd' takes the nullspace
-    from a float SVD instead: a fallback that needs no rational arithmetic,
-    and an independent cross-check of the exact construction.
+    N = 8-10).  method='svd' takes it from a float SVD: a fallback that needs no
+    rational arithmetic, and an independent cross-check.  Both orthonormalize
+    the float coefficients of the raw fields alike and differ only in applying
+    a combination q: exact on integer rows, with both constraints proved on
+    the combined rows before the Fraction fields are formed (InvariantError
+    names a failing field); svd as the float product q @ raw.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -379,44 +382,43 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
     if method == "exact":
         nums, dens = _raw_rows_exact(domain, degree)
         raw_arr = _rows_to_float(nums, dens, degree)
-        g_raw = gram_form(raw_arr, j_nn, raw_arr)
     elif method == "svd":
-        raw_arr, g_raw = _coeff_gram(_raw_fields_svd(domain, degree), degree, j_nn)
+        raw_arr = _raw_coeff_svd(domain, degree)
     else:
         raise ValueError(f"unknown method {method!r}")
+    g_raw = gram_form(raw_arr, j_nn, raw_arr)
     g_raw = 0.5 * (g_raw + g_raw.T)
     raw_cond = float(np.linalg.cond(g_raw))
     classes = coefficient_classes(raw_arr, degree)
 
     def orthonormalize(q):
-        # exact: integer rows (nums, dens); svd: float fields
+        # exact: the integer rows (nums, dens) of q @ raw, rounded; svd: q @ raw in float
         if method == "exact":
-            combined = _combine_rows(nums, dens, q, classes)
-            coeff = _rows_to_float(*combined, degree)
-            gram = gram_form(coeff, j_nn, coeff)
+            rows = _combine_rows(nums, dens, q, classes)
+            coeff = _rows_to_float(*rows, degree)
         else:
-            arr = np.einsum("ik,kcm->icm", q, raw_arr)
-            combined = [monomials.array_to_field(arr[i], degree) for i in range(arr.shape[0])]
-            coeff, gram = _coeff_gram(combined, degree, j_nn)
-        return combined, coeff, gram, float(np.max(np.abs(gram - np.eye(len(coeff)))))
+            rows, coeff = None, np.tensordot(q, raw_arr, 1)
+        gram = gram_form(coeff, j_nn, coeff)
+        return rows, coeff, gram, float(np.max(np.abs(gram - np.eye(len(coeff)))))
 
     # q is block diagonal by class, so each orthonormal field keeps its raw field's class
     q = _by_class(_orthonormal_coefficients, g_raw, classes)
-    combined, coeff, gram, dev = orthonormalize(q)
+    rows, coeff, gram, dev = orthonormalize(q)
     if dev > 1e-13:
-        # one symmetric polish pass fixes residual loss of orthogonality; it is driven by
-        # the Gram in extended precision, as the float Gram's cancellation error is as
-        # large as the residual it would correct
-        correction = _by_class(lambda g: np.linalg.inv(np.linalg.cholesky(0.5 * (g + g.T))),
-                               _extended_gram(coeff, j_nn, classes), classes)
-        combined, coeff, gram, dev = orthonormalize(correction @ q)
+        # one polish pass fixes residual loss of orthogonality; it is driven by the Gram
+        # in extended precision, as the float Gram's cancellation error is as large as
+        # the residual it would correct
+        q = _by_class(_orthonormal_coefficients, _extended_gram(coeff, j_nn, classes), classes) @ q
+        rows, coeff, gram, dev = orthonormalize(q)
     if dev > GRAM_IDENTITY_TOL:
         raise InvariantError(f"orthonormalization failed: gram deviates from identity by {dev:.3e}")
 
     if method == "exact":
-        _check_exact_rows(domain, degree, combined[0])
-        combined = _fields_from_rows(*combined, degree)
-    return Basis(domain, degree, combined, coeff, gram, raw_cond, classes)
+        _check_exact_rows(domain, degree, rows[0])
+        fields = _fields_from_rows(*rows, degree)
+    else:
+        fields = [monomials.array_to_field(c, degree) for c in coeff]
+    return Basis(domain, degree, fields, coeff, gram, raw_cond, classes)
 
 
 def gram_form(a: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -427,12 +429,6 @@ def gram_form(a: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
     components) all take this one summation path.
     """
     return np.einsum("icm,mn,jcn->ij", a, j, b, optimize=True)
-
-
-def _coeff_gram(fields: list[VectorField], degree: int, j_nn: np.ndarray):
-    """(dim, 3, D_N) float coefficients of the fields and their mass Gram."""
-    coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
-    return coeff, gram_form(coeff, j_nn, coeff)
 
 
 def _extended_gram(coeff: np.ndarray, j_nn: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -618,6 +614,7 @@ def load_basis(path) -> Basis:
         raise ValueError("basis export is missing its header")
     if dim is not None and dim != len(fields):
         raise ValueError(f"basis export announces dim {dim} but carries {len(fields)} fields")
-    coeff, gram = _coeff_gram(fields, degree, monomials.gram(domain, degree, degree))
+    coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
+    gram = gram_form(coeff, monomials.gram(domain, degree, degree), coeff)
     return Basis(domain, degree, fields, coeff, gram, float("nan"),
                  coefficient_classes(coeff, degree))

@@ -19,9 +19,9 @@ coefficients of one parity under the three mirror reflections x_a -> -x_a
 (component c of x^e flips sign when e_a + [a == c] is odd).  The constraint
 system therefore splits by reflection class, one of 8, and the exact nullspace,
 orthonormalized against a Gram whose cross-class entries are exact zeros,
-keeps every field in one class (basis.coefficient_classes labels them).  Odd
-monomials integrate to exactly 0 over the ellipsoid, so T[i, j, k] = 0 unless
-cls(i) ^ cls(j) ^ cls(k) = 0.
+keeps every field in one class: basis.classes holds each field's label
+(basis.coefficient_classes).  Odd monomials integrate to exactly 0 over the
+ellipsoid, so T[i, j, k] = 0 unless cls(i) ^ cls(j) ^ cls(k) = 0.
 
 Class-block assembly of T.  T is assembled only on the class triples
 (P, Q, P ^ Q), 64 of the 512 for 8 classes.  Each (class, component) block of
@@ -197,14 +197,6 @@ def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarr
     return gram_form(bc_arr, j_nn, wb)
 
 
-def reflection_classes(basis: Basis) -> np.ndarray:
-    """Reflection class of each basis field (basis.coefficient_classes), 0 for all if any mixes.
-
-    Bit a of a class is set when the field flips sign under x_a -> -x_a.
-    """
-    return basis.classes
-
-
 class _ClassTriples(NamedTuple):
     """The class partition of a basis and the class triples T can be nonzero on.
 
@@ -305,7 +297,7 @@ def _advection_operators(basis: Basis, db: np.ndarray):
     """T and its packed copy, assembled class triple by class triple (module docstring)."""
     n = basis.degree
     dim = basis.dim
-    tr = _class_triples(reflection_classes(basis))
+    tr = _class_triples(basis.classes)
     b, b_sid, b_mono = _supports(basis.coeff_array, tr.rows)   # (classes, 3, rows, mb)
     d, d_sid, d_mono = _supports(db, tr.rows)                  # (classes, 3, 3 axes, rows, md)
     n_t, n_r, mb, md = len(tr.li), tr.rows.shape[1], b.shape[-1], d.shape[-1]
@@ -346,11 +338,14 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
     assembly with different (nu, eps_p, bc) is cheap, and T is None whenever
     include_advection is False.
     """
-    if not nu > 0:
-        raise ValueError("viscosity must be positive")
+    # each test is written so that NaN fails it
+    if not 0 < nu < math.inf:
+        raise ValueError("viscosity must be positive and finite")
+    if not math.isfinite(eps_p):
+        raise ValueError("precession rate eps_p must be finite")
     axis = tuple(float(a) for a in precession_axis)
-    if abs(sum(a * a for a in axis) - 1.0) > 1e-12:
-        raise ValueError("precession axis must be a unit vector")
+    if not abs(sum(a * a for a in axis) - 1.0) <= 1e-12:
+        raise ValueError("precession axis must be a finite unit vector")
 
     core = _cached(basis, "core", _core_matrices)
     c_x = _cached(basis, ("C_x", axis), _coriolis_matrix, axis)

@@ -17,7 +17,7 @@ from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, poi
                     project, solid_rotation)
 from .geometry import Domain, half_monomial_integral, monomial_integral, surface_rule
 from .operators import (BoundaryCondition, advection_term, assemble, momentum_coupling_identity,
-                        reflection_classes, residual)
+                        residual)
 from .spectral import NEUTRAL_MODE_DIMS, coercivity_constant, viscous_kernel
 from .timestepper import State, integrate
 
@@ -117,7 +117,7 @@ def _operator_checks(results, label, domain, basis, perturb_advection=False):
     _check(results, "operators.advection_antisymmetry", ctx, dev_t <= 1e-12,
            f"max dev {dev_t:.2e}")
     # the packed advection drops the entries off the rule cls(i) ^ cls(j) ^ cls(k) = 0
-    cls = reflection_classes(basis)
+    cls = basis.classes
     off_rule = (cls[:, None, None] ^ cls[None, :, None] ^ cls[None, None, :]) != 0
     dev_p = float(np.max(np.abs(t_tensor[off_rule]), initial=0.0))
     _check(results, "operators.advection_parity", ctx, dev_p == 0.0,

@@ -10,11 +10,11 @@ from precessflow import basis as basis_module
 from precessflow.basis import (GRAM_IDENTITY_TOL, InvariantError, build_basis, coefficient_classes,
                                curl_form_fields, gram_form, load_basis, poincare_field, project,
                                save_basis, solid_rotation, stream_cross_field, _by_class,
-                               _check_exact_rows, _coeff_gram, _constraint_rows, _extended_gram,
+                               _check_exact_rows, _constraint_rows, _extended_gram,
                                _fields_from_nullspace, _fraction_nullspace,
-                               _orthonormal_coefficients, _raw_fields_svd, _raw_rows_exact)
+                               _orthonormal_coefficients, _raw_coeff_svd, _raw_rows_exact)
 from precessflow.geometry import Domain, surface_rule, volume_integral
-from precessflow.operators import BoundaryCondition, assemble, reflection_classes
+from precessflow.operators import BoundaryCondition, assemble
 from precessflow.polynomials import Polynomial3, VectorField
 
 from conftest import DOMAINS, get_basis
@@ -172,6 +172,49 @@ class TestBuildBasis:
         with pytest.raises(RuntimeError, match="non-positive pivot|dependent"):
             _orthonormal_coefficients(g)
 
+    @pytest.mark.parametrize("g, field", [
+        ([[1.0, 2.0], [2.0, 1.0]], 1),                      # eigenvalues 3 and -1
+        ([[4.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]], 2),
+        ([[0.0, 0.0], [0.0, 1.0]], 0),                      # a zero field
+    ], ids=["indefinite", "indefinite_3x3", "zero_field"])
+    def test_orthonormalization_rejects_an_indefinite_gram(self, g, field):
+        with pytest.raises(InvariantError, match=f"pivot at field {field}: .*dependent"):
+            _orthonormal_coefficients(np.array(g))
+
+    @pytest.mark.parametrize("g, field", [
+        # the second field's Cholesky pivot is 2^-52 of its squared norm: below 2 eps
+        ([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]], 1),
+        ([[4.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 2.0 ** -52]], 2),
+    ], ids=["2x2", "3x3"])
+    def test_orthonormalization_rejects_a_negligible_pivot(self, g, field):
+        # positive definite in exact arithmetic: every pivot of the elimination is positive
+        a = [[Fraction(x) for x in row] for row in g]
+        for k in range(len(a)):
+            assert a[k][k] > 0
+            for i in range(k + 1, len(a)):
+                a[i] = [x - a[i][k] / a[k][k] * y for x, y in zip(a[i], a[k])]
+        with pytest.raises(InvariantError, match=f"pivot at field {field}: .*dependent"):
+            _orthonormal_coefficients(np.array(g))
+
+    def test_orthonormalization_of_a_well_conditioned_gram(self):
+        g = np.array([[4.0, 2.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 3.0]])
+        q = _orthonormal_coefficients(g)
+        np.testing.assert_array_equal(q, np.tril(q))
+        np.testing.assert_allclose(q @ g @ q.T, np.eye(3), atol=4 * np.finfo(float).eps)
+
+    def test_dependent_raw_fields_raise_invariant_error(self, monkeypatch):
+        raw_rows = basis_module._raw_rows_exact
+
+        def duplicated(domain, degree):
+            # field 4 becomes a copy of field 1, which lies in the same class (7)
+            nums, dens = raw_rows(domain, degree)
+            nums[4], dens[4] = nums[1], dens[1]
+            return nums, dens
+
+        monkeypatch.setattr(basis_module, "_raw_rows_exact", duplicated)
+        with pytest.raises(InvariantError, match="dependent"):
+            build_basis(DOMAINS["spheroid"], 2)
+
 
 class TestCurlForm:
     def test_psi_z_gives_twice_rotation(self):
@@ -311,7 +354,7 @@ class TestReflectionClasses:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_exact_fields_are_parity_pure(self, kind, degree):
         basis = get_basis(kind, degree)
-        cls = reflection_classes(basis)
+        cls = basis.classes
         assert [_field_classes(f) for f in basis.fields] == [{int(k)} for k in cls]
 
     @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
@@ -321,14 +364,14 @@ class TestReflectionClasses:
         path = tmp_path / "basis.txt"
         save_basis(basis, path)
         loaded = load_basis(path)
-        cls = reflection_classes(loaded)
+        cls = loaded.classes
         assert [_field_classes(f) for f in loaded.fields] == [{int(k)} for k in cls]
-        np.testing.assert_array_equal(cls, reflection_classes(basis))
+        np.testing.assert_array_equal(cls, basis.classes)
 
     def test_svd_basis_gets_one_class(self):
         basis = build_basis(DOMAINS["triaxial"], 3, method="svd")
         assert any(len(_field_classes(f)) > 1 for f in basis.fields)
-        np.testing.assert_array_equal(reflection_classes(basis), np.zeros(basis.dim))
+        np.testing.assert_array_equal(basis.classes, np.zeros(basis.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +383,12 @@ def _raw_fields_exact(domain, degree):
     vectors = _fraction_nullspace(rows, 3 * dim_v + dim_q)
     dense = [[vec.get(c, Fraction(0)) for c in range(3 * dim_v)] for vec in vectors]
     return _fields_from_nullspace(dense, dim_v, degree)
+
+
+def _coeff_gram(fields, degree, j_nn):
+    """(dim, 3, D_N) float coefficients of the fields and their mass Gram."""
+    coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
+    return coeff, gram_form(coeff, j_nn, coeff)
 
 
 def _combine_exact(raw, q):
@@ -382,9 +431,8 @@ def _fraction_build(domain, degree):
     fields, coeff, gram, dev = orthonormalize(q)
     polished = dev > 1e-13
     if polished:
-        correction = _by_class(lambda g: np.linalg.inv(np.linalg.cholesky(0.5 * (g + g.T))),
-                               _extended_gram(coeff, j_nn, classes), classes)
-        fields, coeff, gram, dev = orthonormalize(correction @ q)
+        q = _by_class(_orthonormal_coefficients, _extended_gram(coeff, j_nn, classes), classes) @ q
+        fields, coeff, gram, dev = orthonormalize(q)
     assert dev <= GRAM_IDENTITY_TOL
     for f in fields:
         assert f.divergence().is_zero()
@@ -501,22 +549,24 @@ def _raw_gram(kind, degree):
 
 
 def _single_block_svd_build(domain, degree):
-    """The svd build as one block: MGS over the whole raw Gram, then one float polish pass."""
+    """The svd build as one block: the kernel on the whole raw Gram, then one polish pass."""
     j_nn = monomials.gram(domain, degree, degree)
-    raw_arr, g_raw = _coeff_gram(_raw_fields_svd(domain, degree), degree, j_nn)
-    g_raw = 0.5 * (g_raw + g_raw.T)
+    raw_arr = _raw_coeff_svd(domain, degree)
+    g_raw = gram_form(raw_arr, j_nn, raw_arr)
 
     def orthonormalize(q):
-        arr = np.einsum("ik,kcm->icm", q, raw_arr)
-        fields = [monomials.array_to_field(arr[i], degree) for i in range(arr.shape[0])]
-        coeff, gram = _coeff_gram(fields, degree, j_nn)
-        return coeff, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
+        coeff = np.tensordot(q, raw_arr, 1)
+        gram = gram_form(coeff, j_nn, coeff)
+        return coeff, gram, float(np.max(np.abs(gram - np.eye(len(coeff)))))
 
-    q = _orthonormal_coefficients(g_raw)
+    # C order, as _by_class stores every block: q @ raw depends on q's memory order,
+    # since BLAS sums in another order for a transposed operand
+    q = np.ascontiguousarray(_orthonormal_coefficients(0.5 * (g_raw + g_raw.T)))
     coeff, gram, dev = orthonormalize(q)
     if dev > 1e-13:
-        correction = np.linalg.inv(np.linalg.cholesky(0.5 * (gram + gram.T)))
-        coeff, gram, dev = orthonormalize(correction @ q)
+        one_block = np.zeros(len(coeff), dtype=int)
+        q = _orthonormal_coefficients(_extended_gram(coeff, j_nn, one_block)) @ q
+        coeff, gram, dev = orthonormalize(q)
     return coeff, gram
 
 
@@ -528,7 +578,7 @@ class TestClassBlocks:
     def test_cross_class_entries_are_exact_zeros(self, kind, degree):
         _, g_raw, raw_cls = _raw_gram(kind, degree)
         basis = get_basis(kind, degree)
-        cls = reflection_classes(basis)
+        cls = basis.classes
         np.testing.assert_array_equal(cls, raw_cls)
         assert len(np.unique(cls)) > 1
         ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
@@ -543,7 +593,7 @@ class TestClassBlocks:
     def test_coriolis_couples_p_only_with_p_xor_6(self, kind, degree):
         # rotation about e_x flips y and z: bits 2 and 4 of the class
         basis = get_basis(kind, degree)
-        cls = reflection_classes(basis)
+        cls = basis.classes
         c_x = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
                        include_advection=False).C_x
         coupled = (cls[:, None] ^ cls[None, :]) == 6
@@ -553,11 +603,12 @@ class TestClassBlocks:
     @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
     @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
     def test_blocked_mgs_is_block_diagonal_and_matches_one_block(self, kind, degree):
+        # the orthonormalization kernel (an inverse Cholesky factor) run per class block
         _, g_raw, cls = _raw_gram(kind, degree)
         g_raw = 0.5 * (g_raw + g_raw.T)
         q = _by_class(_orthonormal_coefficients, g_raw, cls)
         assert np.all(q[cls[:, None] != cls[None, :]] == 0.0)
-        # same Gram-Schmidt, other summation order: first-order round-off is cond * eps
+        # same Cholesky factor, other summation order: first-order round-off is cond * eps
         dense = _orthonormal_coefficients(g_raw)
         bound = np.finfo(float).eps * np.linalg.cond(g_raw) * np.max(np.abs(dense))
         assert np.max(np.abs(q - dense)) <= bound
@@ -572,12 +623,24 @@ class TestClassBlocks:
         np.testing.assert_array_equal(basis.gram, gram)
 
 
+# axes in the ratio 5 : 4 : 3, more eccentric than DOMAINS["triaxial"]
+TRIAXIAL_543 = Domain(1, Fraction(4, 5), Fraction(3, 5))
+
+
 class TestGramGate:
-    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial", "triaxial_543"])
     def test_degree_7_passes(self, kind):
-        # the float Gram reads up to about 7e-13 here (triaxial); round-off shifts of
+        # the float Gram reads up to about 5e-13 here (triaxial); round-off shifts of
         # the build must not push it past the gate
-        basis = build_basis(DOMAINS[kind], 7)
+        domain = TRIAXIAL_543 if kind == "triaxial_543" else DOMAINS[kind]
+        basis = build_basis(domain, 7)
+        assert basis.gram_identity_deviation() <= GRAM_IDENTITY_TOL
+
+    def test_svd_degree_8_passes_on_the_spheroid(self):
+        # the svd fallback past the exact build's reach (its N = 8 gate fails); the float
+        # Gram reads about 8e-13 here
+        basis = build_basis(DOMAINS["spheroid"], 8, method="svd")
+        assert basis.dim == 276
         assert basis.gram_identity_deviation() <= GRAM_IDENTITY_TOL
 
     def test_failed_gate_raises_invariant_error(self, monkeypatch):

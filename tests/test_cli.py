@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from precessflow import basis as basis_module
 from precessflow.basis import save_basis
 from precessflow.cli import ConfigError, main, parse_config, scenario_from_config
 from precessflow.diagnostics import CSV_HEADER
@@ -213,6 +214,24 @@ class TestExitCodes:
         assert main([command, "--config", cfg]) == 3
         captured = capsys.readouterr()
         assert "error: orthonormalization failed" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("command", ["basis", "eig"])
+    def test_dependent_nullspace_is_invariant_failure(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        raw_rows = basis_module._raw_rows_exact
+
+        def duplicated(domain, degree):
+            # field 4 becomes a copy of field 1, which lies in the same class
+            nums, dens = raw_rows(domain, degree)
+            nums[4], dens[4] = nums[1], dens[1]
+            return nums, dens
+
+        monkeypatch.setattr(basis_module, "_raw_rows_exact", duplicated)
+        cfg = write(tmp_path, "d.cfg", SPHEROID_LINES)
+        assert main([command, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert "pivot at field" in captured.err and "numerically dependent" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
     def test_unknown_subcommand_is_usage_error(self, capsys):

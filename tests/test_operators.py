@@ -10,7 +10,7 @@ from precessflow.basis import (build_basis, load_basis, poincare_field, project,
 from precessflow.geometry import volume_integral
 from precessflow.operators import (BoundaryCondition, advection_term, angular_momentum,
                                    assemble, _core_matrices, dump_operator_set, momentum_coupling_identity,
-                                   reflection_classes, residual)
+                                   residual)
 from precessflow.polynomials import Polynomial3, VectorField
 
 from conftest import DOMAINS, get_basis
@@ -50,6 +50,22 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(get_basis("spheroid", 1), BoundaryCondition("stress_free"),
                      nu=1.0, eps_p=0.0, precession_axis=(1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [
+        {"precession_axis": (math.nan, 0.0, 0.0)},
+        {"precession_axis": (1.0, math.nan, 0.0)},
+        {"eps_p": math.nan},
+        {"eps_p": math.inf},
+        {"nu": math.inf},
+        {"nu": math.nan},
+    ], ids=["axis_x_nan", "axis_y_nan", "eps_p_nan", "eps_p_inf", "nu_inf", "nu_nan"])
+    def test_non_finite_inputs_rejected_before_assembly(self, bad):
+        # a fresh basis, so the empty operator cache shows that nothing was assembled
+        basis = build_basis(DOMAINS["spheroid"], 1)
+        args = {"nu": 1.0, "eps_p": 0.25, "precession_axis": (1.0, 0.0, 0.0)} | bad
+        with pytest.raises(ValueError, match="finite"):
+            assemble(basis, BoundaryCondition("stress_free"), **args)
+        assert basis._assembly_cache == {}
 
     def test_nonlinear_data_field_rejected(self):
         x = Polynomial3.variable(0)
@@ -292,7 +308,7 @@ class TestAdvectionTerm:
     def test_tensor_vanishes_off_the_parity_rule(self, kind, degree):
         ops = assemble(get_basis(kind, degree), BoundaryCondition("stress_free"),
                        nu=1.0, eps_p=0.0)
-        cls = reflection_classes(ops.basis)
+        cls = ops.basis.classes
         assert len(np.unique(cls)) > 1
         off_rule = (cls[:, None, None] ^ cls[None, :, None] ^ cls[None, None, :]) != 0
         assert np.all(ops.T[off_rule] == 0.0)

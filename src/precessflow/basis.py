@@ -40,12 +40,18 @@ the values float(Fraction) gives.  The combined rows are then checked
 exactly: integer maps built from the monomial derivative and shift tables and
 chi's coefficients, independent of the constraint system, confirm
 div v = 0 and v . grad(chi) = chi q on every row, so every stored basis field
-satisfies both constraints exactly, not merely to round-off.  Basis.fields
-holds the same fields with Fraction coefficients, built once from the rows.
+satisfies both constraints exactly, not merely to round-off.  The basis
+keeps the rows; Basis.fields, the same fields with Fraction coefficients, is
+formed from them on first read (verify, save_basis), never by the build.
+
+The mass Gram, the coefficient array and the class labels are read-only: one
+basis is shared by every operator set assembled on it and, through
+timestepper.run, by consecutive runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -71,24 +77,35 @@ class InvariantError(RuntimeError):
 
 
 class Basis:
-    """Orthonormal basis of the tangent solenoidal polynomial space."""
+    """Orthonormal basis of the tangent solenoidal polynomial space.
 
-    def __init__(self, domain: Domain, degree: int, fields: list[VectorField],
-                 coeff_array: np.ndarray, gram: np.ndarray, raw_gram_cond: float,
-                 classes: np.ndarray):
+    rows, for an exact basis, holds the integer rows (nums, dens) of the
+    fields (see the module docstring); it is None for a float basis.
+    """
+
+    def __init__(self, domain: Domain, degree: int, coeff_array: np.ndarray,
+                 gram: np.ndarray, raw_gram_cond: float, classes: np.ndarray,
+                 rows: tuple[np.ndarray, np.ndarray] | None = None):
         self.domain = domain
         self.degree = degree
-        self.fields = fields
         # (dim, 3, D_N) float coefficients over the degree-N monomial list
         self.coeff_array = coeff_array
-        self.coeff_array.flags.writeable = False
         # reflection class of each field (coefficient_classes)
         self.classes = classes
-        self.classes.flags.writeable = False
         self.gram = gram
+        for arr in (coeff_array, classes, gram, *(rows or ())):
+            arr.flags.writeable = False
         self.raw_gram_cond = raw_gram_cond
-        self.dim = len(fields)
+        self.rows = rows
+        self.dim = len(coeff_array)
         self._assembly_cache: dict = {}
+
+    @functools.cached_property
+    def fields(self) -> list[VectorField]:
+        """The basis fields: Fraction coefficients from the exact rows, else float ones."""
+        if self.rows is not None:
+            return _fields_from_rows(*self.rows, self.degree)
+        return [monomials.array_to_field(c, self.degree) for c in self.coeff_array]
 
     def gram_identity_deviation(self) -> float:
         return float(np.max(np.abs(self.gram - np.eye(self.dim))))
@@ -335,22 +352,27 @@ def coefficient_classes(coeff: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _by_class(fn, mat: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """fn applied to each class block of mat, scattered into one block-diagonal matrix."""
+    """fn applied to each class block of mat, scattered into one block-diagonal matrix.
+
+    fn(block, index) also gets the indices of the block's fields in mat.
+    """
     out = np.zeros_like(mat)
     for p in np.unique(classes):
-        block = np.ix_(classes == p, classes == p)
-        out[block] = fn(mat[block])
+        index = np.flatnonzero(classes == p)
+        block = np.ix_(index, index)
+        out[block] = fn(mat[block], index)
     return out
 
 
-def _orthonormal_coefficients(gram: np.ndarray) -> np.ndarray:
+def _orthonormal_coefficients(gram: np.ndarray, index=None) -> np.ndarray:
     """Q = L^-1 for the Cholesky factor L L^T = G of a Gram G, so that Q G Q^T = I.
 
     Q is lower triangular: field k combines raw fields 0..k, as in Gram-Schmidt.
     L[k, k]^2 / G[k, k], the squared sine of the angle between field k and the
     span of fields 0..k-1, is computed to about k eps, so a Gram that is not
     positive definite or has a pivot below n eps holds numerically dependent
-    fields: InvariantError names the first, counted within the Gram passed in.
+    fields: InvariantError names the first as index[k], its index in the basis
+    (k itself when index is None).
     """
     g = 0.5 * (gram + gram.T)
     n = g.shape[0]
@@ -359,7 +381,8 @@ def _orthonormal_coefficients(gram: np.ndarray) -> np.ndarray:
     dependent = ([info - 1] if info else
                  np.flatnonzero(~(np.diag(chol) ** 2 >= n * np.finfo(float).eps * np.diag(g))))
     if len(dependent):
-        raise InvariantError(f"negligible or non-positive pivot at field {dependent[0]}: "
+        field = dependent[0] if index is None else index[dependent[0]]
+        raise InvariantError(f"negligible or non-positive pivot at field {field}: "
                              "nullspace fields are numerically dependent")
     return scipy.linalg.lapack.dtrtri(chol, lower=1)[0]
 
@@ -373,8 +396,9 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
     rational arithmetic, and an independent cross-check.  Both orthonormalize
     the float coefficients of the raw fields alike and differ only in applying
     a combination q: exact on integer rows, with both constraints proved on
-    the combined rows before the Fraction fields are formed (InvariantError
-    names a failing field); svd as the float product q @ raw.
+    every combined row before the basis is returned (InvariantError names a
+    failing field); svd as the float product q @ raw.  No VectorField is
+    formed: Basis.fields is built on first read.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -415,10 +439,7 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
 
     if method == "exact":
         _check_exact_rows(domain, degree, rows[0])
-        fields = _fields_from_rows(*rows, degree)
-    else:
-        fields = [monomials.array_to_field(c, degree) for c in coeff]
-    return Basis(domain, degree, fields, coeff, gram, raw_cond, classes)
+    return Basis(domain, degree, coeff, gram, raw_cond, classes, rows)
 
 
 def gram_form(a: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -616,5 +637,4 @@ def load_basis(path) -> Basis:
         raise ValueError(f"basis export announces dim {dim} but carries {len(fields)} fields")
     coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
     gram = gram_form(coeff, monomials.gram(domain, degree, degree), coeff)
-    return Basis(domain, degree, fields, coeff, gram, float("nan"),
-                 coefficient_classes(coeff, degree))
+    return Basis(domain, degree, coeff, gram, float("nan"), coefficient_classes(coeff, degree))

@@ -6,7 +6,7 @@ Everything the semi-discrete system
 
 needs is assembled here: mass and hemispheric Grams, the two stiffness forms
 (strain-rate and full-gradient), the Coriolis matrix for an arbitrary
-precession axis, the dense advection tensor T[i][j][k] = integral of
+precession axis, the advection tensor T[i][j][k] = integral of
 (b_i . grad b_j) . b_k, angular-momentum vectors, and the boundary-condition
 forcing.  Boundary terms of the two inhomogeneous forms are reduced to volume
 integrals (the data field is linear, so its strain/gradient is constant and
@@ -32,10 +32,12 @@ to one row count, so the whole assembly is a fixed number of batched numpy
 calls.  The contractions are those of the dense assembly, in its order: with
 the triple-product table over o, then over (c, n) with the derivatives, then
 over (a, m).  The o-contraction depends on the axis a only through the
-monomials it reads, so each distinct one runs once.  The dense T (which
-verify, dump and the tests read) and the packed copy below are both filled
-from the resulting (triple, i, k, j) blocks.  A basis with one class is the
-single-block case of the same code.
+monomials it reads, so each distinct one runs once.  The resulting
+(triple, i, k, j) blocks are kept on the basis, and the packed copy below is
+gathered from them; assembly forms no dense T.  OperatorSet.T (which verify,
+dump and the tests read) scatters the blocks into the dense tensor on first
+read, once per basis.  A basis with one class is the single-block case of the
+same code.
 
 Packed advection.  Only the (i, j)-symmetric part of T enters
 N_k = sum_ij c_i c_j T[i, j, k].  For each output class P, G[P] holds
@@ -45,6 +47,10 @@ class P and the pairs i <= j with cls(i) ^ cls(j) = P, zero-padded to one
 matrix-vector product and one gather back to basis order, about dim^3 / 16
 multiply-adds for 8 balanced classes.  A basis with a field that mixes
 classes (the svd fallback) gets one class, and G is the symmetric half of T.
+
+Sharing.  The operators that do not depend on (nu, eps_p, bc) are cached on
+the basis (see assemble) and are read-only, as is the dense T: every operator
+set of a basis, and every run that reuses the basis, reads the same arrays.
 """
 
 from __future__ import annotations
@@ -109,10 +115,12 @@ class PackedAdvection(NamedTuple):
 class OperatorSet:
     """Assembled Galerkin operators over an orthonormal basis.
 
-    Immutable by convention after assembly; safe to share across runs.
-    T index convention: T[i][j][k] = integral of (b_i . grad b_j) . b_k, so the
-    advection contribution to the k-th residual entry is sum_ij c_i c_j T[i,j,k].
-    advection_term reads the parity-packed copy of T, not T itself.
+    Immutable after assembly: the cached operators are read-only arrays, shared
+    by every operator set of the basis.  T index convention:
+    T[i][j][k] = integral of (b_i . grad b_j) . b_k, so the advection
+    contribution to the k-th residual entry is sum_ij c_i c_j T[i,j,k].
+    T_packed is None when assembled without advection; advection_term reads it,
+    not T.
     """
 
     basis: Basis
@@ -124,7 +132,6 @@ class OperatorSet:
     A_sym: np.ndarray
     A_grad: np.ndarray
     C_x: np.ndarray
-    T: np.ndarray | None
     T_packed: PackedAdvection | None
     F_bc: np.ndarray
     mom: np.ndarray          # (3, dim): mom[alpha][i] = integral (x cross b_i)_alpha
@@ -137,6 +144,17 @@ class OperatorSet:
         return self.basis.dim
 
     @property
+    def T(self) -> np.ndarray | None:
+        """The dense advection tensor, None without advection.
+
+        Scattered from the class-triple blocks on first read, once per basis;
+        the result is read-only.  Nothing on the run path reads it.
+        """
+        if self.T_packed is None:
+            return None
+        return _cached(self.basis, "T_dense", _dense_advection)
+
+    @property
     def V(self) -> np.ndarray:
         """Viscous operator selected by the boundary-condition form."""
         if self.bc.uses_gradient_stiffness:
@@ -145,11 +163,24 @@ class OperatorSet:
 
 
 def _cached(basis: Basis, key, build, *args):
-    """basis._assembly_cache[key], built as build(basis, *args) on first request."""
+    """basis._assembly_cache[key], built as build(basis, *args) on first request.
+
+    Every array of the entry is made read-only, since all callers share it.
+    """
     cache = basis._assembly_cache
     if key not in cache:
-        cache[key] = build(basis, *args)
+        cache[key] = _read_only(build(basis, *args))
     return cache[key]
+
+
+def _read_only(value):
+    """value with every array in it (an array, or a dict or tuple of them) read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    else:
+        for item in value.values() if isinstance(value, dict) else value:
+            _read_only(item)
+    return value
 
 
 def _core_matrices(basis: Basis) -> dict:
@@ -294,9 +325,11 @@ def _pack_advection(blocks: np.ndarray, tr: _ClassTriples) -> PackedAdvection:
 
 
 def _advection_operators(basis: Basis, db: np.ndarray):
-    """T and its packed copy, assembled class triple by class triple (module docstring)."""
+    """The (triple, i, k, j) blocks of T and the packed copy, class triple by class triple.
+
+    See the module docstring; _dense_advection scatters the blocks into T.
+    """
     n = basis.degree
-    dim = basis.dim
     tr = _class_triples(basis.classes)
     b, b_sid, b_mono = _supports(basis.coeff_array, tr.rows)   # (classes, 3, rows, mb)
     d, d_sid, d_mono = _supports(db, tr.rows)                  # (classes, 3, 3 axes, rows, md)
@@ -318,24 +351,32 @@ def _advection_operators(basis: Basis, db: np.ndarray):
     v = np.matmul(w, d[tr.lj].transpose(0, 2, 1, 4, 3).reshape(n_t, 3, 3 * md, n_r))
     bi = b[tr.li].transpose(0, 2, 1, 3).reshape(n_t, n_r, 3 * mb)
     blocks = np.matmul(bi, v.reshape(n_t, 3 * mb, n_r * n_r)).reshape(n_t, n_r, n_r, n_r)
+    return blocks, _pack_advection(blocks, tr)
 
-    # scatter the (t, i, k, j) blocks into the dense T; padding entries (zeros) hit a spare slot
+
+def _dense_advection(basis: Basis) -> np.ndarray:
+    """T[i, j, k], scattered from the cached (triple, i, k, j) blocks of the basis."""
+    blocks = basis._assembly_cache["T"][0]
+    tr = _class_triples(basis.classes)
+    dim = basis.dim
+    # padding entries (zeros) hit a spare slot
     size = dim ** 3
     at = [np.where(tr.rows == dim, size, tr.rows * stride) for stride in (dim * dim, dim, 1)]
     flat = (at[0][tr.li][:, :, None, None] + at[2][tr.lk][:, None, :, None]
             + at[1][tr.lj][:, None, None, :])
     t = np.zeros(size + 1)
     t[np.minimum(flat, size)] = blocks
-    return t[:size].reshape(dim, dim, dim), _pack_advection(blocks, tr)
+    return t[:size].reshape(dim, dim, dim)
 
 
 def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
              precession_axis=(1.0, 0.0, 0.0), include_advection: bool = True) -> OperatorSet:
     """Assemble the full operator set for one boundary-condition/viscosity choice.
 
-    The bc-independent matrices are cached on the basis: the axis-independent
-    ones once, C_x per precession axis and T on first request.  Repeated
-    assembly with different (nu, eps_p, bc) is cheap, and T is None whenever
+    The bc-independent matrices are cached on the basis, read-only: the
+    axis-independent ones once, C_x per precession axis and the blocks and
+    pack of T on first request.  Repeated assembly with different
+    (nu, eps_p, bc) is cheap, and T_packed (hence T) is None whenever
     include_advection is False.
     """
     # each test is written so that NaN fails it
@@ -344,19 +385,18 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
     if not math.isfinite(eps_p):
         raise ValueError("precession rate eps_p must be finite")
     axis = tuple(float(a) for a in precession_axis)
-    if not abs(sum(a * a for a in axis) - 1.0) <= 1e-12:
-        raise ValueError("precession axis must be a finite unit vector")
+    if len(axis) != 3 or not abs(sum(a * a for a in axis) - 1.0) <= 1e-12:
+        raise ValueError("precession axis must be a finite unit vector of three components")
 
     core = _cached(basis, "core", _core_matrices)
     c_x = _cached(basis, ("C_x", axis), _coriolis_matrix, axis)
-    t_tensor, t_packed = (_cached(basis, "T", _advection_operators, core["db"])
-                          if include_advection else (None, None))
+    t_packed = (_cached(basis, "T", _advection_operators, core["db"])[1]
+                if include_advection else None)
     f_bc = _forcing_vector(basis, bc, nu, core)
     return OperatorSet(
         basis=basis, bc=bc, nu=float(nu), eps_p=float(eps_p), precession_axis=axis,
         M=core["M"], A_sym=core["A_sym"], A_grad=core["A_grad"], C_x=c_x,
-        T=t_tensor, T_packed=t_packed, F_bc=f_bc, mom=core["mom"], Hn=core["Hn"],
-        Hs=core["Hs"],
+        T_packed=t_packed, F_bc=f_bc, mom=core["mom"], Hn=core["Hn"], Hs=core["Hs"],
     )
 
 
@@ -378,9 +418,9 @@ def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float, core: dict) 
 
 def advection_term(ops: OperatorSet, coeffs: np.ndarray) -> np.ndarray:
     """Galerkin advection: out[k] = sum_ij c_i c_j T[i][j][k], from the packed T."""
-    if ops.T is None:
-        raise ValueError("operator set was assembled without the advection tensor")
     pack = ops.T_packed
+    if pack is None:
+        raise ValueError("operator set was assembled without the advection tensor")
     z = coeffs[pack.pi] * coeffs[pack.pj]
     return np.matmul(pack.g, z[..., None]).ravel()[pack.unpad]
 
@@ -391,7 +431,7 @@ def residual(coeffs: np.ndarray, ops: OperatorSet) -> np.ndarray:
     if c.shape != (ops.dim,):
         raise ValueError(f"expected {ops.dim} coefficients, got shape {c.shape}")
     r = ops.V @ c + 2.0 * ops.eps_p * (ops.C_x @ c) - ops.F_bc
-    if ops.T is not None:
+    if ops.T_packed is not None:
         r = r + advection_term(ops, c)
     return r
 
@@ -435,7 +475,7 @@ def dump_operator_set(ops: OperatorSet, path) -> None:
             write_matrix(fh, name, getattr(ops, name))
         write_matrix(fh, "mom", ops.mom)
         write_matrix(fh, "F_bc", ops.F_bc.reshape(1, -1))
-        if ops.T is not None:
+        if ops.T_packed is not None:
             fh.write(f"# T {ops.dim} {ops.dim} {ops.dim}\n")
             for i in range(ops.dim):
                 write_matrix(fh, f"T[{i}]", ops.T[i])

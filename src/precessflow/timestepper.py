@@ -21,10 +21,19 @@ side comes from a state that the post-step guard has checked, and run()
 rejects non-finite inputs before the first step.  The guard is one dot
 product.  A constraint projection adds one (3, dim) matrix-vector product
 per step.
+
+Set-up once per basis.  run() takes its basis from _run_basis, a one-entry
+functools.lru_cache keyed on (domain, degree, method), so consecutive runs on
+one basis (the +/- omega twins of scripts/poincare_family.py, say) build it
+once and share its assembly cache: the core matrices, C_x and the advection
+blocks and pack are assembled once, and only the forcing vector and the LU
+factors are formed per run.  The shared arrays are read-only.  Nothing on the
+run path forms the dense advection tensor or the Fraction basis fields.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,7 +111,7 @@ def step(state: State, ops: OperatorSet, dt: float, include_advection: bool = Tr
         raise ValueError("dt must be positive")
     lu_be, lu_half, lu_bdf = _solver(ops, dt)
     c = state.coeffs
-    use_advection = include_advection and ops.T is not None
+    use_advection = include_advection and ops.T_packed is not None
     if state.prev_coeffs is None:
         half = _euler_solve(ops, lu_half, c, c, dt / 2.0, use_advection)
         half2 = _euler_solve(ops, lu_half, half, half, dt / 2.0, use_advection)
@@ -236,15 +245,27 @@ def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
     return data
 
 
+@functools.lru_cache(maxsize=1)
+def _run_basis(domain: Domain, degree: int, method: str) -> Basis:
+    """The basis of the last run, reused while (domain, degree, method) stays the same.
+
+    build_basis is looked up as a module global at call time, so a wrapper
+    installed on it sees every build; cache_clear() makes the next run cold.
+    """
+    return build_basis(domain, degree, method)
+
+
 def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     """Execute a scenario: build, integrate, record, and write the CSV output.
 
-    On blow-up the partial series is written to the configured output path
-    before BlowUpError is raised (with the series attached).
+    The basis, with the operators cached on it, is shared with the previous
+    run when that had the same domain, degree and method.  On blow-up the
+    partial series is written to the configured output path before
+    BlowUpError is raised (with the series attached).
     """
     cfg.validate()
     domain = cfg.domain()
-    basis = build_basis(domain, cfg.degree, cfg.basis_method)
+    basis = _run_basis(domain, cfg.degree, cfg.basis_method)
 
     bc_data = None
     if cfg.bc_form in ("poincare_stress", "poincare_normal_gradient"):

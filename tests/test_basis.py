@@ -212,8 +212,35 @@ class TestBuildBasis:
             return nums, dens
 
         monkeypatch.setattr(basis_module, "_raw_rows_exact", duplicated)
-        with pytest.raises(InvariantError, match="dependent"):
+        # named by its index in the basis, not within its class block
+        with pytest.raises(InvariantError, match="pivot at field 4: .*dependent"):
             build_basis(DOMAINS["spheroid"], 2)
+
+    def test_shared_arrays_are_read_only(self):
+        basis = get_basis("spheroid", 2)
+        nums, dens = basis.rows
+        for arr in (basis.gram, basis.coeff_array, basis.classes, nums, dens):
+            first = (0,) * arr.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                arr[first] = arr[first]
+
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    def test_fields_are_formed_on_first_read(self, monkeypatch, method):
+        calls = []
+        fields_from_rows = basis_module._fields_from_rows
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return fields_from_rows(*args)
+
+        monkeypatch.setattr(basis_module, "_fields_from_rows", counting)
+        basis = build_basis(DOMAINS["triaxial"], 3, method)
+        assert calls == [] and "fields" not in vars(basis)
+        fields = basis.fields
+        assert calls == ([basis.dim] if method == "exact" else [])
+        assert basis.fields is fields and len(fields) == basis.dim
+        for f, c in zip(fields, basis.coeff_array):
+            np.testing.assert_array_equal(monomials.field_to_array(f.to_float(), 3), c)
 
 
 class TestCurlForm:

@@ -231,7 +231,7 @@ class TestExitCodes:
         cfg = write(tmp_path, "d.cfg", SPHEROID_LINES)
         assert main([command, "--config", cfg]) == 3
         captured = capsys.readouterr()
-        assert "pivot at field" in captured.err and "numerically dependent" in captured.err
+        assert "pivot at field 4:" in captured.err and "numerically dependent" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
     def test_unknown_subcommand_is_usage_error(self, capsys):

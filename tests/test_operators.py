@@ -9,8 +9,8 @@ from precessflow.basis import (build_basis, load_basis, poincare_field, project,
                                solid_rotation)
 from precessflow.geometry import volume_integral
 from precessflow.operators import (BoundaryCondition, advection_term, angular_momentum,
-                                   assemble, _core_matrices, dump_operator_set, momentum_coupling_identity,
-                                   residual)
+                                   assemble, _class_triples, _core_matrices, dump_operator_set,
+                                   momentum_coupling_identity, residual)
 from precessflow.polynomials import Polynomial3, VectorField
 
 from conftest import DOMAINS, get_basis
@@ -50,6 +50,16 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(get_basis("spheroid", 1), BoundaryCondition("stress_free"),
                      nu=1.0, eps_p=0.0, precession_axis=(1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("axis", [(1.0, 0.0), (1.0,), (0.0, 0.0, 1.0, 0.0)],
+                             ids=["two", "one", "four"])
+    def test_precession_axis_needs_three_components(self, axis):
+        # unit length, but not a vector of three components
+        basis = build_basis(DOMAINS["spheroid"], 1)
+        with pytest.raises(ValueError, match="three components"):
+            assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                     precession_axis=axis)
+        assert basis._assembly_cache == {}
 
     @pytest.mark.parametrize("bad", [
         {"precession_axis": (math.nan, 0.0, 0.0)},
@@ -152,6 +162,24 @@ class TestAssemble:
         assert ops_warm.T is None
         c = 0.5 * np.random.default_rng(7).standard_normal(ops_warm.dim)
         np.testing.assert_array_equal(residual(c, ops_warm), residual(c, ops_cold))
+
+
+class TestSharedArrays:
+    """Every array an operator set shares with its basis, and with later runs, is read-only."""
+
+    def test_in_place_writes_raise(self):
+        ops = spheroid_ops(3, "poincare_stress", nu=2.0, eps_p=0.25)
+        shared = {"M": ops.M, "gram": ops.basis.gram, "A_sym": ops.A_sym,
+                  "A_grad": ops.A_grad, "mom": ops.mom, "Hn": ops.Hn, "Hs": ops.Hs,
+                  "C_x": ops.C_x, "T": ops.T, "blocks": ops.basis._assembly_cache["T"][0]}
+        shared |= {f"pack.{name}": a for name, a in ops.T_packed._asdict().items()}
+        assert ops.M is ops.basis.gram
+        for name, arr in shared.items():
+            first = (0,) * arr.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                arr[first] = arr[first]
+        # the per-assembly forcing vector is the caller's own
+        ops.F_bc[0] = ops.F_bc[0]
 
 
 def _contract(s, t) -> Polynomial3:
@@ -325,6 +353,21 @@ def _dense_advection_tensor(basis):
     return np.einsum("iam,majk->ijk", bc_arr, v2, optimize=True)
 
 
+def _scattered_tensor(basis):
+    """T from the cached (triple, i, k, j) blocks, one class triple at a time.
+
+    The assignments of _dense_advection's flat-index scatter, written
+    independently of it.
+    """
+    blocks = basis._assembly_cache["T"][0]
+    tr = _class_triples(basis.classes)
+    dim = basis.dim
+    t = np.zeros((dim + 1,) * 3)             # padding rows point at index dim
+    for n, (li, lj, lk) in enumerate(zip(tr.li, tr.lj, tr.lk)):
+        t[np.ix_(tr.rows[li], tr.rows[lj], tr.rows[lk])] = blocks[n].transpose(0, 2, 1)
+    return t[:dim, :dim, :dim]
+
+
 class TestClassBlockedTensor:
     @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
     @pytest.mark.parametrize("method", ["exact", "svd"])
@@ -342,6 +385,26 @@ class TestClassBlockedTensor:
         tol = 1e-13 if degree <= 5 else 2e-13
         assert np.max(np.abs(t - reference)) <= tol * np.max(np.abs(reference))
         assert t.flags.c_contiguous and t.shape == (basis.dim,) * 3
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+    def test_dense_tensor_is_formed_on_first_read(self, kind, method, degree):
+        basis = build_basis(DOMAINS[kind], degree, method)
+        ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
+        blocks, pack = basis._assembly_cache["T"]
+        assert "T_dense" not in basis._assembly_cache
+        if method == "exact":                # the svd fallback is one block: T itself
+            assert all(a.size < basis.dim ** 3 for a in (blocks, *pack))
+        t = ops.T
+        assert basis._assembly_cache["T_dense"] is t
+        assert t.tobytes() == _scattered_tensor(basis).tobytes()
+        assert not t.flags.writeable and t.flags.c_contiguous
+        # once per basis: a second read, or another operator set, gives the same array
+        assert ops.T is t
+        assert assemble(basis, BoundaryCondition("normal_gradient"), nu=2.0, eps_p=0.1).T is t
+        assert assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                        include_advection=False).T is None
 
 
 class TestEnergyNeutrality:

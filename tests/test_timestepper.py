@@ -347,3 +347,68 @@ class TestRun:
     def test_stokes_only_flag(self):
         series = run(base_config(include_advection=False, t_end=0.05))
         assert len(series.records) >= 2
+
+
+def twin_config(sign, constraint, path, **overrides):
+    """One run of scripts/poincare_family.py's twin pair, shortened, at N=3."""
+    cfg = dict(degree=3, bc_form="poincare_stress", nu_inverse=0.00375, eps_p=0.25,
+               init_type="poincare_plus_rotation", init_omega=sign * 0.025,
+               t_end=0.5, record_every=0.1, constraint_mode=constraint,
+               output_path=str(path))
+    return base_config(**(cfg | overrides))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The bases run() builds, from a cold memo; the memo is emptied again afterwards."""
+    bases = []
+
+    def counting(*args):
+        bases.append(build_basis(*args))
+        return bases[-1]
+
+    timestepper._run_basis.cache_clear()
+    monkeypatch.setattr(timestepper, "build_basis", counting)
+    yield bases
+    timestepper._run_basis.cache_clear()
+
+
+class TestRunBasisMemo:
+    def test_consecutive_runs_build_the_basis_once(self, tmp_path, built):
+        run(twin_config(+1, None, tmp_path / "plus.csv"))
+        run(twin_config(-1, None, tmp_path / "minus.csv"))
+        assert len(built) == 1
+
+    def test_warm_runs_match_cold_runs_byte_for_byte(self, tmp_path, built):
+        cases = [(sign, constraint, {}) for constraint in (None, "rot_momentum")
+                 for sign in (+1, -1)] + [(+1, None, {"include_advection": False})]
+        for n, (sign, constraint, extra) in enumerate(cases):
+            run(twin_config(sign, constraint, tmp_path / f"warm{n}.csv", **extra))
+        assert len(built) == 1
+        for n, (sign, constraint, extra) in enumerate(cases):
+            timestepper._run_basis.cache_clear()
+            run(twin_config(sign, constraint, tmp_path / f"cold{n}.csv", **extra))
+            warm, cold = (tmp_path / f"{side}{n}.csv" for side in ("warm", "cold"))
+            assert warm.read_bytes() == cold.read_bytes()
+        assert len(built) == 1 + len(cases)
+
+    def test_a_new_domain_degree_or_method_rebuilds(self, built):
+        short = dict(t_end=0.02, record_every=0.01)
+        sequence = [({}, 1), ({}, 1), ({"degree": 3}, 2), ({"degree": 3}, 2),
+                    ({"degree": 3, "beta": Fraction(1, 4)}, 3),
+                    ({"degree": 3, "beta": Fraction(1, 4), "basis_method": "svd"}, 4),
+                    ({}, 5)]
+        for overrides, builds in sequence:
+            cfg = base_config(**(short | overrides))
+            run(cfg)
+            assert len(built) == builds
+            assert (built[-1].domain, built[-1].degree) == (cfg.domain(), cfg.degree)
+        assert built[3].rows is None and built[2].rows is not None   # svd, exact
+
+    def test_no_dense_tensor_or_fraction_fields_on_the_run_path(self, tmp_path, built):
+        run(twin_config(+1, "rot_momentum", tmp_path / "run.csv"))
+        basis = built[0]
+        blocks, pack = basis._assembly_cache["T"]
+        assert "T_dense" not in basis._assembly_cache
+        assert all(a.size < basis.dim ** 3 for a in (blocks, *pack))
+        assert "fields" not in vars(basis)

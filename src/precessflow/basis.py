@@ -13,36 +13,31 @@ independent cross-check of the span, not as the primary construction, since
 its completeness is not established.
 
 Reflection classes.  chi is even in each variable, so every constraint
-identity involves coefficients of one parity under the three mirror
-reflections x_a -> -x_a, and each exact nullspace field lies in one of 8
-reflection classes (coefficient_classes labels them).  Odd monomials
-integrate to exactly 0 over the ellipsoid, so every cross-class entry of the
-mass Gram is an exact 0.0 in float as well: each term of its sum has a zero
-factor.
+identity involves coefficients of one parity under the mirror reflections
+x_a -> -x_a: the system splits into 8 class blocks, and every nullspace field,
+exact or svd, lies in one class (coefficient_classes labels them).
+
+Nodal forms.  A product of fields of classes P and Q flips sign under
+x_a -> -x_a when bit a of P ^ Q is set, so a form is 0 between classes, and
+within a class its integrand is even: nodal_form, (U w) V^T per class block on
+the octant rule of degree 3N - 1 (basis_rule), computes every class-pure
+volume form.  Nodal values do not carry the rounded monomial integrals that a
+coefficient contraction (gram_form) amplifies by the size of the coefficients
+(1e3 at N = 8).  project splits its field into class parts to the same end.
 
 Orthonormalization is one kernel, the inverse Cholesky factor of a Gram, run
-on each class block and scattered into one block-diagonal combination matrix,
-so every orthonormal field stays in its class.  A field set that mixes classes
-(the svd fallback) is one class, orthonormalized as one block.  The first pass
-reads the float mass Gram of the raw fields, a float contraction of exact
-monomial integrals.  When the float Gram of the result still deviates from I
-by more than 1e-13, a polish pass runs the kernel on the Gram of the result
-summed per class in extended precision, since the float Gram's own
-cancellation error (coefficients reach 1e3 for O(1) fields) is as large as
-the residual it would correct.  The gate GRAM_IDENTITY_TOL reads the float Gram.
+on each class block of the raw fields' mass Gram, so every orthonormal field
+stays in its class; one polish pass runs it on the Gram of the result when
+that misses I by more than 1e-13.  GRAM_IDENTITY_TOL gates the same Gram.
 
 Integer lattice.  The exact path carries each field as one row of integer
-numerators over (v_x, v_y, v_z, q) coefficients with one denominator per row,
-never as per-term Fractions.  Every float combination coefficient is m 2^-e
-exactly, so each class block of the combination is one product of Python
-ints; the float coefficients are the correctly rounded divisions num / den,
-the values float(Fraction) gives.  The combined rows are then checked
-exactly: integer maps built from the monomial derivative and shift tables and
-chi's coefficients, independent of the constraint system, confirm
-div v = 0 and v . grad(chi) = chi q on every row, so every stored basis field
-satisfies both constraints exactly, not merely to round-off.  The basis
-keeps the rows; Basis.fields, the same fields with Fraction coefficients, is
-formed from them on first read (verify, save_basis), never by the build.
+numerators over (v_x, v_y, v_z, q) coefficients with one denominator.  Every
+float combination coefficient is m 2^-e, so a class block of the combination
+is one product of Python ints, and the float coefficients are the correctly
+rounded num / den.  Integer maps from the monomial derivative and shift
+tables, independent of the constraint system, prove div v = 0 and
+v . grad(chi) = chi q on every row.  Basis.fields (Fraction coefficients) is
+formed from the rows on first read (verify, save_basis), never by the build.
 
 The mass Gram, the coefficient array and the class labels are read-only: one
 basis is shared by every operator set assembled on it and, through
@@ -59,17 +54,18 @@ import numpy as np
 import scipy.linalg
 
 from . import monomials
-from .geometry import Domain
+from .geometry import Domain, octant_rule
 from .polynomials import Polynomial3, VectorField
 
 __all__ = [
     "Basis", "build_basis", "curl_form_fields", "stream_cross_field",
     "poincare_field", "solid_rotation", "project", "save_basis", "load_basis", "gram_form",
-    "coefficient_classes", "InvariantError",
+    "coefficient_classes", "InvariantError", "basis_rule", "nodal_form", "mass_gram",
 ]
 
 GRAM_IDENTITY_TOL = 1e-12
 N_CLASSES = 8     # mirror-reflection classes: one bit per axis
+_CLASS_BITS = np.array([1, 2, 4])
 
 
 class InvariantError(RuntimeError):
@@ -319,36 +315,54 @@ def _fields_from_rows(nums: np.ndarray, dens: np.ndarray, degree: int) -> list[V
 
 
 def _raw_coeff_svd(domain: Domain, degree: int, rank_rtol: float = 1e-10) -> np.ndarray:
-    """Float fallback: (fields, 3, D_N) coefficients of the SVD nullspace, relative rank cutoff."""
+    """Float fallback: (fields, 3, D_N) coefficients of the SVD nullspace of each class
+    block of the system (each identity and the columns it reads share its monomial's
+    class), with a rank cutoff relative to the block's largest singular value."""
     rows, dim_v, dim_q = _constraint_rows(domain, degree)
     ncols = 3 * dim_v + dim_q
     mat = np.zeros((len(rows), ncols))
     for i, row in enumerate(rows):
-        for c, v in row.items():
-            mat[i, c] = float(v)
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > rank_rtol * s[0])) if s.size else 0
-    return vt[rank:, :3 * dim_v].reshape(-1, 3, dim_v)
+        mat[i, list(row)] = [float(v) for v in row.values()]
+    col_cls = np.concatenate([_class_table(degree).ravel(),
+                              (monomials.exponents(degree - 1) % 2) @ _CLASS_BITS])
+    row_cls = col_cls[np.argmax(mat != 0.0, axis=1)]
+    blocks = []
+    for p in range(N_CLASSES):
+        cols = np.flatnonzero(col_cls == p)
+        _, s, vt = np.linalg.svd(mat[np.ix_(row_cls == p, cols)], full_matrices=True)
+        rank = int(np.sum(s > rank_rtol * s[0])) if s.size else 0
+        block = np.zeros((len(cols) - rank, ncols))
+        block[:, cols] = vt[rank:]
+        blocks.append(block)
+    return np.concatenate(blocks)[:, :3 * dim_v].reshape(-1, 3, dim_v)
 
 
 # ---------------------------------------------------------------------------
 # reflection classes and orthonormalization
 
+@functools.lru_cache(maxsize=None)
+def _class_table(degree: int) -> np.ndarray:
+    """(3, D_N) reflection class of component c at each monomial x^e: the parity of e + e_c."""
+    exps = monomials.exponents(degree)
+    table = ((exps[None] + np.eye(3, dtype=exps.dtype)[:, None]) % 2) @ _CLASS_BITS
+    table.flags.writeable = False
+    return table
+
+
 def coefficient_classes(coeff: np.ndarray, degree: int) -> np.ndarray:
     """Reflection class of each field of a (fields, 3, D_N) coefficient array.
 
-    Bit a of a class is set when the field flips sign under x_a -> -x_a.  If
-    any field mixes classes, every field gets class 0: one class.
+    Bit a of a class is set when the field flips sign under x_a -> -x_a.  A field
+    that is zero or mixes classes has none: ValueError names the first.
     """
-    exps = monomials.exponents(degree)                          # (D_N, 3)
-    flips = (exps[None] + np.eye(3, dtype=exps.dtype)[:, None]) % 2   # [comp, monomial, axis]
-    table = flips @ np.array([1, 2, 4])                         # (3, D_N)
+    table = _class_table(degree)
     nonzero = coeff != 0
     hi = np.where(nonzero, table, -1).max(axis=(1, 2))
     lo = np.where(nonzero, table, N_CLASSES).min(axis=(1, 2))
-    if np.array_equal(lo, hi):
-        return hi
-    return np.zeros(coeff.shape[0], dtype=hi.dtype)
+    mixed = np.flatnonzero(lo != hi)
+    if mixed.size:
+        raise ValueError(f"field {mixed[0]} does not lie in one reflection class")
+    return hi
 
 
 def _by_class(fn, mat: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -391,18 +405,14 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
     """Construct the orthonormal tangent solenoidal basis of total degree <= N.
 
     method='exact' solves the constraint nullspace in rational arithmetic (the
-    default; rank decisions are exact, and the nullspace takes 0.1-0.2 s at
-    N = 8-10).  method='svd' takes it from a float SVD: a fallback that needs no
-    rational arithmetic, and an independent cross-check.  Both orthonormalize
-    the float coefficients of the raw fields alike and differ only in applying
-    a combination q: exact on integer rows, with both constraints proved on
-    every combined row before the basis is returned (InvariantError names a
-    failing field); svd as the float product q @ raw.  No VectorField is
-    formed: Basis.fields is built on first read.
+    default; rank decisions are exact, and it takes 0.1-0.2 s at N = 8-10);
+    method='svd' takes it from one float SVD per reflection class, a fallback and
+    an independent cross-check.  Both orthonormalize alike; the combination q is
+    applied to the exact integer rows, with both constraints proved on every
+    combined row (InvariantError names a failing field), or to the svd floats.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    j_nn = monomials.gram(domain, degree, degree)
     if method == "exact":
         nums, dens = _raw_rows_exact(domain, degree)
         raw_arr = _rows_to_float(nums, dens, degree)
@@ -410,10 +420,9 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
         raw_arr = _raw_coeff_svd(domain, degree)
     else:
         raise ValueError(f"unknown method {method!r}")
-    g_raw = gram_form(raw_arr, j_nn, raw_arr)
-    g_raw = 0.5 * (g_raw + g_raw.T)
-    raw_cond = float(np.linalg.cond(g_raw))
     classes = coefficient_classes(raw_arr, degree)
+    g_raw = mass_gram(domain, degree, raw_arr, classes)
+    raw_cond = float(np.linalg.cond(g_raw))
 
     def orthonormalize(q):
         # exact: the integer rows (nums, dens) of q @ raw, rounded; svd: q @ raw in float
@@ -422,17 +431,14 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
             coeff = _rows_to_float(*rows, degree)
         else:
             rows, coeff = None, np.tensordot(q, raw_arr, 1)
-        gram = gram_form(coeff, j_nn, coeff)
+        gram = mass_gram(domain, degree, coeff, classes)
         return rows, coeff, gram, float(np.max(np.abs(gram - np.eye(len(coeff)))))
 
     # q is block diagonal by class, so each orthonormal field keeps its raw field's class
     q = _by_class(_orthonormal_coefficients, g_raw, classes)
     rows, coeff, gram, dev = orthonormalize(q)
-    if dev > 1e-13:
-        # one polish pass fixes residual loss of orthogonality; it is driven by the Gram
-        # in extended precision, as the float Gram's cancellation error is as large as
-        # the residual it would correct
-        q = _by_class(_orthonormal_coefficients, _extended_gram(coeff, j_nn, classes), classes) @ q
+    if dev > 1e-13:     # the polish pass
+        q = _by_class(_orthonormal_coefficients, gram, classes) @ q
         rows, coeff, gram, dev = orthonormalize(q)
     if dev > GRAM_IDENTITY_TOL:
         raise InvariantError(f"orthonormalization failed: gram deviates from identity by {dev:.3e}")
@@ -443,30 +449,42 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
 
 
 def gram_form(a: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """G[i, k] = sum_c a[i, c] . J . b[k, c]: every bilinear form over coefficient arrays.
+    """G[i, k] = sum_c a[i, c] . J . b[k, c]: a bilinear form over coefficient arrays.
 
-    a is (rows, C, D_a), j is (D_a, D_b) and b is (cols, C, D_b); a field's
-    Gram, a one-row projection and each stiffness form (C = 9 tensor
-    components) all take this one summation path.
+    a is (rows, C, D_a), j is (D_a, D_b) monomial integrals and b is (cols, C, D_b);
+    the path of the odd-in-z part of the hemispheric Grams, which is not an octant form.
     """
     return np.einsum("icm,mn,jcn->ij", a, j, b, optimize=True)
 
 
-def _extended_gram(coeff: np.ndarray, j_nn: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """The mass Gram of coeff, each class block summed in np.longdouble over its own monomials.
+def basis_rule(domain: Domain, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The octant rule of a degree-N basis: exact to degree 3N - 1, the degree of the
+    advection integrand b_i . grad b_j . b_k and the highest of every class-pure form."""
+    return octant_rule(domain, 3 * degree - 1)
 
-    np.longdouble carries a 64-bit mantissa on x86-64, where this cuts the
-    summation error of the float gram_form by about 2000; on platforms where it
-    is a plain double the result is a float Gram.
+
+def nodal_form(u: np.ndarray, weights: np.ndarray, v: np.ndarray, classes: np.ndarray,
+               shift: int = 0) -> np.ndarray:
+    """G[i, k] = sum_(c, n) u[i, c, n] w[n] v[k, c, n] where cls(k) = cls(i) ^ shift, else 0.
+
+    u and v are (dim, C, nodes) values on an octant rule (C = 3 for fields, 9 for
+    gradients); each kept block, whose integrand is even, is one product (U w) V^T.
     """
-    gram = np.zeros((coeff.shape[0],) * 2)
+    out = np.zeros((len(u), len(v)))
+    uw = (u * weights).reshape(len(u), -1)
+    v = v.reshape(len(v), -1)
     for p in np.unique(classes):
-        rows = np.flatnonzero(classes == p)
-        mono = np.flatnonzero(np.any(coeff[rows] != 0.0, axis=(0, 1)))
-        block = coeff[np.ix_(rows, range(3), mono)].astype(np.longdouble)
-        j_block = j_nn[np.ix_(mono, mono)].astype(np.longdouble)
-        gram[np.ix_(rows, rows)] = gram_form(block, j_block, block)
-    return gram
+        i, k = np.flatnonzero(classes == p), np.flatnonzero(classes == p ^ shift)
+        out[np.ix_(i, k)] = uw[i] @ v[k].T
+    return out
+
+
+def mass_gram(domain: Domain, degree: int, coeff: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The (symmetrized) mass Gram of class-pure fields, on the basis rule."""
+    points, weights = basis_rule(domain, degree)
+    u = coeff @ monomials.vandermonde(points, degree).T
+    g = nodal_form(u, weights, u, classes)
+    return 0.5 * (g + g.T)
 
 
 def _combine_rows(nums: np.ndarray, dens: np.ndarray, q: np.ndarray,
@@ -554,25 +572,23 @@ def _check_exact_rows(domain: Domain, degree: int, nums: np.ndarray) -> None:
 def project(v: VectorField, basis: Basis):
     """L2-orthogonal projection onto the basis span.
 
-    Returns (coefficients, residual) with residual = || v - sum c_i b_i ||_L2,
-    measured on the explicitly formed residual field so that exact members
-    come back at round-off level rather than at the sqrt(eps) cancellation
-    floor of the normal-equation identity.
+    Returns (coefficients, residual) with residual = || v - sum c_i b_i ||_L2 of
+    the explicitly formed residual field, so exact members come back at round-off.
+    Each integrand is taken by reflection-class parts of v (monomial parity), for
+    which an octant rule of degree 2 max(deg v, N) is exact: the basis rule, on
+    whose nodes the stiffness forms are taken too, unless deg v > N.
     """
-    deg = max(v.degree, 0)
-    arr = monomials.field_to_array(v.to_float(), deg)
-    j_vb = monomials.gram(basis.domain, deg, basis.degree)
-    rhs = gram_form(arr[None], j_vb, basis.coeff_array)[0]
+    top = max(v.degree, basis.degree)
+    points, weights = octant_rule(basis.domain, max(3 * basis.degree - 1, 2 * top))
+    vander = monomials.vandermonde(points, top).T
+    masks = _class_table(top) == np.arange(N_CLASSES)[:, None, None]
+    arr = monomials.field_to_array(v.to_float(), top)
+    d_n = basis.coeff_array.shape[-1]
+    rhs = np.einsum("icn,icn->i", (basis.coeff_array @ vander[:d_n]) * weights,
+                    (np.where(masks, arr, 0.0) @ vander)[basis.classes])
     coeffs = np.linalg.solve(basis.gram, rhs)
-    top = max(deg, basis.degree)
-    dim_top = monomials.space_dim(top)
-    res_arr = np.zeros((3, dim_top))
-    res_arr[:, :arr.shape[1]] = arr
-    recon = np.einsum("i,icm->cm", coeffs, basis.coeff_array)
-    res_arr[:, :recon.shape[1]] -= recon
-    j_tt = monomials.gram(basis.domain, top, top)
-    res2 = float(gram_form(res_arr[None], j_tt, res_arr[None])[0, 0])
-    return coeffs, math.sqrt(max(res2, 0.0))
+    arr[:, :d_n] -= np.einsum("i,icm->cm", coeffs, basis.coeff_array)
+    return coeffs, math.sqrt(float(np.sum((np.where(masks, arr, 0.0) @ vander) ** 2 @ weights)))
 
 
 def save_basis(basis: Basis, path) -> None:
@@ -598,43 +614,59 @@ def save_basis(basis: Basis, path) -> None:
 
 
 def load_basis(path) -> Basis:
-    """Read a basis export; fields come back with float coefficients."""
+    """Read a basis export; fields come back with float coefficients.
+
+    A malformed header or field line, a non-finite coefficient, a monomial above the
+    degree or a field outside one reflection class raises ValueError naming the line.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("# precessflow basis"):
         raise ValueError("not a basis export file")
-    domain = None
-    degree = None
-    dim = None
-    fields = []
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            parts = ln[1:].split()
-            if parts[0] == "axes":
-                domain = Domain(*(Fraction(p) for p in parts[1:4]))
-            elif parts[0] == "beta":
-                domain = Domain.from_beta(Fraction(parts[1]))
-            elif parts[0] == "degree":
-                degree = int(parts[1])
-                dim = int(parts[3])
-            continue
-        if not ln.strip():
-            continue
-        comps = []
-        for group in ln.split(";"):
-            group = group.strip()
-            coeffs = {}
-            if group != "-":
-                for tok in group.split():
-                    exppart, val = tok.split(":")
-                    i, j, k = (int(t) for t in exppart.split(","))
-                    coeffs[(i, j, k)] = float(val)
-            comps.append(Polynomial3(coeffs))
-        fields.append(VectorField(tuple(comps)))
+    domain, degree, dim, arrays = None, None, None, []
+    for number, ln in enumerate(lines[1:], start=2):
+        parts = ln[1:].split() if ln.startswith("#") else None
+        try:
+            if parts and parts[0] in ("axes", "beta"):
+                if len(parts) != (4 if parts[0] == "axes" else 2):
+                    raise ValueError(f"malformed {parts[0]} header")
+                values = [Fraction(p) for p in parts[1:]]
+                domain = Domain(*values) if parts[0] == "axes" else Domain.from_beta(values[0])
+            elif parts and parts[0] == "degree":
+                if len(parts) != 4 or parts[2] != "dim" or min(int(parts[1]), int(parts[3])) < 1:
+                    raise ValueError("malformed degree header")
+                degree, dim = int(parts[1]), int(parts[3])
+            elif parts is None and ln.strip():
+                arrays.append(_parse_field(ln, degree))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {number}: {exc}: {ln!r}") from None
     if domain is None or degree is None:
         raise ValueError("basis export is missing its header")
-    if dim is not None and dim != len(fields):
-        raise ValueError(f"basis export announces dim {dim} but carries {len(fields)} fields")
-    coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
-    gram = gram_form(coeff, monomials.gram(domain, degree, degree), coeff)
-    return Basis(domain, degree, coeff, gram, float("nan"), coefficient_classes(coeff, degree))
+    if dim != len(arrays):
+        raise ValueError(f"basis export announces dim {dim} but carries {len(arrays)} fields")
+    coeff = np.stack(arrays)
+    classes = coefficient_classes(coeff, degree)
+    return Basis(domain, degree, coeff, mass_gram(domain, degree, coeff, classes),
+                 float("nan"), classes)
+
+
+def _parse_field(line: str, degree: int | None) -> np.ndarray:
+    """(3, D_N) coefficients of a field line, three ';'-separated groups of 'i,j,k:value'
+    tokens or '-'; the field must lie in one reflection class."""
+    if degree is None:
+        raise ValueError("field line before the degree header")
+    groups = line.split(";")
+    if len(groups) != 3:
+        raise ValueError(f"{len(groups)} components, expected 3")
+    arr = np.zeros((3, monomials.space_dim(degree)))
+    for c, group in enumerate(groups):
+        for tok in group.split() if group.strip() != "-" else ():
+            exp, val = tok.split(":")
+            m = monomials.index_map(degree).get(tuple(int(e) for e in exp.split(",")))
+            if m is None or not math.isfinite(float(val)):
+                raise ValueError(f"monomial {exp} of degree > {degree}" if m is None
+                                 else f"non-finite coefficient {val}")
+            arr[c, m] = float(val)
+    if len(np.unique(_class_table(degree)[arr != 0.0])) != 1:
+        raise ValueError("the field is zero or mixes reflection classes")
+    return arr

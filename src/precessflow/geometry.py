@@ -1,14 +1,16 @@
-"""Ellipsoidal container geometry: exact volume integrals and surface quadrature.
+"""Ellipsoidal container geometry: exact volume integrals and the quadrature rules.
 
 Volume integrals of monomials over the ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 < 1
-have a closed form in half-integer Gamma functions.  Those Gammas reduce to
-rationals times sqrt(pi), so every integral is computed here as
-
-    (exact rational) * pi * (product of axes),
-
-with a single floating conversion at the end.  Surface integrals have no
-elementary closed form on a general ellipsoid and are done by tensorized
-Gauss-Legendre / trapezoid quadrature on the polar parametrization.
+have a closed form in half-integer Gamma functions, computed as (exact
+rational) * pi * (product of axes) with one final floating conversion.  They
+serve the forms that are not even in x, y and z: the odd-in-z part of the
+hemispheric Grams, the angular momentum and the boundary forcing.  Every form between basis fields of one
+reflection class (see basis) has an integrand even in x, y and z, which the
+octant rule integrates exactly from the nodes with x, y, z > 0 alone, weights
+times 8: a Gauss product rule for the ball (Stroud, Approximate Calculation
+of Multiple Integrals, 1971).  Surface integrals have no elementary closed
+form on a general ellipsoid and are done by tensorized Gauss-Legendre /
+trapezoid quadrature on the polar parametrization.
 """
 
 from __future__ import annotations
@@ -254,6 +256,32 @@ def surface_rule(domain: Domain, n_theta: int, n_phi: int) -> SurfaceRule:
     weights = np.outer(w_theta, w_phi) * area
     points = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
     return SurfaceRule(points=points, weights=weights.ravel(), orders=(n_theta, n_phi))
+
+
+@lru_cache(maxsize=None)
+def octant_rule(domain: Domain, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (points (n, 3), weights (n,)) on x, y, z > 0 that integrate over the
+    ellipsoid every polynomial of degree <= degree even in x, y, z; n = (degree // 4 + 1)^3.
+
+    An even polynomial of degree 2m has degree <= m in s = r^2, v = cos^2 t and cos 2p.
+    The q = degree // 4 + 1 nodes r > 0 of the (2q + 1)-point Gauss-Legendre rule (weight
+    w r^2) and cos t > 0 of the 2q-point one are the Gauss-Jacobi rules in s and v, and
+    p at the midpoints of q steps on (0, pi/2) is Gauss-Chebyshev in 2p: each is exact to
+    degree m.
+    """
+    q = degree // 4 + 1
+    r, w_r = np.polynomial.legendre.leggauss(2 * q + 1)
+    ct, w_t = np.polynomial.legendre.leggauss(2 * q)
+    r, w_r, ct, w_t = r[q + 1:, None, None], w_r[q + 1:] * r[q + 1:] ** 2, ct[q:, None], w_t[q:]
+    st, p = np.sqrt((1.0 - ct) * (1.0 + ct)), 0.5 * math.pi * (np.arange(q) + 0.5) / q
+    points = np.stack([(domain.a * r * st * np.cos(p)).ravel(),
+                       (domain.b * r * st * np.sin(p)).ravel(),
+                       (domain.c * r * ct * np.ones(q)).ravel()], axis=1)
+    # 8 octants, a b c from the map, pi / (2 q) per p
+    weights = (8.0 * domain.a * domain.b * domain.c * 0.5 * math.pi / q
+               * np.repeat(np.outer(w_r, w_t).ravel(), q))
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
 
 
 def volume_integral(poly: Polynomial3, domain: Domain) -> float:

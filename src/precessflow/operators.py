@@ -1,4 +1,4 @@
-"""Galerkin operator assembly from exact monomial integration.
+"""Galerkin operator assembly on the basis rule, exact for every class-pure form.
 
 Everything the semi-discrete system
 
@@ -10,43 +10,26 @@ precession axis, the advection tensor T[i][j][k] = integral of
 (b_i . grad b_j) . b_k, angular-momentum vectors, and the boundary-condition
 forcing.  Boundary terms of the two inhomogeneous forms are reduced to volume
 integrals (the data field is linear, so its strain/gradient is constant and
-div eps(u_P) = 0), keeping assembly exact; no surface quadrature enters the
-dynamics.
+div eps(u_P) = 0); no surface quadrature enters the dynamics.
 
-Reflection classes.  chi = x^2/a^2 + y^2/b^2 + z^2/c^2 - 1 is even in each
-variable, so each constraint identity of the basis construction involves
-coefficients of one parity under the three mirror reflections x_a -> -x_a
-(component c of x^e flips sign when e_a + [a == c] is odd).  The constraint
-system therefore splits by reflection class, one of 8, and the exact nullspace,
-orthonormalized against a Gram whose cross-class entries are exact zeros,
-keeps every field in one class: basis.classes holds each field's label
-(basis.coefficient_classes).  Odd monomials integrate to exactly 0 over the
-ellipsoid, so T[i, j, k] = 0 unless cls(i) ^ cls(j) ^ cls(k) = 0.
+Which path each form takes.  The class-pure forms, M (the basis Gram), A_sym,
+A_grad, C_x and T, are nodal forms on the basis rule (see basis).  The
+hemispheric Grams are M / 2 on matching classes and +-K, from exact
+half-ellipsoid monomial integrals, on classes that differ in the z bit only;
+mom and F_bc are exact monomial integrals too.
 
-Class-block assembly of T.  T is assembled only on the class triples
-(P, Q, P ^ Q), 64 of the 512 for 8 classes.  Each (class, component) block of
-the basis, and each (class, component, axis) block of its derivatives, is
-restricted to the monomials on which it is nonzero (about 1/8 of them for an
-exact basis) and zero-padded to one common width, and the classes are padded
-to one row count, so the whole assembly is a fixed number of batched numpy
-calls.  The contractions are those of the dense assembly, in its order: with
-the triple-product table over o, then over (c, n) with the derivatives, then
-over (a, m).  The o-contraction depends on the axis a only through the
-monomials it reads, so each distinct one runs once.  The resulting
-(triple, i, k, j) blocks are kept on the basis, and the packed copy below is
-gathered from them; assembly forms no dense T.  OperatorSet.T (which verify,
-dump and the tests read) scatters the blocks into the dense tensor on first
-read, once per basis.  A basis with one class is the single-block case of the
-same code.
+Class-pair assembly of T.  T is assembled only on the class triples
+(Q ^ R, Q, R), 64 of the 512 for 8 classes, as (triple, i, k, j) blocks kept
+on the basis; the packed copy below is gathered from them, and OperatorSet.T
+(which verify, dump and the tests read) scatters them into the dense tensor
+on first read, once per basis.
 
 Packed advection.  Only the (i, j)-symmetric part of T enters
 N_k = sum_ij c_i c_j T[i, j, k].  For each output class P, G[P] holds
 T[i, j, k] + T[j, i, k] (T[i, i, k] on the diagonal) for the outputs k of
 class P and the pairs i <= j with cls(i) ^ cls(j) = P, zero-padded to one
-(classes, rows, pairs) array; advection is then two gathers of c, one batched
-matrix-vector product and one gather back to basis order, about dim^3 / 16
-multiply-adds for 8 balanced classes.  A basis with a field that mixes
-classes (the svd fallback) gets one class, and G is the symmetric half of T.
+(classes, rows, pairs) array: advection is two gathers of c, one batched
+matrix-vector product and one gather back, about dim^3 / 16 multiply-adds.
 
 Sharing.  The operators that do not depend on (nu, eps_p, bc) are cached on
 the basis (see assemble) and are read-only, as is the dense T: every operator
@@ -62,7 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import monomials
-from .basis import N_CLASSES, Basis, gram_form, solid_rotation
+from .basis import (N_CLASSES, Basis, basis_rule, coefficient_classes, gram_form, nodal_form,
+                    solid_rotation)
 from .geometry import Domain, volume_integral
 from .polynomials import Polynomial3, VectorField
 
@@ -184,48 +168,45 @@ def _read_only(value):
 
 
 def _core_matrices(basis: Basis) -> dict:
-    """The axis- and bc-independent matrices, plus db and strain for forcing and T."""
-    domain = basis.domain
-    n = basis.degree
-    bc_arr = basis.coeff_array                        # (dim, 3, D_N)
-    j_dd = monomials.gram(domain, n - 1, n - 1)
+    """The axis- and bc-independent matrices, plus db for F_bc and nodal values for C_x and T."""
+    domain, n, bc_arr, cls = basis.domain, basis.degree, basis.coeff_array, basis.classes
+    points, weights = basis_rule(domain, n)
 
-    hn = gram_form(bc_arr, monomials.gram(domain, n, n, "north"), bc_arr)
-    hs = gram_form(bc_arr, monomials.gram(domain, n, n, "south"), bc_arr)
+    # Hn, Hs: M / 2 where the integrand is even in z, +-K where only the z bit
+    # of the classes differs, so Hn + Hs = M exactly
+    odd_in_z = (cls[:, None] ^ cls[None, :]) == 4
+    k = np.where(odd_in_z, gram_form(bc_arr, monomials.gram(domain, n, n, "north"), bc_arr), 0.0)
+    hn, hs = 0.5 * basis.gram + k, 0.5 * basis.gram - k
 
-    # dB[i, comp, axis, :] = d(b_i)_comp / d x_axis
+    # dB[i, comp, axis, :] = d(b_i)_comp / d x_axis; values and gradients at the nodes
     db = np.stack([monomials.apply_derivative(bc_arr, n, a) for a in range(3)], axis=2)
-    strain = 0.5 * (db + db.transpose(0, 2, 1, 3))
+    values = bc_arr @ monomials.vandermonde(points, n).T
+    grad = db @ monomials.vandermonde(points, n - 1).T
 
-    # 9-component views, component index 3 * comp + axis
-    s9 = strain.reshape(basis.dim, 9, -1)
-    g9 = db.reshape(basis.dim, 9, -1)
-    a_sym = 2.0 * gram_form(s9, j_dd, s9)
-    a_grad = gram_form(g9, j_dd, g9)
-    a_sym = 0.5 * (a_sym + a_sym.T)
-    a_grad = 0.5 * (a_grad + a_grad.T)
+    # 9-component values, component index 3 * comp + axis
+    g9 = grad.reshape(basis.dim, 9, -1)
+    s9 = 0.5 * (grad + grad.transpose(0, 2, 1, 3)).reshape(basis.dim, 9, -1)
+    a_sym, a_grad = (nodal_form(g, weights, g, cls) for g in (s9, g9))
+    a_sym, a_grad = a_sym + a_sym.T, 0.5 * (a_grad + a_grad.T)     # 2 eps:eps, grad:grad
 
     ivec_up = monomials.integral_vector(domain, n + 1)
     shifted = [[monomials.apply_shift(bc_arr[:, c, :], n, a) for c in range(3)]
                for a in range(3)]
-    mom = np.stack([
-        (shifted[1][2] - shifted[2][1]) @ ivec_up,
-        (shifted[2][0] - shifted[0][2]) @ ivec_up,
-        (shifted[0][1] - shifted[1][0]) @ ivec_up,
-    ])
+    # (x cross b)_a = x_(a+1) b_(a+2) - x_(a+2) b_(a+1)
+    mom = np.stack([(shifted[(a + 1) % 3][(a + 2) % 3] - shifted[(a + 2) % 3][(a + 1) % 3])
+                    @ ivec_up for a in range(3)])
     return dict(M=basis.gram, A_sym=a_sym, A_grad=a_grad, mom=mom, Hn=hn, Hs=hs,
-                db=db, strain=strain)
+                db=db, values=values, grad=grad)
 
 
-def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarray:
-    bc_arr = basis.coeff_array
-    w = np.asarray(axis, dtype=float)
-    wb = np.empty_like(bc_arr)
-    wb[:, 0] = w[1] * bc_arr[:, 2] - w[2] * bc_arr[:, 1]
-    wb[:, 1] = w[2] * bc_arr[:, 0] - w[0] * bc_arr[:, 2]
-    wb[:, 2] = w[0] * bc_arr[:, 1] - w[1] * bc_arr[:, 0]
-    j_nn = monomials.gram(basis.domain, basis.degree, basis.degree)
-    return gram_form(bc_arr, j_nn, wb)
+def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float], values) -> np.ndarray:
+    """C = sum_a w_a C^a, C^a[i, k] = integral of b_i . (e_a x b_k): class P with P ^ cls(e_a x x)."""
+    weights = basis_rule(basis.domain, basis.degree)[1]
+    rotations = np.stack([monomials.field_to_array(solid_rotation(e), 1) for e in np.eye(3)])
+    return sum(w_a * nodal_form(values, weights, np.cross(e_a, values, axisb=1, axisc=1),
+                                basis.classes, shift)
+               for w_a, e_a, shift in zip(axis, np.eye(3), coefficient_classes(rotations, 1))
+               if w_a)
 
 
 class _ClassTriples(NamedTuple):
@@ -262,43 +243,6 @@ def _class_triples(cls: np.ndarray) -> _ClassTriples:
     return _ClassTriples(rows, slot, pos, li, lj, lk, tri)
 
 
-def _supports(arr: np.ndarray, rows: np.ndarray):
-    """Each class block of arr restricted to the monomials where it is nonzero.
-
-    arr is (dim, ..., D).  Returns the blocks (classes, ..., n_rows, width),
-    zero-padded, the support id of each block (classes, ...) and the monomial
-    list of each distinct support (supports, width); a support shorter than
-    width is padded with monomials on which its blocks vanish.
-    """
-    n_cls, n_rows = rows.shape
-    mid, n_mono = arr.shape[1:-1], arr.shape[-1]
-    blocks = np.concatenate([arr, np.zeros((1,) + arr.shape[1:])])[rows]  # (classes, rows, ..., D)
-    masks = np.any(blocks != 0.0, axis=1)
-    keys = [m.tobytes() for m in masks.reshape(-1, n_mono)]
-    ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    sid = np.array([ids[key] for key in keys])
-    distinct = np.frombuffer(b"".join(ids), dtype=bool).reshape(len(ids), n_mono)
-    width = max(int(distinct.sum(axis=1).max()), 1)
-    mono = np.argsort(~distinct, axis=1, kind="stable")[:, :width]
-    # flat index of every kept entry within its class block, then one gather
-    cols = (np.arange(sid.size // n_cls)[:, None] * n_mono + mono[sid].reshape(n_cls, -1, width))
-    flat = np.arange(n_rows)[:, None, None] * masks[0].size + cols[:, None]
-    vals = np.take_along_axis(blocks.reshape(n_cls, -1), flat.reshape(n_cls, -1), axis=1)
-    vals = np.moveaxis(vals.reshape((n_cls, n_rows) + mid + (width,)), 1, -2)
-    return vals, sid.reshape((n_cls,) + mid), mono
-
-
-def _distinct(*keys):
-    """Distinct tuples of broadcast non-negative int key arrays: inverse index and their keys."""
-    keys = [k.ravel() for k in np.broadcast_arrays(*keys)]
-    radix = [int(k.max()) + 1 for k in keys]
-    code = np.ravel_multi_index(keys, radix)
-    present = np.zeros(math.prod(radix), dtype=bool)
-    present[code] = True
-    inverse = (np.cumsum(present) - 1)[code]
-    return inverse, np.unravel_index(np.flatnonzero(present), radix)
-
-
 def _pack_advection(blocks: np.ndarray, tr: _ClassTriples) -> PackedAdvection:
     """Gather the packed operator from the (triple, i, k, j) blocks of T, every class at once."""
     n_cls, n_rows = tr.rows.shape
@@ -324,33 +268,23 @@ def _pack_advection(blocks: np.ndarray, tr: _ClassTriples) -> PackedAdvection:
     return PackedAdvection(g, pi, pj, tr.slot * n_rows + tr.pos)
 
 
-def _advection_operators(basis: Basis, db: np.ndarray):
+def _advection_operators(basis: Basis, values: np.ndarray, grad: np.ndarray):
     """The (triple, i, k, j) blocks of T and the packed copy, class triple by class triple.
 
-    See the module docstring; _dense_advection scatters the blocks into T.
+    B[n, a, k, j] = sum_c b_k[c] d_a b_j[c] at the nodes is one batch of (k, 3) x (3, j)
+    products; the block is then one product of the weighted values w_n b_i[a] with B.
     """
-    n = basis.degree
     tr = _class_triples(basis.classes)
-    b, b_sid, b_mono = _supports(basis.coeff_array, tr.rows)   # (classes, 3, rows, mb)
-    d, d_sid, d_mono = _supports(db, tr.rows)                  # (classes, 3, 3 axes, rows, md)
-    n_t, n_r, mb, md = len(tr.li), tr.rows.shape[1], b.shape[-1], d.shape[-1]
-
-    # term (t, a, c) reads the table on (m, n, o): the monomials of b_i[a], d_a b_j[c], b_k[c].
-    # Over o with b_k[c] first, once per distinct (m support, n support, k class, c).
-    w_id, (m_s, n_s, k_w, c_w) = _distinct(
-        b_sid[tr.li][:, :, None], d_sid[tr.lj].transpose(0, 2, 1), tr.lk[:, None, None],
-        np.arange(3))
-    g3 = monomials.triple_product_table(basis.domain, n, n - 1, n)
-    _, d1, d2 = g3.shape
-    g = g3.ravel()[(b_mono[m_s] * (d1 * d2))[:, None, :, None]
-                   + (d_mono[n_s] * d2)[:, :, None, None]
-                   + b_mono[b_sid[k_w, c_w]][:, None, None, :]]              # (terms, n, m, o)
-    w = np.matmul(g.reshape(len(m_s), md * mb, mb), b[k_w, c_w].swapaxes(-1, -2))
-    w = w[w_id].reshape(n_t, 3, 3 * md, mb * n_r).swapaxes(-1, -2)       # (t, a, m*k, c*n)
-    # then over (c, n) with the derivatives of b_j, then over (a, m) with b_i
-    v = np.matmul(w, d[tr.lj].transpose(0, 2, 1, 4, 3).reshape(n_t, 3, 3 * md, n_r))
-    bi = b[tr.li].transpose(0, 2, 1, 3).reshape(n_t, n_r, 3 * mb)
-    blocks = np.matmul(bi, v.reshape(n_t, 3 * mb, n_r * n_r)).reshape(n_t, n_r, n_r, n_r)
+    weights = basis_rule(basis.domain, basis.degree)[1]
+    members = [rows[rows < basis.dim] for rows in tr.rows]
+    u_k = [np.ascontiguousarray(values[m].transpose(2, 0, 1)[:, None]) for m in members]
+    g_j = [np.ascontiguousarray(grad[m].transpose(3, 2, 1, 0)) for m in members]
+    uw = [(values[m] * weights).transpose(0, 2, 1).reshape(len(m), -1) for m in members]
+    blocks = np.zeros((len(tr.li),) + (tr.rows.shape[1],) * 3)
+    for t, (p, q, r) in enumerate(zip(tr.li.tolist(), tr.lj.tolist(), tr.lk.tolist())):
+        b = np.matmul(u_k[r], g_j[q])                         # (n, a, k, j)
+        n_i, (n_k, n_j) = len(uw[p]), b.shape[2:]
+        blocks[t, :n_i, :n_k, :n_j] = (uw[p] @ b.reshape(-1, n_k * n_j)).reshape(n_i, n_k, n_j)
     return blocks, _pack_advection(blocks, tr)
 
 
@@ -389,8 +323,8 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
         raise ValueError("precession axis must be a finite unit vector of three components")
 
     core = _cached(basis, "core", _core_matrices)
-    c_x = _cached(basis, ("C_x", axis), _coriolis_matrix, axis)
-    t_packed = (_cached(basis, "T", _advection_operators, core["db"])[1]
+    c_x = _cached(basis, ("C_x", axis), _coriolis_matrix, axis, core["values"])
+    t_packed = (_cached(basis, "T", _advection_operators, core["values"], core["grad"])[1]
                 if include_advection else None)
     f_bc = _forcing_vector(basis, bc, nu, core)
     return OperatorSet(
@@ -403,17 +337,18 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
 def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float, core: dict) -> np.ndarray:
     if not bc.is_inhomogeneous:
         return np.zeros(basis.dim)
+    # eps(b) : E = grad(b) : E for the symmetric strain rate E of the data
     if bc.form == "poincare_stress":
-        data, tensor, weight, what = bc.data_field.strain(), core["strain"], 2.0 * nu, "strain rate"
+        data, weight, what = bc.data_field.strain(), 2.0 * nu, "strain rate"
     else:
-        data, tensor, weight, what = bc.data_field.gradient(), core["db"], nu, "gradient"
+        data, weight, what = bc.data_field.gradient(), nu, "gradient"
     if any(data[a][c].degree > 0 for a in range(3) for c in range(3)):
         raise ValueError(f"data field must have a constant {what}")
     # data[axis][comp] = d(u_comp)/d(x_axis), flattened in the (comp, axis) order of db
     const = np.array([float(data[a][c].coeffs.get((0, 0, 0), 0.0))
                       for c in range(3) for a in range(3)])
     ivec_d = monomials.integral_vector(basis.domain, basis.degree - 1)
-    return weight * (tensor.reshape(basis.dim, 9, -1) @ ivec_d) @ const
+    return weight * (core["db"].reshape(basis.dim, 9, -1) @ ivec_d) @ const
 
 
 def advection_term(ops: OperatorSet, coeffs: np.ndarray) -> np.ndarray:

@@ -34,6 +34,35 @@ def get_ops(kind: str, degree: int, form="stress_free", nu=1.0, eps_p=0.0, data=
     return assemble(basis, BoundaryCondition(form, data), nu=nu, eps_p=eps_p)
 
 
+# one edited line of the spheroid N = 2 export, whose lines are the magic line,
+# "# axes 1 1 4/5", "# degree 2 dim 11" and then the 11 fields:
+# case -> (line number, new text, the ValueError's message)
+MALFORMED_EXPORTS = {
+    "degree_without_dim": (3, "# degree 1", "malformed degree header"),
+    "two_axes": (2, "# axes 1 1", "malformed axes header"),
+    "zero_axis": (2, "# axes 1 1 0", "semi-axes must be positive"),
+    "nan": (4, "0,1,0:nan ; - ; -", "non-finite coefficient nan"),
+    "inf": (5, "0,1,0:1.0 ; - ; 1,0,1:-inf", "non-finite coefficient -inf"),
+    "above_degree": (4, "3,0,0:1.0 ; - ; -", "monomial 3,0,0 of degree > 2"),
+    "mixed_classes": (6, "0,0,0:1.0 1,0,0:1.0 ; - ; -",
+                      "the field is zero or mixes reflection classes"),
+    "zero_field": (4, "- ; - ; -", "the field is zero or mixes reflection classes"),
+}
+
+
+def malformed_export(tmp_path, case):
+    """(path, line number, message) of the spheroid N = 2 export with one line edited."""
+    from precessflow.basis import save_basis
+
+    line, text, message = MALFORMED_EXPORTS[case]
+    path = tmp_path / "basis.txt"
+    save_basis(get_basis("spheroid", 2), path)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path, line, message
+
+
 @pytest.fixture(scope="session")
 def domains():
     return DOMAINS

@@ -1,0 +1,123 @@
+"""Exact-rational referee for sampled entries of M, A_sym, C_x and T.
+
+Every float coefficient of a basis is a binary rational m 2^-e, so field i is
+an integer coefficient array over one power of two.  Every monomial integral
+over an ellipsoid with rational semi-axes is pi times a rational
+(geometry._ball_monomial_fraction), so the integrals up to the degree of T
+are one integer table over a common denominator.  An entry is then an exact
+integer sum over the monomials its fields use, divided once and times pi:
+the value of the operator for the fields the basis really holds, free of the
+summation error of any float assembly.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from precessflow import monomials
+from precessflow.geometry import _ball_monomial_fraction
+
+
+def _integer_rows(coeff: np.ndarray):
+    """Integer arrays and one power-of-two denominator per field of a float array."""
+    ints = np.zeros(coeff.shape, dtype=object)
+    dens = []
+    for i, field in enumerate(coeff):
+        ratios = [x.as_integer_ratio() for x in field.ravel().tolist()]
+        den = max(d for _, d in ratios)
+        ints[i] = np.array([m * (den // d) for m, d in ratios], dtype=object).reshape(field.shape)
+        dens.append(den)
+    return ints, dens
+
+
+class Referee:
+    def __init__(self, basis):
+        domain, n = basis.domain, basis.degree
+        assert domain.axes_exact is not None, "the referee needs rational semi-axes"
+        self.b, self.den = _integer_rows(basis.coeff_array)               # (dim, 3, D_N)
+        self.db = np.zeros(self.b.shape[:2] + (3, monomials.space_dim(n - 1)), dtype=object)
+        for a in range(3):
+            src, dst, mult = monomials.derivative_arrays(n, a)
+            self.db[:, :, a, dst] = self.b[:, :, src] * mult.astype(np.int64).astype(object)
+        # integrals of x^p y^q z^r up to degree 3N - 1, / pi, over one denominator
+        self.span = 3 * n
+        fa, fb, fc = domain.axes_exact
+        table = {}
+        for p in range(0, self.span, 2):
+            for q in range(0, self.span - p, 2):
+                for r in range(0, self.span - p - q, 2):
+                    table[(p * self.span + q) * self.span + r] = (
+                        _ball_monomial_fraction(p, q, r) * domain.a2 ** (p // 2)
+                        * domain.b2 ** (q // 2) * domain.c2 ** (r // 2) * fa * fb * fc)
+        self.lcm = math.lcm(*(v.denominator for v in table.values()))
+        self.table = np.zeros(self.span ** 3, dtype=object)
+        for code, v in table.items():
+            self.table[code] = v.numerator * (self.lcm // v.denominator)
+        self.code = {d: (monomials.exponents(d) * [self.span ** 2, self.span, 1]).sum(axis=1)
+                     for d in (n - 1, n)}
+        self.n = n
+
+    def _integral(self, *factors) -> int:
+        """Integer integral (over lcm) of a product of (int coefficients, degree) polynomials."""
+        support = [np.flatnonzero(c != 0) for c, _ in factors]
+        if any(s.size == 0 for s in support):
+            return 0
+        codes = sum(np.ix_(*[self.code[d][s] for (_, d), s in zip(factors, support)]))
+        total = self.table[codes]
+        for (c, _), s in reversed(list(zip(factors, support))):
+            total = total @ c[s]
+        return total
+
+    def _value(self, total: int, *fields) -> float:
+        den = self.lcm * math.prod(self.den[i] for i in fields)
+        return float(Fraction(total, den)) * math.pi
+
+    def mass(self, i, k) -> float:
+        n = self.n
+        total = sum(self._integral((self.b[i, c], n), (self.b[k, c], n)) for c in range(3))
+        return self._value(total, i, k)
+
+    def strain(self, i, k) -> float:
+        """A_sym[i, k] = 2 int eps(b_i) : eps(b_k), with 2 eps = d_a b[c] + d_c b[a]."""
+        n, db = self.n - 1, self.db
+        total = sum(self._integral((db[i, c, a] + db[i, a, c], n), (db[k, c, a] + db[k, a, c], n))
+                    for c in range(3) for a in range(3))
+        return self._value(total, i, k) / 2
+
+    def coriolis_x(self, i, k) -> float:
+        """C_x[i, k] = int b_i . (e_x x b_k) = int (b_i[z] b_k[y] - b_i[y] b_k[z])."""
+        n, b = self.n, self.b
+        total = (self._integral((b[i, 2], n), (b[k, 1], n))
+                 - self._integral((b[i, 1], n), (b[k, 2], n)))
+        return self._value(total, i, k)
+
+    def advection(self, i, j, k) -> float:
+        """T[i, j, k] = int (b_i . grad b_j) . b_k."""
+        n, b, db = self.n, self.b, self.db
+        total = sum(self._integral((b[i, a], n), (db[j, c, a], n - 1), (b[k, c], n))
+                    for a in range(3) for c in range(3))
+        return self._value(total, i, j, k)
+
+
+def sample_pairs(classes, shift, count, rng):
+    """Random (i, k) with cls(i) ^ cls(k) == shift, plus the diagonal's ends when shift is 0."""
+    i, k = np.nonzero((classes[:, None] ^ classes[None, :]) == shift)
+    pick = rng.choice(len(i), size=min(count, len(i)), replace=False)
+    pairs = list(zip(i[pick].tolist(), k[pick].tolist()))
+    if shift == 0:
+        pairs += [(0, 0), (len(classes) - 1, len(classes) - 1)]
+    return pairs
+
+
+def sample_triples(t, classes, count, rng):
+    """The entries with the largest |T + T^T| (over j <-> k), then random on-rule ones."""
+    skew = np.abs(t + t.transpose(0, 2, 1)).ravel()
+    top = np.argsort(skew)[::-1][:count]
+    on_rule = np.flatnonzero(
+        ((classes[:, None, None] ^ classes[None, :, None] ^ classes[None, None, :]) == 0).ravel())
+    rand = rng.choice(on_rule, size=min(count, len(on_rule)), replace=False)
+    return [tuple(int(x) for x in np.unravel_index(f, t.shape))
+            for f in dict.fromkeys(np.concatenate([top, rand]).tolist())]

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,16 +9,16 @@ from hypothesis import given, strategies as st
 from precessflow import monomials
 from precessflow import basis as basis_module
 from precessflow.basis import (GRAM_IDENTITY_TOL, InvariantError, build_basis, coefficient_classes,
-                               curl_form_fields, gram_form, load_basis, poincare_field, project,
-                               save_basis, solid_rotation, stream_cross_field, _by_class,
-                               _check_exact_rows, _constraint_rows, _extended_gram,
-                               _fields_from_nullspace, _fraction_nullspace,
-                               _orthonormal_coefficients, _raw_coeff_svd, _raw_rows_exact)
+                               curl_form_fields, gram_form, load_basis, mass_gram, poincare_field,
+                               project, save_basis, solid_rotation, stream_cross_field, _by_class,
+                               _check_exact_rows, _constraint_rows, _fields_from_nullspace,
+                               _fraction_nullspace, _orthonormal_coefficients, _raw_coeff_svd,
+                               _raw_rows_exact, _rows_to_float)
 from precessflow.geometry import Domain, surface_rule, volume_integral
 from precessflow.operators import BoundaryCondition, assemble
 from precessflow.polynomials import Polynomial3, VectorField
 
-from conftest import DOMAINS, get_basis
+from conftest import DOMAINS, MALFORMED_EXPORTS, get_basis, malformed_export
 
 # dimension of the constrained space, from the exact nullspace (regression;
 # empirically N (N+1) (2N+7) / 6, identical across domain kinds)
@@ -365,6 +366,12 @@ class TestExportImport:
         with pytest.raises(ValueError):
             load_basis(path)
 
+    @pytest.mark.parametrize("case", MALFORMED_EXPORTS)
+    def test_malformed_line_raises_value_error_naming_it(self, tmp_path, case):
+        path, line, message = malformed_export(tmp_path, case)
+        with pytest.raises(ValueError, match=f"^line {line}: {re.escape(message)}: "):
+            load_basis(path)
+
 
 def _field_classes(field) -> set:
     """Reflection classes of a field's nonzero coefficients, by explicit loops."""
@@ -395,10 +402,24 @@ class TestReflectionClasses:
         assert [_field_classes(f) for f in loaded.fields] == [{int(k)} for k in cls]
         np.testing.assert_array_equal(cls, basis.classes)
 
-    def test_svd_basis_gets_one_class(self):
+    def test_svd_basis_is_class_pure(self):
+        # one SVD per class: the same class sizes as the exact basis
         basis = build_basis(DOMAINS["triaxial"], 3, method="svd")
-        assert any(len(_field_classes(f)) > 1 for f in basis.fields)
-        np.testing.assert_array_equal(basis.classes, np.zeros(basis.dim))
+        assert [_field_classes(f) for f in basis.fields] == [{int(k)} for k in basis.classes]
+        np.testing.assert_array_equal(np.bincount(basis.classes, minlength=8),
+                                      np.bincount(get_basis("triaxial", 3).classes, minlength=8))
+
+    @pytest.mark.parametrize("field", [
+        {(0, 0, 0): 1.0, (1, 0, 0): 1.0},      # v_x: constant (class 1) and x (class 0)
+        {},                                      # zero
+    ], ids=["mixed", "zero"])
+    def test_a_field_outside_one_class_is_rejected(self, field):
+        coeff = np.array(get_basis("triaxial", 2).coeff_array)
+        coeff[3] = 0.0
+        for e, c in field.items():
+            coeff[3, 0, monomials.index_map(2)[e]] = c
+        with pytest.raises(ValueError, match="field 3 does not lie in one reflection class"):
+            coefficient_classes(coeff, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +433,10 @@ def _raw_fields_exact(domain, degree):
     return _fields_from_nullspace(dense, dim_v, degree)
 
 
-def _coeff_gram(fields, degree, j_nn):
-    """(dim, 3, D_N) float coefficients of the fields and their mass Gram."""
+def _coeff_gram(fields, domain, degree, classes):
+    """(dim, 3, D_N) float coefficients of the fields and their (nodal) mass Gram."""
     coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
-    return coeff, gram_form(coeff, j_nn, coeff)
+    return coeff, mass_gram(domain, degree, coeff, classes)
 
 
 def _combine_exact(raw, q):
@@ -444,21 +465,20 @@ def _fraction_build(domain, degree):
     Returns (coeff_array, gram, raw_gram_cond, classes, fields, polished).
     """
     raw = _raw_fields_exact(domain, degree)
-    j_nn = monomials.gram(domain, degree, degree)
-    raw_arr, g_raw = _coeff_gram(raw, degree, j_nn)
-    g_raw = 0.5 * (g_raw + g_raw.T)
+    raw_arr = np.stack([monomials.field_to_array(f.to_float(), degree) for f in raw])
     classes = coefficient_classes(raw_arr, degree)
+    g_raw = mass_gram(domain, degree, raw_arr, classes)
 
     def orthonormalize(q):
         fields = _combine_exact(raw, q)
-        coeff, gram = _coeff_gram(fields, degree, j_nn)
+        coeff, gram = _coeff_gram(fields, domain, degree, classes)
         return fields, coeff, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
 
     q = _by_class(_orthonormal_coefficients, g_raw, classes)
     fields, coeff, gram, dev = orthonormalize(q)
     polished = dev > 1e-13
     if polished:
-        q = _by_class(_orthonormal_coefficients, _extended_gram(coeff, j_nn, classes), classes) @ q
+        q = _by_class(_orthonormal_coefficients, gram, classes) @ q
         fields, coeff, gram, dev = orthonormalize(q)
     assert dev <= GRAM_IDENTITY_TOL
     for f in fields:
@@ -569,32 +589,16 @@ class TestExactRowCheck:
 
 
 def _raw_gram(kind, degree):
-    """Float coefficients, symmetrized mass Gram and classes of the raw exact nullspace fields."""
-    raw_arr, g_raw = _coeff_gram(_raw_fields_exact(DOMAINS[kind], degree), degree,
-                                 monomials.gram(DOMAINS[kind], degree, degree))
-    return raw_arr, g_raw, coefficient_classes(raw_arr, degree)
+    """Float coefficients, mass Gram and classes of the raw exact nullspace fields."""
+    nums, dens = _raw_rows_exact(DOMAINS[kind], degree)
+    raw_arr = _rows_to_float(nums, dens, degree)
+    classes = coefficient_classes(raw_arr, degree)
+    return raw_arr, mass_gram(DOMAINS[kind], degree, raw_arr, classes), classes
 
 
-def _single_block_svd_build(domain, degree):
-    """The svd build as one block: the kernel on the whole raw Gram, then one polish pass."""
-    j_nn = monomials.gram(domain, degree, degree)
-    raw_arr = _raw_coeff_svd(domain, degree)
-    g_raw = gram_form(raw_arr, j_nn, raw_arr)
-
-    def orthonormalize(q):
-        coeff = np.tensordot(q, raw_arr, 1)
-        gram = gram_form(coeff, j_nn, coeff)
-        return coeff, gram, float(np.max(np.abs(gram - np.eye(len(coeff)))))
-
-    # C order, as _by_class stores every block: q @ raw depends on q's memory order,
-    # since BLAS sums in another order for a transposed operand
-    q = np.ascontiguousarray(_orthonormal_coefficients(0.5 * (g_raw + g_raw.T)))
-    coeff, gram, dev = orthonormalize(q)
-    if dev > 1e-13:
-        one_block = np.zeros(len(coeff), dtype=int)
-        q = _orthonormal_coefficients(_extended_gram(coeff, j_nn, one_block)) @ q
-        coeff, gram, dev = orthonormalize(q)
-    return coeff, gram
+# axes in the ratio 5 : 4 : 3, more eccentric than DOMAINS["triaxial"]
+TRIAXIAL_543 = Domain(1, Fraction(4, 5), Fraction(3, 5))
+ALL_DOMAINS = DOMAINS | {"triaxial_543": TRIAXIAL_543}
 
 
 class TestClassBlocks:
@@ -640,33 +644,42 @@ class TestClassBlocks:
         bound = np.finfo(float).eps * np.linalg.cond(g_raw) * np.max(np.abs(dense))
         assert np.max(np.abs(q - dense)) <= bound
 
-    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
-    @pytest.mark.parametrize("degree", [2, 3, 4])
-    def test_svd_build_is_the_single_block_case(self, kind, degree):
-        basis = build_basis(DOMAINS[kind], degree, method="svd")
-        np.testing.assert_array_equal(basis.classes, np.zeros(basis.dim))
-        coeff, gram = _single_block_svd_build(DOMAINS[kind], degree)
-        np.testing.assert_array_equal(basis.coeff_array, coeff)
-        np.testing.assert_array_equal(basis.gram, gram)
+    @pytest.mark.parametrize("kind", ALL_DOMAINS)
+    def test_svd_nullspace_has_the_exact_class_sizes(self, kind):
+        for degree in range(1, 9):
+            raw = _raw_coeff_svd(ALL_DOMAINS[kind], degree)
+            assert len(raw) == degree * (degree + 1) * (2 * degree + 7) // 6
+            exact = _rows_to_float(*_raw_rows_exact(ALL_DOMAINS[kind], degree), degree)
+            np.testing.assert_array_equal(
+                np.bincount(coefficient_classes(raw, degree), minlength=8),
+                np.bincount(coefficient_classes(exact, degree), minlength=8))
 
-
-# axes in the ratio 5 : 4 : 3, more eccentric than DOMAINS["triaxial"]
-TRIAXIAL_543 = Domain(1, Fraction(4, 5), Fraction(3, 5))
+    @pytest.mark.parametrize("kind", ALL_DOMAINS)
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    def test_svd_span_equals_exact_span(self, kind, degree):
+        # both bases are orthonormal, so their spans agree exactly when the cross
+        # Gram <svd_i, exact_k> (exact monomial integrals) is an orthogonal matrix
+        domain = ALL_DOMAINS[kind]
+        svd = build_basis(domain, degree, method="svd")
+        exact = get_basis(kind, degree) if kind in DOMAINS else build_basis(domain, degree)
+        cross = gram_form(svd.coeff_array, monomials.gram(domain, degree, degree),
+                          exact.coeff_array)
+        assert np.max(np.abs(cross @ cross.T - np.eye(svd.dim))) < 1e-12
+        assert np.all(cross[svd.classes[:, None] != exact.classes[None, :]] == 0.0)
 
 
 class TestGramGate:
-    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial", "triaxial_543"])
+    """The gate reads the mass Gram on the octant rule, which is exact for the fields held."""
+
+    @pytest.mark.parametrize("kind", ALL_DOMAINS)
     def test_degree_7_passes(self, kind):
-        # the float Gram reads up to about 5e-13 here (triaxial); round-off shifts of
-        # the build must not push it past the gate
-        domain = TRIAXIAL_543 if kind == "triaxial_543" else DOMAINS[kind]
-        basis = build_basis(domain, 7)
+        basis = build_basis(ALL_DOMAINS[kind], 7)
         assert basis.gram_identity_deviation() <= GRAM_IDENTITY_TOL
 
-    def test_svd_degree_8_passes_on_the_spheroid(self):
-        # the svd fallback past the exact build's reach (its N = 8 gate fails); the float
-        # Gram reads about 8e-13 here
-        basis = build_basis(DOMAINS["spheroid"], 8, method="svd")
+    @pytest.mark.parametrize("kind", ALL_DOMAINS)
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    def test_degree_8_passes(self, kind, method):
+        basis = build_basis(ALL_DOMAINS[kind], 8, method=method)
         assert basis.dim == 276
         assert basis.gram_identity_deviation() <= GRAM_IDENTITY_TOL
 

@@ -6,7 +6,7 @@ from precessflow.basis import save_basis
 from precessflow.cli import ConfigError, main, parse_config, scenario_from_config
 from precessflow.diagnostics import CSV_HEADER
 
-from conftest import get_basis
+from conftest import MALFORMED_EXPORTS, get_basis, malformed_export
 
 
 def write(tmp_path, name, text):
@@ -261,6 +261,14 @@ class TestVerifyCommand:
         assert "FAIL operators.advection_antisymmetry" in out
         # T[0, 0, 0] is off the parity rule: field 0 is a rotation, never class 0
         assert "FAIL operators.advection_parity" in out
+
+    @pytest.mark.parametrize("case", MALFORMED_EXPORTS)
+    def test_malformed_basis_file_fails_its_import(self, tmp_path, capsys, case):
+        path, line, message = malformed_export(tmp_path, case)
+        assert main(["verify", "--degrees", "1", "--basis-file", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert f"FAIL basis.import file={path}  [line {line}: {message}: " in out
+        assert "basis.divergence_free file=" not in out and "basis.tangency file=" not in out
 
     def test_corrupted_basis_file_detected(self, tmp_path, capsys):
         path = tmp_path / "basis.txt"

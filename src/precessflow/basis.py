@@ -132,6 +132,15 @@ def poincare_field(beta, eps_p) -> VectorField:
     return VectorField((-y, x - z.scale(k * (1 + fb)), y.scale(k)))
 
 
+def poincare_obstacle(domain: Domain) -> str | None:
+    """Why poincare_field is not a flow in `domain` (needs a = b = 1, beta != 0), or None."""
+    if abs(domain.a - 1.0) > 1e-12 or abs(domain.b - 1.0) > 1e-12:
+        return "the Poincare flow needs unit equatorial axes (a = b = 1)"
+    if domain.beta == 0:
+        return "the Poincare flow is singular on the sphere (beta = 0)"
+    return None
+
+
 def solid_rotation(axis) -> VectorField:
     """Rigid rotation axis x position; identically zero strain rate."""
     ax = [Fraction(a) for a in axis]
@@ -591,10 +600,13 @@ def project(v: VectorField, basis: Basis):
     return coeffs, math.sqrt(float(np.sum((np.where(masks, arr, 0.0) @ vander) ** 2 @ weights)))
 
 
+EXPORT_MAGIC = "# precessflow basis"
+
+
 def save_basis(basis: Basis, path) -> None:
     """Portable text export: one line per field, exponent/coefficient pairs."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("# precessflow basis v1\n")
+        fh.write(f"{EXPORT_MAGIC} v1\n")
         if basis.domain.axes_exact is not None:
             fa, fb, fc = basis.domain.axes_exact
             fh.write(f"# axes {fa} {fb} {fc}\n")
@@ -621,7 +633,7 @@ def load_basis(path) -> Basis:
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("# precessflow basis"):
+    if not lines or not lines[0].startswith(EXPORT_MAGIC):
         raise ValueError("not a basis export file")
     domain, degree, dim, arrays = None, None, None, []
     for number, ln in enumerate(lines[1:], start=2):

@@ -11,32 +11,20 @@ failure (a failed check, or a basis that fails its construction gates).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from .basis import (InvariantError, build_basis, poincare_field, project, save_basis,
-                    solid_rotation)
+from .basis import (EXPORT_MAGIC, InvariantError, build_basis, poincare_field, poincare_obstacle,
+                    save_basis)
 from .geometry import Domain
-from .operators import BC_FORMS, BoundaryCondition, assemble, residual
+from .operators import BC_FORMS, BoundaryCondition, assemble
 from .spectral import NEUTRAL_MODE_DIMS, coercivity_constant, viscous_kernel
-from .timestepper import BlowUpError, ScenarioConfig
+from .timestepper import BlowUpError, ScenarioConfig, scenario_domain
 from .timestepper import run as run_scenario
 from . import verification
-
-KNOWN_KEYS = {
-    "domain.a", "domain.b", "domain.c", "domain.beta",
-    "basis.degree",
-    "bc.form",
-    "physics.nu_inverse", "physics.eps_p",
-    "init.type", "init.amplitude", "init.omega", "init.eps_p", "init.path",
-    "time.dt", "time.t_end", "time.record_every",
-    "restart.time", "restart.omega",
-    "constraint.mode",
-    "output.path",
-}
 
 
 class ConfigError(ValueError):
@@ -70,32 +58,47 @@ def parse_config(path) -> dict:
     return values
 
 
-def _fraction(cfg, key):
+def _real(text):
+    return float(Fraction(text))
+
+
+# config key -> (ScenarioConfig field, parser of its value)
+CONFIG_KEYS = {
+    "domain.beta": ("beta", Fraction),
+    "domain.a": ("a", Fraction),
+    "domain.b": ("b", Fraction),
+    "domain.c": ("c", Fraction),
+    "basis.degree": ("degree", int),
+    "bc.form": ("bc_form", str),
+    "physics.nu_inverse": ("nu_inverse", _real),
+    "physics.eps_p": ("eps_p", _real),
+    "init.type": ("init_type", str),
+    "init.amplitude": ("init_amplitude", _real),
+    "init.omega": ("init_omega", _real),
+    "init.eps_p": ("init_eps_p", _real),
+    "init.path": ("init_path", str),
+    "time.dt": ("dt", _real),
+    "time.t_end": ("t_end", _real),
+    "time.record_every": ("record_every", _real),
+    "restart.time": ("restart_time", _real),
+    "restart.omega": ("restart_omega", _real),
+    "constraint.mode": ("constraint_mode", str),
+    "output.path": ("output_path", str),
+}
+KNOWN_KEYS = frozenset(CONFIG_KEYS)
+# a run needs the keys of the ScenarioConfig fields that have no default
+_FIELD_KEYS = {field: key for key, (field, _) in CONFIG_KEYS.items()}
+RUN_KEYS = tuple(_FIELD_KEYS[f.name] for f in dataclasses.fields(ScenarioConfig)
+                 if f.default is dataclasses.MISSING)
+
+
+def _parse(cfg, key):
+    """The value of `key` in cfg, read by the parser of its CONFIG_KEYS entry."""
     try:
-        return Fraction(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from exc
+        return CONFIG_KEYS[key][1](cfg[key])
     except ZeroDivisionError:
         raise ConfigError(f"config key {key}: zero denominator in {cfg[key]!r}") from None
-
-
-def _float(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"config key {key} is required")
-        return default
-    try:
-        return float(_fraction(cfg, key))
-    except OverflowError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from exc
-
-
-def _int(cfg, key):
-    try:
-        return int(cfg[key])
-    except KeyError:
-        raise ConfigError(f"config key {key} is required") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
@@ -105,44 +108,19 @@ def _require(cfg, *keys):
         raise ConfigError("missing required config keys: " + ", ".join(missing))
 
 
+def _fields(cfg, prefix=""):
+    """The parsed ScenarioConfig fields of the keys in cfg that start with prefix."""
+    return {field: _parse(cfg, key) for key, (field, _) in CONFIG_KEYS.items()
+            if key in cfg and key.startswith(prefix)}
+
+
 def domain_from_config(cfg) -> Domain:
-    has_beta = "domain.beta" in cfg
-    has_axes = any(f"domain.{axis}" in cfg for axis in "abc")
-    if has_beta and has_axes:
-        raise ConfigError("domain.beta and explicit axes are mutually exclusive")
-    if has_beta:
-        return Domain.from_beta(_fraction(cfg, "domain.beta"))
-    if not all(f"domain.{axis}" in cfg for axis in "abc"):
-        raise ConfigError("specify domain.beta or all of domain.a, domain.b, domain.c")
-    return Domain(_fraction(cfg, "domain.a"), _fraction(cfg, "domain.b"),
-                  _fraction(cfg, "domain.c"))
+    return scenario_domain(**_fields(cfg, "domain."))
 
 
 def scenario_from_config(cfg) -> ScenarioConfig:
-    _require(cfg, "basis.degree", "bc.form", "physics.nu_inverse", "physics.eps_p",
-             "init.type", "time.dt", "time.t_end", "time.record_every")
-    domain_from_config(cfg)
-    axes = ({"beta": _fraction(cfg, "domain.beta")} if "domain.beta" in cfg
-            else {axis: _fraction(cfg, f"domain.{axis}") for axis in "abc"})
-    scenario = ScenarioConfig(
-        degree=_int(cfg, "basis.degree"),
-        bc_form=cfg["bc.form"],
-        nu_inverse=_float(cfg, "physics.nu_inverse"),
-        eps_p=_float(cfg, "physics.eps_p"),
-        init_type=cfg["init.type"],
-        dt=_float(cfg, "time.dt"),
-        t_end=_float(cfg, "time.t_end"),
-        record_every=_float(cfg, "time.record_every"),
-        **axes,
-        init_amplitude=_float(cfg, "init.amplitude", 0.0),
-        init_omega=_float(cfg, "init.omega", 0.0),
-        init_eps_p=_float(cfg, "init.eps_p") if "init.eps_p" in cfg else None,
-        init_path=cfg.get("init.path"),
-        restart_time=_float(cfg, "restart.time") if "restart.time" in cfg else None,
-        restart_omega=_float(cfg, "restart.omega", 0.0),
-        constraint_mode=cfg.get("constraint.mode"),
-        output_path=cfg.get("output.path"),
-    )
+    _require(cfg, *RUN_KEYS)
+    scenario = ScenarioConfig(**_fields(cfg))
     try:
         scenario.validate()
     except ValueError as exc:
@@ -156,10 +134,15 @@ def scenario_from_config(cfg) -> ScenarioConfig:
 def cmd_basis(args) -> int:
     cfg = parse_config(args.config)
     _require(cfg, "basis.degree")
-    degree = _int(cfg, "basis.degree")
-    if degree < 1:
-        raise ConfigError("basis.degree must be at least 1")
+    degree = _parse(cfg, "basis.degree")
     domain = domain_from_config(cfg)
+    path = cfg.get("output.path")
+    # a run config's output.path names its CSV: export over nothing but an export
+    if path and os.path.exists(path):
+        with open(path, "rb") as fh:
+            if not fh.readline().startswith(EXPORT_MAGIC.encode()):
+                raise ConfigError(f"output.path {path} holds a file that is not a basis "
+                                  "export; basis will not overwrite it")
     t0 = time.monotonic()
     basis = build_basis(domain, degree)
     elapsed = time.monotonic() - t0
@@ -173,9 +156,9 @@ def cmd_basis(args) -> int:
     verification._basis_checks(results, domain.kind, domain, basis)
     for res in results:
         print(res.line())
-    if cfg.get("output.path"):
-        save_basis(basis, cfg["output.path"])
-        print(f"exported basis to {cfg['output.path']}")
+    if path:
+        save_basis(basis, path)
+        print(f"exported basis to {path}")
     return 0 if all(r.ok for r in results) else 3
 
 
@@ -183,9 +166,10 @@ def cmd_eig(args) -> int:
     cfg = parse_config(args.config)
     _require(cfg, "basis.degree")
     domain = domain_from_config(cfg)
-    basis = build_basis(domain, _int(cfg, "basis.degree"))
+    basis = build_basis(domain, _parse(cfg, "basis.degree"))
     ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0,
-                   eps_p=_float(cfg, "physics.eps_p", 0.0), include_advection=False)
+                   eps_p=_parse(cfg, "physics.eps_p") if "physics.eps_p" in cfg else 0.0,
+                   include_advection=False)
     k_sym = viscous_kernel(ops, stiffness="sym")
     k_grad = viscous_kernel(ops, stiffness="grad")
     coerc = coercivity_constant(ops, "kernel")
@@ -210,22 +194,19 @@ def cmd_steady(args) -> int:
     form = cfg["bc.form"]
     if form not in BC_FORMS:
         raise ConfigError(f"unknown bc form {form!r}")
-    if abs(domain.a - 1.0) > 1e-12 or abs(domain.b - 1.0) > 1e-12 or domain.beta == 0:
+    if poincare_obstacle(domain) is not None:
         raise ConfigError("steady check needs the spheroid with unit equatorial axes")
-    basis = build_basis(domain, _int(cfg, "basis.degree"))
-    eps_p = _float(cfg, "physics.eps_p")
-    nu = 1.0 / _float(cfg, "physics.nu_inverse")
+    basis = build_basis(domain, _parse(cfg, "basis.degree"))
+    eps_p = _parse(cfg, "physics.eps_p")
+    nu = 1.0 / _parse(cfg, "physics.nu_inverse")
     u_p = poincare_field(domain.beta, Fraction(eps_p))
-    data = u_p if form in ("poincare_stress", "poincare_normal_gradient") else None
+    data = u_p if BoundaryCondition.form_carries_data(form) else None
     ops = assemble(basis, BoundaryCondition(form, data), nu=nu, eps_p=eps_p)
-    c_p, _ = project(u_p, basis)
-    c_r, _ = project(solid_rotation((0, 0, 1)), basis)
     # the rotation-shift family is a steady family only for the Poincare
     # stress form; for other forms the sweep rows are informative
     sweep_is_checked = form == "poincare_stress"
     failures = 0
-    for omega in verification.STEADY_SWEEP:
-        res = float(np.max(np.abs(residual(c_p + omega * c_r, ops))))
+    for omega, res in verification.steady_residuals(ops, u_p).items():
         checked = omega == 0.0 or sweep_is_checked
         ok = res < verification.STEADY_TOL
         if checked and not ok:
@@ -293,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Polynomial Galerkin solver for precessing ellipsoidal flows")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, needs_config in (
-        ("basis", cmd_basis, True),
-        ("eig", cmd_eig, True),
-        ("steady", cmd_steady, True),
-        ("run", cmd_run, True),
+    for name, fn in (
+        ("basis", cmd_basis),
+        ("eig", cmd_eig),
+        ("steady", cmd_steady),
+        ("run", cmd_run),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, help="path to a key = value config file")
+        p.add_argument("--config", required=True, help="path to a key = value config file")
         p.set_defaults(handler=fn)
 
     p = sub.add_parser("verify")
@@ -319,12 +300,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, InvariantError) else 1
 
 
 if __name__ == "__main__":

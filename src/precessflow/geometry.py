@@ -28,14 +28,8 @@ _KIND_TOL = 1e-12  # relative tolerance deciding axis equality
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value of the float
+    if isinstance(x, (Fraction, int, str, float)):
+        return Fraction(x)  # a float at the exact value of its binary form
     raise TypeError(f"cannot interpret {x!r} as an exact axis length")
 
 
@@ -69,13 +63,14 @@ class Domain:
         fa, fb, fc = _to_fraction(a), _to_fraction(b), _to_fraction(c)
         if fa <= 0 or fb <= 0 or fc <= 0:
             raise ValueError("semi-axes must be positive")
-        object.__setattr__(self, "a", float(fa))
-        object.__setattr__(self, "b", float(fb))
-        object.__setattr__(self, "c", float(fc))
-        object.__setattr__(self, "a2", fa * fa)
-        object.__setattr__(self, "b2", fb * fb)
-        object.__setattr__(self, "c2", fc * fc)
-        object.__setattr__(self, "axes_exact", (fa, fb, fc))
+        self._set_slots((float(fa), float(fb), float(fc)), (fa * fa, fb * fb, fc * fc),
+                        (fa, fb, fc))
+
+    def _set_slots(self, axes, squares, axes_exact) -> None:
+        """Float axes, exact squared axes, and the exact axes (None when irrational)."""
+        for name, value in zip(("a", "b", "c", "a2", "b2", "c2", "axes_exact"),
+                               (*axes, *squares, axes_exact)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "kind", self._classify())
         object.__setattr__(self, "_chi", None)
 
@@ -90,16 +85,7 @@ class Domain:
         if c is not None:
             return cls(1, 1, c)
         dom = cls.__new__(cls)
-        cf = math.sqrt(float(c2))
-        object.__setattr__(dom, "a", 1.0)
-        object.__setattr__(dom, "b", 1.0)
-        object.__setattr__(dom, "c", cf)
-        object.__setattr__(dom, "a2", Fraction(1))
-        object.__setattr__(dom, "b2", Fraction(1))
-        object.__setattr__(dom, "c2", c2)
-        object.__setattr__(dom, "axes_exact", None)
-        object.__setattr__(dom, "kind", dom._classify())
-        object.__setattr__(dom, "_chi", None)
+        dom._set_slots((1.0, 1.0, math.sqrt(float(c2))), (Fraction(1), Fraction(1), c2), None)
         return dom
 
     def _classify(self) -> str:

@@ -72,9 +72,14 @@ class BoundaryCondition:
         if not self.is_inhomogeneous and self.data_field is not None:
             raise ValueError(f"{self.form} does not accept a data field")
 
+    @staticmethod
+    def form_carries_data(form: str) -> bool:
+        """Whether bc form `form` imposes a data field, before a bc of it exists."""
+        return form in ("poincare_stress", "poincare_normal_gradient")
+
     @property
     def is_inhomogeneous(self) -> bool:
-        return self.form in ("poincare_stress", "poincare_normal_gradient")
+        return self.form_carries_data(self.form)
 
     @property
     def uses_gradient_stiffness(self) -> bool:

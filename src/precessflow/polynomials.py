@@ -256,9 +256,6 @@ class VectorField:
             out[..., c] = val
         return out
 
-    def divergence_residual(self) -> float:
-        return self.divergence().max_abs_coeff()
-
     def tangency_remainder(self, chi: Polynomial3) -> Polynomial3:
         """Remainder of (u . grad chi) mod chi; zero iff u is tangent to {chi=0}."""
         return remainder_mod(self.dot_grad_scalar(chi), chi)

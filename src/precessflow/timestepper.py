@@ -43,7 +43,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dgetrs
 
 from . import diagnostics
-from .basis import Basis, build_basis, poincare_field, project, solid_rotation
+from .basis import Basis, build_basis, poincare_field, poincare_obstacle, project, solid_rotation
 from .geometry import Domain, surface_rule
 from .operators import BC_FORMS, BoundaryCondition, OperatorSet, advection_term, assemble
 
@@ -118,11 +118,8 @@ def step(state: State, ops: OperatorSet, dt: float, include_advection: bool = Tr
         full = _euler_solve(ops, lu_be, c, c, dt, use_advection)
         new = 2.0 * half2 - full
     else:
-        rhs = ops.M @ (4.0 * c - state.prev_coeffs) / (2.0 * dt) + ops.F_bc
-        if use_advection:
-            star = 2.0 * c - state.prev_coeffs
-            rhs = rhs - advection_term(ops, star)
-        new = _lu_solve(lu_bdf, rhs)
+        prev = state.prev_coeffs
+        new = _euler_solve(ops, lu_bdf, 4.0 * c - prev, 2.0 * c - prev, 2.0 * dt, use_advection)
     # a finite sum of squares proves every entry finite; an overflowing one
     # may still come from finite entries, so it falls back to the full test
     if not math.isfinite(new @ new) and not np.all(np.isfinite(new)):
@@ -175,6 +172,7 @@ class ScenarioConfig:
     basis_method: str = "exact"
 
     def validate(self) -> None:
+        self.domain()  # the beta-versus-axes rule and the checks of Domain itself
         if self.degree < 1:
             raise ValueError("basis degree must be at least 1")
         if self.bc_form not in BC_FORMS:
@@ -201,25 +199,25 @@ class ScenarioConfig:
             raise ValueError("restart time must lie within [0, t_end]")
         if self.constraint_mode is not None and self.constraint_mode not in diagnostics.CONSTRAINT_MODES:
             raise ValueError(f"unknown constraint mode {self.constraint_mode!r}")
-        has_axes = any(v is not None for v in (self.a, self.b, self.c))
-        if (self.beta is None) == (not has_axes):
-            raise ValueError("specify either domain.beta or explicit axes, not both")
-        if has_axes and not all(v is not None for v in (self.a, self.b, self.c)):
-            raise ValueError("all three axes a, b, c are required")
 
     def domain(self) -> Domain:
-        if self.beta is not None:
-            return Domain.from_beta(self.beta)
-        return Domain(self.a, self.b, self.c)
+        return scenario_domain(self.beta, self.a, self.b, self.c)
+
+
+def scenario_domain(beta=None, a=None, b=None, c=None) -> Domain:
+    """The domain of a run: the spheroid of beta, or the ellipsoid of all three axes."""
+    if beta is not None and (a, b, c) != (None, None, None):
+        raise ValueError("domain.beta and explicit axes are mutually exclusive")
+    if beta is None and None in (a, b, c):
+        raise ValueError("specify domain.beta or all of domain.a, domain.b, domain.c")
+    return Domain(a, b, c) if beta is None else Domain.from_beta(beta)
 
 
 def _poincare_data(domain: Domain, eps_value) -> object:
-    if abs(domain.a - 1.0) > 1e-12 or abs(domain.b - 1.0) > 1e-12:
-        raise ValueError("the Poincare flow needs unit equatorial axes (a = b = 1)")
-    beta = domain.beta
-    if beta == 0:
-        raise ValueError("the Poincare flow is singular on the sphere (beta = 0)")
-    return poincare_field(beta, Fraction(eps_value))
+    obstacle = poincare_obstacle(domain)
+    if obstacle is not None:
+        raise ValueError(obstacle)
+    return poincare_field(domain.beta, Fraction(eps_value))
 
 
 def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
@@ -267,9 +265,8 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     domain = cfg.domain()
     basis = _run_basis(domain, cfg.degree, cfg.basis_method)
 
-    bc_data = None
-    if cfg.bc_form in ("poincare_stress", "poincare_normal_gradient"):
-        bc_data = _poincare_data(domain, cfg.eps_p)
+    bc_data = (_poincare_data(domain, cfg.eps_p)
+               if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
     bc = BoundaryCondition(cfg.bc_form, bc_data)
     ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p,
                    include_advection=cfg.include_advection)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnostics
 from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, poincare_field,
-                    project, solid_rotation)
+                    poincare_obstacle, project, solid_rotation)
 from .geometry import Domain, half_monomial_integral, monomial_integral, surface_rule
 from .operators import (BoundaryCondition, advection_term, assemble, momentum_coupling_identity,
                         residual)
@@ -37,6 +37,14 @@ class CheckResult:
         status = "PASS" if self.ok else "FAIL"
         detail = f"  [{self.detail}]" if self.detail else ""
         return f"{status} {self.name} {self.context}{detail}"
+
+
+def steady_residuals(ops, u_p) -> dict[float, float]:
+    """omega -> |residual(u_P + omega (e_z x x))|_inf, in the order of STEADY_SWEEP."""
+    c_p, _ = project(u_p, ops.basis)
+    c_r, _ = project(solid_rotation((0, 0, 1)), ops.basis)
+    return {omega: float(np.max(np.abs(residual(c_p + omega * c_r, ops))))
+            for omega in STEADY_SWEEP}
 
 
 def _default_domains():
@@ -73,18 +81,12 @@ def _geometry_checks(results, label, domain):
            f"errors {['%.2e' % e for e in errors]}")
 
 
-def _basis_checks(results, label, domain, basis: Basis, basis_fields_exact=True):
+def _basis_checks(results, label, domain, basis: Basis):
+    """Checks on a basis built here; its fields are exact, so both constraints hold exactly."""
     ctx = f"domain={label} N={basis.degree}"
     chi = domain.chi
-    div_ok, tan_ok = True, True
-    for f in basis.fields:
-        if basis_fields_exact and f.is_exact():
-            div_ok &= f.divergence().is_zero()
-            tan_ok &= f.tangency_remainder(chi).is_zero()
-        else:
-            scale = max(max(c.max_abs_coeff() for c in f.components), 1.0)
-            div_ok &= f.divergence().max_abs_coeff() <= 1e-10 * scale
-            tan_ok &= f.tangency_remainder(chi).max_abs_coeff() <= 1e-8 * scale
+    div_ok = all(f.divergence().is_zero() for f in basis.fields)
+    tan_ok = all(f.tangency_remainder(chi).is_zero() for f in basis.fields)
     _check(results, "basis.divergence_free", ctx, div_ok)
     _check(results, "basis.tangency", ctx, tan_ok)
     _check(results, "basis.gram_identity", ctx,
@@ -99,7 +101,7 @@ def _basis_checks(results, label, domain, basis: Basis, basis_fields_exact=True)
         _, res_rot = project(solid_rotation((0, 0, 1)), basis)
         _check(results, "basis.contains_rotation", ctx, res_rot < 1e-12,
                f"residual {res_rot:.2e}")
-    if domain.kind == "spheroid_z" and abs(domain.a - 1.0) < 1e-12:
+    if poincare_obstacle(domain) is None:
         u_p = poincare_field(domain.beta, Fraction(1, 4))
         _, res_p = project(u_p, basis)
         _check(results, "basis.contains_poincare", ctx, res_p < 1e-12, f"residual {res_p:.2e}")
@@ -145,14 +147,11 @@ def _operator_checks(results, label, domain, basis, perturb_advection=False):
     _check(results, "operators.momentum_coupling_identity", ctx, worst < 1e-12,
            f"max |lhs-rhs| {worst:.2e}")
 
-    if domain.kind == "spheroid_z" and abs(domain.a - 1.0) < 1e-12:
+    if poincare_obstacle(domain) is None:
         u_p = poincare_field(domain.beta, Fraction(1, 4))
         ops_p = assemble(basis, BoundaryCondition("poincare_stress", u_p),
                          nu=1.0 / 0.024, eps_p=0.25)
-        c_p, _ = project(u_p, basis)
-        c_r, _ = project(solid_rotation((0, 0, 1)), basis)
-        worst = max(float(np.max(np.abs(residual(c_p + w * c_r, ops_p))))
-                    for w in STEADY_SWEEP)
+        worst = max(steady_residuals(ops_p, u_p).values())
         _check(results, "operators.poincare_steadiness", ctx, worst < STEADY_TOL,
                f"max residual {worst:.2e}")
 

@@ -1,10 +1,16 @@
+import re
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from precessflow import basis as basis_module
 from precessflow.basis import save_basis
-from precessflow.cli import ConfigError, main, parse_config, scenario_from_config
+from precessflow.cli import (CONFIG_KEYS, KNOWN_KEYS, RUN_KEYS, ConfigError, main, parse_config,
+                             scenario_from_config)
 from precessflow.diagnostics import CSV_HEADER
+from precessflow.timestepper import ScenarioConfig
 
 from conftest import MALFORMED_EXPORTS, get_basis, malformed_export
 
@@ -57,6 +63,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mutually exclusive"):
             scenario_from_config(parse_config(path))
 
+    def test_beta_and_axes_give_one_message(self, tmp_path):
+        path = write(tmp_path, "both.cfg", RUN_LINES + "domain.a = 1\n")
+        with pytest.raises(ConfigError) as from_config:
+            scenario_from_config(parse_config(path))
+        scenario = ScenarioConfig(degree=2, bc_form="stress_free", nu_inverse=1.0, eps_p=0.0,
+                                  init_type="solid_rotation", dt=0.01, t_end=0.05,
+                                  record_every=0.01, beta=Fraction(9, 16), a=Fraction(1))
+        with pytest.raises(ValueError) as from_validate:
+            scenario.validate()
+        assert str(from_config.value) == str(from_validate.value)
+        assert "mutually exclusive" in str(from_validate.value)
+
+    def test_missing_run_keys_are_listed_in_field_order(self, tmp_path):
+        path = write(tmp_path, "empty.cfg", "domain.beta = 0.5625\n")
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_config(parse_config(path))
+        assert str(exc.value) == (
+            "missing required config keys: basis.degree, bc.form, physics.nu_inverse, "
+            "physics.eps_p, init.type, time.dt, time.t_end, time.record_every")
+        assert RUN_KEYS == tuple(str(exc.value).split(": ")[1].split(", "))
+
+    def test_readme_lists_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"Keys:\n\n```\n(.*?)```", readme, re.DOTALL).group(1)
+        listed = re.findall(r"\b[a-z_]+\.[a-z_]+\b", re.sub(r"\(.*?\)", "", block))
+        assert sorted(listed) == sorted(CONFIG_KEYS)
+        assert KNOWN_KEYS == set(CONFIG_KEYS)
+
     def test_scenario_requires_time_keys(self, tmp_path):
         path = write(tmp_path, "notime.cfg", SPHEROID_LINES + "bc.form = stress_free\n")
         with pytest.raises(ConfigError, match="missing required"):
@@ -87,6 +121,27 @@ class TestExitCodes:
         cfg = write(tmp_path, "b.cfg", SPHEROID_LINES + f"output.path = {out}\n")
         assert main(["basis", "--config", cfg]) == 0
         assert out.exists()
+
+    def test_basis_export_replaces_an_earlier_export(self, tmp_path):
+        out = tmp_path / "basis.txt"
+        save_basis(get_basis("spheroid", 1), out)
+        cfg = write(tmp_path, "b.cfg", SPHEROID_LINES + f"output.path = {out}\n")
+        assert main(["basis", "--config", cfg]) == 0
+        assert "# degree 2 dim 11" in out.read_text()
+
+    def test_basis_keeps_a_run_csv(self, tmp_path, capsys):
+        # a run config's output.path is its CSV, which basis must not overwrite
+        out = tmp_path / "run.csv"
+        cfg = write(tmp_path, "r.cfg", RUN_LINES + f"output.path = {out}\n")
+        assert main(["run", "--config", cfg]) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert main(["basis", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: output.path {out} holds a file that is not a "
+                                       "basis export")
+        assert captured.out == ""
+        assert out.read_bytes() == before
 
     @pytest.mark.parametrize("lines,expected_kernel", [
         ("domain.a = 1\ndomain.b = 1\ndomain.c = 1\nbasis.degree = 2\n", 3),
@@ -132,6 +187,13 @@ class TestExitCodes:
                     "physics.eps_p = 0.25\n")
         assert main(["steady", "--config", cfg]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_steady_rejects_the_triaxial_config(self, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "freedecay_triaxial.cfg"
+        assert main(["steady", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: steady check needs the spheroid with unit equatorial axes\n"
+        assert captured.out == ""
 
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

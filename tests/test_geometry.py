@@ -45,6 +45,15 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain.from_beta(-1)
 
+    def test_from_beta_irrational_axis(self):
+        d = Domain.from_beta(Fraction(1, 2))
+        assert (d.a, d.b, d.c) == (1.0, 1.0, math.sqrt(2 / 3))
+        assert (d.a2, d.b2, d.c2) == (1, 1, Fraction(2, 3))
+        assert d.axes_exact is None and d.kind == "spheroid_z"
+        assert d.beta == Fraction(1, 2) and d == Domain.from_beta(0.5)
+        with pytest.raises(AttributeError):
+            d.c = 1.0
+
     def test_chi_values(self):
         chi = SPHEROID.chi
         assert chi.evaluate(0.0, 0.0, 0.0) == 1.0

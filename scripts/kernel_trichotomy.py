@@ -7,8 +7,7 @@ kernel and the decreasing-in-degree discrete coercivity constant.
 
 from fractions import Fraction
 
-from precessflow import (BoundaryCondition, Domain, assemble, build_basis,
-                         coercivity_constant, viscous_kernel)
+from precessflow import Domain, build_basis, neutral_modes
 
 DOMAINS = [
     ("sphere", Domain(1, 1, 1)),
@@ -24,13 +23,9 @@ def main():
     for label, domain in DOMAINS:
         for n in DEGREES:
             basis = build_basis(domain, n)
-            ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0,
-                           eps_p=0.0, include_advection=False)
-            k_sym = viscous_kernel(ops, stiffness="sym")
-            k_grad = viscous_kernel(ops, stiffness="grad")
-            coerc = coercivity_constant(ops, "kernel")
-            print(f"{label:24s} {n:2d} {basis.dim:4d} {k_sym.kernel_dim:11d} "
-                  f"{k_grad.kernel_dim:9d} {coerc.K_N:14.8g}")
+            modes = neutral_modes(basis)
+            print(f"{label:24s} {n:2d} {basis.dim:4d} {modes.sym.kernel_dim:11d} "
+                  f"{modes.grad.kernel_dim:9d} {modes.coercivity.K_N:14.8g}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from .operators import (BC_FORMS, BoundaryCondition, OperatorSet, advection_term
                         angular_momentum, assemble, dump_operator_set,
                         momentum_coupling_identity, residual)
 from .polynomials import Polynomial3, VectorField, position_cross, remainder_mod
-from .spectral import CoercivityResult, KernelReport, coercivity_constant, viscous_kernel
+from .spectral import (CoercivityResult, KernelReport, NeutralModes, coercivity_constant,
+                       neutral_modes, viscous_kernel)
 from .timestepper import (BlowUpError, ScenarioConfig, State, initial_coefficients,
                           integrate, run, step)
 

@@ -136,7 +136,7 @@ def poincare_obstacle(domain: Domain) -> str | None:
     """Why poincare_field is not a flow in `domain` (needs a = b = 1, beta != 0), or None."""
     if abs(domain.a - 1.0) > 1e-12 or abs(domain.b - 1.0) > 1e-12:
         return "the Poincare flow needs unit equatorial axes (a = b = 1)"
-    if domain.beta == 0:
+    if domain.kind == "sphere":  # beta within round-off of 0, as Domain.kind decides it
         return "the Poincare flow is singular on the sphere (beta = 0)"
     return None
 

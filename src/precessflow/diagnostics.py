@@ -21,7 +21,7 @@ import numpy as np
 
 from . import monomials
 from .basis import project, solid_rotation
-from .geometry import SurfaceRule, surface_rule, volume_integral
+from .geometry import SurfaceRule, volume_integral
 from .operators import OperatorSet
 from .polynomials import VectorField
 
@@ -67,12 +67,11 @@ class DiagnosticsContext:
     evaluation is one (3, dim) matvec minus constant offsets.
     """
 
-    def __init__(self, ops: OperatorSet, u_p: VectorField | None,
-                 rule: SurfaceRule | None = None):
+    def __init__(self, ops: OperatorSet, u_p: VectorField | None, rule: SurfaceRule):
         basis = ops.basis
         domain = basis.domain
         self.ops = ops
-        self.rule = rule if rule is not None else surface_rule(domain, *SURFACE_ORDERS)
+        self.rule = rule
         self.u_p = u_p
         if u_p is not None:
             self.c_p, p_res = project(u_p, basis)
@@ -181,20 +180,16 @@ def momentum_balance_residual(series: TimeSeries, eps_p: float) -> np.ndarray:
     return (m_z[2:] - m_z[:-2]) / (2.0 * delta) + eps_p * m_y[1:-1]
 
 
-def constraint_projection(state, ops: OperatorSet, mode: str, rule) -> object:
+def constraint_projection(state, ops: OperatorSet, mode: str,
+                          ctx: DiagnosticsContext) -> object:
     """Remove the rigid-rotation amount that zeroes the selected surface functional.
 
     Subtracts alpha * (projected e_z x x) from the state so that c_rot,
     c_orth, or c_tot vanishes; everything orthogonal to the rotation direction
-    is untouched.  ``rule`` may be a SurfaceRule or a prepared
-    DiagnosticsContext.
+    is untouched.  ``ctx`` is the run's prepared DiagnosticsContext.
     """
     if mode not in CONSTRAINT_MODES:
         raise ValueError(f"unknown constraint mode {mode!r}")
-    if isinstance(rule, DiagnosticsContext):
-        ctx = rule
-    else:
-        ctx = DiagnosticsContext(ops, None, rule)
     c = np.asarray(state.coeffs, dtype=float)
     c_rot, c_orth, c_tot = ctx.surface_functionals(c)
     if mode == "rot_momentum":

@@ -1,11 +1,12 @@
-"""Viscous-kernel detection and discrete coercivity constants.
+"""Viscous kernels, the coercivity constant K_N and the 3/1/0 neutral-mode check.
 
 The kernel of the strain-rate stiffness consists of the rigid rotations the
 boundary admits: all three on a sphere, the axial one on a spheroid, none on
 a triaxial ellipsoid.  The gradient stiffness has a trivial kernel on every
-bounded domain.  The coercivity constant is the minimal Rayleigh quotient
-int |eps(v)|^2 / int |v|^2 over the mass-orthogonal complement of an excluded
-subspace; the discrete value bounds the continuous one from above and is
+bounded domain.  K_N, the minimal Rayleigh quotient int |eps(v)|^2 / int |v|^2
+over the mass-orthogonal complement of the kernel, is half the first
+eigenvalue above the kernel of the same generalized eigenproblem
+A_sym x = lambda M x.  It bounds the continuous constant from above and is
 nonincreasing in the polynomial degree.
 """
 
@@ -16,10 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import OperatorSet
+from .operators import BoundaryCondition, OperatorSet, assemble
 
 # kernel dimension of the strain-rate stiffness for each domain kind
 NEUTRAL_MODE_DIMS = {"sphere": 3, "spheroid_z": 1, "triaxial": 0}
+# kernel cut, relative to the largest eigenvalue; exact assembly pushes true
+# kernel eigenvalues to round-off so the gap is wide
+TOL_KERNEL = 1e-10
 
 
 @dataclass
@@ -28,7 +32,6 @@ class KernelReport:
     kernel_dim: int
     kernel_fields: list
     eigenvalues: np.ndarray
-    tol_kernel: float
 
 
 @dataclass
@@ -36,6 +39,18 @@ class CoercivityResult:
     K_N: float
     excluded_subspace: str
     degree: int
+
+
+@dataclass
+class NeutralModes:
+    """The 3/1/0 check on one basis: both kernel reports, K_N, the expected dimension."""
+    sym: KernelReport
+    grad: KernelReport
+    coercivity: CoercivityResult
+    expected_dim: int
+    strain_ok: bool
+    gradient_ok: bool
+    ok: bool
 
 
 def _stiffness(ops: OperatorSet, stiffness: str | None):
@@ -48,20 +63,12 @@ def _stiffness(ops: OperatorSet, stiffness: str | None):
     raise ValueError("stiffness must be 'sym', 'grad', or None")
 
 
-def viscous_kernel(ops: OperatorSet, tol_kernel: float = 1e-10,
-                   stiffness: str | None = None) -> KernelReport:
-    """Generalized eigenproblem A x = lambda M x; kernel = eigenvalues below tol.
-
-    tol_kernel is relative to the largest eigenvalue; exact assembly pushes
-    true kernel eigenvalues to round-off so the gap is wide.
-    """
+def viscous_kernel(ops: OperatorSet, stiffness: str | None = None) -> KernelReport:
+    """Generalized eigenproblem A x = lambda M x; kernel = eigenvalues below the cut."""
     a_mat, form = _stiffness(ops, stiffness)
-    try:
-        eigvals, eigvecs = scipy.linalg.eigh(a_mat, ops.M)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(f"eigenvalue solver failed: {exc}") from exc
+    eigvals, eigvecs = scipy.linalg.eigh(a_mat, ops.M)
     scale = max(float(eigvals[-1]), 0.0)
-    cut = tol_kernel * scale if scale > 0 else tol_kernel
+    cut = TOL_KERNEL * scale if scale > 0 else TOL_KERNEL
     kernel_mask = eigvals < cut
     kernel_fields = [eigvecs[:, i].copy() for i in np.nonzero(kernel_mask)[0]]
     for vec in kernel_fields:
@@ -73,58 +80,47 @@ def viscous_kernel(ops: OperatorSet, tol_kernel: float = 1e-10,
         kernel_dim=int(kernel_mask.sum()),
         kernel_fields=kernel_fields,
         eigenvalues=np.sort(eigvals),
-        tol_kernel=tol_kernel,
     )
 
 
-def coercivity_constant(ops: OperatorSet, exclusion="kernel",
-                        tol_kernel: float = 1e-10) -> CoercivityResult:
-    """K_N = min of  x.A_sym x / (2 x.M x)  over the M-orthogonal complement.
+def _coercivity(report: KernelReport, exclusion, degree: int) -> CoercivityResult:
+    """K_N from a strain-rate kernel report: half its first eigenvalue above the kernel."""
+    if exclusion not in ("kernel", "none"):
+        raise ValueError("exclusion must be 'kernel' or 'none'")
+    if exclusion == "none" and report.kernel_dim > 0:
+        raise ValueError("viscous kernel is nontrivial; excluding nothing would give K_N = 0")
+    first = report.kernel_dim  # "none" gets here only with an empty kernel
+    label = f"viscous kernel (dim {first})" if exclusion == "kernel" else "none"
+    # a kernel spanning the whole space leaves the infimum over nothing
+    k_n = (float(report.eigenvalues[first]) / 2.0 if first < len(report.eigenvalues)
+           else float("inf"))
+    return CoercivityResult(K_N=k_n, excluded_subspace=label, degree=degree)
 
-    ``exclusion`` is "kernel" (exclude the computed viscous kernel), "none",
-    or an explicit list/array of coefficient vectors.  The excluded span must
-    contain the kernel, otherwise the quotient would vanish and the request
-    is rejected.  A_sym carries 2 int eps:eps, hence the factor 1/2 to match
+
+def coercivity_constant(ops: OperatorSet, exclusion="kernel") -> CoercivityResult:
+    """K_N = min of  x.A_sym x / (2 x.M x)  over the M-orthogonal complement of the kernel.
+
+    The eigenvectors above the kernel span that complement, so the minimum is
+    the first eigenvalue there.  ``exclusion`` is "kernel", or "none", which
+    is rejected when the kernel is nontrivial since the quotient would vanish.
+    A_sym carries 2 int eps:eps, hence the factor 1/2 to match
     int |eps(v)|^2 / int v^2.
     """
-    report = viscous_kernel(ops, tol_kernel=tol_kernel, stiffness="sym")
-    if isinstance(exclusion, str):
-        if exclusion == "kernel":
-            vectors = report.kernel_fields
-            label = f"viscous kernel (dim {report.kernel_dim})"
-        elif exclusion == "none":
-            vectors = []
-            label = "none"
-        else:
-            raise ValueError("exclusion must be 'kernel', 'none', or explicit vectors")
-    else:
-        vectors = [np.asarray(v, dtype=float) for v in exclusion]
-        label = f"explicit span (dim {len(vectors)})"
+    return _coercivity(viscous_kernel(ops, stiffness="sym"), exclusion, ops.basis.degree)
 
-    dim = ops.dim
-    if vectors:
-        x_mat = np.stack(vectors, axis=1)
-        # the exclusion must cover the kernel
-        for k_vec in report.kernel_fields:
-            coeff, *_ = np.linalg.lstsq(ops.M @ x_mat, ops.M @ k_vec, rcond=None)
-            res = np.linalg.norm(k_vec - x_mat @ coeff) / np.linalg.norm(k_vec)
-            if res > 1e-8:
-                raise ValueError(
-                    "excluded subspace does not span the viscous kernel; "
-                    "the Rayleigh quotient would be zero")
-        comp = scipy.linalg.null_space((ops.M @ x_mat).T)
-    else:
-        if report.kernel_dim > 0:
-            raise ValueError(
-                "viscous kernel is nontrivial; excluding nothing would give K_N = 0")
-        comp = np.eye(dim)
-    if comp.shape[1] == 0:
-        # the exclusion spans the whole space; the infimum over nothing
-        return CoercivityResult(K_N=float("inf"), excluded_subspace=label,
-                                degree=ops.basis.degree)
-    a_c = comp.T @ ops.A_sym @ comp
-    m_c = comp.T @ ops.M @ comp
-    eigvals = scipy.linalg.eigh(0.5 * (a_c + a_c.T), 0.5 * (m_c + m_c.T),
-                                eigvals_only=True)
-    return CoercivityResult(K_N=float(eigvals[0]) / 2.0, excluded_subspace=label,
-                            degree=ops.basis.degree)
+
+def neutral_modes(basis) -> NeutralModes:
+    """The 3/1/0 neutral-mode check of the stress-free operator on `basis`.
+
+    Assembles the stress-free operators (nu = 1, eps_p = 0, no advection;
+    eps_p enters neither stiffness form nor M), solves both kernels and reads
+    K_N from the strain-rate report.
+    """
+    ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                   include_advection=False)
+    sym = viscous_kernel(ops, stiffness="sym")
+    grad = viscous_kernel(ops, stiffness="grad")
+    expected = NEUTRAL_MODE_DIMS[basis.domain.kind]
+    strain_ok, gradient_ok = sym.kernel_dim == expected, grad.kernel_dim == 0
+    return NeutralModes(sym, grad, _coercivity(sym, "kernel", basis.degree), expected,
+                        strain_ok, gradient_ok, strain_ok and gradient_ok)

@@ -13,12 +13,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import diagnostics
-from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, poincare_field,
-                    poincare_obstacle, project, solid_rotation)
+from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, load_basis,
+                    poincare_field, poincare_obstacle, project, solid_rotation)
 from .geometry import Domain, half_monomial_integral, monomial_integral, surface_rule
 from .operators import (BoundaryCondition, advection_term, assemble, momentum_coupling_identity,
                         residual)
-from .spectral import NEUTRAL_MODE_DIMS, coercivity_constant, viscous_kernel
+from .spectral import neutral_modes
 from .timestepper import State, integrate
 
 # shifts omega of the steady family u_P + omega (e_z x x) and its residual bound
@@ -156,20 +156,15 @@ def _operator_checks(results, label, domain, basis, perturb_advection=False):
                f"max residual {worst:.2e}")
 
 
-def _spectral_checks(results, label, domain, basis):
+def _spectral_checks(results, label, basis):
     ctx = f"domain={label} N={basis.degree}"
-    expected = NEUTRAL_MODE_DIMS[domain.kind]
-    ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
-                   include_advection=False)
-    k_sym = viscous_kernel(ops, stiffness="sym")
-    k_grad = viscous_kernel(ops, stiffness="grad")
-    _check(results, "spectral.kernel_strain", ctx, k_sym.kernel_dim == expected,
-           f"dim {k_sym.kernel_dim}, expected {expected}")
-    _check(results, "spectral.kernel_gradient", ctx, k_grad.kernel_dim == 0,
-           f"dim {k_grad.kernel_dim}")
-    coerc = coercivity_constant(ops, "kernel")
-    _check(results, "spectral.coercivity_positive", ctx, coerc.K_N > 0,
-           f"K_N {coerc.K_N:.6g}")
+    modes = neutral_modes(basis)
+    _check(results, "spectral.kernel_strain", ctx, modes.strain_ok,
+           f"dim {modes.sym.kernel_dim}, expected {modes.expected_dim}")
+    _check(results, "spectral.kernel_gradient", ctx, modes.gradient_ok,
+           f"dim {modes.grad.kernel_dim}")
+    k_n = modes.coercivity.K_N
+    _check(results, "spectral.coercivity_positive", ctx, k_n > 0, f"K_N {k_n:.6g}")
 
 
 def _dynamics_checks(results, label, domain, basis):
@@ -217,7 +212,7 @@ def run_battery(degrees=(1, 2, 4), perturb_advection: bool = False,
             _basis_checks(results, label, domain, basis)
             _operator_checks(results, label, domain, basis,
                              perturb_advection=perturb_advection and first)
-            _spectral_checks(results, label, domain, basis)
+            _spectral_checks(results, label, basis)
             if label == "spheroid" and degree == min(degrees):
                 _dynamics_checks(results, label, domain, basis)
             first = False
@@ -228,8 +223,6 @@ def run_battery(degrees=(1, 2, 4), perturb_advection: bool = False,
 
 def check_basis_file(path) -> list[CheckResult]:
     """Numeric invariant checks on an imported basis artifact."""
-    from .basis import load_basis
-
     results: list[CheckResult] = []
     ctx = f"file={path}"
     try:

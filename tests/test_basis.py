@@ -10,10 +10,11 @@ from precessflow import monomials
 from precessflow import basis as basis_module
 from precessflow.basis import (GRAM_IDENTITY_TOL, InvariantError, build_basis, coefficient_classes,
                                curl_form_fields, gram_form, load_basis, mass_gram, poincare_field,
-                               project, save_basis, solid_rotation, stream_cross_field, _by_class,
-                               _check_exact_rows, _constraint_rows, _fields_from_nullspace,
-                               _fraction_nullspace, _orthonormal_coefficients, _raw_coeff_svd,
-                               _raw_rows_exact, _rows_to_float)
+                               poincare_obstacle, project, save_basis, solid_rotation,
+                               stream_cross_field, _by_class, _check_exact_rows, _constraint_rows,
+                               _fields_from_nullspace, _fraction_nullspace,
+                               _orthonormal_coefficients, _raw_coeff_svd, _raw_rows_exact,
+                               _rows_to_float)
 from precessflow.geometry import Domain, surface_rule, volume_integral
 from precessflow.operators import BoundaryCondition, assemble
 from precessflow.polynomials import Polynomial3, VectorField
@@ -44,6 +45,12 @@ class TestPoincareField:
             poincare_field(0, Fraction(1, 4))
         with pytest.raises(ValueError):
             poincare_field(-2, Fraction(1, 4))
+
+    def test_obstacle_follows_domain_kind_on_a_near_sphere(self):
+        near = Domain(1, 1, 1 + Fraction(1, 10**13))
+        assert near.kind == "sphere" and near.beta != 0
+        assert poincare_obstacle(near) == "the Poincare flow is singular on the sphere (beta = 0)"
+        assert poincare_obstacle(DOMAINS["spheroid"]) is None
 
     def test_solenoidal_and_tangent(self):
         u = poincare_field(Fraction(9, 16), Fraction(1, 4))

@@ -195,6 +195,28 @@ class TestExitCodes:
         assert captured.err == "error: steady check needs the spheroid with unit equatorial axes\n"
         assert captured.out == ""
 
+    # c = 1 + 1e-13 is a sphere to Domain.kind; the Poincare flow (2 eps/beta) must not pass
+    NEAR_SPHERE_LINES = ("domain.a = 1\ndomain.b = 1\ndomain.c = 1.0000000000001\n"
+                         "basis.degree = 2\nbc.form = poincare_stress\n"
+                         "physics.nu_inverse = 10\nphysics.eps_p = 0.25\n")
+
+    def test_steady_rejects_a_near_sphere(self, tmp_path, capsys):
+        cfg = write(tmp_path, "s.cfg", self.NEAR_SPHERE_LINES)
+        assert main(["steady", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: steady check needs the spheroid with unit equatorial axes\n"
+        assert captured.out == ""
+
+    def test_run_rejects_the_poincare_flow_on_a_near_sphere(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        cfg = write(tmp_path, "r.cfg", self.NEAR_SPHERE_LINES +
+                    "init.type = poincare\ninit.eps_p = 0.25\ntime.dt = 0.01\n"
+                    f"time.t_end = 0.1\ntime.record_every = 0.05\noutput.path = {out}\n")
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: the Poincare flow is singular on the sphere")
+        assert not out.exists()
+
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         cfg = write(tmp_path, "r.cfg", RUN_LINES + f"output.path = {out}\n")

@@ -215,14 +215,6 @@ class TestConstraintProjection:
             constraint_projection(State(0.0, np.zeros(ops.dim)), ops, "spin_down",
                                   surface_rule(ops.basis.domain, 16, 32))
 
-    def test_accepts_raw_rule(self):
-        ops = make_ops()
-        rule = surface_rule(ops.basis.domain, 16, 32)
-        c_r, _ = project(solid_rotation((0, 0, 1)), ops.basis)
-        out = constraint_projection(State(0.0, 0.1 * c_r), ops, "total_momentum", rule)
-        ctx = DiagnosticsContext(ops, None, rule)
-        assert abs(ctx.surface_functionals(out.coeffs)[2]) < 1e-12
-
 
 class TestFreeDecayScenario:
     def test_lambda_frozen_and_perp_decays(self):

@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from precessflow.basis import build_basis, project, solid_rotation
+from precessflow.geometry import Domain
 from precessflow.operators import BoundaryCondition, assemble
-from precessflow.spectral import coercivity_constant, viscous_kernel
+from precessflow.spectral import (NEUTRAL_MODE_DIMS, coercivity_constant, neutral_modes,
+                                  viscous_kernel)
 
 from conftest import DOMAINS, get_basis
 
@@ -17,6 +22,23 @@ SPHEROID_K = {2: 0.3086890243902438, 3: 0.23255052415478786,
 def stress_ops(kind, degree):
     return assemble(get_basis(kind, degree), BoundaryCondition("stress_free"),
                     nu=1.0, eps_p=0.0, include_advection=False)
+
+
+def complement_k_n(ops):
+    """Reference K_N: a second eigenproblem on an explicit basis of the kernel's
+    M-orthogonal complement (an SVD null space), inf when the complement is empty."""
+    report = viscous_kernel(ops, stiffness="sym")
+    if report.kernel_fields:
+        kernel = np.stack(report.kernel_fields, axis=1)
+        comp = scipy.linalg.null_space((ops.M @ kernel).T)
+    else:
+        comp = np.eye(ops.dim)
+    if comp.shape[1] == 0:
+        return float("inf")
+    a_c = comp.T @ ops.A_sym @ comp
+    m_c = comp.T @ ops.M @ comp
+    eigvals = scipy.linalg.eigh(0.5 * (a_c + a_c.T), 0.5 * (m_c + m_c.T), eigvals_only=True)
+    return float(eigvals[0]) / 2.0
 
 
 class TestViscousKernel:
@@ -74,9 +96,16 @@ class TestCoercivity:
 
     def test_sphere_with_explicit_rotations(self):
         ops = stress_ops("sphere", 4)
-        rotations = [project(solid_rotation(axis), ops.basis)[0]
-                     for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        res = coercivity_constant(ops, rotations)
+        rotations = np.stack([project(solid_rotation(axis), ops.basis)[0]
+                              for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))], axis=1)
+        report = viscous_kernel(ops, stiffness="sym")
+        # the three rotations and the kernel span the same space
+        assert report.kernel_dim == 3
+        assert np.linalg.matrix_rank(rotations) == 3
+        for k in report.kernel_fields:
+            coeff, *_ = np.linalg.lstsq(rotations, k, rcond=None)
+            assert np.linalg.norm(k - rotations @ coeff) < 1e-10 * np.linalg.norm(k)
+        res = coercivity_constant(ops, "kernel")
         assert res.K_N == pytest.approx(3.128887849097982, rel=1e-8)
 
     def test_triaxial_no_exclusion_equals_smallest_eigenvalue(self):
@@ -108,3 +137,35 @@ class TestCoercivity:
         ops = stress_ops("spheroid", 2)
         with pytest.raises(ValueError):
             coercivity_constant(ops, "everything")
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_complement_eigenproblem(self, kind, degree):
+        ops = stress_ops(kind, degree)
+        # approx treats inf (the sphere at N = 1) as equal to itself only
+        assert coercivity_constant(ops, "kernel").K_N == pytest.approx(
+            complement_k_n(ops), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    def test_is_half_the_first_eigenvalue_above_the_kernel(self, kind):
+        ops = stress_ops(kind, 3)
+        report = viscous_kernel(ops, stiffness="sym")
+        assert coercivity_constant(ops, "kernel").K_N == \
+            report.eigenvalues[report.kernel_dim] / 2.0
+
+
+class TestNeutralModes:
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    def test_trichotomy_and_coercivity(self, kind):
+        basis = get_basis(kind, 3)
+        modes = neutral_modes(basis)
+        assert modes.expected_dim == NEUTRAL_MODE_DIMS[basis.domain.kind] == EXPECTED_KERNEL[kind]
+        assert (modes.sym.kernel_dim, modes.grad.kernel_dim) == (EXPECTED_KERNEL[kind], 0)
+        assert modes.strain_ok and modes.gradient_ok and modes.ok
+        assert modes.coercivity.K_N == coercivity_constant(stress_ops(kind, 3), "kernel").K_N
+
+    def test_flags_a_kernel_of_the_wrong_dimension(self):
+        # an x-spheroid: Domain.kind calls it triaxial, the kernel holds the x rotation
+        modes = neutral_modes(build_basis(Domain(Fraction(4, 5), 1, 1), 2))
+        assert (modes.expected_dim, modes.sym.kernel_dim) == (0, 1)
+        assert not modes.strain_ok and modes.gradient_ok and not modes.ok

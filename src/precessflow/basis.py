@@ -19,11 +19,11 @@ exact or svd, lies in one class (coefficient_classes labels them).
 
 Nodal forms.  A product of fields of classes P and Q flips sign under
 x_a -> -x_a when bit a of P ^ Q is set, so a form is 0 between classes, and
-within a class its integrand is even: nodal_form, (U w) V^T per class block on
-the octant rule of degree 3N - 1 (basis_rule), computes every class-pure
-volume form.  Nodal values do not carry the rounded monomial integrals that a
-coefficient contraction (gram_form) amplifies by the size of the coefficients
-(1e3 at N = 8).  project splits its field into class parts to the same end.
+within a class its integrand is even: nodal_form, (U w) V^T per block of equal
+class labels on the octant rule of degree 3N - 1 (basis_rule), computes every
+even volume form, free of the rounded monomial integrals that a coefficient
+contraction (gram_form, kept for the odd-in-z part of Hn/Hs) amplifies by the
+coefficients' size (1e3 at N = 8).  project splits its field by class alike.
 
 Orthonormalization is one kernel, the inverse Cholesky factor of a Gram, run
 on each class block of the raw fields' mass Gram, so every orthonormal field
@@ -472,18 +472,18 @@ def basis_rule(domain: Domain, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return octant_rule(domain, 3 * degree - 1)
 
 
-def nodal_form(u: np.ndarray, weights: np.ndarray, v: np.ndarray, classes: np.ndarray,
-               shift: int = 0) -> np.ndarray:
-    """G[i, k] = sum_(c, n) u[i, c, n] w[n] v[k, c, n] where cls(k) = cls(i) ^ shift, else 0.
+def nodal_form(u: np.ndarray, weights: np.ndarray, v: np.ndarray, cls_u: np.ndarray,
+               cls_v: np.ndarray) -> np.ndarray:
+    """G[i, k] = sum_(c, n) u[i, c, n] w[n] v[k, c, n] where cls_u[i] = cls_v[k], else 0.
 
-    u and v are (dim, C, nodes) values on an octant rule (C = 3 for fields, 9 for
+    u and v are (rows, C, nodes) values on an octant rule (C = 3 for fields, 9 for
     gradients); each kept block, whose integrand is even, is one product (U w) V^T.
     """
     out = np.zeros((len(u), len(v)))
     uw = (u * weights).reshape(len(u), -1)
     v = v.reshape(len(v), -1)
-    for p in np.unique(classes):
-        i, k = np.flatnonzero(classes == p), np.flatnonzero(classes == p ^ shift)
+    for p in np.unique(cls_u):
+        i, k = np.flatnonzero(cls_u == p), np.flatnonzero(cls_v == p)
         out[np.ix_(i, k)] = uw[i] @ v[k].T
     return out
 
@@ -492,7 +492,7 @@ def mass_gram(domain: Domain, degree: int, coeff: np.ndarray, classes: np.ndarra
     """The (symmetrized) mass Gram of class-pure fields, on the basis rule."""
     points, weights = basis_rule(domain, degree)
     u = coeff @ monomials.vandermonde(points, degree).T
-    g = nodal_form(u, weights, u, classes)
+    g = nodal_form(u, weights, u, classes, classes)
     return 0.5 * (g + g.T)
 
 

@@ -25,9 +25,6 @@ from .geometry import SurfaceRule, volume_integral
 from .operators import OperatorSet
 from .polynomials import VectorField
 
-CSV_HEADER = ("t,E_K,dEK_dt,dissipation,delta_EK,lambda,E_perp,"
-              "M_x,M_y,M_z,dE_Kn,dE_Ks,c_rot,c_orth,c_tot")
-
 CONSTRAINT_MODES = ("rot_momentum", "orth_poincare", "total_momentum")
 
 # (n_theta, n_phi) of the surface rule behind the constraint functionals
@@ -53,10 +50,13 @@ class DiagnosticsRecord:
     c_tot: float
 
     def csv_row(self) -> str:
-        vals = (self.t, self.E_K, self.dEK_dt, self.dissipation, self.delta_EK,
-                self.lam, self.E_perp, self.M_x, self.M_y, self.M_z,
-                self.dE_Kn, self.dE_Ks, self.c_rot, self.c_orth, self.c_tot)
-        return ",".join(f"{v:.17g}" for v in vals)
+        return ",".join(f"{getattr(self, name):.17g}" for name in _COLUMN_FIELDS.values())
+
+
+# CSV column -> record field, in field order: the CSV spells lam as lambda
+_COLUMN_FIELDS = {("lambda" if f.name == "lam" else f.name): f.name
+                  for f in dataclasses.fields(DiagnosticsRecord)}
+CSV_HEADER = ",".join(_COLUMN_FIELDS)
 
 
 class DiagnosticsContext:
@@ -70,7 +70,6 @@ class DiagnosticsContext:
     def __init__(self, ops: OperatorSet, u_p: VectorField | None, rule: SurfaceRule):
         basis = ops.basis
         domain = basis.domain
-        self.ops = ops
         self.rule = rule
         self.u_p = u_p
         if u_p is not None:
@@ -156,7 +155,7 @@ class TimeSeries:
         return self
 
     def column(self, name: str) -> np.ndarray:
-        attr = "lam" if name == "lambda" else name
+        attr = _COLUMN_FIELDS.get(name, name)
         return np.array([getattr(r, attr) for r in self.records])
 
     def to_csv(self, path) -> None:
@@ -180,8 +179,7 @@ def momentum_balance_residual(series: TimeSeries, eps_p: float) -> np.ndarray:
     return (m_z[2:] - m_z[:-2]) / (2.0 * delta) + eps_p * m_y[1:-1]
 
 
-def constraint_projection(state, ops: OperatorSet, mode: str,
-                          ctx: DiagnosticsContext) -> object:
+def constraint_projection(state, mode: str, ctx: DiagnosticsContext) -> object:
     """Remove the rigid-rotation amount that zeroes the selected surface functional.
 
     Subtracts alpha * (projected e_z x x) from the state so that c_rot,

@@ -3,9 +3,9 @@
 Volume integrals of monomials over the ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 < 1
 have a closed form in half-integer Gamma functions, computed as (exact
 rational) * pi * (product of axes) with one final floating conversion.  They
-serve the forms that are not even in x, y and z: the odd-in-z part of the
-hemispheric Grams, the angular momentum and the boundary forcing.  Every form between basis fields of one
-reflection class (see basis) has an integrand even in x, y and z, which the
+serve the odd-in-z part of the hemispheric Grams, the one form that is not
+even in x, y and z, and exact references.  Every other form of the basis
+fields (see basis) has an integrand even in x, y and z, which the
 octant rule integrates exactly from the nodes with x, y, z > 0 alone, weights
 times 8: a Gauss product rule for the ball (Stroud, Approximate Calculation
 of Multiple Integrals, 1971).  Surface integrals have no elementary closed

@@ -62,12 +62,6 @@ def _integral_flat(domain: Domain, max_degree: int, hemisphere: str | None) -> n
     return flat
 
 
-def integral_vector(domain: Domain, degree: int, hemisphere: str | None = None) -> np.ndarray:
-    """I[m] = integral of monomial m over the (half-)ellipsoid."""
-    flat = _integral_flat(domain, degree, hemisphere)
-    return flat[_encode(exponents(degree), degree + 1)]
-
-
 def gram(domain: Domain, d1: int, d2: int, hemisphere: str | None = None) -> np.ndarray:
     """J[m1, m2] = integral of monomial_m1 * monomial_m2."""
     total = d1 + d2
@@ -119,13 +113,6 @@ def shift_arrays(degree: int, axis: int):
         t[axis] += 1
         dst.append(upper[tuple(t)])
     return np.array(dst)
-
-
-def apply_shift(coeffs: np.ndarray, degree: int, axis: int) -> np.ndarray:
-    dst = shift_arrays(degree, axis)
-    out = np.zeros(coeffs.shape[:-1] + (space_dim(degree + 1),))
-    out[..., dst] = coeffs
-    return out
 
 
 def poly_to_vec(poly: Polynomial3, degree: int) -> np.ndarray:

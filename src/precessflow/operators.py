@@ -12,11 +12,11 @@ forcing.  Boundary terms of the two inhomogeneous forms are reduced to volume
 integrals (the data field is linear, so its strain/gradient is constant and
 div eps(u_P) = 0); no surface quadrature enters the dynamics.
 
-Which path each form takes.  The class-pure forms, M (the basis Gram), A_sym,
-A_grad, C_x and T, are nodal forms on the basis rule (see basis).  The
+Which path each form takes.  Every even form, M (the basis Gram), A_sym,
+A_grad, C_x, T, mom (the basis against e_a x x) and F_bc (nodal gradients
+summed on their classes), is a nodal form on the basis rule (see basis).  The
 hemispheric Grams are M / 2 on matching classes and +-K, from exact
-half-ellipsoid monomial integrals, on classes that differ in the z bit only;
-mom and F_bc are exact monomial integrals too.
+half-ellipsoid monomial integrals, on classes that differ in the z bit only.
 
 Class-pair assembly of T.  T is assembled only on the class triples
 (Q ^ R, Q, R), 64 of the 512 for 8 classes, as (triple, i, k, j) blocks kept
@@ -45,12 +45,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import monomials
-from .basis import (N_CLASSES, Basis, basis_rule, coefficient_classes, gram_form, nodal_form,
-                    solid_rotation)
+from .basis import _CLASS_BITS, N_CLASSES, Basis, basis_rule, gram_form, nodal_form, solid_rotation
 from .geometry import Domain, volume_integral
 from .polynomials import Polynomial3, VectorField
 
 BC_FORMS = ("stress_free", "poincare_stress", "normal_gradient", "poincare_normal_gradient")
+
+# reflection class of the rotation field e_a x x: odd in the two axes other than a
+_ROTATION_CLASSES = (N_CLASSES - 1) ^ _CLASS_BITS
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ def _read_only(value):
 
 
 def _core_matrices(basis: Basis) -> dict:
-    """The axis- and bc-independent matrices, plus db for F_bc and nodal values for C_x and T."""
+    """The axis- and bc-independent matrices, plus nodal values and gradients for C_x, T and F_bc."""
     domain, n, bc_arr, cls = basis.domain, basis.degree, basis.coeff_array, basis.classes
     points, weights = basis_rule(domain, n)
 
@@ -191,27 +193,22 @@ def _core_matrices(basis: Basis) -> dict:
     # 9-component values, component index 3 * comp + axis
     g9 = grad.reshape(basis.dim, 9, -1)
     s9 = 0.5 * (grad + grad.transpose(0, 2, 1, 3)).reshape(basis.dim, 9, -1)
-    a_sym, a_grad = (nodal_form(g, weights, g, cls) for g in (s9, g9))
+    a_sym, a_grad = (nodal_form(g, weights, g, cls, cls) for g in (s9, g9))
     a_sym, a_grad = a_sym + a_sym.T, 0.5 * (a_grad + a_grad.T)     # 2 eps:eps, grad:grad
 
-    ivec_up = monomials.integral_vector(domain, n + 1)
-    shifted = [[monomials.apply_shift(bc_arr[:, c, :], n, a) for c in range(3)]
-               for a in range(3)]
-    # (x cross b)_a = x_(a+1) b_(a+2) - x_(a+2) b_(a+1)
-    mom = np.stack([(shifted[(a + 1) % 3][(a + 2) % 3] - shifted[(a + 2) % 3][(a + 1) % 3])
-                    @ ivec_up for a in range(3)])
+    # (x cross b_i)_a = b_i . (e_a x x): the rotation fields' values against the basis
+    rotations = np.cross(np.eye(3)[:, None], points).transpose(0, 2, 1)
+    mom = nodal_form(rotations, weights, values, _ROTATION_CLASSES, cls)
     return dict(M=basis.gram, A_sym=a_sym, A_grad=a_grad, mom=mom, Hn=hn, Hs=hs,
-                db=db, values=values, grad=grad)
+                values=values, grad=grad)
 
 
 def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float], values) -> np.ndarray:
     """C = sum_a w_a C^a, C^a[i, k] = integral of b_i . (e_a x b_k): class P with P ^ cls(e_a x x)."""
     weights = basis_rule(basis.domain, basis.degree)[1]
-    rotations = np.stack([monomials.field_to_array(solid_rotation(e), 1) for e in np.eye(3)])
     return sum(w_a * nodal_form(values, weights, np.cross(e_a, values, axisb=1, axisc=1),
-                                basis.classes, shift)
-               for w_a, e_a, shift in zip(axis, np.eye(3), coefficient_classes(rotations, 1))
-               if w_a)
+                                basis.classes, basis.classes ^ shift)
+               for w_a, e_a, shift in zip(axis, np.eye(3), _ROTATION_CLASSES) if w_a)
 
 
 class _ClassTriples(NamedTuple):
@@ -349,11 +346,14 @@ def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float, core: dict) 
         data, weight, what = bc.data_field.gradient(), nu, "gradient"
     if any(data[a][c].degree > 0 for a in range(3) for c in range(3)):
         raise ValueError(f"data field must have a constant {what}")
-    # data[axis][comp] = d(u_comp)/d(x_axis), flattened in the (comp, axis) order of db
+    # data[axis][comp] = d(u_comp)/d(x_axis), flattened in the (comp, axis) order of grad
     const = np.array([float(data[a][c].coeffs.get((0, 0, 0), 0.0))
                       for c in range(3) for a in range(3)])
-    ivec_d = monomials.integral_vector(basis.domain, basis.degree - 1)
-    return weight * (core["db"].reshape(basis.dim, 9, -1) @ ivec_d) @ const
+    # integral of d(b_i)_comp / d x_axis, nonzero only on the class bit(comp) ^ bit(axis)
+    weights = basis_rule(basis.domain, basis.degree)[1]
+    integrals = core["grad"].reshape(basis.dim, 9, -1) @ weights
+    on_class = basis.classes[:, None] == (_CLASS_BITS[:, None] ^ _CLASS_BITS).ravel()
+    return weight * np.where(on_class, integrals, 0.0) @ const
 
 
 def advection_term(ops: OperatorSet, coeffs: np.ndarray) -> np.ndarray:

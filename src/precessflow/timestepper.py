@@ -88,14 +88,14 @@ def _lu_solve(lu_piv, rhs):
     return x
 
 
-def _euler_solve(ops, lu, coeffs, star, dt_eff, use_advection):
+def _euler_solve(ops, lu, coeffs, star, dt_eff):
     rhs = ops.M @ coeffs / dt_eff + ops.F_bc
-    if use_advection:
+    if ops.T_packed is not None:
         rhs = rhs - advection_term(ops, star)
     return _lu_solve(lu, rhs)
 
 
-def step(state: State, ops: OperatorSet, dt: float, include_advection: bool = True) -> State:
+def step(state: State, ops: OperatorSet, dt: float) -> State:
     """One BDF2 step; the first step is Richardson-extrapolated backward Euler.
 
     The advecting velocity is the extrapolant 2 u^n - u^(n-1); the constant
@@ -105,21 +105,20 @@ def step(state: State, ops: OperatorSet, dt: float, include_advection: bool = Tr
     (2 u_{dt/2,dt/2} - u_dt), which keeps the whole trajectory second-order
     accurate; a plain backward-Euler start would leave a first-order startup
     artifact in difference-based diagnostics such as the momentum-balance
-    residual.
+    residual.  Advection enters when ops was assembled with it.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     lu_be, lu_half, lu_bdf = _solver(ops, dt)
     c = state.coeffs
-    use_advection = include_advection and ops.T_packed is not None
     if state.prev_coeffs is None:
-        half = _euler_solve(ops, lu_half, c, c, dt / 2.0, use_advection)
-        half2 = _euler_solve(ops, lu_half, half, half, dt / 2.0, use_advection)
-        full = _euler_solve(ops, lu_be, c, c, dt, use_advection)
+        half = _euler_solve(ops, lu_half, c, c, dt / 2.0)
+        half2 = _euler_solve(ops, lu_half, half, half, dt / 2.0)
+        full = _euler_solve(ops, lu_be, c, c, dt)
         new = 2.0 * half2 - full
     else:
         prev = state.prev_coeffs
-        new = _euler_solve(ops, lu_bdf, 4.0 * c - prev, 2.0 * c - prev, 2.0 * dt, use_advection)
+        new = _euler_solve(ops, lu_bdf, 4.0 * c - prev, 2.0 * c - prev, 2.0 * dt)
     # a finite sum of squares proves every entry finite; an overflowing one
     # may still come from finite entries, so it falls back to the full test
     if not math.isfinite(new @ new) and not np.all(np.isfinite(new)):
@@ -128,11 +127,10 @@ def step(state: State, ops: OperatorSet, dt: float, include_advection: bool = Tr
 
 
 def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
-              include_advection: bool = True, max_norm: float | None = None,
-              callback=None) -> State:
+              max_norm: float | None = None, callback=None) -> State:
     """Advance n_steps; optional norm guard and per-step callback."""
     for _ in range(n_steps):
-        state = step(state, ops, dt, include_advection)
+        state = step(state, ops, dt)
         if max_norm is not None and math.sqrt(state.coeffs @ state.coeffs) > max_norm:
             raise BlowUpError(
                 f"state norm exceeded {max_norm:.3e} at t = {state.t:.6g}")
@@ -199,6 +197,11 @@ class ScenarioConfig:
             raise ValueError("restart time must lie within [0, t_end]")
         if self.constraint_mode is not None and self.constraint_mode not in diagnostics.CONSTRAINT_MODES:
             raise ValueError(f"unknown constraint mode {self.constraint_mode!r}")
+        # without Poincare data the orth functional is identically 0
+        if (self.constraint_mode == "orth_poincare"
+                and not BoundaryCondition.form_carries_data(self.bc_form)):
+            raise ValueError(f"constraint.mode orth_poincare needs a bc.form that carries "
+                             f"Poincare data, not {self.bc_form}")
 
     def domain(self) -> Domain:
         return scenario_domain(self.beta, self.a, self.b, self.c)
@@ -292,7 +295,7 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
         nonlocal k
         k += 1
         if cfg.constraint_mode is not None:
-            st = diagnostics.constraint_projection(st, ops, cfg.constraint_mode, ctx)
+            st = diagnostics.constraint_projection(st, cfg.constraint_mode, ctx)
         if k == restart_step:
             st = _apply_restart(st, cfg, basis)
         if k % every == 0 or k == n_steps:
@@ -303,7 +306,7 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
         state = _apply_restart(state, cfg, basis)
     series.records.append(diagnostics.record(state, ops, ctx))
     try:
-        integrate(state, ops, cfg.dt, n_steps, cfg.include_advection, max_norm, per_step)
+        integrate(state, ops, cfg.dt, n_steps, max_norm, per_step)
     except BlowUpError as exc:
         series.finalize()
         if cfg.output_path:

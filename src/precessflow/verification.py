@@ -191,8 +191,8 @@ def _dynamics_checks(results, label, domain, basis):
     hemi = abs(rec.dE_Kn + rec.dE_Ks - rec.delta_EK)
     _check(results, "diagnostics.hemispheric_split", ctx,
            hemi < 1e-12 * max(rec.delta_EK, 1.0), f"dev {hemi:.2e}")
-    projected = diagnostics.constraint_projection(State(0.0, c), ops, "total_momentum", ctx_d)
-    again = diagnostics.constraint_projection(projected, ops, "total_momentum", ctx_d)
+    projected = diagnostics.constraint_projection(State(0.0, c), "total_momentum", ctx_d)
+    again = diagnostics.constraint_projection(projected, "total_momentum", ctx_d)
     dev = float(np.max(np.abs(again.coeffs - projected.coeffs)))
     _check(results, "diagnostics.projection_idempotent", ctx, dev < 1e-14 * max(1.0, float(np.max(np.abs(c)))),
            f"dev {dev:.2e}")

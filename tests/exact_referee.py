@@ -1,4 +1,4 @@
-"""Exact-rational referee for sampled entries of M, A_sym, C_x and T.
+"""Exact-rational referee for sampled entries of M, A_sym, C_x and T, and for mom and F_bc.
 
 Every float coefficient of a basis is a binary rational m 2^-e, so field i is
 an integer coefficient array over one power of two.  Every monomial integral
@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from precessflow import monomials
+from precessflow.basis import solid_rotation
 from precessflow.geometry import _ball_monomial_fraction
 
 
@@ -57,7 +58,7 @@ class Referee:
         for code, v in table.items():
             self.table[code] = v.numerator * (self.lcm // v.denominator)
         self.code = {d: (monomials.exponents(d) * [self.span ** 2, self.span, 1]).sum(axis=1)
-                     for d in (n - 1, n)}
+                     for d in {1, n - 1, n}}
         self.n = n
 
     def _integral(self, *factors) -> int:
@@ -71,7 +72,7 @@ class Referee:
             total = total @ c[s]
         return total
 
-    def _value(self, total: int, *fields) -> float:
+    def _value(self, total, *fields) -> float:
         den = self.lcm * math.prod(self.den[i] for i in fields)
         return float(Fraction(total, den)) * math.pi
 
@@ -93,6 +94,18 @@ class Referee:
         total = (self._integral((b[i, 2], n), (b[k, 1], n))
                  - self._integral((b[i, 1], n), (b[k, 2], n)))
         return self._value(total, i, k)
+
+    def momentum(self, a, i) -> float:
+        """mom[a, i] = int (x cross b_i)_a = int b_i . (e_a x x)."""
+        rot = monomials.field_to_array(solid_rotation(np.eye(3)[a]), 1).astype(int).astype(object)
+        total = sum(self._integral((rot[c], 1), (self.b[i, c], self.n)) for c in range(3))
+        return self._value(total, i)
+
+    def gradient_integral(self, i, data) -> float:
+        """sum_(c, a) data[c][a] int d_a b_i[c] for rational constants data[c][a]."""
+        total = sum(Fraction(data[c][a]) * self._integral((self.db[i, c, a], self.n - 1))
+                    for c in range(3) for a in range(3))
+        return self._value(total, i)
 
     def advection(self, i, j, k) -> float:
         """T[i, j, k] = int (b_i . grad b_j) . b_k."""

@@ -123,7 +123,7 @@ def test_criterion_05_free_decay_rate():
     state = State(0.0, eigvecs[:, first].copy())
     n_steps, dt = 400, 5e-4
     e0 = 0.5 * float(state.coeffs @ state.coeffs)
-    state = integrate(state, ops, dt, n_steps, include_advection=False)
+    state = integrate(state, ops, dt, n_steps)
     e1 = 0.5 * float(state.coeffs @ state.coeffs)
     rate = math.log(e0 / e1) / (n_steps * dt)
     target = 4.0 * nu * k_n

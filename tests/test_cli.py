@@ -217,6 +217,21 @@ class TestExitCodes:
             "error: the Poincare flow is singular on the sphere")
         assert not out.exists()
 
+    @pytest.mark.parametrize("form", ["stress_free", "normal_gradient"])
+    def test_run_rejects_orth_poincare_without_poincare_data(self, tmp_path, capsys,
+                                                             monkeypatch, form):
+        # the orth functional is identically 0 without Poincare data: refused before a basis
+        def no_basis(*args):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr("precessflow.timestepper._run_basis", no_basis)
+        cfg = write(tmp_path, "r.cfg", RUN_LINES.replace("stress_free", form)
+                    + "constraint.mode = orth_poincare\n")
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: constraint.mode orth_poincare needs a bc.form that carries Poincare data, "
+            f"not {form}\n")
+
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         cfg = write(tmp_path, "r.cfg", RUN_LINES + f"output.path = {out}\n")

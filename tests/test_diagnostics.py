@@ -145,9 +145,8 @@ class TestMomentumBalance:
 
 class TestSurfaceFunctionals:
     @staticmethod
-    def node_quadrature(ctx, u_p, coeffs):
+    def node_quadrature(ctx, basis, u_p, coeffs):
         # reference: rebuild u at the rule's nodes and take the weighted sums
-        basis = ctx.ops.basis
         pts, w = ctx.rule.points, ctx.rule.weights
         field_coeffs = np.einsum("i,icm->cm", coeffs, basis.coeff_array)
         u = monomials.vandermonde(pts, basis.degree) @ field_coeffs.T
@@ -165,7 +164,7 @@ class TestSurfaceFunctionals:
         for _ in range(10):
             c = rng.standard_normal(ops.dim)
             got = ctx.surface_functionals(c)
-            ref = self.node_quadrature(ctx, ctx.u_p, c)
+            ref = self.node_quadrature(ctx, ops.basis, ctx.u_p, c)
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-13 * abs(r)
 
@@ -175,7 +174,7 @@ class TestConstraintProjection:
         ops = make_ops("poincare_stress", nu=1.0, eps_p=0.25)
         ctx = make_ctx(ops)
         c_p, _ = project(U_P, ops.basis)
-        out = constraint_projection(State(0.0, c_p.copy()), ops, "rot_momentum", ctx)
+        out = constraint_projection(State(0.0, c_p.copy()), "rot_momentum", ctx)
         assert np.max(np.abs(out.coeffs - c_p)) < 1e-14
 
     def test_rotation_perturbation_removed(self):
@@ -184,7 +183,7 @@ class TestConstraintProjection:
         c_p, _ = project(U_P, ops.basis)
         c_r, _ = project(solid_rotation((0, 0, 1)), ops.basis)
         state = State(0.0, c_p + 0.025 * c_r)
-        out = constraint_projection(state, ops, "rot_momentum", ctx)
+        out = constraint_projection(state, "rot_momentum", ctx)
         assert np.max(np.abs(out.coeffs - c_p)) < 1e-10
         assert abs(ctx.surface_functionals(out.coeffs)[0]) < 1e-12
 
@@ -193,26 +192,25 @@ class TestConstraintProjection:
         ctx = make_ctx(ops)
         c_p, _ = project(U_P, ops.basis)
         c_r, _ = project(solid_rotation((0, 0, 1)), ops.basis)
-        out = constraint_projection(State(0.0, c_p + 0.1 * c_r), ops, "orth_poincare", ctx)
+        out = constraint_projection(State(0.0, c_p + 0.1 * c_r), "orth_poincare", ctx)
         assert abs(ctx.surface_functionals(out.coeffs)[1]) < 1e-12
 
     def test_total_momentum_on_rest(self):
         ops = make_ops()
         ctx = make_ctx(ops)
-        out = constraint_projection(State(0.0, np.zeros(ops.dim)), ops,
-                                    "total_momentum", ctx)
+        out = constraint_projection(State(0.0, np.zeros(ops.dim)), "total_momentum", ctx)
         assert np.all(out.coeffs == 0.0)
 
     def test_degenerate_functional_rejected(self):
         ops = make_ops()          # homogeneous: no u_P, c_orth direction degenerate
         ctx = make_ctx(ops)
         with pytest.raises(ValueError):
-            constraint_projection(State(0.0, np.zeros(ops.dim)), ops, "orth_poincare", ctx)
+            constraint_projection(State(0.0, np.zeros(ops.dim)), "orth_poincare", ctx)
 
     def test_unknown_mode(self):
         ops = make_ops()
         with pytest.raises(ValueError):
-            constraint_projection(State(0.0, np.zeros(ops.dim)), ops, "spin_down",
+            constraint_projection(State(0.0, np.zeros(ops.dim)), "spin_down",
                                   surface_rule(ops.basis.domain, 16, 32))
 
 

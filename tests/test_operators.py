@@ -9,7 +9,7 @@ from precessflow.basis import (build_basis, load_basis, poincare_field, project,
                                solid_rotation)
 from precessflow.geometry import volume_integral
 from precessflow.operators import (BoundaryCondition, advection_term, angular_momentum,
-                                   assemble, _class_triples, _core_matrices, dump_operator_set,
+                                   assemble, _class_triples, dump_operator_set,
                                    momentum_coupling_identity, residual)
 from precessflow.polynomials import Polynomial3, VectorField
 
@@ -17,6 +17,12 @@ from conftest import DOMAINS, get_basis
 from exact_referee import Referee, sample_pairs, sample_triples
 
 U_P = poincare_field(Fraction(9, 16), Fraction(1, 4))
+# u = G x with every entry of G nonzero
+LINEAR_DATA = VectorField(tuple(
+    Polynomial3({(1, 0, 0): gx, (0, 1, 0): gy, (0, 0, 1): gz})
+    for gx, gy, gz in ((Fraction(1), Fraction(-2), Fraction(1, 3)),
+                       (Fraction(3, 4), Fraction(2), Fraction(-5)),
+                       (Fraction(-1, 2), Fraction(7), Fraction(1)))))
 
 
 def spheroid_ops(degree=2, form="stress_free", nu=1.0, eps_p=0.0):
@@ -356,7 +362,7 @@ def _dense_advection_tensor(basis):
     """T by the three dense einsums over all monomials: the assembly before class blocks."""
     n = basis.degree
     bc_arr = basis.coeff_array
-    db = _core_matrices(basis)["db"]
+    db = np.stack([monomials.apply_derivative(bc_arr, n, a) for a in range(3)], axis=2)
     g3 = monomials.triple_product_table(basis.domain, n, n - 1, n)
     u = np.einsum("mno,kco->mnkc", g3, bc_arr, optimize=True)
     v2 = np.einsum("jcan,mnkc->majk", db, u, optimize=True)
@@ -454,6 +460,45 @@ class TestExactReferee:
         worst = max(abs(t[i, j, k] - referee.advection(i, j, k))
                     for i, j, k in sample_triples(t, cls, 8, rng))
         assert worst <= 1e-13 * np.max(np.abs(t))
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+    def test_angular_momentum_within_1e_13(self, kind, method, degree):
+        basis = get_any_basis(kind, degree, method)
+        mom = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                       include_advection=False).mom
+        referee = Referee(basis)
+        exact = np.array([[referee.momentum(a, i) for i in range(basis.dim)] for a in range(3)])
+        assert np.max(np.abs(mom - exact)) <= 1e-13 * np.max(np.abs(mom))
+
+    # the linear field's gradient fills all nine entries, so every class of the
+    # (comp, axis) mask carries data; u_P's only on some
+    @pytest.mark.parametrize("kind, data", [("spheroid", "u_P"), ("sphere", "linear"),
+                                            ("spheroid", "linear"), ("triaxial", "linear")])
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+    def test_forcing_within_1e_13(self, kind, data, method, degree):
+        basis = get_any_basis(kind, degree, method)
+        field = U_P if data == "u_P" else LINEAR_DATA
+        # grad[c][a] = d field_c / d x_a, read off the linear coefficients
+        grad = [[Fraction(field.components[c].coeffs.get(tuple(np.eye(3, dtype=int)[a]), 0))
+                 for a in range(3)] for c in range(3)]
+        strain = [[(grad[c][a] + grad[a][c]) / 2 for a in range(3)] for c in range(3)]
+        referee = Referee(basis)
+        # the largest single term int d_a b_i[c]: the stress forcing on the sphere
+        # cancels to 0, so max|F_bc| is no scale there
+        units = np.eye(9, dtype=int).reshape(9, 3, 3).tolist()
+        term = max(abs(referee.gradient_integral(i, u)) for i in range(basis.dim) for u in units)
+        nu = 0.5
+        for form, weight, tensor in (("poincare_stress", 2 * nu, strain),
+                                     ("poincare_normal_gradient", nu, grad)):
+            f_bc = assemble(basis, BoundaryCondition(form, field), nu=nu, eps_p=0.25,
+                            include_advection=False).F_bc
+            exact = np.array([weight * referee.gradient_integral(i, tensor)
+                              for i in range(basis.dim)])
+            scale = weight * float(max(abs(v) for row in tensor for v in row)) * term
+            assert np.max(np.abs(f_bc - exact)) <= 1e-13 * scale, form
 
     def test_referee_catches_a_perturbed_entry(self):
         # negative control: the largest entry of T, off by 1e-12 of itself

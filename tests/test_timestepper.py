@@ -113,7 +113,7 @@ class TestStep:
         state = State(0.0, eigvecs[:, first].copy())
         n, dt = 400, 5e-4
         e0 = 0.5 * float(state.coeffs @ state.coeffs)
-        state = integrate(state, ops, dt, n, include_advection=False)
+        state = integrate(state, ops, dt, n)
         e1 = 0.5 * float(state.coeffs @ state.coeffs)
         rate = math.log(e0 / e1) / (n * dt)
         assert rate == pytest.approx(2.0 * ops.nu * lam, rel=1e-4)
@@ -212,14 +212,14 @@ class TestLuSolve:
     def test_overflowing_norm_of_finite_state_is_not_flagged(self):
         # the squared norm overflows while every entry stays finite: the
         # step guard must let it through and leave the trip to integrate
-        ops = spheroid_ops(eps_p=0.25)
+        ops = spheroid_ops(eps_p=0.25, include_advection=False)
         c_r, _ = project(solid_rotation((0, 0, 1)), ops.basis)
         state = State(0.0, 1e200 * c_r)
-        new = step(state, ops, 0.01, include_advection=False)
+        new = step(state, ops, 0.01)
         assert np.all(np.isfinite(new.coeffs))
         assert not math.isfinite(new.coeffs @ new.coeffs)
         with pytest.raises(BlowUpError, match="state norm exceeded"):
-            integrate(state, ops, 0.01, 5, include_advection=False, max_norm=1e300)
+            integrate(state, ops, 0.01, 5, max_norm=1e300)
 
 
 class TestInitialConditions:

@@ -41,7 +41,9 @@ formed from the rows on first read (verify, save_basis), never by the build.
 
 The mass Gram, the coefficient array and the class labels are read-only: one
 basis is shared by every operator set assembled on it and, through
-timestepper.run, by consecutive runs.
+timestepper.run, by consecutive runs.  What those derive from the basis
+(operators, LU factors, the diagnostics context, the projections of e_z x x
+and u_P) is kept in its assembly cache (Basis.cached), read-only as well.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "Basis", "build_basis", "curl_form_fields", "stream_cross_field",
     "poincare_field", "solid_rotation", "project", "save_basis", "load_basis", "gram_form",
     "coefficient_classes", "InvariantError", "basis_rule", "nodal_form", "mass_gram",
+    "rotation_projection", "reference_projection",
 ]
 
 GRAM_IDENTITY_TOL = 1e-12
@@ -105,6 +108,25 @@ class Basis:
 
     def gram_identity_deviation(self) -> float:
         return float(np.max(np.abs(self.gram - np.eye(self.dim))))
+
+    def cached(self, key, build, *args):
+        """The assembly-cache entry `key`, built as build(self, *args) on first request.
+
+        A key is a kind, or a pair (kind, params): the latter is kept as the one
+        entry of its kind, (params, value), and a request with other params
+        replaces it, so a sweep over dt or nu holds one entry.  Every array of an
+        entry is made read-only, since all callers share it.
+        """
+        cache = self._assembly_cache
+        if not isinstance(key, tuple):
+            if key not in cache:
+                cache[key] = _read_only(build(self, *args))
+            return cache[key]
+        kind, params = key
+        entry = cache.get(kind)
+        if entry is None or entry[0] != params:
+            entry = cache[kind] = (params, _read_only(build(self, *args)))
+        return entry[1]
 
     def __repr__(self):
         return (f"Basis(domain={self.domain!r}, degree={self.degree}, dim={self.dim})")
@@ -598,6 +620,32 @@ def project(v: VectorField, basis: Basis):
     coeffs = np.linalg.solve(basis.gram, rhs)
     arr[:, :d_n] -= np.einsum("i,icm->cm", coeffs, basis.coeff_array)
     return coeffs, math.sqrt(float(np.sum((np.where(masks, arr, 0.0) @ vander) ** 2 @ weights)))
+
+
+def rotation_projection(basis: Basis):
+    """project(e_z x x, basis), kept on the basis: consecutive runs share it, read-only."""
+    return basis.cached("e_z x x", lambda b: project(solid_rotation((0, 0, 1)), b))
+
+
+def reference_projection(u_p: VectorField, basis: Basis):
+    """project(u_p, basis), kept on the basis as its one reference-field projection, read-only.
+
+    Consecutive runs with the same u_P (the +/- omega twins, say) project it once.
+    """
+    return basis.cached(("u_P", u_p.components), lambda b: project(u_p, b))
+
+
+def _read_only(value):
+    """value with every array in it (an array, or a dict or tuple of them) read-only.
+
+    Other objects are left as they are: a shared object freezes its own arrays.
+    """
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (dict, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _read_only(item)
+    return value
 
 
 EXPORT_MAGIC = "# precessflow basis"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monomials
-from .basis import project, solid_rotation
+from .basis import Basis, reference_projection, rotation_projection, solid_rotation
 from .geometry import SurfaceRule, volume_integral
 from .operators import OperatorSet
 from .polynomials import VectorField
@@ -60,20 +60,22 @@ CSV_HEADER = ",".join(_COLUMN_FIELDS)
 
 
 class DiagnosticsContext:
-    """Per-run precomputed context: reference fields and the surface functionals.
+    """Precomputed context of the runs on one basis: reference fields and the surface functionals.
 
     The three surface functionals are linear in the coefficients: the rule's
     weights and target values are folded through the Vandermonde once, so each
-    evaluation is one (3, dim) matvec minus constant offsets.
+    evaluation is one (3, dim) matvec minus constant offsets.  The projections
+    of u_P and e_z x x are the basis's shared ones, and every array is
+    read-only, so consecutive runs with the same reference field share one
+    context (timestepper.run keeps it on the basis).
     """
 
-    def __init__(self, ops: OperatorSet, u_p: VectorField | None, rule: SurfaceRule):
-        basis = ops.basis
+    def __init__(self, basis: Basis, u_p: VectorField | None, rule: SurfaceRule):
         domain = basis.domain
         self.rule = rule
         self.u_p = u_p
         if u_p is not None:
-            self.c_p, p_res = project(u_p, basis)
+            self.c_p, p_res = reference_projection(u_p, basis)
             if p_res > 1e-8:
                 raise ValueError("reference field is not representable in the basis")
         else:
@@ -81,7 +83,7 @@ class DiagnosticsContext:
 
         rot = solid_rotation((0, 0, 1))
         self.gamma = volume_integral(rot.dot(rot), domain)  # ||e_z x x||^2, exact
-        self.c_rot_dir, _ = project(rot, basis)             # projection of e_z x x
+        self.c_rot_dir, _ = rotation_projection(basis)
 
         w = self.rule.weights
         vander = monomials.vandermonde(self.rule.points, basis.degree)
@@ -103,6 +105,8 @@ class DiagnosticsContext:
         # size of the rotation direction on the surface, for the degeneracy test
         dir_nodes = vander @ np.einsum("i,icm->cm", self.c_rot_dir, basis.coeff_array).T
         self.degeneracy_scale = float(np.sum(w)) * max(1.0, float(np.max(np.abs(dir_nodes))))
+        for arr in (self.c_p, self.functionals, self.offsets, rule.points, rule.weights):
+            arr.flags.writeable = False
 
     def surface_functionals(self, coeffs: np.ndarray):
         """(c_rot, c_orth, c_tot) of the state with the given coefficients."""

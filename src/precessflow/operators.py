@@ -32,14 +32,16 @@ class P and the pairs i <= j with cls(i) ^ cls(j) = P, zero-padded to one
 matrix-vector product and one gather back, about dim^3 / 16 multiply-adds.
 
 Sharing.  The operators that do not depend on (nu, eps_p, bc) are cached on
-the basis (see assemble) and are read-only, as is the dense T: every operator
-set of a basis, and every run that reuses the basis, reads the same arrays.
+the basis (Basis.cached, see assemble) and are read-only, as is the dense T:
+every operator set of a basis, and every run that reuses the basis, reads the
+same arrays.  Only the forcing vector is formed per operator set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -128,7 +130,6 @@ class OperatorSet:
     mom: np.ndarray          # (3, dim): mom[alpha][i] = integral (x cross b_i)_alpha
     Hn: np.ndarray
     Hs: np.ndarray
-    _solver_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -143,7 +144,15 @@ class OperatorSet:
         """
         if self.T_packed is None:
             return None
-        return _cached(self.basis, "T_dense", _dense_advection)
+        return self.basis.cached("T_dense", _dense_advection)
+
+    @functools.cached_property
+    def implicit_params(self) -> tuple:
+        """What the implicit matrices read beyond the basis: (nu, eps_p, gradient stiffness, axis).
+
+        With dt, the key of the LU factors cached on the basis (timestepper._solver).
+        """
+        return (self.nu, self.eps_p, self.bc.uses_gradient_stiffness, self.precession_axis)
 
     @property
     def V(self) -> np.ndarray:
@@ -151,27 +160,6 @@ class OperatorSet:
         if self.bc.uses_gradient_stiffness:
             return self.nu * self.A_grad
         return self.nu * self.A_sym
-
-
-def _cached(basis: Basis, key, build, *args):
-    """basis._assembly_cache[key], built as build(basis, *args) on first request.
-
-    Every array of the entry is made read-only, since all callers share it.
-    """
-    cache = basis._assembly_cache
-    if key not in cache:
-        cache[key] = _read_only(build(basis, *args))
-    return cache[key]
-
-
-def _read_only(value):
-    """value with every array in it (an array, or a dict or tuple of them) read-only."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    else:
-        for item in value.values() if isinstance(value, dict) else value:
-            _read_only(item)
-    return value
 
 
 def _core_matrices(basis: Basis) -> dict:
@@ -310,8 +298,8 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
     """Assemble the full operator set for one boundary-condition/viscosity choice.
 
     The bc-independent matrices are cached on the basis, read-only: the
-    axis-independent ones once, C_x per precession axis and the blocks and
-    pack of T on first request.  Repeated assembly with different
+    axis-independent ones once, C_x for the last precession axis and the
+    blocks and pack of T on first request.  Repeated assembly with different
     (nu, eps_p, bc) is cheap, and T_packed (hence T) is None whenever
     include_advection is False.
     """
@@ -324,9 +312,9 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
     if len(axis) != 3 or not abs(sum(a * a for a in axis) - 1.0) <= 1e-12:
         raise ValueError("precession axis must be a finite unit vector of three components")
 
-    core = _cached(basis, "core", _core_matrices)
-    c_x = _cached(basis, ("C_x", axis), _coriolis_matrix, axis, core["values"])
-    t_packed = (_cached(basis, "T", _advection_operators, core["values"], core["grad"])[1]
+    core = basis.cached("core", _core_matrices)
+    c_x = basis.cached(("C_x", axis), _coriolis_matrix, axis, core["values"])
+    t_packed = (basis.cached("T", _advection_operators, core["values"], core["grad"])[1]
                 if include_advection else None)
     f_bc = _forcing_vector(basis, bc, nu, core)
     return OperatorSet(

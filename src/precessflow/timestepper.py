@@ -3,8 +3,9 @@
     M du/dt + N(u,u) + V u + 2 eps_p C_x u = F_bc
 
 Viscous and Coriolis terms are implicit.  The linear operator is constant, so
-three matrices are LU-factored once per (operator set, dt): the full-step and
-half-step backward-Euler matrices of the startup and the BDF2 matrix.
+three matrices are LU-factored once per basis and (dt, nu, eps_p, stiffness
+form, precession axis): the full-step and half-step backward-Euler matrices of
+the startup and the BDF2 matrix.
 Advection is explicit through the second-order extrapolant
 u* = 2 u^n - u^(n-1).  The first step bootstraps with backward Euler.  dt is
 fixed within a run for reproducible output.
@@ -25,10 +26,13 @@ per step.
 Set-up once per basis.  run() takes its basis from _run_basis, a one-entry
 functools.lru_cache keyed on (domain, degree, method), so consecutive runs on
 one basis (the +/- omega twins of scripts/poincare_family.py, say) build it
-once and share its assembly cache: the core matrices, C_x and the advection
-blocks and pack are assembled once, and only the forcing vector and the LU
-factors are formed per run.  The shared arrays are read-only.  Nothing on the
-run path forms the dense advection tensor or the Fraction basis fields.
+once and share its assembly cache: the core matrices, C_x, the advection
+blocks and pack, the LU factors, the diagnostics context (with its surface
+rule) and the projections of e_z x x and u_P are each formed once, and a warm
+run forms only the forcing vector.  The cache keeps one entry of each kind,
+replaced when its key changes, so a sweep over dt or nu holds one set of
+factors.  The shared arrays are read-only.  Nothing on the run path forms the
+dense advection tensor or the Fraction basis fields.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ import scipy.linalg
 from scipy.linalg.lapack import dgetrs
 
 from . import diagnostics
-from .basis import Basis, build_basis, poincare_field, poincare_obstacle, project, solid_rotation
+from .basis import (Basis, build_basis, poincare_field, poincare_obstacle, reference_projection,
+                    rotation_projection)
 from .geometry import Domain, surface_rule
 from .operators import BC_FORMS, BoundaryCondition, OperatorSet, advection_term, assemble
 
@@ -68,16 +73,25 @@ class State:
 
 
 def _solver(ops: OperatorSet, dt: float):
-    key = ("lu", dt)
-    cached = ops._solver_cache.get(key)
-    if cached is None:
-        linear = ops.V + 2.0 * ops.eps_p * ops.C_x
-        lu_be = scipy.linalg.lu_factor(ops.M / dt + linear)
-        lu_half = scipy.linalg.lu_factor(2.0 * ops.M / dt + linear)
-        lu_bdf = scipy.linalg.lu_factor(1.5 * ops.M / dt + linear)
-        cached = (lu_be, lu_half, lu_bdf)
-        ops._solver_cache[key] = cached
-    return cached
+    """LU factors of the full-step, half-step and BDF2 matrices, kept on the basis.
+
+    The key, dt and ops.implicit_params, is everything the matrices read
+    beyond the basis's cached M, A_sym, A_grad and C_x.  Every step asks for
+    the factors, so the (params, factors) entry that Basis.cached keeps is
+    read here first: a lookup through Basis.cached took 0.28 us at dim 26
+    and this read 0.15 us (timeit, 2-vCPU x86-64 host), against a step of
+    about 13 us.
+    """
+    params = (dt, ops.implicit_params)
+    cached_params, factors = ops.basis._assembly_cache.get("lu", (None, None))
+    if cached_params != params:
+        factors = ops.basis.cached(("lu", params), _factor, ops, dt)
+    return factors
+
+
+def _factor(basis: Basis, ops: OperatorSet, dt: float):
+    linear = ops.V + 2.0 * ops.eps_p * ops.C_x
+    return tuple(scipy.linalg.lu_factor(scale * ops.M / dt + linear) for scale in (1.0, 2.0, 1.5))
 
 
 def _lu_solve(lu_piv, rhs):
@@ -99,13 +113,13 @@ def step(state: State, ops: OperatorSet, dt: float) -> State:
     """One BDF2 step; the first step is Richardson-extrapolated backward Euler.
 
     The advecting velocity is the extrapolant 2 u^n - u^(n-1); the constant
-    implicit matrix (3/(2 dt)) M + V + 2 eps_p C_x is factored once per
-    (operator set, dt) and cannot be singular for nu > 0, dt > 0.  The
-    startup combines one full and two half backward-Euler steps
-    (2 u_{dt/2,dt/2} - u_dt), which keeps the whole trajectory second-order
-    accurate; a plain backward-Euler start would leave a first-order startup
-    artifact in difference-based diagnostics such as the momentum-balance
-    residual.  Advection enters when ops was assembled with it.
+    implicit matrix (3/(2 dt)) M + V + 2 eps_p C_x is factored once per basis
+    and (dt, nu, eps_p, stiffness form, axis) and cannot be singular for
+    nu > 0, dt > 0.  The startup combines one full and two half backward-Euler
+    steps (2 u_{dt/2,dt/2} - u_dt), which keeps the whole trajectory
+    second-order accurate; a plain backward-Euler start would leave a
+    first-order startup artifact in difference-based diagnostics such as the
+    momentum-balance residual.  Advection enters when ops was assembled with it.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -187,6 +201,15 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.t_end < self.dt:
+            raise ValueError(f"t_end = {self.t_end:g} is shorter than one time step "
+                             f"dt = {self.dt:g}")
+        for name in ("t_end", "record_every", "restart_time"):
+            value = getattr(self, name)
+            if value is not None and not math.isclose(value / self.dt, round(value / self.dt),
+                                                      rel_tol=1e-9):
+                raise ValueError(f"{name} = {value:g} is not a whole number of time steps "
+                                 f"dt = {self.dt:g}")
         if not self.blowup_factor > 0:
             raise ValueError("blowup_factor must be positive")
         if self.init_type not in INIT_TYPES:
@@ -226,17 +249,15 @@ def _poincare_data(domain: Domain, eps_value) -> object:
 def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
     eps = cfg.init_eps_p if cfg.init_eps_p is not None else cfg.eps_p
     if cfg.init_type == "solid_rotation":
-        coeffs, _ = project(solid_rotation((0, 0, 1)), basis)
-        return cfg.init_amplitude * coeffs
+        return cfg.init_amplitude * rotation_projection(basis)[0]
     if cfg.init_type == "poincare":
-        coeffs, res = project(_poincare_data(basis.domain, eps), basis)
+        coeffs, res = reference_projection(_poincare_data(basis.domain, eps), basis)
         if res > 1e-10:
             raise ValueError("Poincare flow is not representable in this basis")
-        return coeffs
+        return coeffs.copy()
     if cfg.init_type == "poincare_plus_rotation":
-        c_p, _ = project(_poincare_data(basis.domain, eps), basis)
-        c_r, _ = project(solid_rotation((0, 0, 1)), basis)
-        return c_p + cfg.init_omega * c_r
+        c_p, _ = reference_projection(_poincare_data(basis.domain, eps), basis)
+        return c_p + cfg.init_omega * rotation_projection(basis)[0]
     data = np.loadtxt(cfg.init_path).ravel()
     if data.shape != (basis.dim,):
         raise ValueError(
@@ -259,8 +280,8 @@ def _run_basis(domain: Domain, degree: int, method: str) -> Basis:
 def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     """Execute a scenario: build, integrate, record, and write the CSV output.
 
-    The basis, with the operators cached on it, is shared with the previous
-    run when that had the same domain, degree and method.  On blow-up the
+    The basis, with everything cached on it, is shared with the previous run
+    when that had the same domain, degree and method.  On blow-up the
     partial series is written to the configured output path before
     BlowUpError is raised (with the series attached).
     """
@@ -274,15 +295,15 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p,
                    include_advection=cfg.include_advection)
 
-    rule = surface_rule(domain, *diagnostics.SURFACE_ORDERS)
-    ctx = diagnostics.DiagnosticsContext(ops, bc_data, rule)
+    ctx = _diagnostics_context(basis, bc_data)
 
     state = State(t=0.0, coeffs=initial_coefficients(cfg, basis))
     init_norm = float(np.linalg.norm(state.coeffs))
     max_norm = cfg.blowup_factor * max(init_norm, 1e-30)
 
+    # validate() has put t_end, record_every and restart_time on the dt grid
     n_steps = int(round(cfg.t_end / cfg.dt))
-    every = max(1, int(round(cfg.record_every / cfg.dt)))
+    every = int(round(cfg.record_every / cfg.dt))
     restart_step = (int(round(cfg.restart_time / cfg.dt))
                     if cfg.restart_time is not None else None)
 
@@ -320,8 +341,15 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     return series
 
 
+def _diagnostics_context(basis: Basis, u_p) -> diagnostics.DiagnosticsContext:
+    """The context of the runs with reference field u_p (or None), kept on the basis."""
+    orders = diagnostics.SURFACE_ORDERS
+    key = ("context", (None if u_p is None else u_p.components, orders))
+    return basis.cached(key, lambda b: diagnostics.DiagnosticsContext(
+        b, u_p, surface_rule(b.domain, *orders)))
+
+
 def _apply_restart(state: State, cfg: ScenarioConfig, basis: Basis) -> State:
     """Add the configured rigid-rotation perturbation and restart the multistep."""
-    c_r, _ = project(solid_rotation((0, 0, 1)), basis)
-    return State(t=state.t, coeffs=state.coeffs + cfg.restart_omega * c_r,
+    return State(t=state.t, coeffs=state.coeffs + cfg.restart_omega * rotation_projection(basis)[0],
                  prev_coeffs=None)

@@ -181,7 +181,7 @@ def _dynamics_checks(results, label, domain, basis):
     _check(results, "timestepper.rotation_energy_constant", ctx, drift < 1e-12,
            f"max drift {drift:.2e}")
 
-    ctx_d = diagnostics.DiagnosticsContext(ops, None, surface_rule(domain, 16, 32))
+    ctx_d = diagnostics.DiagnosticsContext(basis, None, surface_rule(domain, 16, 32))
     rng = np.random.default_rng(99)
     c = rng.standard_normal(basis.dim)
     rec = diagnostics.record(State(0.0, c), ops, ctx_d)

@@ -232,6 +232,32 @@ class TestExitCodes:
             "error: constraint.mode orth_poincare needs a bc.form that carries Poincare data, "
             f"not {form}\n")
 
+    @pytest.mark.parametrize("edits, message", [
+        ({"time.dt = 0.01": "time.dt = 0.03", "time.t_end = 0.05": "time.t_end = 0.1",
+          "time.record_every = 0.01": "time.record_every = 0.03"},
+         "t_end = 0.1 is not a whole number of time steps dt = 0.03"),
+        ({"time.t_end = 0.05": "time.t_end = 0.004"},
+         "t_end = 0.004 is shorter than one time step dt = 0.01"),
+        ({"time.record_every = 0.01": "time.record_every = 0.01\nrestart.time = 0.003"},
+         "restart_time = 0.003 is not a whole number of time steps dt = 0.01"),
+        ({"time.record_every = 0.01": "time.record_every = 0.005"},
+         "record_every = 0.005 is not a whole number of time steps dt = 0.01"),
+    ], ids=["t_end", "under_one_step", "restart_time", "record_every"])
+    def test_run_rejects_times_off_the_dt_grid(self, tmp_path, capsys, monkeypatch, edits,
+                                               message):
+        def no_basis(*args):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr("precessflow.timestepper._run_basis", no_basis)
+        out = tmp_path / "run.csv"
+        text = RUN_LINES
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = write(tmp_path, "r.cfg", text + f"output.path = {out}\n")
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         cfg = write(tmp_path, "r.cfg", RUN_LINES + f"output.path = {out}\n")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from precessflow import timestepper
+from precessflow import basis as basis_module
+from precessflow import diagnostics, timestepper
 from precessflow.basis import build_basis, poincare_field, project, solid_rotation
 from precessflow.diagnostics import CSV_HEADER
 from precessflow.operators import BoundaryCondition, assemble
@@ -52,6 +53,12 @@ class TestScenarioConfig:
         dict(a=1, b=1, c=1),
         dict(blowup_factor=0.0),
         dict(blowup_factor=-1.0),
+        # times off the dt grid: run() would end at t = 0.09, take no step,
+        # kick at t = 0 or record every step
+        dict(dt=0.03, t_end=0.1, record_every=0.03),
+        dict(t_end=0.004),
+        dict(restart_time=0.003),
+        dict(record_every=0.005),
     ])
     def test_invalid(self, overrides):
         with pytest.raises(ValueError):
@@ -373,6 +380,42 @@ def built(monkeypatch):
     timestepper._run_basis.cache_clear()
 
 
+@pytest.fixture
+def set_up_calls(monkeypatch):
+    """Running counts of the set-up work of runs: factorizations, contexts, surface rules, projections."""
+    counts = dict.fromkeys(("lu_factor", "context", "surface_rule", "project"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for owner, attr, name in ((scipy.linalg, "lu_factor", "lu_factor"),
+                              (diagnostics.DiagnosticsContext, "__init__", "context"),
+                              (timestepper, "surface_rule", "surface_rule"),
+                              (basis_module, "project", "project")):
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    return counts
+
+
+def set_up_per_run(counts, configs):
+    """The set-up calls each of the runs of configs makes, in order."""
+    per_run = []
+    for cfg in configs:
+        if cfg is None:
+            timestepper._run_basis.cache_clear()
+            continue
+        before = dict(counts)
+        run(cfg)
+        per_run.append({name: counts[name] - before[name] for name in counts})
+    return per_run
+
+
+COLD_SET_UP = dict(lu_factor=3, context=1, surface_rule=1, project=2)
+WARM_SET_UP = dict.fromkeys(COLD_SET_UP, 0)
+
+
 class TestRunBasisMemo:
     def test_consecutive_runs_build_the_basis_once(self, tmp_path, built):
         run(twin_config(+1, None, tmp_path / "plus.csv"))
@@ -412,3 +455,61 @@ class TestRunBasisMemo:
         assert "T_dense" not in basis._assembly_cache
         assert all(a.size < basis.dim ** 3 for a in (blocks, *pack))
         assert "fields" not in vars(basis)
+
+    def test_a_warm_twin_run_sets_up_only_its_forcing_vector(self, tmp_path, built,
+                                                            set_up_calls):
+        twins = [twin_config(sign, "rot_momentum", tmp_path / f"{sign}.csv") for sign in (+1, -1)]
+        assert set_up_per_run(set_up_calls, twins) == [COLD_SET_UP, WARM_SET_UP]
+
+    def test_a_cleared_memo_makes_the_next_run_cold(self, tmp_path, built, set_up_calls):
+        cfg = twin_config(+1, "rot_momentum", tmp_path / "run.csv")
+        per_run = set_up_per_run(set_up_calls, [cfg, cfg, None, cfg])
+        assert per_run == [COLD_SET_UP, WARM_SET_UP, COLD_SET_UP]
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("change", [
+        dict(dt=0.02), dict(nu=0.5), dict(eps_p=0.1), dict(form="normal_gradient"),
+        dict(axis=(0.0, 0.0, 1.0)),
+    ], ids=["dt", "nu", "eps_p", "sym_to_grad", "axis"])
+    def test_changed_parameters_give_fresh_factors_equal_to_a_cold_build(self, change):
+        def factors(basis, dt, nu, eps_p, form, axis):
+            ops = assemble(basis, BoundaryCondition(form), nu=nu, eps_p=eps_p,
+                           precession_axis=axis, include_advection=False)
+            return timestepper._solver(ops, dt)
+
+        base = dict(dt=0.01, nu=1.0, eps_p=0.25, form="stress_free", axis=(1.0, 0.0, 0.0))
+        basis = build_basis(DOMAINS["spheroid"], 3)
+        first = factors(basis, **base)
+        assert factors(basis, **base) is first
+        fresh = factors(basis, **(base | change))
+        cold = factors(build_basis(DOMAINS["spheroid"], 3), **(base | change))
+        assert fresh is not first
+        for (lu, piv), (lu_cold, piv_cold) in zip(fresh, cold, strict=True):
+            assert lu.tobytes() == lu_cold.tobytes() and piv.tobytes() == piv_cold.tobytes()
+
+    def test_orth_poincare_after_another_eps_p_matches_a_cold_run(self, tmp_path, built):
+        # a context or projection kept from eps_p = 0.25 would give another c_orth
+        run(twin_config(+1, "orth_poincare", tmp_path / "first.csv"))
+        later = twin_config(-1, "orth_poincare", tmp_path / "warm.csv", eps_p=0.1)
+        run(later)
+        timestepper._run_basis.cache_clear()
+        run(twin_config(-1, "orth_poincare", tmp_path / "cold.csv", eps_p=0.1))
+        assert len(built) == 2
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+    def test_a_dt_sweep_keeps_one_entry_of_each_kind(self, tmp_path, built):
+        for dt in (0.01, 0.02, 0.025, 0.05, 0.1):
+            run(twin_config(+1, "rot_momentum", tmp_path / "run.csv", dt=dt))
+        cache = built[0]._assembly_cache
+        assert sorted(cache) == sorted(["core", "C_x", "T", "lu", "context", "u_P", "e_z x x"])
+        assert cache["lu"][0][0] == 0.1
+
+    def test_the_shared_run_set_up_is_read_only(self, tmp_path, built):
+        run(twin_config(+1, "rot_momentum", tmp_path / "run.csv"))
+        cache = built[0]._assembly_cache
+        ctx = cache["context"][1]
+        arrays = [a for lu_piv in cache["lu"][1] for a in lu_piv]
+        arrays += [cache["u_P"][1][0], cache["e_z x x"][0]]
+        arrays += [ctx.c_p, ctx.c_rot_dir, ctx.functionals, ctx.offsets,
+                   ctx.rule.points, ctx.rule.weights]
+        assert not any(a.flags.writeable for a in arrays)

@@ -23,7 +23,9 @@ within a class its integrand is even: nodal_form, (U w) V^T per block of equal
 class labels on the octant rule of degree 3N - 1 (basis_rule), computes every
 even volume form, free of the rounded monomial integrals that a coefficient
 contraction (gram_form, kept for the odd-in-z part of Hn/Hs) amplifies by the
-coefficients' size (1e3 at N = 8).  project splits its field by class alike.
+coefficients' size (1e3 at N = 8).  Basis.nodal evaluates the basis at the
+nodes once per basis; every volume form reads it, and so does project, which
+takes fields of degree <= N and splits them by class alike.
 
 Orthonormalization is one kernel, the inverse Cholesky factor of a Gram, run
 on each class block of the raw fields' mass Gram, so every orthonormal field
@@ -127,6 +129,11 @@ class Basis:
         if entry is None or entry[0] != params:
             entry = cache[kind] = (params, _read_only(build(self, *args)))
         return entry[1]
+
+    @property
+    def nodal(self) -> dict:
+        """The basis at the nodes of its rule (_nodal_values), evaluated on first read and kept."""
+        return self.cached("nodal", _nodal_values)
 
     def __repr__(self):
         return (f"Basis(domain={self.domain!r}, degree={self.degree}, dim={self.dim})")
@@ -510,8 +517,19 @@ def nodal_form(u: np.ndarray, weights: np.ndarray, v: np.ndarray, cls_u: np.ndar
     return out
 
 
+def _nodal_values(basis: Basis) -> dict:
+    """The one evaluation of a basis at its rule: points, weights, vander (nodes, D_N), the
+    fields' values[i, c, n] = (b_i)_c and their grad[i, c, a, n] = d(b_i)_c / d x_a."""
+    n, coeff = basis.degree, basis.coeff_array
+    points, weights = basis_rule(basis.domain, n)
+    vander = monomials.vandermonde(points, n)
+    db = np.stack([monomials.apply_derivative(coeff, n, a) for a in range(3)], axis=2)
+    return dict(points=points, weights=weights, vander=vander, values=coeff @ vander.T,
+                grad=db @ monomials.vandermonde(points, n - 1).T)
+
+
 def mass_gram(domain: Domain, degree: int, coeff: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """The (symmetrized) mass Gram of class-pure fields, on the basis rule."""
+    """The (symmetrized) mass Gram of class-pure fields on the basis rule, before a Basis exists."""
     points, weights = basis_rule(domain, degree)
     u = coeff @ monomials.vandermonde(points, degree).T
     g = nodal_form(u, weights, u, classes, classes)
@@ -601,24 +619,22 @@ def _check_exact_rows(domain: Domain, degree: int, nums: np.ndarray) -> None:
 # projection and the portable text format
 
 def project(v: VectorField, basis: Basis):
-    """L2-orthogonal projection onto the basis span.
+    """L2-orthogonal projection of a field of degree <= N onto the basis span.
 
     Returns (coefficients, residual) with residual = || v - sum c_i b_i ||_L2 of
     the explicitly formed residual field, so exact members come back at round-off.
-    Each integrand is taken by reflection-class parts of v (monomial parity), for
-    which an octant rule of degree 2 max(deg v, N) is exact: the basis rule, on
-    whose nodes the stiffness forms are taken too, unless deg v > N.
+    Each integrand is taken by reflection-class parts of v (monomial parity) on the
+    basis rule, exact for them to degree 2N, from the basis values that Basis.nodal
+    computes once per basis.  A field above degree N raises ValueError (field_to_array).
     """
-    top = max(v.degree, basis.degree)
-    points, weights = octant_rule(basis.domain, max(3 * basis.degree - 1, 2 * top))
-    vander = monomials.vandermonde(points, top).T
-    masks = _class_table(top) == np.arange(N_CLASSES)[:, None, None]
-    arr = monomials.field_to_array(v.to_float(), top)
-    d_n = basis.coeff_array.shape[-1]
-    rhs = np.einsum("icn,icn->i", (basis.coeff_array @ vander[:d_n]) * weights,
+    arr = monomials.field_to_array(v.to_float(), basis.degree)
+    nodal = basis.nodal
+    vander, weights = nodal["vander"].T, nodal["weights"]
+    masks = _class_table(basis.degree) == np.arange(N_CLASSES)[:, None, None]
+    rhs = np.einsum("icn,icn->i", nodal["values"] * weights,
                     (np.where(masks, arr, 0.0) @ vander)[basis.classes])
     coeffs = np.linalg.solve(basis.gram, rhs)
-    arr[:, :d_n] -= np.einsum("i,icm->cm", coeffs, basis.coeff_array)
+    arr -= np.einsum("i,icm->cm", coeffs, basis.coeff_array)
     return coeffs, math.sqrt(float(np.sum((np.where(masks, arr, 0.0) @ vander) ** 2 @ weights)))
 
 

@@ -191,9 +191,10 @@ def cmd_steady(args) -> int:
         raise ConfigError(f"unknown bc form {form!r}")
     if poincare_obstacle(domain) is not None:
         raise ConfigError("steady check needs the spheroid with unit equatorial axes")
+    eps_p, nu_inverse = _parse(cfg, "physics.eps_p"), _parse(cfg, "physics.nu_inverse")
+    ScenarioConfig.check_nu_inverse(nu_inverse)
     basis = build_basis(domain, _parse(cfg, "basis.degree"))
-    eps_p = _parse(cfg, "physics.eps_p")
-    nu = 1.0 / _parse(cfg, "physics.nu_inverse")
+    nu = 1.0 / nu_inverse
     u_p = poincare_field(domain.beta, Fraction(eps_p))
     data = u_p if BoundaryCondition.form_carries_data(form) else None
     ops = assemble(basis, BoundaryCondition(form, data), nu=nu, eps_p=eps_p)

@@ -14,7 +14,8 @@ div eps(u_P) = 0); no surface quadrature enters the dynamics.
 
 Which path each form takes.  Every even form, M (the basis Gram), A_sym,
 A_grad, C_x, T, mom (the basis against e_a x x) and F_bc (nodal gradients
-summed on their classes), is a nodal form on the basis rule (see basis).  The
+summed on their classes), is a nodal form on the basis rule (see basis), read
+from Basis.nodal, the basis values and gradients computed once per basis.  The
 hemispheric Grams are M / 2 on matching classes and +-K, from exact
 half-ellipsoid monomial integrals, on classes that differ in the z bit only.
 
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import monomials
-from .basis import _CLASS_BITS, N_CLASSES, Basis, basis_rule, gram_form, nodal_form, solid_rotation
+from .basis import _CLASS_BITS, N_CLASSES, Basis, gram_form, nodal_form, solid_rotation
 from .geometry import Domain, volume_integral
 from .polynomials import Polynomial3, VectorField
 
@@ -163,9 +164,9 @@ class OperatorSet:
 
 
 def _core_matrices(basis: Basis) -> dict:
-    """The axis- and bc-independent matrices, plus nodal values and gradients for C_x, T and F_bc."""
+    """The axis- and bc-independent matrices."""
     domain, n, bc_arr, cls = basis.domain, basis.degree, basis.coeff_array, basis.classes
-    points, weights = basis_rule(domain, n)
+    nodal = basis.nodal
 
     # Hn, Hs: M / 2 where the integrand is even in z, +-K where only the z bit
     # of the classes differs, so Hn + Hs = M exactly
@@ -173,27 +174,22 @@ def _core_matrices(basis: Basis) -> dict:
     k = np.where(odd_in_z, gram_form(bc_arr, monomials.gram(domain, n, n, "north"), bc_arr), 0.0)
     hn, hs = 0.5 * basis.gram + k, 0.5 * basis.gram - k
 
-    # dB[i, comp, axis, :] = d(b_i)_comp / d x_axis; values and gradients at the nodes
-    db = np.stack([monomials.apply_derivative(bc_arr, n, a) for a in range(3)], axis=2)
-    values = bc_arr @ monomials.vandermonde(points, n).T
-    grad = db @ monomials.vandermonde(points, n - 1).T
-
-    # 9-component values, component index 3 * comp + axis
+    # 9-component gradients, component index 3 * comp + axis
+    grad = nodal["grad"]
     g9 = grad.reshape(basis.dim, 9, -1)
     s9 = 0.5 * (grad + grad.transpose(0, 2, 1, 3)).reshape(basis.dim, 9, -1)
-    a_sym, a_grad = (nodal_form(g, weights, g, cls, cls) for g in (s9, g9))
+    a_sym, a_grad = (nodal_form(g, nodal["weights"], g, cls, cls) for g in (s9, g9))
     a_sym, a_grad = a_sym + a_sym.T, 0.5 * (a_grad + a_grad.T)     # 2 eps:eps, grad:grad
 
     # (x cross b_i)_a = b_i . (e_a x x): the rotation fields' values against the basis
-    rotations = np.cross(np.eye(3)[:, None], points).transpose(0, 2, 1)
-    mom = nodal_form(rotations, weights, values, _ROTATION_CLASSES, cls)
-    return dict(M=basis.gram, A_sym=a_sym, A_grad=a_grad, mom=mom, Hn=hn, Hs=hs,
-                values=values, grad=grad)
+    rotations = np.cross(np.eye(3)[:, None], nodal["points"]).transpose(0, 2, 1)
+    mom = nodal_form(rotations, nodal["weights"], nodal["values"], _ROTATION_CLASSES, cls)
+    return dict(M=basis.gram, A_sym=a_sym, A_grad=a_grad, mom=mom, Hn=hn, Hs=hs)
 
 
-def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float], values) -> np.ndarray:
+def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarray:
     """C = sum_a w_a C^a, C^a[i, k] = integral of b_i . (e_a x b_k): class P with P ^ cls(e_a x x)."""
-    weights = basis_rule(basis.domain, basis.degree)[1]
+    values, weights = basis.nodal["values"], basis.nodal["weights"]
     return sum(w_a * nodal_form(values, weights, np.cross(e_a, values, axisb=1, axisc=1),
                                 basis.classes, basis.classes ^ shift)
                for w_a, e_a, shift in zip(axis, np.eye(3), _ROTATION_CLASSES) if w_a)
@@ -258,14 +254,15 @@ def _pack_advection(blocks: np.ndarray, tr: _ClassTriples) -> PackedAdvection:
     return PackedAdvection(g, pi, pj, tr.slot * n_rows + tr.pos)
 
 
-def _advection_operators(basis: Basis, values: np.ndarray, grad: np.ndarray):
+def _advection_operators(basis: Basis):
     """The (triple, i, k, j) blocks of T and the packed copy, class triple by class triple.
 
     B[n, a, k, j] = sum_c b_k[c] d_a b_j[c] at the nodes is one batch of (k, 3) x (3, j)
     products; the block is then one product of the weighted values w_n b_i[a] with B.
     """
     tr = _class_triples(basis.classes)
-    weights = basis_rule(basis.domain, basis.degree)[1]
+    nodal = basis.nodal
+    values, grad, weights = nodal["values"], nodal["grad"], nodal["weights"]
     members = [rows[rows < basis.dim] for rows in tr.rows]
     u_k = [np.ascontiguousarray(values[m].transpose(2, 0, 1)[:, None]) for m in members]
     g_j = [np.ascontiguousarray(grad[m].transpose(3, 2, 1, 0)) for m in members]
@@ -313,10 +310,9 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
         raise ValueError("precession axis must be a finite unit vector of three components")
 
     core = basis.cached("core", _core_matrices)
-    c_x = basis.cached(("C_x", axis), _coriolis_matrix, axis, core["values"])
-    t_packed = (basis.cached("T", _advection_operators, core["values"], core["grad"])[1]
-                if include_advection else None)
-    f_bc = _forcing_vector(basis, bc, nu, core)
+    c_x = basis.cached(("C_x", axis), _coriolis_matrix, axis)
+    t_packed = basis.cached("T", _advection_operators)[1] if include_advection else None
+    f_bc = _forcing_vector(basis, bc, nu)
     return OperatorSet(
         basis=basis, bc=bc, nu=float(nu), eps_p=float(eps_p), precession_axis=axis,
         M=core["M"], A_sym=core["A_sym"], A_grad=core["A_grad"], C_x=c_x,
@@ -324,7 +320,7 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
     )
 
 
-def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float, core: dict) -> np.ndarray:
+def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float) -> np.ndarray:
     if not bc.is_inhomogeneous:
         return np.zeros(basis.dim)
     # eps(b) : E = grad(b) : E for the symmetric strain rate E of the data
@@ -338,8 +334,7 @@ def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float, core: dict) 
     const = np.array([float(data[a][c].coeffs.get((0, 0, 0), 0.0))
                       for c in range(3) for a in range(3)])
     # integral of d(b_i)_comp / d x_axis, nonzero only on the class bit(comp) ^ bit(axis)
-    weights = basis_rule(basis.domain, basis.degree)[1]
-    integrals = core["grad"].reshape(basis.dim, 9, -1) @ weights
+    integrals = basis.nodal["grad"].reshape(basis.dim, 9, -1) @ basis.nodal["weights"]
     on_class = basis.classes[:, None] == (_CLASS_BITS[:, None] ^ _CLASS_BITS).ravel()
     return weight * np.where(on_class, integrals, 0.0) @ const
 

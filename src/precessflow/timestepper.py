@@ -189,15 +189,13 @@ class ScenarioConfig:
             raise ValueError("basis degree must be at least 1")
         if self.bc_form not in BC_FORMS:
             raise ValueError(f"unknown bc form {self.bc_form!r}")
-        if not self.nu_inverse > 0:
-            raise ValueError("nu_inverse must be positive")
+        self.check_nu_inverse(self.nu_inverse)
         if not self.dt > 0 or not self.t_end > 0:
             raise ValueError("dt and t_end must be positive")
         if not self.record_every > 0:
             raise ValueError("record_every must be positive")
-        for name in ("nu_inverse", "eps_p", "dt", "t_end", "record_every", "init_amplitude",
-                     "init_omega", "init_eps_p", "restart_time", "restart_omega",
-                     "blowup_factor"):
+        for name in ("eps_p", "dt", "t_end", "record_every", "init_amplitude", "init_omega",
+                     "init_eps_p", "restart_time", "restart_omega", "blowup_factor"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -225,6 +223,14 @@ class ScenarioConfig:
                 and not BoundaryCondition.form_carries_data(self.bc_form)):
             raise ValueError(f"constraint.mode orth_poincare needs a bc.form that carries "
                              f"Poincare data, not {self.bc_form}")
+
+    @staticmethod
+    def check_nu_inverse(nu_inverse: float) -> None:
+        """Reject a nu_inverse whose 1 / nu_inverse is no viscosity; steady shares the check."""
+        if not nu_inverse > 0:
+            raise ValueError("nu_inverse must be positive")
+        if not math.isfinite(nu_inverse):
+            raise ValueError(f"nu_inverse must be finite, got {nu_inverse}")
 
     def domain(self) -> Domain:
         return scenario_domain(self.beta, self.a, self.b, self.c)

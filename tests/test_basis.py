@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from precessflow import monomials
+from precessflow import geometry, monomials
 from precessflow import basis as basis_module
 from precessflow.basis import (GRAM_IDENTITY_TOL, InvariantError, build_basis, coefficient_classes,
                                curl_form_fields, gram_form, load_basis, mass_gram, poincare_field,
@@ -326,6 +326,56 @@ class TestProject:
         norm2 = volume_integral(e_x.dot(e_x), domain)
         gram_identity = norm2 - float(coeffs @ np.linalg.solve(basis.gram, coeffs))
         assert res**2 == pytest.approx(gram_identity, rel=1e-6)
+
+    def test_field_above_the_basis_degree_rejected(self):
+        x = Polynomial3.variable(0)
+        cubic = VectorField((Polynomial3.zero(), Polynomial3.zero(), x * x * x))
+        with pytest.raises(ValueError, match="exceeds degree 2"):
+            project(cubic, get_basis("spheroid", 2))
+
+    def test_the_volume_nodes_are_evaluated_once(self, monkeypatch):
+        basis = build_basis(DOMAINS["spheroid"], 3)
+        builds, degrees = [], []
+        build, vandermonde = basis_module._nodal_values, monomials.vandermonde
+        monkeypatch.setattr(basis_module, "_nodal_values",
+                            lambda b: builds.append(b) or build(b))
+        monkeypatch.setattr(monomials, "vandermonde",
+                            lambda pts, d: degrees.append(d) or vandermonde(pts, d))
+        bc = BoundaryCondition("poincare_stress", poincare_field(Fraction(9, 16), Fraction(1, 4)))
+        assemble(basis, bc, nu=1.0, eps_p=0.25)
+        assemble(basis, bc, nu=1.0, eps_p=0.25, precession_axis=(0.0, 0.6, 0.8),
+                 include_advection=False)
+        for _ in range(10):
+            project(solid_rotation((0, 0, 1)), basis)
+        # the degree-3 values and the degree-2 gradients, in the one build
+        assert builds == [basis]
+        assert sorted(degrees) == [2, 3]
+
+    @staticmethod
+    def _octant_rule_projection(v, basis):
+        """The reference: the octant rule and its Vandermonde matrix evaluated per call."""
+        top = max(v.degree, basis.degree)
+        points, weights = geometry.octant_rule(basis.domain, max(3 * basis.degree - 1, 2 * top))
+        vander = monomials.vandermonde(points, top).T
+        masks = basis_module._class_table(top) == np.arange(basis_module.N_CLASSES)[:, None, None]
+        arr = monomials.field_to_array(v.to_float(), top)
+        d_n = basis.coeff_array.shape[-1]
+        rhs = np.einsum("icn,icn->i", (basis.coeff_array @ vander[:d_n]) * weights,
+                        (np.where(masks, arr, 0.0) @ vander)[basis.classes])
+        coeffs = np.linalg.solve(basis.gram, rhs)
+        arr[:, :d_n] -= np.einsum("i,icm->cm", coeffs, basis.coeff_array)
+        return coeffs, math.sqrt(float(np.sum((np.where(masks, arr, 0.0) @ vander) ** 2
+                                              @ weights)))
+
+    def test_cached_values_give_the_octant_rule_projection_bit_for_bit(self):
+        basis = get_basis("spheroid", 4)
+        fields = curl_form_fields(DOMAINS["spheroid"], 4) + [
+            solid_rotation((0, 0, 1)), poincare_field(Fraction(9, 16), Fraction(1, 4))]
+        for field in fields:
+            coeffs, res = project(field, basis)
+            ref_coeffs, ref_res = self._octant_rule_projection(field, basis)
+            assert coeffs.tobytes() == ref_coeffs.tobytes()
+            assert res == ref_res
 
 
 class TestExportImport:

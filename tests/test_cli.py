@@ -188,6 +188,21 @@ class TestExitCodes:
         assert main(["steady", "--config", cfg]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("nu_inverse", ["0", "-1"])
+    def test_steady_rejects_a_non_positive_nu_inverse_before_the_build(self, tmp_path, capsys,
+                                                                      monkeypatch, nu_inverse):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the basis was built")
+
+        monkeypatch.setattr("precessflow.cli.build_basis", no_build)
+        cfg = write(tmp_path, "s.cfg", SPHEROID_LINES +
+                    f"bc.form = poincare_stress\nphysics.nu_inverse = {nu_inverse}\n"
+                    "physics.eps_p = 0.25\n")
+        assert main(["steady", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: nu_inverse must be positive\n"
+        assert captured.out == ""
+
     def test_steady_rejects_the_triaxial_config(self, capsys):
         cfg = Path(__file__).resolve().parents[1] / "configs" / "freedecay_triaxial.cfg"
         assert main(["steady", "--config", str(cfg)]) == 1

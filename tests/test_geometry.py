@@ -137,16 +137,19 @@ class TestHalfIntegral:
 def _mc_moments(domain, n_samples, seed):
     """Monte Carlo estimates of all monomial moments with p+q+r <= 8.
 
-    Uniform box sampling with the indicator folded in as zeros; monomial
-    values are only materialized for inside points to keep memory flat.
+    Uniform box sampling with the indicator folded in as zeros.  Per chunk, the
+    inside points' power tables x^p, y^q, z^r give every sum over the chunk of
+    x^p y^q z^r (and of its square, and of either north-weighted) as one product
+    of the (p, q) columns, p + q <= 8, with the z columns.
     """
     rng = np.random.default_rng(seed)
     exps = monomials.exponents(8)
+    pq = exps[exps[:, 2] == 0][:, :2]               # the (p, q) pairs with p + q <= 8
+    pair = np.zeros((9, 9), dtype=int)
+    pair[pq[:, 0], pq[:, 1]] = np.arange(len(pq))
+    col = pair[exps[:, 0], exps[:, 1]]
     box = 8.0 * domain.a * domain.b * domain.c
-    total = np.zeros(len(exps))
-    total_sq = np.zeros(len(exps))
-    total_n = np.zeros(len(exps))
-    total_n_sq = np.zeros(len(exps))
+    sums = np.zeros((2, len(pq), 18))              # (plain, squared), pair, (z^r, north z^r)
     chunk = 250_000
     done = 0
     while done < n_samples:
@@ -156,14 +159,17 @@ def _mc_moments(domain, n_samples, seed):
         inside = ((pts[:, 0] / domain.a) ** 2 + (pts[:, 1] / domain.b) ** 2
                   + (pts[:, 2] / domain.c) ** 2) < 1.0
         pts = pts[inside]
-        vander = monomials.vandermonde(pts, 8)
-        vander_sq = vander * vander
-        north = (pts[:, 2] > 0.0).astype(float)
-        total += vander.sum(axis=0)
-        total_sq += vander_sq.sum(axis=0)
-        total_n += north @ vander
-        total_n_sq += north @ vander_sq
+        powers = np.ones((len(pts), 3, 9))
+        powers[:, :, 1:] = pts[:, :, None]
+        powers = np.cumprod(powers, axis=2)          # powers[n, axis, d] = pts[n, axis]^d
+        xy = powers[:, 0, pq[:, 0]] * powers[:, 1, pq[:, 1]]
+        z = powers[:, 2]
+        z = np.concatenate([z, z * (pts[:, 2] > 0.0)[:, None]], axis=1)
+        sums[0] += xy.T @ z
+        sums[1] += (xy * xy).T @ (z * z)
         done += m
+    total, total_n = sums[0][col, exps[:, 2]], sums[0][col, 9 + exps[:, 2]]
+    total_sq, total_n_sq = sums[1][col, exps[:, 2]], sums[1][col, 9 + exps[:, 2]]
     mean = total / n_samples
     sem = np.sqrt(np.maximum(total_sq / n_samples - mean**2, 0.0) / n_samples)
     mean_n = total_n / n_samples

@@ -501,7 +501,8 @@ class TestRunBasisMemo:
         for dt in (0.01, 0.02, 0.025, 0.05, 0.1):
             run(twin_config(+1, "rot_momentum", tmp_path / "run.csv", dt=dt))
         cache = built[0]._assembly_cache
-        assert sorted(cache) == sorted(["core", "C_x", "T", "lu", "context", "u_P", "e_z x x"])
+        assert sorted(cache) == sorted(["nodal", "core", "C_x", "T", "lu", "context", "u_P",
+                                        "e_z x x"])
         assert cache["lu"][0][0] == 0.1
 
     def test_the_shared_run_set_up_is_read_only(self, tmp_path, built):
@@ -509,7 +510,7 @@ class TestRunBasisMemo:
         cache = built[0]._assembly_cache
         ctx = cache["context"][1]
         arrays = [a for lu_piv in cache["lu"][1] for a in lu_piv]
-        arrays += [cache["u_P"][1][0], cache["e_z x x"][0]]
+        arrays += [cache["u_P"][1][0], cache["e_z x x"][0], *cache["nodal"].values()]
         arrays += [ctx.c_p, ctx.c_rot_dir, ctx.functionals, ctx.offsets,
                    ctx.rule.points, ctx.rule.weights]
         assert not any(a.flags.writeable for a in arrays)

@@ -334,13 +334,18 @@ def _rows_to_float(nums: np.ndarray, dens: np.ndarray, degree: int) -> np.ndarra
     """(rows, 3, D_N) float velocity coefficients of integer rows.
 
     Each entry is the Python int division num / den, correctly rounded: the
-    value float(Fraction(num, den)) takes.
+    value float(Fraction(num, den)) takes.  An entry beyond the double range
+    raises ValueError.
     """
     dim_v = monomials.space_dim(degree)
     v = nums[:, :3 * dim_v]
     out = np.zeros(v.shape)
     nonzero = np.nonzero(v)
-    out[nonzero] = v[nonzero] / dens[nonzero[0]]
+    try:
+        out[nonzero] = v[nonzero] / dens[nonzero[0]]
+    except OverflowError:
+        raise ValueError(f"a coefficient of the degree-{degree} basis rows is beyond the "
+                         "double range") from None
     return out.reshape(-1, 3, dim_v)
 
 

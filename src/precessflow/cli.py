@@ -20,7 +20,7 @@ from fractions import Fraction
 from .basis import (EXPORT_MAGIC, InvariantError, build_basis, poincare_field, poincare_obstacle,
                     save_basis)
 from .geometry import Domain
-from .operators import BC_FORMS, BoundaryCondition, assemble
+from .operators import BoundaryCondition, assemble
 from .spectral import neutral_modes
 from .timestepper import BlowUpError, ScenarioConfig, scenario_domain
 from .timestepper import run as run_scenario
@@ -186,18 +186,15 @@ def cmd_steady(args) -> int:
     cfg = parse_config(args.config)
     _require(cfg, "basis.degree", "bc.form", "physics.nu_inverse", "physics.eps_p")
     domain = domain_from_config(cfg)
-    form = cfg["bc.form"]
-    if form not in BC_FORMS:
-        raise ConfigError(f"unknown bc form {form!r}")
     if poincare_obstacle(domain) is not None:
         raise ConfigError("steady check needs the spheroid with unit equatorial axes")
     eps_p, nu_inverse = _parse(cfg, "physics.eps_p"), _parse(cfg, "physics.nu_inverse")
     ScenarioConfig.check_nu_inverse(nu_inverse)
-    basis = build_basis(domain, _parse(cfg, "basis.degree"))
-    nu = 1.0 / nu_inverse
+    form = cfg["bc.form"]
     u_p = poincare_field(domain.beta, Fraction(eps_p))
-    data = u_p if BoundaryCondition.form_carries_data(form) else None
-    ops = assemble(basis, BoundaryCondition(form, data), nu=nu, eps_p=eps_p)
+    bc = BoundaryCondition(form, u_p if BoundaryCondition.form_carries_data(form) else None)
+    basis = build_basis(domain, _parse(cfg, "basis.degree"))
+    ops = assemble(basis, bc, nu=1.0 / nu_inverse, eps_p=eps_p)
     # the rotation-shift family is a steady family only for the Poincare
     # stress form; for other forms the sweep rows are informative
     sweep_is_checked = form == "poincare_stress"

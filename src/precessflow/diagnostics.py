@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monomials
-from .basis import Basis, reference_projection, rotation_projection, solid_rotation
-from .geometry import SurfaceRule, volume_integral
+from .basis import Basis, _read_only, reference_projection, rotation_projection, solid_rotation
+from .geometry import surface_rule, volume_integral
 from .operators import OperatorSet
 from .polynomials import VectorField
 
@@ -65,14 +65,14 @@ class DiagnosticsContext:
     The three surface functionals are linear in the coefficients: the rule's
     weights and target values are folded through the Vandermonde once, so each
     evaluation is one (3, dim) matvec minus constant offsets.  The projections
-    of u_P and e_z x x are the basis's shared ones, and every array is
-    read-only, so consecutive runs with the same reference field share one
-    context (timestepper.run keeps it on the basis).
+    of u_P and e_z x x are the basis's shared ones, the surface rule has the
+    SURFACE_ORDERS, and every array is read-only, so the runs with one
+    reference field share one context (shared_context keeps it on the basis).
     """
 
-    def __init__(self, basis: Basis, u_p: VectorField | None, rule: SurfaceRule):
+    def __init__(self, basis: Basis, u_p: VectorField | None):
         domain = basis.domain
-        self.rule = rule
+        self.rule = surface_rule(domain, *SURFACE_ORDERS)
         self.u_p = u_p
         if u_p is not None:
             self.c_p, p_res = reference_projection(u_p, basis)
@@ -105,13 +105,18 @@ class DiagnosticsContext:
         # size of the rotation direction on the surface, for the degeneracy test
         dir_nodes = vander @ np.einsum("i,icm->cm", self.c_rot_dir, basis.coeff_array).T
         self.degeneracy_scale = float(np.sum(w)) * max(1.0, float(np.max(np.abs(dir_nodes))))
-        for arr in (self.c_p, self.functionals, self.offsets, rule.points, rule.weights):
-            arr.flags.writeable = False
+        _read_only((self.c_p, self.functionals, self.offsets, self.rule.points, self.rule.weights))
 
     def surface_functionals(self, coeffs: np.ndarray):
         """(c_rot, c_orth, c_tot) of the state with the given coefficients."""
         c_rot, c_orth, c_tot = self.functionals @ coeffs - self.offsets
         return float(c_rot), float(c_orth), float(c_tot)
+
+
+def shared_context(basis: Basis, u_p: VectorField | None) -> DiagnosticsContext:
+    """The context of the runs on basis with reference field u_p (or None), kept on the basis."""
+    key = ("context", None if u_p is None else u_p.components)
+    return basis.cached(key, DiagnosticsContext, u_p)
 
 
 def record(state, ops: OperatorSet, ctx: DiagnosticsContext) -> DiagnosticsRecord:

@@ -44,6 +44,13 @@ def _sqrt_fraction(f: Fraction) -> Fraction | None:
     return None
 
 
+def _finite_nonzero_double(x: Fraction) -> bool:
+    try:
+        return 0.0 < abs(float(x)) < math.inf
+    except OverflowError:
+        return False
+
+
 def _close(u: float, v: float) -> bool:
     return abs(u - v) <= _KIND_TOL * max(abs(u), abs(v))
 
@@ -63,11 +70,20 @@ class Domain:
         fa, fb, fc = _to_fraction(a), _to_fraction(b), _to_fraction(c)
         if fa <= 0 or fb <= 0 or fc <= 0:
             raise ValueError("semi-axes must be positive")
-        self._set_slots((float(fa), float(fb), float(fc)), (fa * fa, fb * fb, fc * fc),
-                        (fa, fb, fc))
+        self._set_slots((fa * fa, fb * fb, fc * fc), (fa, fb, fc))
 
-    def _set_slots(self, axes, squares, axes_exact) -> None:
-        """Float axes, exact squared axes, and the exact axes (None when irrational)."""
+    def _set_slots(self, squares, axes_exact) -> None:
+        """Exact squared axes and the exact axes (None when irrational); sets the float axes.
+
+        Every axis, its square and its reciprocal square must be finite nonzero
+        doubles; the square and its reciprocal being so makes the axis so too.
+        """
+        for name, square in zip("abc", squares):
+            if not (_finite_nonzero_double(square) and _finite_nonzero_double(1 / square)):
+                raise ValueError(f"semi-axis {name} is out of the double range: {name}, {name}^2 "
+                                 f"and 1/{name}^2 must be finite nonzero doubles")
+        axes = ([float(x) for x in axes_exact] if axes_exact is not None
+                else [math.sqrt(float(s)) for s in squares])
         for name, value in zip(("a", "b", "c", "a2", "b2", "c2", "axes_exact"),
                                (*axes, *squares, axes_exact)):
             object.__setattr__(self, name, value)
@@ -85,7 +101,7 @@ class Domain:
         if c is not None:
             return cls(1, 1, c)
         dom = cls.__new__(cls)
-        dom._set_slots((1.0, 1.0, math.sqrt(float(c2))), (Fraction(1), Fraction(1), c2), None)
+        dom._set_slots((Fraction(1), Fraction(1), c2), None)
         return dom
 
     def _classify(self) -> str:

@@ -22,8 +22,8 @@ half-ellipsoid monomial integrals, on classes that differ in the z bit only.
 Class-pair assembly of T.  T is assembled only on the class triples
 (Q ^ R, Q, R), 64 of the 512 for 8 classes, as (triple, i, k, j) blocks kept
 on the basis; the packed copy below is gathered from them, and OperatorSet.T
-(which verify, dump and the tests read) scatters them into the dense tensor
-on first read, once per basis.
+(read by dump_operator_set, the bench digest and the tests, not by verify)
+scatters them into the dense tensor on first read, once per basis.
 
 Packed advection.  Only the (i, j)-symmetric part of T enters
 N_k = sum_ij c_i c_j T[i, j, k].  For each output class P, G[P] holds
@@ -277,7 +277,7 @@ def _advection_operators(basis: Basis):
 
 def _dense_advection(basis: Basis) -> np.ndarray:
     """T[i, j, k], scattered from the cached (triple, i, k, j) blocks of the basis."""
-    blocks = basis._assembly_cache["T"][0]
+    blocks = basis.cached("T", _advection_operators)[0]
     tr = _class_triples(basis.classes)
     dim = basis.dim
     # padding entries (zeros) hit a spare slot

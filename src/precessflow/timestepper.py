@@ -49,7 +49,7 @@ from scipy.linalg.lapack import dgetrs
 from . import diagnostics
 from .basis import (Basis, build_basis, poincare_field, poincare_obstacle, reference_projection,
                     rotation_projection)
-from .geometry import Domain, surface_rule
+from .geometry import Domain
 from .operators import BC_FORMS, BoundaryCondition, OperatorSet, advection_term, assemble
 
 INIT_TYPES = ("solid_rotation", "poincare", "poincare_plus_rotation", "coefficients")
@@ -231,6 +231,9 @@ class ScenarioConfig:
             raise ValueError("nu_inverse must be positive")
         if not math.isfinite(nu_inverse):
             raise ValueError(f"nu_inverse must be finite, got {nu_inverse}")
+        if not math.isfinite(1.0 / nu_inverse):
+            raise ValueError(f"nu_inverse = {nu_inverse} is too small: the viscosity "
+                             "1 / nu_inverse is not finite")
 
     def domain(self) -> Domain:
         return scenario_domain(self.beta, self.a, self.b, self.c)
@@ -301,7 +304,7 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p,
                    include_advection=cfg.include_advection)
 
-    ctx = _diagnostics_context(basis, bc_data)
+    ctx = diagnostics.shared_context(basis, bc_data)
 
     state = State(t=0.0, coeffs=initial_coefficients(cfg, basis))
     init_norm = float(np.linalg.norm(state.coeffs))
@@ -345,14 +348,6 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     if cfg.output_path:
         series.to_csv(cfg.output_path)
     return series
-
-
-def _diagnostics_context(basis: Basis, u_p) -> diagnostics.DiagnosticsContext:
-    """The context of the runs with reference field u_p (or None), kept on the basis."""
-    orders = diagnostics.SURFACE_ORDERS
-    key = ("context", (None if u_p is None else u_p.components, orders))
-    return basis.cached(key, lambda b: diagnostics.DiagnosticsContext(
-        b, u_p, surface_rule(b.domain, *orders)))
 
 
 def _apply_restart(state: State, cfg: ScenarioConfig, basis: Basis) -> State:

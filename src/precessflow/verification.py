@@ -1,8 +1,8 @@
 """Cross-module invariant battery backing the ``verify`` subcommand.
 
 Every check returns a named result so failures are attributable from the
-machine-readable report.  The battery exercises the three domain kinds at a
-configurable list of basis degrees.
+machine-readable report.  The battery runs on the three DOMAINS at a list of
+degrees, on what runs use as the basis keeps it: T's blocks, the context.
 """
 
 from __future__ import annotations
@@ -14,16 +14,23 @@ import numpy as np
 
 from . import diagnostics
 from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, load_basis,
-                    poincare_field, poincare_obstacle, project, solid_rotation)
+                    poincare_field, poincare_obstacle, project, reference_projection,
+                    rotation_projection)
 from .geometry import Domain, half_monomial_integral, monomial_integral, surface_rule
-from .operators import (BoundaryCondition, advection_term, assemble, momentum_coupling_identity,
-                        residual)
+from .operators import (BoundaryCondition, _advection_operators, _class_triples, advection_term,
+                        assemble, momentum_coupling_identity, residual)
 from .spectral import neutral_modes
 from .timestepper import State, integrate
 
 # shifts omega of the steady family u_P + omega (e_z x x) and its residual bound
 STEADY_SWEEP = (0.0, 0.025, -0.025, 0.1, -0.1, 1.0)
 STEADY_TOL = 1e-10
+
+DOMAINS = (
+    ("sphere", Domain(1, 1, 1)),
+    ("spheroid", Domain.from_beta(Fraction(9, 16))),
+    ("triaxial", Domain(1, Fraction(9, 10), Fraction(4, 5))),
+)
 
 
 @dataclass
@@ -41,18 +48,10 @@ class CheckResult:
 
 def steady_residuals(ops, u_p) -> dict[float, float]:
     """omega -> |residual(u_P + omega (e_z x x))|_inf, in the order of STEADY_SWEEP."""
-    c_p, _ = project(u_p, ops.basis)
-    c_r, _ = project(solid_rotation((0, 0, 1)), ops.basis)
+    c_p, _ = reference_projection(u_p, ops.basis)
+    c_r, _ = rotation_projection(ops.basis)
     return {omega: float(np.max(np.abs(residual(c_p + omega * c_r, ops))))
             for omega in STEADY_SWEEP}
-
-
-def _default_domains():
-    return (
-        ("sphere", Domain(1, 1, 1)),
-        ("spheroid", Domain.from_beta(Fraction(9, 16))),
-        ("triaxial", Domain(1, Fraction(9, 10), Fraction(4, 5))),
-    )
 
 
 def _check(results, name, context, ok, detail=""):
@@ -98,32 +97,41 @@ def _basis_checks(results, label, domain, basis: Basis):
 
     # e_z x x is tangent only when a = b, so membership is asserted there only
     if domain.kind in ("sphere", "spheroid_z"):
-        _, res_rot = project(solid_rotation((0, 0, 1)), basis)
+        _, res_rot = rotation_projection(basis)
         _check(results, "basis.contains_rotation", ctx, res_rot < 1e-12,
                f"residual {res_rot:.2e}")
     if poincare_obstacle(domain) is None:
         u_p = poincare_field(domain.beta, Fraction(1, 4))
-        _, res_p = project(u_p, basis)
+        _, res_p = reference_projection(u_p, basis)
         _check(results, "basis.contains_poincare", ctx, res_p < 1e-12, f"residual {res_p:.2e}")
+
+
+def advection_skew(blocks: np.ndarray, triples) -> float:
+    """max |T[i, j, k] + T[i, k, j]| on T's (triple, i, k, j) blocks: (P, Q, R) against (P, R, Q)."""
+    return max(float(np.max(np.abs(b + blocks[t].transpose(0, 2, 1))))
+               for b, t in zip(blocks, triples.tri[triples.li, triples.lk]))
 
 
 def _operator_checks(results, label, domain, basis, perturb_advection=False):
     ctx = f"domain={label} N={basis.degree}"
     ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.25)
-    t_tensor = ops.T
+    blocks = basis.cached("T", _advection_operators)[0]
     if perturb_advection:
-        t_tensor = t_tensor.copy()
-        t_tensor[0, 0, 0] += 1e-6
+        blocks = blocks.copy()
+        blocks[0, 0, 0, 0] += 1e-6
+    tr = _class_triples(basis.classes)
 
-    dev_t = float(np.max(np.abs(t_tensor + t_tensor.transpose(0, 2, 1))))
+    dev_t = advection_skew(blocks, tr)
     _check(results, "operators.advection_antisymmetry", ctx, dev_t <= 1e-12,
            f"max dev {dev_t:.2e}")
-    # the packed advection drops the entries off the rule cls(i) ^ cls(j) ^ cls(k) = 0
-    cls = basis.classes
-    off_rule = (cls[:, None, None] ^ cls[None, :, None] ^ cls[None, None, :]) != 0
-    dev_p = float(np.max(np.abs(t_tensor[off_rule]), initial=0.0))
-    _check(results, "operators.advection_parity", ctx, dev_p == 0.0,
-           f"{len(np.unique(cls))} classes, max off-rule |T| {dev_p:.2e}")
+    # the pack that runs use against sum_ij c_i c_j T[i, j, k] of the blocks it is gathered from
+    c = np.random.default_rng(20240517).standard_normal(ops.dim)
+    c_pad, rows = np.append(c, 0.0), tr.rows          # padding rows point at index dim
+    by_triple = np.einsum("tikj,ti,tj->tk", blocks, c_pad[rows[tr.li]], c_pad[rows[tr.lj]])
+    n_c = np.bincount(rows[tr.lk].ravel(), by_triple.ravel(), minlength=ops.dim + 1)[:-1]
+    dev_p = float(np.max(np.abs(advection_term(ops, c) - n_c)) / np.max(np.abs(blocks)) / (c @ c))
+    _check(results, "operators.advection_parity", ctx, dev_p <= 1e-14,
+           f"{len(rows)} classes, max |pack - blocks| {dev_p:.2e} of max|T| |c|^2")
     dev_c = float(np.max(np.abs(ops.C_x + ops.C_x.T)))
     _check(results, "operators.coriolis_antisymmetry", ctx, dev_c <= 1e-13,
            f"max dev {dev_c:.2e}")
@@ -167,12 +175,11 @@ def _spectral_checks(results, label, basis):
     _check(results, "spectral.coercivity_positive", ctx, k_n > 0, f"K_N {k_n:.6g}")
 
 
-def _dynamics_checks(results, label, domain, basis):
+def _dynamics_checks(results, label, basis):
     """Short integration checks on the spheroid only (kept cheap)."""
     ctx = f"domain={label} N={basis.degree}"
     ops = assemble(basis, BoundaryCondition("stress_free"), nu=0.01, eps_p=0.0)
-    c_r, _ = project(solid_rotation((0, 0, 1)), basis)
-    state = State(0.0, 0.1 * c_r)
+    state = State(0.0, 0.1 * rotation_projection(basis)[0])
     e0 = 0.5 * float(state.coeffs @ (ops.M @ state.coeffs))
     energies = []
     integrate(state, ops, 0.01, 200,
@@ -181,7 +188,7 @@ def _dynamics_checks(results, label, domain, basis):
     _check(results, "timestepper.rotation_energy_constant", ctx, drift < 1e-12,
            f"max drift {drift:.2e}")
 
-    ctx_d = diagnostics.DiagnosticsContext(basis, None, surface_rule(domain, 16, 32))
+    ctx_d = diagnostics.shared_context(basis, None)
     rng = np.random.default_rng(99)
     c = rng.standard_normal(basis.dim)
     rec = diagnostics.record(State(0.0, c), ops, ctx_d)
@@ -202,11 +209,10 @@ def run_battery(degrees=(1, 2, 4), perturb_advection: bool = False,
                 basis_file: str | None = None) -> list[CheckResult]:
     """Run every module's invariant checks; returns one result per check."""
     results: list[CheckResult] = []
-    domains = _default_domains()
-    for label, domain in domains:
+    for label, domain in DOMAINS:
         _geometry_checks(results, label, domain)
     first = True
-    for label, domain in domains:
+    for label, domain in DOMAINS:
         for degree in degrees:
             basis = build_basis(domain, degree)
             _basis_checks(results, label, domain, basis)
@@ -214,7 +220,7 @@ def run_battery(degrees=(1, 2, 4), perturb_advection: bool = False,
                              perturb_advection=perturb_advection and first)
             _spectral_checks(results, label, basis)
             if label == "spheroid" and degree == min(degrees):
-                _dynamics_checks(results, label, domain, basis)
+                _dynamics_checks(results, label, basis)
             first = False
     if basis_file is not None:
         results.extend(check_basis_file(basis_file))

@@ -4,17 +4,13 @@ import hypothesis
 import pytest
 
 from precessflow.basis import build_basis
-from precessflow.geometry import Domain
 from precessflow.operators import BoundaryCondition, assemble
+from precessflow.verification import DOMAINS as BATTERY_DOMAINS
 
 hypothesis.settings.register_profile("default", deadline=None, max_examples=50)
 hypothesis.settings.load_profile("default")
 
-DOMAINS = {
-    "sphere": Domain(1, 1, 1),
-    "spheroid": Domain.from_beta(Fraction(9, 16)),
-    "triaxial": Domain(1, Fraction(9, 10), Fraction(4, 5)),
-}
+DOMAINS = dict(BATTERY_DOMAINS)
 
 BETA = Fraction(9, 16)
 EPS_P = Fraction(1, 4)

@@ -576,6 +576,15 @@ class TestIntegerLattice:
         assert not reference[-1], "the polish pass triggers"
         self._assert_same(get_basis("spheroid", 5), reference)
 
+    def test_rows_beyond_the_double_range_raise_value_error(self):
+        nums = np.zeros((2, 3 * monomials.space_dim(1)), dtype=object)
+        nums[0, 1], nums[1, 2] = 3, 10 ** 400
+        dens = np.array([7, 1], dtype=object)
+        with pytest.raises(ValueError, match="degree-1 basis rows"):
+            _rows_to_float(nums, dens, 1)
+        nums[1, 2] = 10 ** 300
+        assert _rows_to_float(nums, dens, 1)[0, 0, 1] == 3 / 7
+
 
 def _velocity_row(field, degree, dim_q):
     """Integer (v, q = 0) row of a field with integer coefficients."""

@@ -347,6 +347,37 @@ class TestExitCodes:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
+    STEADY_LINES = SPHEROID_LINES + ("bc.form = poincare_stress\nphysics.nu_inverse = 0.024\n"
+                                     "physics.eps_p = 0.25\n")
+
+    @pytest.mark.parametrize("command, lines, message", [
+        ("eig", "domain.a = 1e400\ndomain.b = 1\ndomain.c = 1\nbasis.degree = 2\n",
+         "semi-axis a is out of the double range"),
+        ("eig", "domain.a = 1e-200\ndomain.b = 1\ndomain.c = 1\nbasis.degree = 2\n",
+         "semi-axis a is out of the double range"),
+        ("run", RUN_LINES.replace("domain.beta = 0.5625", "domain.beta = 1e400"),
+         "semi-axis c is out of the double range"),
+        ("run", RUN_LINES.replace("physics.nu_inverse = 1\n", "physics.nu_inverse = 1e-320\n"),
+         "nu_inverse = 1e-320 is too small"),
+        ("steady", STEADY_LINES.replace("0.024", "1e-320"), "nu_inverse = 1e-320 is too small"),
+        ("steady", STEADY_LINES.replace("poincare_stress", "no_slip"),
+         "unknown boundary condition form 'no_slip'"),
+    ], ids=["eig_huge_axis", "eig_tiny_axis", "run_huge_beta", "run_tiny_nu_inverse",
+            "steady_tiny_nu_inverse", "steady_unknown_bc_form"])
+    def test_input_out_of_range_fails_before_the_build(self, tmp_path, capsys, monkeypatch,
+                                                       command, lines, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr("precessflow.cli.build_basis", no_build)
+        monkeypatch.setattr("precessflow.timestepper._run_basis", no_build)
+        cfg = write(tmp_path, "x.cfg", lines)
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["basis", "eig"])
     def test_failed_basis_gate_is_invariant_failure(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr("precessflow.basis.GRAM_IDENTITY_TOL", 0.0)
@@ -395,11 +426,12 @@ class TestVerifyCommand:
         assert "--degrees" in err
         assert "distinct positive integers" in err
 
-    def test_perturbed_advection_detected(self, capsys):
-        assert main(["verify", "--degrees", "1", "--perturb-advection"]) == 3
+    @pytest.mark.parametrize("degrees", ["1", "3"])
+    def test_perturbed_advection_detected(self, capsys, degrees):
+        assert main(["verify", "--degrees", degrees, "--perturb-advection"]) == 3
         out = capsys.readouterr().out
         assert "FAIL operators.advection_antisymmetry" in out
-        # T[0, 0, 0] is off the parity rule: field 0 is a rotation, never class 0
+        # the perturbed block no longer matches the pack that runs use
         assert "FAIL operators.advection_parity" in out
 
     @pytest.mark.parametrize("case", MALFORMED_EXPORTS)

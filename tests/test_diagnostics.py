@@ -27,7 +27,7 @@ def make_ops(form="stress_free", nu=1.0, eps_p=0.0, degree=2):
 
 def make_ctx(ops, with_up=True):
     u_p = ops.bc.data_field if (with_up and ops.bc.is_inhomogeneous) else None
-    return DiagnosticsContext(ops.basis, u_p, surface_rule(ops.basis.domain, 32, 64))
+    return DiagnosticsContext(ops.basis, u_p)
 
 
 class TestRecord:

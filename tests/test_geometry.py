@@ -37,6 +37,20 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(0, 1, 1)
 
+    @pytest.mark.parametrize("axes, beta, name", [
+        (("1e400", 1, 1), None, "a"), (("1e-200", 1, 1), None, "a"),
+        ((1, "1e-155", 1), None, "b"), ((1, 1, "1e155"), None, "c"),
+        (None, "1e400", "c"), (None, Fraction(-1) + Fraction(1, 10 ** 400), "c"),
+    ])
+    def test_axes_beyond_the_double_range_rejected(self, axes, beta, name):
+        # the axis, its square and its reciprocal square must all be finite nonzero doubles
+        with pytest.raises(ValueError, match=f"semi-axis {name} is out of the double range"):
+            Domain(*axes) if beta is None else Domain.from_beta(beta)
+
+    def test_axes_at_the_edge_of_the_double_range_accepted(self):
+        d = Domain("1e-154", "1e154", 1)
+        assert (d.a, d.b) == (1e-154, 1e154)
+
     def test_from_beta_exact_axis(self):
         d = Domain.from_beta(Fraction(9, 16))
         assert d.c == 0.8

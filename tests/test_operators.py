@@ -12,6 +12,7 @@ from precessflow.operators import (BoundaryCondition, advection_term, angular_mo
                                    assemble, _class_triples, dump_operator_set,
                                    momentum_coupling_identity, residual)
 from precessflow.polynomials import Polynomial3, VectorField
+from precessflow.verification import advection_skew
 
 from conftest import DOMAINS, get_basis
 from exact_referee import Referee, sample_pairs, sample_triples
@@ -432,6 +433,9 @@ class TestClassBlockedTensor:
         assert basis._assembly_cache["T_dense"] is t
         assert t.tobytes() == _scattered_tensor(basis).tobytes()
         assert not t.flags.writeable and t.flags.c_contiguous
+        # verify's antisymmetry, read on the blocks, is the dense max |T + T^T| bit for bit
+        skew = advection_skew(blocks, _class_triples(basis.classes))
+        assert skew == float(np.max(np.abs(t + t.transpose(0, 2, 1))))
         # once per basis: a second read, or another operator set, gives the same array
         assert ops.T is t
         assert assemble(basis, BoundaryCondition("normal_gradient"), nu=2.0, eps_p=0.1).T is t

@@ -393,7 +393,7 @@ def set_up_calls(monkeypatch):
 
     for owner, attr, name in ((scipy.linalg, "lu_factor", "lu_factor"),
                               (diagnostics.DiagnosticsContext, "__init__", "context"),
-                              (timestepper, "surface_rule", "surface_rule"),
+                              (diagnostics, "surface_rule", "surface_rule"),
                               (basis_module, "project", "project")):
         monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
     return counts

@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 GRAM_IDENTITY_TOL = 1e-12
+# largest L2 residual of u_P's projection that a run accepts, as initial state or as
+# diagnostics reference; in every basis that admits u_P the residual is round-off
+REFERENCE_RESIDUAL_TOL = 1e-10
 N_CLASSES = 8     # mirror-reflection classes: one bit per axis
 _CLASS_BITS = np.array([1, 2, 4])
 

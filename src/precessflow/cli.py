@@ -242,11 +242,7 @@ def _degree_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> int:
-    results = verification.run_battery(
-        degrees=args.degrees,
-        perturb_advection=args.perturb_advection,
-        basis_file=args.basis_file,
-    )
+    results = verification.run_battery(degrees=args.degrees, basis_file=args.basis_file)
     for res in results:
         print(res.line())
     passed = sum(1 for r in results if r.ok)
@@ -282,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated basis degrees for the battery (default 1,2,4)")
     p.add_argument("--basis-file", default=None,
                    help="also check an exported basis artifact")
-    p.add_argument("--perturb-advection", action="store_true",
-                   help="test hook: corrupt one advection entry (battery must fail)")
     p.set_defaults(handler=cmd_verify)
     return parser
 

@@ -20,15 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monomials
-from .basis import Basis, _read_only, reference_projection, rotation_projection, solid_rotation
+from .basis import (REFERENCE_RESIDUAL_TOL, Basis, _read_only, reference_projection,
+                    rotation_projection, solid_rotation)
 from .geometry import surface_rule, volume_integral
 from .operators import OperatorSet
 from .polynomials import VectorField
 
 CONSTRAINT_MODES = ("rot_momentum", "orth_poincare", "total_momentum")
 
-# (n_theta, n_phi) of the surface rule behind the constraint functionals
-SURFACE_ORDERS = (32, 64)
+# order n of the surface rule behind the constraint functionals: n x 2n nodes
+SURFACE_ORDER = 32
 
 
 @dataclass
@@ -65,19 +66,20 @@ class DiagnosticsContext:
     The three surface functionals are linear in the coefficients: the rule's
     weights and target values are folded through the Vandermonde once, so each
     evaluation is one (3, dim) matvec minus constant offsets.  The projections
-    of u_P and e_z x x are the basis's shared ones, the surface rule has the
-    SURFACE_ORDERS, and every array is read-only, so the runs with one
+    of u_P and e_z x x are the basis's shared ones, the surface rule has order
+    SURFACE_ORDER, and every array is read-only, so the runs with one
     reference field share one context (shared_context keeps it on the basis).
     """
 
     def __init__(self, basis: Basis, u_p: VectorField | None):
         domain = basis.domain
-        self.rule = surface_rule(domain, *SURFACE_ORDERS)
+        self.rule = surface_rule(domain, SURFACE_ORDER)
         self.u_p = u_p
         if u_p is not None:
             self.c_p, p_res = reference_projection(u_p, basis)
-            if p_res > 1e-8:
-                raise ValueError("reference field is not representable in the basis")
+            if p_res > REFERENCE_RESIDUAL_TOL:
+                raise ValueError(f"reference field is not representable in the basis "
+                                 f"(projection residual {p_res:.2e})")
         else:
             self.c_p = np.zeros(basis.dim)
 

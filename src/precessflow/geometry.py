@@ -217,24 +217,24 @@ class SurfaceRule:
 
     Weights carry the exact area element of the parametrization
     (a sin t cos s, b sin t sin s, c cos t), so sum(w * f(points)) approximates
-    the surface integral of f with spectral accuracy in the orders.
+    the surface integral of f with spectral accuracy in the order.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    orders: tuple[int, int]
+    orders: tuple[int, int]     # (n, 2n): polar nodes, azimuths
 
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
 
-def surface_rule(domain: Domain, n_theta: int, n_phi: int) -> SurfaceRule:
-    """Gauss-Legendre x uniform-azimuth quadrature rule on the boundary."""
-    if n_theta < 2:
-        raise ValueError("n_theta must be at least 2")
-    if n_phi < 4:
-        raise ValueError("n_phi must be at least 4")
+def surface_rule(domain: Domain, n: int) -> SurfaceRule:
+    """Quadrature rule of order n on the boundary: n Gauss-Legendre polar angles x 2n
+    uniform azimuths, so that both directions resolve the same angular degree."""
+    if n < 2:
+        raise ValueError("surface rule order n must be at least 2")
+    n_theta, n_phi = n, 2 * n
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_theta)
     theta = 0.5 * math.pi * (t_nodes + 1.0)
     w_theta = 0.5 * math.pi * t_weights
@@ -307,18 +307,20 @@ def surface_integral(f, rule: SurfaceRule) -> float:
     return float(values @ rule.weights)
 
 
-def converged_surface_integral(f, domain: Domain, start=(16, 32), max_doublings: int = 5,
+def converged_surface_integral(f, domain: Domain, start: int = 16, max_doublings: int = 5,
                                rtol: float = 1e-10):
-    """Integrate on Gamma, doubling orders until the value moves less than rtol.
+    """Integrate on Gamma, doubling the order until the value moves less than rtol.
 
-    Returns (value, orders_used).  Raises if convergence is not reached.
+    Returns (value, orders_used), the (n, 2n) of the last rule.  Raises if
+    convergence is not reached.
     """
-    nt, np_ = start
-    prev = surface_integral(f, surface_rule(domain, nt, np_))
+    n = start
+    prev = surface_integral(f, surface_rule(domain, n))
     for _ in range(max_doublings):
-        nt, np_ = 2 * nt, 2 * np_
-        cur = surface_integral(f, surface_rule(domain, nt, np_))
+        n *= 2
+        rule = surface_rule(domain, n)
+        cur = surface_integral(f, rule)
         if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur, (nt, np_)
+            return cur, rule.orders
         prev = cur
     raise RuntimeError("surface integral did not converge under order doubling")

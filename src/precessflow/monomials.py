@@ -125,17 +125,17 @@ def poly_to_vec(poly: Polynomial3, degree: int) -> np.ndarray:
     return vec
 
 
-def vec_to_poly(vec: np.ndarray, degree: int, tol: float = 0.0) -> Polynomial3:
+def vec_to_poly(vec: np.ndarray, degree: int) -> Polynomial3:
     exps = exponents(degree).tolist()
-    return Polynomial3({tuple(e): float(c) for e, c in zip(exps, vec) if abs(c) > tol})
+    return Polynomial3({tuple(e): float(c) for e, c in zip(exps, vec) if abs(c) > 0.0})
 
 
 def field_to_array(field: VectorField, degree: int) -> np.ndarray:
     return np.stack([poly_to_vec(c, degree) for c in field.components])
 
 
-def array_to_field(arr: np.ndarray, degree: int, tol: float = 0.0) -> VectorField:
-    return VectorField(tuple(vec_to_poly(arr[c], degree, tol) for c in range(3)))
+def array_to_field(arr: np.ndarray, degree: int) -> VectorField:
+    return VectorField(tuple(vec_to_poly(arr[c], degree) for c in range(3)))
 
 
 def vandermonde(points: np.ndarray, degree: int) -> np.ndarray:

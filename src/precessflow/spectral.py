@@ -7,7 +7,8 @@ bounded domain.  K_N, the minimal Rayleigh quotient int |eps(v)|^2 / int |v|^2
 over the mass-orthogonal complement of the kernel, is half the first
 eigenvalue above the kernel of the same generalized eigenproblem
 A_sym x = lambda M x.  It bounds the continuous constant from above and is
-nonincreasing in the polynomial degree.
+nonincreasing in the polynomial degree.  Every caller names the stiffness form
+of a kernel ("sym" or "grad"); K_N always excludes the strain-rate kernel.
 """
 
 from __future__ import annotations
@@ -53,19 +54,15 @@ class NeutralModes:
     ok: bool
 
 
-def _stiffness(ops: OperatorSet, stiffness: str | None):
-    if stiffness is None:
-        stiffness = "grad" if ops.bc.uses_gradient_stiffness else "sym"
-    if stiffness == "sym":
-        return ops.A_sym, "stress_free"
-    if stiffness == "grad":
-        return ops.A_grad, "normal_gradient"
-    raise ValueError("stiffness must be 'sym', 'grad', or None")
+def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
+    """Generalized eigenproblem A x = lambda M x; kernel = eigenvalues below the cut.
 
-
-def viscous_kernel(ops: OperatorSet, stiffness: str | None = None) -> KernelReport:
-    """Generalized eigenproblem A x = lambda M x; kernel = eigenvalues below the cut."""
-    a_mat, form = _stiffness(ops, stiffness)
+    ``stiffness`` is "sym" (A = A_sym, strain rate) or "grad" (A = A_grad, gradient).
+    """
+    if stiffness not in ("sym", "grad"):
+        raise ValueError("stiffness must be 'sym' or 'grad'")
+    a_mat, form = ((ops.A_sym, "stress_free") if stiffness == "sym"
+                   else (ops.A_grad, "normal_gradient"))
     eigvals, eigvecs = scipy.linalg.eigh(a_mat, ops.M)
     scale = max(float(eigvals[-1]), 0.0)
     cut = TOL_KERNEL * scale if scale > 0 else TOL_KERNEL
@@ -83,30 +80,29 @@ def viscous_kernel(ops: OperatorSet, stiffness: str | None = None) -> KernelRepo
     )
 
 
-def _coercivity(report: KernelReport, exclusion, degree: int) -> CoercivityResult:
+def _coercivity(report: KernelReport, degree: int) -> CoercivityResult:
     """K_N from a strain-rate kernel report: half its first eigenvalue above the kernel."""
-    if exclusion not in ("kernel", "none"):
-        raise ValueError("exclusion must be 'kernel' or 'none'")
-    if exclusion == "none" and report.kernel_dim > 0:
-        raise ValueError("viscous kernel is nontrivial; excluding nothing would give K_N = 0")
-    first = report.kernel_dim  # "none" gets here only with an empty kernel
-    label = f"viscous kernel (dim {first})" if exclusion == "kernel" else "none"
+    first = report.kernel_dim
     # a kernel spanning the whole space leaves the infimum over nothing
     k_n = (float(report.eigenvalues[first]) / 2.0 if first < len(report.eigenvalues)
            else float("inf"))
-    return CoercivityResult(K_N=k_n, excluded_subspace=label, degree=degree)
+    return CoercivityResult(K_N=k_n, excluded_subspace=f"viscous kernel (dim {first})",
+                            degree=degree)
 
 
 def coercivity_constant(ops: OperatorSet, exclusion="kernel") -> CoercivityResult:
     """K_N = min of  x.A_sym x / (2 x.M x)  over the M-orthogonal complement of the kernel.
 
     The eigenvectors above the kernel span that complement, so the minimum is
-    the first eigenvalue there.  ``exclusion`` is "kernel", or "none", which
-    is rejected when the kernel is nontrivial since the quotient would vanish.
+    the first eigenvalue there.  ``exclusion`` names the excluded subspace and
+    must be "kernel": without the exclusion the quotient vanishes on a
+    nontrivial kernel, and on an empty one the two coincide.
     A_sym carries 2 int eps:eps, hence the factor 1/2 to match
     int |eps(v)|^2 / int v^2.
     """
-    return _coercivity(viscous_kernel(ops, stiffness="sym"), exclusion, ops.basis.degree)
+    if exclusion != "kernel":
+        raise ValueError("exclusion must be 'kernel'")
+    return _coercivity(viscous_kernel(ops, stiffness="sym"), ops.basis.degree)
 
 
 def neutral_modes(basis) -> NeutralModes:
@@ -122,5 +118,5 @@ def neutral_modes(basis) -> NeutralModes:
     grad = viscous_kernel(ops, stiffness="grad")
     expected = NEUTRAL_MODE_DIMS[basis.domain.kind]
     strain_ok, gradient_ok = sym.kernel_dim == expected, grad.kernel_dim == 0
-    return NeutralModes(sym, grad, _coercivity(sym, "kernel", basis.degree), expected,
+    return NeutralModes(sym, grad, _coercivity(sym, basis.degree), expected,
                         strain_ok, gradient_ok, strain_ok and gradient_ok)

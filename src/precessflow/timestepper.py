@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,16 +48,19 @@ import scipy.linalg
 from scipy.linalg.lapack import dgetrs
 
 from . import diagnostics
-from .basis import (Basis, build_basis, poincare_field, poincare_obstacle, reference_projection,
-                    rotation_projection)
+from .basis import (REFERENCE_RESIDUAL_TOL, Basis, build_basis, poincare_field, poincare_obstacle,
+                    reference_projection, rotation_projection)
 from .geometry import Domain
 from .operators import BC_FORMS, BoundaryCondition, OperatorSet, advection_term, assemble
 
 INIT_TYPES = ("solid_rotation", "poincare", "poincare_plus_rotation", "coefficients")
+# a run raises BlowUpError once the state norm exceeds this multiple of the larger of
+# its initial norm and the norm of the projected bc data c_P
+BLOWUP_FACTOR = 1e6
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the state norm exceeds the configured blow-up threshold."""
+    """Raised when the state norm exceeds the blow-up threshold."""
 
     def __init__(self, message, series=None):
         super().__init__(message)
@@ -180,7 +184,6 @@ class ScenarioConfig:
     constraint_mode: str | None = None
     output_path: str | None = None
     include_advection: bool = True
-    blowup_factor: float = 1e6
     basis_method: str = "exact"
 
     def validate(self) -> None:
@@ -195,7 +198,7 @@ class ScenarioConfig:
         if not self.record_every > 0:
             raise ValueError("record_every must be positive")
         for name in ("eps_p", "dt", "t_end", "record_every", "init_amplitude", "init_omega",
-                     "init_eps_p", "restart_time", "restart_omega", "blowup_factor"):
+                     "init_eps_p", "restart_time", "restart_omega"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -208,8 +211,6 @@ class ScenarioConfig:
                                                       rel_tol=1e-9):
                 raise ValueError(f"{name} = {value:g} is not a whole number of time steps "
                                  f"dt = {self.dt:g}")
-        if not self.blowup_factor > 0:
-            raise ValueError("blowup_factor must be positive")
         if self.init_type not in INIT_TYPES:
             raise ValueError(f"unknown init type {self.init_type!r}")
         if self.init_type == "coefficients" and not self.init_path:
@@ -223,6 +224,10 @@ class ScenarioConfig:
                 and not BoundaryCondition.form_carries_data(self.bc_form)):
             raise ValueError(f"constraint.mode orth_poincare needs a bc.form that carries "
                              f"Poincare data, not {self.bc_form}")
+        # the CSV is written after the run, so its directory is checked before it
+        out_dir = os.path.dirname(self.output_path or "") or "."
+        if not os.path.isdir(out_dir):
+            raise ValueError(f"output.path {self.output_path}: no directory {out_dir}")
 
     @staticmethod
     def check_nu_inverse(nu_inverse: float) -> None:
@@ -259,13 +264,13 @@ def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
     eps = cfg.init_eps_p if cfg.init_eps_p is not None else cfg.eps_p
     if cfg.init_type == "solid_rotation":
         return cfg.init_amplitude * rotation_projection(basis)[0]
-    if cfg.init_type == "poincare":
-        coeffs, res = reference_projection(_poincare_data(basis.domain, eps), basis)
-        if res > 1e-10:
-            raise ValueError("Poincare flow is not representable in this basis")
-        return coeffs.copy()
-    if cfg.init_type == "poincare_plus_rotation":
-        c_p, _ = reference_projection(_poincare_data(basis.domain, eps), basis)
+    if cfg.init_type in ("poincare", "poincare_plus_rotation"):
+        c_p, res = reference_projection(_poincare_data(basis.domain, eps), basis)
+        if res > REFERENCE_RESIDUAL_TOL:
+            raise ValueError(f"Poincare flow is not representable in this basis "
+                             f"(projection residual {res:.2e})")
+        if cfg.init_type == "poincare":
+            return c_p.copy()
         return c_p + cfg.init_omega * rotation_projection(basis)[0]
     data = np.loadtxt(cfg.init_path).ravel()
     if data.shape != (basis.dim,):
@@ -307,8 +312,9 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     ctx = diagnostics.shared_context(basis, bc_data)
 
     state = State(t=0.0, coeffs=initial_coefficients(cfg, basis))
-    init_norm = float(np.linalg.norm(state.coeffs))
-    max_norm = cfg.blowup_factor * max(init_norm, 1e-30)
+    # a forced run from rest grows towards c_P; a zero state without forcing stays zero
+    max_norm = BLOWUP_FACTOR * max(float(np.linalg.norm(state.coeffs)),
+                                   float(np.linalg.norm(ctx.c_p)))
 
     # validate() has put t_end, record_every and restart_time on the dt grid
     n_steps = int(round(cfg.t_end / cfg.dt))

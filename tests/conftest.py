@@ -32,7 +32,8 @@ def get_ops(kind: str, degree: int, form="stress_free", nu=1.0, eps_p=0.0, data=
 
 # one edited line of the spheroid N = 2 export, whose lines are the magic line,
 # "# axes 1 1 4/5", "# degree 2 dim 11" and then the 11 fields:
-# case -> (line number, new text, the ValueError's message)
+# case -> (line number, new text, the ValueError's message); the message of a
+# fault of the whole file names no line (see import_error)
 MALFORMED_EXPORTS = {
     "degree_without_dim": (3, "# degree 1", "malformed degree header"),
     "two_axes": (2, "# axes 1 1", "malformed axes header"),
@@ -43,7 +44,18 @@ MALFORMED_EXPORTS = {
     "mixed_classes": (6, "0,0,0:1.0 1,0,0:1.0 ; - ; -",
                       "the field is zero or mixes reflection classes"),
     "zero_field": (4, "- ; - ; -", "the field is zero or mixes reflection classes"),
+    "two_components": (5, "0,1,0:1.0 ; -", "2 components, expected 3"),
+    "field_before_degree": (3, "0,1,0:1.0 ; - ; -", "field line before the degree header"),
+    "no_axes_header": (2, "# shape 1 1 4/5", "basis export is missing its header"),
+    "dim_mismatch": (3, "# degree 2 dim 12",
+                     "basis export announces dim 12 but carries 11 fields"),
 }
+_FILE_FAULTS = ("no_axes_header", "dim_mismatch")
+
+
+def import_error(case, line, message):
+    """The start of load_basis's message for a MALFORMED_EXPORTS case."""
+    return message if case in _FILE_FAULTS else f"line {line}: {message}: "
 
 
 def malformed_export(tmp_path, case):

@@ -19,7 +19,7 @@ from precessflow.geometry import Domain, surface_rule, volume_integral
 from precessflow.operators import BoundaryCondition, assemble
 from precessflow.polynomials import Polynomial3, VectorField
 
-from conftest import DOMAINS, MALFORMED_EXPORTS, get_basis, malformed_export
+from conftest import DOMAINS, MALFORMED_EXPORTS, get_basis, import_error, malformed_export
 
 # dimension of the constrained space, from the exact nullspace (regression;
 # empirically N (N+1) (2N+7) / 6, identical across domain kinds)
@@ -62,7 +62,7 @@ class TestPoincareField:
         # y = 0 (the quoted value 1.25 elsewhere equals sqrt(1+beta), a
         # different quantity); dense boundary sampling agrees.
         u = poincare_field(Fraction(9, 16), Fraction(1, 4))
-        rule = surface_rule(DOMAINS["spheroid"], 400, 800)
+        rule = surface_rule(DOMAINS["spheroid"], 400)
         speeds = np.linalg.norm(u.evaluate(rule.points), axis=1)
         exact = math.sqrt(181.0) / 9.0
         assert speeds.max() <= exact + 1e-12
@@ -398,6 +398,20 @@ class TestExportImport:
         save_basis(basis, path)
         assert load_basis(path).domain == DOMAINS["triaxial"]
 
+    def test_roundtrip_irrational_axis_spheroid(self, tmp_path):
+        # c = (1 + beta)^(-1/2) = sqrt(3) / 2 at beta = 1/3: the export carries "# beta 1/3"
+        from precessflow.verification import check_basis_file
+
+        basis = build_basis(Domain.from_beta(Fraction(1, 3)), 2)
+        assert basis.domain.axes_exact is None
+        path = tmp_path / "basis.txt"
+        save_basis(basis, path)
+        assert "# beta 1/3" in path.read_text().splitlines()
+        loaded = load_basis(path)
+        assert loaded.domain == basis.domain
+        assert loaded.coeff_array.tobytes() == basis.coeff_array.tobytes()
+        assert all(r.ok for r in check_basis_file(path))
+
     def test_corrupted_field_detected(self, tmp_path):
         from precessflow.verification import check_basis_file
 
@@ -426,7 +440,7 @@ class TestExportImport:
     @pytest.mark.parametrize("case", MALFORMED_EXPORTS)
     def test_malformed_line_raises_value_error_naming_it(self, tmp_path, case):
         path, line, message = malformed_export(tmp_path, case)
-        with pytest.raises(ValueError, match=f"^line {line}: {re.escape(message)}: "):
+        with pytest.raises(ValueError, match="^" + re.escape(import_error(case, line, message))):
             load_basis(path)
 
 

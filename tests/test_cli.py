@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from precessflow import basis as basis_module
+from precessflow import operators, timestepper
 from precessflow.basis import save_basis
 from precessflow.cli import (CONFIG_KEYS, KNOWN_KEYS, RUN_KEYS, ConfigError, main, parse_config,
                              scenario_from_config)
 from precessflow.diagnostics import CSV_HEADER
 from precessflow.timestepper import ScenarioConfig
 
-from conftest import MALFORMED_EXPORTS, get_basis, malformed_export
+from conftest import MALFORMED_EXPORTS, get_basis, import_error, malformed_export
 
 
 def write(tmp_path, name, text):
@@ -287,20 +288,41 @@ class TestExitCodes:
         assert main(["run", "--config", cfg2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_run_blowup_exit_code(self, tmp_path, capsys):
-        # a forced run started exactly at rest trips the relative norm guard
-        # on the first step; the partial CSV must be retained
+    # spin-up from rest: the forced state grows towards |c_P| = 1.64
+    SPIN_UP_LINES = (SPHEROID_LINES + "bc.form = poincare_stress\n"
+                     "physics.nu_inverse = 1\nphysics.eps_p = 0.25\n"
+                     "init.type = solid_rotation\ninit.amplitude = 0\n"
+                     "time.dt = 0.01\ntime.t_end = 1\ntime.record_every = 0.01\n")
+
+    def test_run_blowup_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a guard at 0.1 |c_P| trips near t = 0.25; the partial CSV must be retained
+        monkeypatch.setattr(timestepper, "BLOWUP_FACTOR", 0.1)
         out = tmp_path / "partial.csv"
-        text = (SPHEROID_LINES + "bc.form = poincare_stress\n"
-                "physics.nu_inverse = 1\nphysics.eps_p = 0.25\n"
-                "init.type = solid_rotation\ninit.amplitude = 0\n"
-                "time.dt = 0.01\ntime.t_end = 1\ntime.record_every = 0.01\n"
-                f"output.path = {out}\n")
-        cfg = write(tmp_path, "blow.cfg", text)
+        cfg = write(tmp_path, "blow.cfg", self.SPIN_UP_LINES + f"output.path = {out}\n")
         assert main(["run", "--config", cfg]) == 2
         assert "blow-up" in capsys.readouterr().err
         assert out.exists()
         assert out.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_run_spin_up_from_rest_completes(self, tmp_path, capsys):
+        out = tmp_path / "spin_up.csv"
+        cfg = write(tmp_path, "spin.cfg", self.SPIN_UP_LINES + f"output.path = {out}\n")
+        assert main(["run", "--config", cfg]) == 0
+        assert "completed 101 records to t = 1" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 102
+
+    def test_run_missing_output_directory_fails_before_the_build(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr("precessflow.timestepper._run_basis", no_build)
+        out = tmp_path / "missing" / "run.csv"
+        cfg = write(tmp_path, "r.cfg", RUN_LINES + f"output.path = {out}\n")
+        assert main(["run", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output.path {out}: no directory {out.parent}\n"
+        assert captured.out == ""
 
     def test_run_nan_coefficient_file_is_usage_error(self, tmp_path, capsys):
         init = tmp_path / "init.txt"
@@ -427,8 +449,18 @@ class TestVerifyCommand:
         assert "distinct positive integers" in err
 
     @pytest.mark.parametrize("degrees", ["1", "3"])
-    def test_perturbed_advection_detected(self, capsys, degrees):
-        assert main(["verify", "--degrees", degrees, "--perturb-advection"]) == 3
+    def test_perturbed_advection_detected(self, capsys, monkeypatch, degrees):
+        # negative control: +1e-6 on one entry of T's blocks, the pack left as assembled
+        advection_operators = operators._advection_operators
+
+        def perturbed(basis):
+            blocks, packed = advection_operators(basis)
+            blocks = blocks.copy()
+            blocks[0, 0, 0, 0] += 1e-6
+            return blocks, packed
+
+        monkeypatch.setattr(operators, "_advection_operators", perturbed)
+        assert main(["verify", "--degrees", degrees]) == 3
         out = capsys.readouterr().out
         assert "FAIL operators.advection_antisymmetry" in out
         # the perturbed block no longer matches the pack that runs use
@@ -439,7 +471,7 @@ class TestVerifyCommand:
         path, line, message = malformed_export(tmp_path, case)
         assert main(["verify", "--degrees", "1", "--basis-file", str(path)]) == 3
         out = capsys.readouterr().out
-        assert f"FAIL basis.import file={path}  [line {line}: {message}: " in out
+        assert f"FAIL basis.import file={path}  [{import_error(case, line, message)}" in out
         assert "basis.divergence_free file=" not in out and "basis.tangency file=" not in out
 
     def test_corrupted_basis_file_detected(self, tmp_path, capsys):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from precessflow import monomials
-from precessflow.basis import poincare_field, project, solid_rotation
+from precessflow import diagnostics, monomials
+from precessflow.basis import REFERENCE_RESIDUAL_TOL, poincare_field, project, solid_rotation
 from precessflow.diagnostics import (CSV_HEADER, DiagnosticsContext, TimeSeries,
                                      constraint_projection, momentum_balance_residual,
                                      record)
@@ -168,6 +168,15 @@ class TestSurfaceFunctionals:
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-13 * abs(r)
 
+    def test_unrepresentable_reference_field_rejected(self, monkeypatch):
+        def off_by(u_p, basis):
+            return project(u_p, basis)[0], 10 * REFERENCE_RESIDUAL_TOL
+
+        monkeypatch.setattr(diagnostics, "reference_projection", off_by)
+        ops = make_ops("poincare_stress", nu=1.0, eps_p=0.25)
+        with pytest.raises(ValueError, match="reference field is not representable"):
+            make_ctx(ops)
+
 
 class TestConstraintProjection:
     def test_satisfied_state_unchanged(self):
@@ -211,7 +220,7 @@ class TestConstraintProjection:
         ops = make_ops()
         with pytest.raises(ValueError):
             constraint_projection(State(0.0, np.zeros(ops.dim)), "spin_down",
-                                  surface_rule(ops.basis.domain, 16, 32))
+                                  surface_rule(ops.basis.domain, 16))
 
 
 class TestFreeDecayScenario:

@@ -52,8 +52,10 @@ class TestViscousKernel:
     def test_default_stiffness_follows_bc(self):
         ops = assemble(get_basis("spheroid", 2), BoundaryCondition("normal_gradient"),
                        nu=1.0, eps_p=0.0, include_advection=False)
-        assert viscous_kernel(ops).bc_form == "normal_gradient"
-        assert viscous_kernel(ops).kernel_dim == 0
+        assert viscous_kernel(ops, "grad").bc_form == "normal_gradient"
+        assert viscous_kernel(ops, "grad").kernel_dim == 0
+        with pytest.raises(TypeError):
+            viscous_kernel(ops)     # the stiffness form has no default
 
     def test_spheroid_kernel_is_axial_rotation(self):
         ops = stress_ops("spheroid", 3)
@@ -110,15 +112,13 @@ class TestCoercivity:
 
     def test_triaxial_no_exclusion_equals_smallest_eigenvalue(self):
         ops = stress_ops("triaxial", 4)
-        res = coercivity_constant(ops, "none")
+        res = coercivity_constant(ops, "kernel")   # the triaxial kernel is empty
         report = viscous_kernel(ops, stiffness="sym")
         assert res.K_N == pytest.approx(report.eigenvalues[0] / 2.0, rel=1e-10)
         assert res.K_N == pytest.approx(0.04791331169133704, rel=1e-8)
 
     def test_exclusion_must_cover_kernel(self):
         ops = stress_ops("spheroid", 2)
-        with pytest.raises(ValueError):
-            coercivity_constant(ops, "none")
         # a vector orthogonal to the kernel cannot stand in for it
         report = viscous_kernel(ops, stiffness="sym")
         k = report.kernel_fields[0]
@@ -135,8 +135,9 @@ class TestCoercivity:
 
     def test_bad_exclusion_spec(self):
         ops = stress_ops("spheroid", 2)
-        with pytest.raises(ValueError):
-            coercivity_constant(ops, "everything")
+        for exclusion in ("everything", "none"):
+            with pytest.raises(ValueError):
+                coercivity_constant(ops, exclusion)
 
     @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])

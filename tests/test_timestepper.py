@@ -51,8 +51,8 @@ class TestScenarioConfig:
         dict(constraint_mode="momentum"),
         dict(beta=None),
         dict(a=1, b=1, c=1),
-        dict(blowup_factor=0.0),
-        dict(blowup_factor=-1.0),
+        dict(output_path="no-such-directory/series.csv"),
+        dict(output_path="/no-such-directory/series.csv"),
         # times off the dt grid: run() would end at t = 0.09, take no step,
         # kick at t = 0 or record every step
         dict(dt=0.03, t_end=0.1, record_every=0.03),
@@ -65,7 +65,7 @@ class TestScenarioConfig:
             base_config(**overrides).validate()
 
     @pytest.mark.parametrize("name", ["eps_p", "init_amplitude", "init_omega", "init_eps_p",
-                                      "restart_omega", "blowup_factor"])
+                                      "restart_omega"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -264,6 +264,16 @@ class TestInitialConditions:
         with pytest.raises(ValueError):
             initial_coefficients(cfg, basis)
 
+    @pytest.mark.parametrize("init_type", ["poincare", "poincare_plus_rotation"])
+    def test_unrepresentable_poincare_flow_rejected(self, monkeypatch, init_type):
+        def off_by(u_p, basis):
+            return project(u_p, basis)[0], 10 * basis_module.REFERENCE_RESIDUAL_TOL
+
+        monkeypatch.setattr(timestepper, "reference_projection", off_by)
+        cfg = base_config(init_type=init_type, eps_p=0.25, init_omega=0.025)
+        with pytest.raises(ValueError, match="Poincare flow is not representable"):
+            initial_coefficients(cfg, get_basis("spheroid", 2))
+
     def test_poincare_init_needs_unit_equator(self):
         cfg = base_config(beta=None, a=2, b=2, c=1, init_type="poincare")
         basis_dom = cfg.domain()
@@ -303,24 +313,43 @@ class TestRun:
         assert np.allclose(before, 1.0, atol=1e-10)
         assert np.allclose(after, 1.025, atol=1e-10)
 
-    def test_blow_up_writes_partial_csv(self, tmp_path):
+    def test_restart_at_time_zero(self):
+        # the kick lands before the first record: lambda starts at 0.1 + 0.05
+        series = run(base_config(restart_time=0.0, restart_omega=0.05))
+        np.testing.assert_allclose(series.column("lambda"), 0.15, rtol=1e-12)
+
+    def test_spin_up_from_rest_runs_to_t_end(self):
+        cfg = base_config(bc_form="poincare_stress", nu_inverse=1.0, eps_p=0.25,
+                          init_amplitude=0.0, t_end=1.0, record_every=0.1)
+        series = run(cfg)
+        assert series.records[-1].t == pytest.approx(1.0)
+        assert series.records[0].E_K == 0.0 < series.records[-1].E_K
+
+    def test_rest_without_forcing_stays_at_rest(self):
+        series = run(base_config(init_amplitude=0.0))
+        assert series.records[-1].t == pytest.approx(0.1)
+        assert np.all(series.column("E_K") == 0.0)
+
+    def test_blow_up_writes_partial_csv(self, tmp_path, monkeypatch):
+        # from rest the state grows towards |c_P| = 1.64 and crosses 0.1 |c_P| near t = 0.25
+        monkeypatch.setattr(timestepper, "BLOWUP_FACTOR", 0.1)
         out = tmp_path / "partial.csv"
         cfg = base_config(bc_form="poincare_stress", nu_inverse=1.0, eps_p=0.25,
                           init_type="solid_rotation", init_amplitude=0.0,
-                          blowup_factor=0.5, output_path=str(out),
-                          t_end=1.0, record_every=0.01)
+                          output_path=str(out), t_end=1.0, record_every=0.01)
         with pytest.raises(BlowUpError) as err:
             run(cfg)
         assert err.value.series is not None
         assert out.exists()
         assert out.read_text().splitlines()[0] == CSV_HEADER
 
-    def test_blow_up_partial_csv_holds_every_record(self, tmp_path):
+    def test_blow_up_partial_csv_holds_every_record(self, tmp_path, monkeypatch):
         # the guard trips mid-run: the partial CSV carries exactly the records
         # taken before the trip, the last of them within one interval of it
+        monkeypatch.setattr(timestepper, "BLOWUP_FACTOR", 0.1)
         out = tmp_path / "partial.csv"
         cfg = base_config(bc_form="poincare_stress", nu_inverse=1.0, eps_p=0.25,
-                          init_amplitude=0.01, blowup_factor=5.0, output_path=str(out),
+                          init_amplitude=0.01, output_path=str(out),
                           t_end=1.0, record_every=0.02)
         with pytest.raises(BlowUpError) as err:
             run(cfg)

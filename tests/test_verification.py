@@ -1,7 +1,7 @@
 """The verify battery reads the objects that runs use, as the basis keeps them."""
 
 from precessflow import diagnostics, operators
-from precessflow.diagnostics import SURFACE_ORDERS
+from precessflow.diagnostics import SURFACE_ORDER
 from precessflow.verification import run_battery
 
 
@@ -26,4 +26,4 @@ def test_battery_builds_one_diagnostics_context_on_the_run_rule(monkeypatch):
     results = run_battery(degrees=(1,))
     assert all(r.ok for r in results)
     assert len(contexts) == 1
-    assert contexts[0].rule.orders == SURFACE_ORDERS
+    assert contexts[0].rule.orders == (SURFACE_ORDER, 2 * SURFACE_ORDER)

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Tabulate viscous-kernel dimensions and coercivity constants.
+"""Tabulate viscous-kernel dimensions, their reflection classes and coercivity constants.
 
 Shows the sphere/spheroid/triaxial trichotomy of the strain-rate stiffness
-kernel and the decreasing-in-degree discrete coercivity constant.
+kernel, the class of each neutral mode (e_x, e_y, e_z x x lie in classes 6, 5
+and 3) and the decreasing-in-degree discrete coercivity constant.
 """
 
 from precessflow import build_basis, neutral_modes
+from precessflow.spectral import class_label
 from precessflow.verification import DOMAINS
 
-DEGREES = (1, 2, 3, 4)
+DEGREES = range(1, 9)
 
 
 def main():
-    print(f"{'domain':24s} {'N':>2s} {'dim':>4s} {'ker(strain)':>11s} "
+    print(f"{'domain':24s} {'N':>2s} {'dim':>4s} {'ker(strain)':>11s} {'classes':>7s} "
           f"{'ker(grad)':>9s} {'K_N':>14s}")
     for kind, domain in DOMAINS:
         label = f"{kind} ({domain.a:g}, {domain.b:g}, {domain.c:g})"
@@ -20,6 +22,7 @@ def main():
             basis = build_basis(domain, n)
             modes = neutral_modes(basis)
             print(f"{label:24s} {n:2d} {basis.dim:4d} {modes.sym.kernel_dim:11d} "
+                  f"{class_label(modes.sym.kernel_classes):>7s} "
                   f"{modes.grad.kernel_dim:9d} {modes.coercivity.K_N:14.8g}")
 
 

@@ -21,7 +21,7 @@ from .basis import (EXPORT_MAGIC, InvariantError, build_basis, poincare_field, p
                     save_basis)
 from .geometry import Domain
 from .operators import BoundaryCondition, assemble
-from .spectral import neutral_modes
+from .spectral import class_label, neutral_modes
 from .timestepper import BlowUpError, ScenarioConfig, scenario_domain
 from .timestepper import run as run_scenario
 from . import verification
@@ -137,6 +137,9 @@ def cmd_basis(args) -> int:
     degree = _parse(cfg, "basis.degree")
     domain = domain_from_config(cfg)
     path = cfg.get("output.path")
+    # the export is written after the build, so its directory is checked before it
+    if path:
+        ScenarioConfig.check_output_path(path)
     # a run config's output.path names its CSV: export over nothing but an export
     if path and os.path.exists(path):
         with open(path, "rb") as fh:
@@ -172,6 +175,7 @@ def cmd_eig(args) -> int:
     print(f"domain kind: {domain.kind}")
     print(f"dim: {basis.dim}")
     print(f"kernel dim (strain-rate stiffness): {modes.sym.kernel_dim}")
+    print(f"neutral-mode classes (strain-rate stiffness): {class_label(modes.sym.kernel_classes)}")
     print(f"kernel dim (gradient stiffness):    {modes.grad.kernel_dim}")
     print(f"K_N (degree {basis.degree}, excluding {modes.coercivity.excluded_subspace}): "
           f"{modes.coercivity.K_N:.12g}")

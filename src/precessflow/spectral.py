@@ -9,6 +9,16 @@ eigenvalue above the kernel of the same generalized eigenproblem
 A_sym x = lambda M x.  It bounds the continuous constant from above and is
 nonincreasing in the polynomial degree.  Every caller names the stiffness form
 of a kernel ("sym" or "grad"); K_N always excludes the strain-rate kernel.
+
+The eigenproblem is solved per reflection class.  Every volume form vanishes
+between fields of different classes (see basis), so A and M are block-diagonal
+on the class blocks of Basis.classes, and one eigh per block gives the
+spectrum.  Bit a of a class is set when its fields flip sign under
+x_a -> -x_a; the rotation e_a x x is odd in the two axes other than a, so it
+lies in class 6 (a = x), 5 (a = y) or 3 (a = z).  Each kernel field thus
+carries the class of the one rotation it can be, and the 3/1/0 check asks for
+classes (3, 5, 6) on a sphere, (3,) on a z-spheroid and none on a triaxial
+ellipsoid.
 """
 
 from __future__ import annotations
@@ -18,10 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import BoundaryCondition, OperatorSet, assemble
+from .basis import _by_class
+from .operators import _ROTATION_CLASSES, BoundaryCondition, OperatorSet, assemble
 
+# classes of the rigid rotations each domain kind admits (e_x, e_y, e_z x x are in
+# _ROTATION_CLASSES 6, 5, 3): the strain-rate kernel of that kind, class by class
+NEUTRAL_MODE_CLASSES = {"sphere": tuple(sorted(map(int, _ROTATION_CLASSES))),
+                        "spheroid_z": (int(_ROTATION_CLASSES[2]),), "triaxial": ()}
 # kernel dimension of the strain-rate stiffness for each domain kind
-NEUTRAL_MODE_DIMS = {"sphere": 3, "spheroid_z": 1, "triaxial": 0}
+NEUTRAL_MODE_DIMS = {kind: len(cls) for kind, cls in NEUTRAL_MODE_CLASSES.items()}
 # kernel cut, relative to the largest eigenvalue; exact assembly pushes true
 # kernel eigenvalues to round-off so the gap is wide
 TOL_KERNEL = 1e-10
@@ -33,6 +48,7 @@ class KernelReport:
     kernel_dim: int
     kernel_fields: list
     eigenvalues: np.ndarray
+    kernel_classes: tuple   # reflection class of each kernel field
 
 
 @dataclass
@@ -44,26 +60,47 @@ class CoercivityResult:
 
 @dataclass
 class NeutralModes:
-    """The 3/1/0 check on one basis: both kernel reports, K_N, the expected dimension."""
+    """The 3/1/0 check on one basis: both kernel reports, K_N, the expected kernel."""
     sym: KernelReport
     grad: KernelReport
     coercivity: CoercivityResult
-    expected_dim: int
+    expected_classes: tuple
     strain_ok: bool
     gradient_ok: bool
     ok: bool
+
+    @property
+    def expected_dim(self) -> int:
+        return len(self.expected_classes)
+
+
+def class_label(classes) -> str:
+    """Reflection classes, sorted and separated by spaces, or "none"."""
+    return " ".join(str(p) for p in sorted(classes)) or "none"
 
 
 def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
     """Generalized eigenproblem A x = lambda M x; kernel = eigenvalues below the cut.
 
     ``stiffness`` is "sym" (A = A_sym, strain rate) or "grad" (A = A_grad, gradient).
+    One eigh per class block of the basis: an eigenvector of class P's block is zero
+    off the rows of class P, and the merged eigenvalues are sorted stably.
     """
     if stiffness not in ("sym", "grad"):
         raise ValueError("stiffness must be 'sym' or 'grad'")
     a_mat, form = ((ops.A_sym, "stress_free") if stiffness == "sym"
                    else (ops.A_grad, "normal_gradient"))
-    eigvals, eigvecs = scipy.linalg.eigh(a_mat, ops.M)
+    classes = ops.basis.classes
+    eigvals = np.empty(ops.dim)
+
+    def solve(a_block, index):
+        eigvals[index], vecs = scipy.linalg.eigh(a_block, ops.M[np.ix_(index, index)])
+        return vecs
+
+    # block-diagonal: the eigenvectors of class P fill the rows and columns of class P
+    eigvecs = _by_class(solve, a_mat, classes)
+    order = np.argsort(eigvals, kind="stable")
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     scale = max(float(eigvals[-1]), 0.0)
     cut = TOL_KERNEL * scale if scale > 0 else TOL_KERNEL
     kernel_mask = eigvals < cut
@@ -76,7 +113,8 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
         bc_form=form,
         kernel_dim=int(kernel_mask.sum()),
         kernel_fields=kernel_fields,
-        eigenvalues=np.sort(eigvals),
+        eigenvalues=eigvals,
+        kernel_classes=tuple(int(p) for p in classes[order][kernel_mask]),
     )
 
 
@@ -116,7 +154,7 @@ def neutral_modes(basis) -> NeutralModes:
                    include_advection=False)
     sym = viscous_kernel(ops, stiffness="sym")
     grad = viscous_kernel(ops, stiffness="grad")
-    expected = NEUTRAL_MODE_DIMS[basis.domain.kind]
-    strain_ok, gradient_ok = sym.kernel_dim == expected, grad.kernel_dim == 0
+    expected = NEUTRAL_MODE_CLASSES[basis.domain.kind]
+    strain_ok, gradient_ok = tuple(sorted(sym.kernel_classes)) == expected, grad.kernel_dim == 0
     return NeutralModes(sym, grad, _coercivity(sym, basis.degree), expected,
                         strain_ok, gradient_ok, strain_ok and gradient_ok)

@@ -225,9 +225,14 @@ class ScenarioConfig:
             raise ValueError(f"constraint.mode orth_poincare needs a bc.form that carries "
                              f"Poincare data, not {self.bc_form}")
         # the CSV is written after the run, so its directory is checked before it
-        out_dir = os.path.dirname(self.output_path or "") or "."
+        self.check_output_path(self.output_path)
+
+    @staticmethod
+    def check_output_path(path: str | None) -> None:
+        """Reject an output.path in a missing directory; basis shares the check."""
+        out_dir = os.path.dirname(path or "") or "."
         if not os.path.isdir(out_dir):
-            raise ValueError(f"output.path {self.output_path}: no directory {out_dir}")
+            raise ValueError(f"output.path {path}: no directory {out_dir}")
 
     @staticmethod
     def check_nu_inverse(nu_inverse: float) -> None:

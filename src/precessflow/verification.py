@@ -19,7 +19,7 @@ from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, loa
 from .geometry import Domain, half_monomial_integral, monomial_integral, surface_rule
 from .operators import (BoundaryCondition, _advection_operators, _class_triples, advection_term,
                         assemble, momentum_coupling_identity, residual)
-from .spectral import neutral_modes
+from .spectral import class_label, neutral_modes
 from .timestepper import State, integrate
 
 # shifts omega of the steady family u_P + omega (e_z x x) and its residual bound
@@ -165,7 +165,8 @@ def _spectral_checks(results, label, basis):
     ctx = f"domain={label} N={basis.degree}"
     modes = neutral_modes(basis)
     _check(results, "spectral.kernel_strain", ctx, modes.strain_ok,
-           f"dim {modes.sym.kernel_dim}, expected {modes.expected_dim}")
+           f"dim {modes.sym.kernel_dim}, classes {class_label(modes.sym.kernel_classes)}, "
+           f"expected {modes.expected_dim}, classes {class_label(modes.expected_classes)}")
     _check(results, "spectral.kernel_gradient", ctx, modes.gradient_ok,
            f"dim {modes.grad.kernel_dim}")
     k_n = modes.coercivity.K_N

@@ -1,3 +1,4 @@
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -130,6 +131,21 @@ class TestExitCodes:
         assert main(["basis", "--config", cfg]) == 0
         assert "# degree 2 dim 11" in out.read_text()
 
+    @pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+    def test_basis_missing_output_directory_fails_before_the_build(self, tmp_path, capsys,
+                                                                  monkeypatch, relative):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr("precessflow.cli.build_basis", no_build)
+        monkeypatch.chdir(tmp_path)
+        out = "nodir/basis.txt" if relative else str(tmp_path / "nodir" / "basis.txt")
+        cfg = write(tmp_path, "b.cfg", SPHEROID_LINES + f"output.path = {out}\n")
+        assert main(["basis", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output.path {out}: no directory {os.path.dirname(out)}\n"
+        assert captured.out == ""
+
     def test_basis_keeps_a_run_csv(self, tmp_path, capsys):
         # a run config's output.path is its CSV, which basis must not overwrite
         out = tmp_path / "run.csv"
@@ -155,6 +171,20 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert f"kernel dim (strain-rate stiffness): {expected_kernel}" in out
         assert "kernel dim (gradient stiffness):    0" in out
+
+    @pytest.mark.parametrize("lines,classes", [
+        ("domain.a = 1\ndomain.b = 1\ndomain.c = 1\nbasis.degree = 2\n", "3 5 6"),
+        (SPHEROID_LINES, "3"),
+        ("domain.a = 1\ndomain.b = 0.9\ndomain.c = 0.8\nbasis.degree = 2\n", "none"),
+    ], ids=["sphere", "spheroid", "triaxial"])
+    def test_eig_names_the_neutral_mode_classes(self, tmp_path, capsys, lines, classes):
+        cfg = write(tmp_path, "e.cfg", lines)
+        assert main(["eig", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        # the classes line follows the strain-rate kernel dimension
+        index = next(i for i, ln in enumerate(out) if ln.startswith("kernel dim (strain"))
+        assert out[index + 1] == f"neutral-mode classes (strain-rate stiffness): {classes}"
+        assert len(out) == 8
 
     def test_eig_flags_unrecognized_symmetry_axis(self, tmp_path, capsys):
         # b = c != a has a tangent rotation about x, but the kind enum only

@@ -7,12 +7,14 @@ import scipy.linalg
 from precessflow.basis import build_basis, project, solid_rotation
 from precessflow.geometry import Domain
 from precessflow.operators import BoundaryCondition, assemble
-from precessflow.spectral import (NEUTRAL_MODE_DIMS, coercivity_constant, neutral_modes,
-                                  viscous_kernel)
+from precessflow.spectral import (NEUTRAL_MODE_CLASSES, NEUTRAL_MODE_DIMS,
+                                  coercivity_constant, neutral_modes, viscous_kernel)
 
 from conftest import DOMAINS, get_basis
 
 EXPECTED_KERNEL = {"sphere": 3, "spheroid": 1, "triaxial": 0}
+# e_z x x is in class 3, e_y x x in 5, e_x x x in 6
+EXPECTED_CLASSES = {"sphere": (3, 5, 6), "spheroid": (3,), "triaxial": ()}
 
 # regression values from the generalized eigenproblem (exclusion = kernel)
 SPHEROID_K = {2: 0.3086890243902438, 3: 0.23255052415478786,
@@ -79,6 +81,57 @@ class TestViscousKernel:
         scale = report.eigenvalues[-1]
         for k in report.kernel_fields:
             assert np.linalg.norm(ops.A_sym @ k) < 1e-10 * scale * np.linalg.norm(k)
+
+
+class TestPerClassSolve:
+    @pytest.mark.parametrize("stiffness", ["sym", "grad"])
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    def test_eigenvalues_match_the_full_eigenproblem(self, kind, degree, stiffness):
+        ops = stress_ops(kind, degree)
+        a_mat = ops.A_sym if stiffness == "sym" else ops.A_grad
+        full = scipy.linalg.eigh(a_mat, ops.M, eigvals_only=True)
+        report = viscous_kernel(ops, stiffness=stiffness)
+        assert report.eigenvalues.shape == full.shape
+        assert np.all(np.diff(report.eigenvalues) >= 0)
+        np.testing.assert_allclose(report.eigenvalues, full, rtol=0.0,
+                                   atol=1e-12 * float(full[-1]))
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid"])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_kernel_fields_lie_in_their_class_and_are_orthonormal(self, kind, degree):
+        ops = stress_ops(kind, degree)
+        report = viscous_kernel(ops, stiffness="sym")
+        assert len(report.kernel_classes) == report.kernel_dim == len(report.kernel_fields)
+        for k, p in zip(report.kernel_fields, report.kernel_classes):
+            assert np.all(k[ops.basis.classes != p] == 0.0)
+            assert np.any(k[ops.basis.classes == p] != 0.0)
+        kernel = np.stack(report.kernel_fields, axis=1)
+        np.testing.assert_allclose(kernel.T @ ops.M @ kernel, np.eye(report.kernel_dim),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_kernel_classes(self, kind, degree):
+        report = viscous_kernel(stress_ops(kind, degree), stiffness="sym")
+        assert tuple(sorted(report.kernel_classes)) == EXPECTED_CLASSES[kind]
+        assert viscous_kernel(stress_ops(kind, degree), stiffness="grad").kernel_classes == ()
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    def test_no_eigensolve_exceeds_a_class_block(self, kind, monkeypatch):
+        ops = stress_ops(kind, 4)
+        largest = int(np.bincount(ops.basis.classes).max())
+        sizes = []
+        eigh = scipy.linalg.eigh
+
+        def recording_eigh(a, b=None, *args, **kwargs):
+            sizes.append(len(a))
+            return eigh(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+        neutral_modes(ops.basis)
+        coercivity_constant(ops, "kernel")
+        assert sizes and max(sizes) <= largest < ops.dim
 
 
 class TestCoercivity:
@@ -161,6 +214,9 @@ class TestNeutralModes:
         basis = get_basis(kind, 3)
         modes = neutral_modes(basis)
         assert modes.expected_dim == NEUTRAL_MODE_DIMS[basis.domain.kind] == EXPECTED_KERNEL[kind]
+        assert modes.expected_classes == NEUTRAL_MODE_CLASSES[basis.domain.kind] \
+            == EXPECTED_CLASSES[kind]
+        assert tuple(sorted(modes.sym.kernel_classes)) == EXPECTED_CLASSES[kind]
         assert (modes.sym.kernel_dim, modes.grad.kernel_dim) == (EXPECTED_KERNEL[kind], 0)
         assert modes.strain_ok and modes.gradient_ok and modes.ok
         assert modes.coercivity.K_N == coercivity_constant(stress_ops(kind, 3), "kernel").K_N
@@ -169,4 +225,12 @@ class TestNeutralModes:
         # an x-spheroid: Domain.kind calls it triaxial, the kernel holds the x rotation
         modes = neutral_modes(build_basis(Domain(Fraction(4, 5), 1, 1), 2))
         assert (modes.expected_dim, modes.sym.kernel_dim) == (0, 1)
+        assert modes.sym.kernel_classes == (6,)     # e_x x x
         assert not modes.strain_ok and modes.gradient_ok and not modes.ok
+
+    def test_flags_a_kernel_of_the_wrong_class(self, monkeypatch):
+        # an x-spheroid checked as a z-spheroid: its one kernel field is e_x x x, not e_z x x
+        monkeypatch.setitem(NEUTRAL_MODE_CLASSES, "triaxial", (3,))
+        modes = neutral_modes(build_basis(Domain(Fraction(4, 5), 1, 1), 2))
+        assert (modes.expected_dim, modes.sym.kernel_dim) == (1, 1)
+        assert not modes.strain_ok and not modes.ok

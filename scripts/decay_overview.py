@@ -3,9 +3,11 @@
 
 A shortened version of configs/fig1.cfg (same physics, smaller basis / coarser
 output) that prints the E_K and dE_K/dt traces and, when matplotlib is
-importable, writes decay_overview.png.
+importable, writes decay_overview.png.  Exits 1 when dE_K/dt is not negative
+at every record.
 """
 
+import sys
 from fractions import Fraction
 
 from precessflow import ScenarioConfig, run
@@ -26,14 +28,17 @@ def main():
     for i in range(0, len(t), 4):
         print(f"{t[i]:8.1f} {e_k[i]:14.6e} {de[i]:14.6e}")
     print(f"\nE_K(end)/E_K(0) = {e_k[-1] / e_k[0]:.3e}")
-    print(f"max dEK_dt over the run = {de.max():.3e} (negative everywhere)")
+    negative = bool((de < 0).all())
+    print(f"max dEK_dt over the run = {de.max():.3e}"
+          + (" (negative everywhere)" if negative else ""))
+    status = 0 if negative else 1
 
     try:
         import matplotlib
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError:
-        return
+        return status
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(9, 3.2))
     ax1.semilogy(t, e_k)
     ax1.set_xlabel("t")
@@ -44,7 +49,8 @@ def main():
     fig.tight_layout()
     fig.savefig("decay_overview.png", dpi=120)
     print("wrote decay_overview.png")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

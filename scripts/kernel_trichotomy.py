@@ -3,8 +3,11 @@
 
 Shows the sphere/spheroid/triaxial trichotomy of the strain-rate stiffness
 kernel, the class of each neutral mode (e_x, e_y, e_z x x lie in classes 6, 5
-and 3) and the decreasing-in-degree discrete coercivity constant.
+and 3) and the decreasing-in-degree discrete coercivity constant.  Exits 1
+when the 3/1/0 check fails on any domain and degree.
 """
+
+import sys
 
 from precessflow import build_basis, neutral_modes
 from precessflow.spectral import class_label
@@ -14,6 +17,7 @@ DEGREES = range(1, 9)
 
 
 def main():
+    failed = 0
     print(f"{'domain':24s} {'N':>2s} {'dim':>4s} {'ker(strain)':>11s} {'classes':>7s} "
           f"{'ker(grad)':>9s} {'K_N':>14s}")
     for kind, domain in DOMAINS:
@@ -24,7 +28,9 @@ def main():
             print(f"{label:24s} {n:2d} {basis.dim:4d} {modes.sym.kernel_dim:11d} "
                   f"{class_label(modes.sym.kernel_classes):>7s} "
                   f"{modes.grad.kernel_dim:9d} {modes.coercivity.K_N:14.8g}")
+            failed += not modes.ok
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,14 +4,21 @@
 Both perturbed states are exact steady states, so the runs never approach each
 other: the whole one-parameter family of rotation-shifted flows persists.
 With the optional rot_momentum constraint projection both runs collapse back
-onto u_P instead.
+onto u_P instead.  Exits 1 when either claim fails: the unconstrained gap
+falls below 0.9 of its start, or the rot_momentum run's delta_EK does not
+fall below 1e-6 of its start.
 """
+
+import sys
 
 import numpy as np
 
 from fractions import Fraction
 
 from precessflow import ScenarioConfig, run
+
+GAP_MIN_RATIO = 0.9       # without the constraint the twins stay apart
+COLLAPSE_RATIO = 1e-6     # with it, delta_EK(end) / delta_EK(0)
 
 
 def twin(constraint):
@@ -29,6 +36,7 @@ def twin(constraint):
 
 
 def main():
+    failed = 0
     for constraint in (None, "rot_momentum"):
         label = constraint or "no constraint"
         pair = twin(constraint)
@@ -39,7 +47,12 @@ def main():
               f"initial {gap[0]:.6f}, final {gap[-1]:.3e}")
         d_p = pair[+1].column("delta_EK")
         print(f"[{label}] delta_EK(+0.025 run): initial {d_p[0]:.3e}, final {d_p[-1]:.3e}")
+        if constraint is None:
+            failed += not gap.min() >= GAP_MIN_RATIO * gap[0]
+        else:
+            failed += not d_p[-1] < COLLAPSE_RATIO * d_p[0]
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

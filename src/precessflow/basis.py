@@ -23,14 +23,18 @@ within a class its integrand is even: nodal_form, (U w) V^T per block of equal
 class labels on the octant rule of degree 3N - 1 (basis_rule), computes every
 even volume form, free of the rounded monomial integrals that a coefficient
 contraction (gram_form, kept for the odd-in-z part of Hn/Hs) amplifies by the
-coefficients' size (1e3 at N = 8).  Basis.nodal evaluates the basis at the
-nodes once per basis; every volume form reads it, and so does project, which
-takes fields of degree <= N and splits them by class alike.
+coefficients' size (1e3 at N = 8).  The Basis constructor is the one
+evaluation of a set of fields at the nodes: it computes their values and
+their mass Gram, and the gradients come on first read (Basis.grad).  Every
+volume form reads them, and so does project, which takes fields of degree
+<= N and splits them by class alike.
 
 Orthonormalization is one kernel, the inverse Cholesky factor of a Gram, run
 on each class block of the raw fields' mass Gram, so every orthonormal field
 stays in its class; one polish pass runs it on the Gram of the result when
 that misses I by more than 1e-13.  GRAM_IDENTITY_TOL gates the same Gram.
+Each pass (raw fields, first pass, polish) is one Basis, so each Gram is
+its constructor's.
 
 Integer lattice.  The exact path carries each field as one row of integer
 numerators over (v_x, v_y, v_z, q) coefficients with one denominator.  Every
@@ -41,11 +45,12 @@ tables, independent of the constraint system, prove div v = 0 and
 v . grad(chi) = chi q on every row.  Basis.fields (Fraction coefficients) is
 formed from the rows on first read (verify, save_basis), never by the build.
 
-The mass Gram, the coefficient array and the class labels are read-only: one
-basis is shared by every operator set assembled on it and, through
-timestepper.run, by consecutive runs.  What those derive from the basis
-(operators, LU factors, the diagnostics context, the projections of e_z x x
-and u_P) is kept in its assembly cache (Basis.cached), read-only as well.
+The coefficient array, the class labels, the nodal values and gradients and
+the mass Gram are read-only: one basis is shared by every operator set
+assembled on it and, through timestepper.run, by consecutive runs.  What
+those derive from the basis (operators, LU factors, the diagnostics context,
+the projections of e_z x x and u_P) is kept in its assembly cache
+(Basis.cached), read-only as well.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ from .polynomials import Polynomial3, VectorField
 __all__ = [
     "Basis", "build_basis", "curl_form_fields", "stream_cross_field",
     "poincare_field", "solid_rotation", "project", "save_basis", "load_basis", "gram_form",
-    "coefficient_classes", "InvariantError", "basis_rule", "nodal_form", "mass_gram",
-    "rotation_projection", "reference_projection",
+    "coefficient_classes", "InvariantError", "basis_rule", "nodal_form", "rotation_projection",
+    "reference_projection",
 ]
 
 GRAM_IDENTITY_TOL = 1e-12
@@ -81,23 +86,33 @@ class InvariantError(RuntimeError):
 
 
 class Basis:
-    """Orthonormal basis of the tangent solenoidal polynomial space.
+    """Class-pure fields evaluated at the nodes of their rule: an orthonormal basis of
+    the tangent solenoidal polynomial space once build_basis has made it one.
 
-    rows, for an exact basis, holds the integer rows (nums, dens) of the
-    fields (see the module docstring); it is None for a float basis.
+    The constructor is the one evaluation of the fields at the basis rule: the
+    rule's points and weights, the degree-N Vandermonde matrix vander (nodes,
+    D_N), values[i, c, n] = (b_i)_c and the mass Gram, the symmetrized nodal_form
+    of the values.  grad is evaluated on first read.  rows, for an exact basis,
+    holds the integer rows (nums, dens) of the fields (see the module
+    docstring); it is None for a float basis.
     """
 
     def __init__(self, domain: Domain, degree: int, coeff_array: np.ndarray,
-                 gram: np.ndarray, raw_gram_cond: float, classes: np.ndarray,
-                 rows: tuple[np.ndarray, np.ndarray] | None = None):
+                 rows: tuple[np.ndarray, np.ndarray] | None = None,
+                 raw_gram_cond: float = math.nan):
         self.domain = domain
         self.degree = degree
         # (dim, 3, D_N) float coefficients over the degree-N monomial list
         self.coeff_array = coeff_array
-        # reflection class of each field (coefficient_classes)
-        self.classes = classes
-        self.gram = gram
-        for arr in (coeff_array, classes, gram, *(rows or ())):
+        # reflection class of each field; ValueError names a field outside one class
+        self.classes = coefficient_classes(coeff_array, degree)
+        self.points, self.weights = basis_rule(domain, degree)
+        self.vander = monomials.vandermonde(self.points, degree)
+        self.values = coeff_array @ self.vander.T
+        g = nodal_form(self.values, self.weights, self.values, self.classes, self.classes)
+        self.gram = 0.5 * (g + g.T)
+        for arr in (coeff_array, self.classes, self.vander, self.values, self.gram,
+                    *(rows or ())):
             arr.flags.writeable = False
         self.raw_gram_cond = raw_gram_cond
         self.rows = rows
@@ -133,10 +148,15 @@ class Basis:
             entry = cache[kind] = (params, _read_only(build(self, *args)))
         return entry[1]
 
-    @property
-    def nodal(self) -> dict:
-        """The basis at the nodes of its rule (_nodal_values), evaluated on first read and kept."""
-        return self.cached("nodal", _nodal_values)
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        """grad[i, c, a, n] = d(b_i)_c / d x_a at the rule nodes, evaluated on first read."""
+        n = self.degree
+        coeff = self.coeff_array
+        db = np.stack([monomials.apply_derivative(coeff, n, a) for a in range(3)], axis=2)
+        grad = db @ monomials.vandermonde(self.points, n - 1).T
+        grad.flags.writeable = False
+        return grad
 
     def __repr__(self):
         return (f"Basis(domain={self.domain!r}, degree={self.degree}, dim={self.dim})")
@@ -466,32 +486,29 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
         raw_arr = _raw_coeff_svd(domain, degree)
     else:
         raise ValueError(f"unknown method {method!r}")
-    classes = coefficient_classes(raw_arr, degree)
-    g_raw = mass_gram(domain, degree, raw_arr, classes)
-    raw_cond = float(np.linalg.cond(g_raw))
+    raw = Basis(domain, degree, raw_arr)
+    classes, raw_cond = raw.classes, float(np.linalg.cond(raw.gram))
 
     def orthonormalize(q):
         # exact: the integer rows (nums, dens) of q @ raw, rounded; svd: q @ raw in float
         if method == "exact":
             rows = _combine_rows(nums, dens, q, classes)
-            coeff = _rows_to_float(*rows, degree)
-        else:
-            rows, coeff = None, np.tensordot(q, raw_arr, 1)
-        gram = mass_gram(domain, degree, coeff, classes)
-        return rows, coeff, gram, float(np.max(np.abs(gram - np.eye(len(coeff)))))
+            return Basis(domain, degree, _rows_to_float(*rows, degree), rows, raw_cond)
+        return Basis(domain, degree, np.tensordot(q, raw_arr, 1), raw_gram_cond=raw_cond)
 
     # q is block diagonal by class, so each orthonormal field keeps its raw field's class
-    q = _by_class(_orthonormal_coefficients, g_raw, classes)
-    rows, coeff, gram, dev = orthonormalize(q)
-    if dev > 1e-13:     # the polish pass
-        q = _by_class(_orthonormal_coefficients, gram, classes) @ q
-        rows, coeff, gram, dev = orthonormalize(q)
+    q = _by_class(_orthonormal_coefficients, raw.gram, classes)
+    basis = orthonormalize(q)
+    if basis.gram_identity_deviation() > 1e-13:     # the polish pass
+        q = _by_class(_orthonormal_coefficients, basis.gram, classes) @ q
+        basis = orthonormalize(q)
+    dev = basis.gram_identity_deviation()
     if dev > GRAM_IDENTITY_TOL:
         raise InvariantError(f"orthonormalization failed: gram deviates from identity by {dev:.3e}")
 
     if method == "exact":
-        _check_exact_rows(domain, degree, rows[0])
-    return Basis(domain, degree, coeff, gram, raw_cond, classes, rows)
+        _check_exact_rows(domain, degree, basis.rows[0])
+    return basis
 
 
 def gram_form(a: np.ndarray, j: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -523,25 +540,6 @@ def nodal_form(u: np.ndarray, weights: np.ndarray, v: np.ndarray, cls_u: np.ndar
         i, k = np.flatnonzero(cls_u == p), np.flatnonzero(cls_v == p)
         out[np.ix_(i, k)] = uw[i] @ v[k].T
     return out
-
-
-def _nodal_values(basis: Basis) -> dict:
-    """The one evaluation of a basis at its rule: points, weights, vander (nodes, D_N), the
-    fields' values[i, c, n] = (b_i)_c and their grad[i, c, a, n] = d(b_i)_c / d x_a."""
-    n, coeff = basis.degree, basis.coeff_array
-    points, weights = basis_rule(basis.domain, n)
-    vander = monomials.vandermonde(points, n)
-    db = np.stack([monomials.apply_derivative(coeff, n, a) for a in range(3)], axis=2)
-    return dict(points=points, weights=weights, vander=vander, values=coeff @ vander.T,
-                grad=db @ monomials.vandermonde(points, n - 1).T)
-
-
-def mass_gram(domain: Domain, degree: int, coeff: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """The (symmetrized) mass Gram of class-pure fields on the basis rule, before a Basis exists."""
-    points, weights = basis_rule(domain, degree)
-    u = coeff @ monomials.vandermonde(points, degree).T
-    g = nodal_form(u, weights, u, classes, classes)
-    return 0.5 * (g + g.T)
 
 
 def _combine_rows(nums: np.ndarray, dens: np.ndarray, q: np.ndarray,
@@ -632,14 +630,14 @@ def project(v: VectorField, basis: Basis):
     Returns (coefficients, residual) with residual = || v - sum c_i b_i ||_L2 of
     the explicitly formed residual field, so exact members come back at round-off.
     Each integrand is taken by reflection-class parts of v (monomial parity) on the
-    basis rule, exact for them to degree 2N, from the basis values that Basis.nodal
-    computes once per basis.  A field above degree N raises ValueError (field_to_array).
+    basis rule, exact for them to degree 2N, from the values and the Vandermonde
+    matrix that the Basis constructor evaluates.  A field above degree N raises
+    ValueError (field_to_array).
     """
     arr = monomials.field_to_array(v.to_float(), basis.degree)
-    nodal = basis.nodal
-    vander, weights = nodal["vander"].T, nodal["weights"]
+    vander, weights = basis.vander.T, basis.weights
     masks = _class_table(basis.degree) == np.arange(N_CLASSES)[:, None, None]
-    rhs = np.einsum("icn,icn->i", nodal["values"] * weights,
+    rhs = np.einsum("icn,icn->i", basis.values * weights,
                     (np.where(masks, arr, 0.0) @ vander)[basis.classes])
     coeffs = np.linalg.solve(basis.gram, rhs)
     arr -= np.einsum("i,icm->cm", coeffs, basis.coeff_array)
@@ -728,10 +726,7 @@ def load_basis(path) -> Basis:
         raise ValueError("basis export is missing its header")
     if dim != len(arrays):
         raise ValueError(f"basis export announces dim {dim} but carries {len(arrays)} fields")
-    coeff = np.stack(arrays)
-    classes = coefficient_classes(coeff, degree)
-    return Basis(domain, degree, coeff, mass_gram(domain, degree, coeff, classes),
-                 float("nan"), classes)
+    return Basis(domain, degree, np.stack(arrays))
 
 
 def _parse_field(line: str, degree: int | None) -> np.ndarray:

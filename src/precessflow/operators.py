@@ -14,8 +14,9 @@ div eps(u_P) = 0); no surface quadrature enters the dynamics.
 
 Which path each form takes.  Every even form, M (the basis Gram), A_sym,
 A_grad, C_x, T, mom (the basis against e_a x x) and F_bc (nodal gradients
-summed on their classes), is a nodal form on the basis rule (see basis), read
-from Basis.nodal, the basis values and gradients computed once per basis.  The
+summed on their classes), is a nodal form on the basis rule (see basis): it
+reads the values that the Basis constructor evaluates and the gradients that
+Basis.grad evaluates on first read, each once per basis.  The
 hemispheric Grams are M / 2 on matching classes and +-K, from exact
 half-ellipsoid monomial integrals, on classes that differ in the z bit only.
 
@@ -166,7 +167,6 @@ class OperatorSet:
 def _core_matrices(basis: Basis) -> dict:
     """The axis- and bc-independent matrices."""
     domain, n, bc_arr, cls = basis.domain, basis.degree, basis.coeff_array, basis.classes
-    nodal = basis.nodal
 
     # Hn, Hs: M / 2 where the integrand is even in z, +-K where only the z bit
     # of the classes differs, so Hn + Hs = M exactly
@@ -175,21 +175,21 @@ def _core_matrices(basis: Basis) -> dict:
     hn, hs = 0.5 * basis.gram + k, 0.5 * basis.gram - k
 
     # 9-component gradients, component index 3 * comp + axis
-    grad = nodal["grad"]
+    grad = basis.grad
     g9 = grad.reshape(basis.dim, 9, -1)
     s9 = 0.5 * (grad + grad.transpose(0, 2, 1, 3)).reshape(basis.dim, 9, -1)
-    a_sym, a_grad = (nodal_form(g, nodal["weights"], g, cls, cls) for g in (s9, g9))
+    a_sym, a_grad = (nodal_form(g, basis.weights, g, cls, cls) for g in (s9, g9))
     a_sym, a_grad = a_sym + a_sym.T, 0.5 * (a_grad + a_grad.T)     # 2 eps:eps, grad:grad
 
     # (x cross b_i)_a = b_i . (e_a x x): the rotation fields' values against the basis
-    rotations = np.cross(np.eye(3)[:, None], nodal["points"]).transpose(0, 2, 1)
-    mom = nodal_form(rotations, nodal["weights"], nodal["values"], _ROTATION_CLASSES, cls)
+    rotations = np.cross(np.eye(3)[:, None], basis.points).transpose(0, 2, 1)
+    mom = nodal_form(rotations, basis.weights, basis.values, _ROTATION_CLASSES, cls)
     return dict(M=basis.gram, A_sym=a_sym, A_grad=a_grad, mom=mom, Hn=hn, Hs=hs)
 
 
 def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarray:
     """C = sum_a w_a C^a, C^a[i, k] = integral of b_i . (e_a x b_k): class P with P ^ cls(e_a x x)."""
-    values, weights = basis.nodal["values"], basis.nodal["weights"]
+    values, weights = basis.values, basis.weights
     return sum(w_a * nodal_form(values, weights, np.cross(e_a, values, axisb=1, axisc=1),
                                 basis.classes, basis.classes ^ shift)
                for w_a, e_a, shift in zip(axis, np.eye(3), _ROTATION_CLASSES) if w_a)
@@ -261,8 +261,7 @@ def _advection_operators(basis: Basis):
     products; the block is then one product of the weighted values w_n b_i[a] with B.
     """
     tr = _class_triples(basis.classes)
-    nodal = basis.nodal
-    values, grad, weights = nodal["values"], nodal["grad"], nodal["weights"]
+    values, grad, weights = basis.values, basis.grad, basis.weights
     members = [rows[rows < basis.dim] for rows in tr.rows]
     u_k = [np.ascontiguousarray(values[m].transpose(2, 0, 1)[:, None]) for m in members]
     g_j = [np.ascontiguousarray(grad[m].transpose(3, 2, 1, 0)) for m in members]
@@ -334,7 +333,7 @@ def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float) -> np.ndarra
     const = np.array([float(data[a][c].coeffs.get((0, 0, 0), 0.0))
                       for c in range(3) for a in range(3)])
     # integral of d(b_i)_comp / d x_axis, nonzero only on the class bit(comp) ^ bit(axis)
-    integrals = basis.nodal["grad"].reshape(basis.dim, 9, -1) @ basis.nodal["weights"]
+    integrals = basis.grad.reshape(basis.dim, 9, -1) @ basis.weights
     on_class = basis.classes[:, None] == (_CLASS_BITS[:, None] ^ _CLASS_BITS).ravel()
     return weight * np.where(on_class, integrals, 0.0) @ const
 

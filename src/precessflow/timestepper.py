@@ -24,8 +24,8 @@ product.  A constraint projection adds one (3, dim) matrix-vector product
 per step.
 
 Set-up once per basis.  run() takes its basis from _run_basis, a one-entry
-functools.lru_cache keyed on (domain, degree, method), so consecutive runs on
-one basis (the +/- omega twins of scripts/poincare_family.py, say) build it
+functools.lru_cache keyed on (domain, degree), so consecutive runs on one
+basis (the +/- omega twins of scripts/poincare_family.py, say) build it
 once and share its assembly cache: the core matrices, C_x, the advection
 blocks and pack, the LU factors, the diagnostics context (with its surface
 rule) and the projections of e_z x x and u_P are each formed once, and a warm
@@ -183,8 +183,6 @@ class ScenarioConfig:
     restart_omega: float = 0.0
     constraint_mode: str | None = None
     output_path: str | None = None
-    include_advection: bool = True
-    basis_method: str = "exact"
 
     def validate(self) -> None:
         self.domain()  # the beta-versus-axes rule and the checks of Domain itself
@@ -224,7 +222,10 @@ class ScenarioConfig:
                 and not BoundaryCondition.form_carries_data(self.bc_form)):
             raise ValueError(f"constraint.mode orth_poincare needs a bc.form that carries "
                              f"Poincare data, not {self.bc_form}")
-        # the CSV is written after the run, so its directory is checked before it
+        # the coefficients are read after the build and the assembly, so their file is
+        # checked before them, as the CSV's directory is before the run
+        if self.init_type == "coefficients" and not os.path.isfile(self.init_path):
+            raise ValueError(f"init.path {self.init_path}: no such file")
         self.check_output_path(self.output_path)
 
     @staticmethod
@@ -287,32 +288,31 @@ def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _run_basis(domain: Domain, degree: int, method: str) -> Basis:
-    """The basis of the last run, reused while (domain, degree, method) stays the same.
+def _run_basis(domain: Domain, degree: int) -> Basis:
+    """The basis of the last run, reused while (domain, degree) stays the same.
 
     build_basis is looked up as a module global at call time, so a wrapper
     installed on it sees every build; cache_clear() makes the next run cold.
     """
-    return build_basis(domain, degree, method)
+    return build_basis(domain, degree)
 
 
 def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     """Execute a scenario: build, integrate, record, and write the CSV output.
 
     The basis, with everything cached on it, is shared with the previous run
-    when that had the same domain, degree and method.  On blow-up the
-    partial series is written to the configured output path before
-    BlowUpError is raised (with the series attached).
+    when that had the same domain and degree.  On blow-up the partial series
+    is written to the configured output path before BlowUpError is raised
+    (with the series attached).
     """
     cfg.validate()
     domain = cfg.domain()
-    basis = _run_basis(domain, cfg.degree, cfg.basis_method)
+    basis = _run_basis(domain, cfg.degree)
 
     bc_data = (_poincare_data(domain, cfg.eps_p)
                if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
     bc = BoundaryCondition(cfg.bc_form, bc_data)
-    ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p,
-                   include_advection=cfg.include_advection)
+    ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p)
 
     ctx = diagnostics.shared_context(basis, bc_data)
 

@@ -8,11 +8,11 @@ from hypothesis import given, strategies as st
 
 from precessflow import geometry, monomials
 from precessflow import basis as basis_module
-from precessflow.basis import (GRAM_IDENTITY_TOL, InvariantError, build_basis, coefficient_classes,
-                               curl_form_fields, gram_form, load_basis, mass_gram, poincare_field,
-                               poincare_obstacle, project, save_basis, solid_rotation,
-                               stream_cross_field, _by_class, _check_exact_rows, _constraint_rows,
-                               _fields_from_nullspace, _fraction_nullspace,
+from precessflow.basis import (GRAM_IDENTITY_TOL, Basis, InvariantError, build_basis,
+                               coefficient_classes, curl_form_fields, gram_form, load_basis,
+                               poincare_field, poincare_obstacle, project, save_basis,
+                               solid_rotation, stream_cross_field, _by_class, _check_exact_rows,
+                               _constraint_rows, _fields_from_nullspace, _fraction_nullspace,
                                _orthonormal_coefficients, _raw_coeff_svd, _raw_rows_exact,
                                _rows_to_float)
 from precessflow.geometry import Domain, surface_rule, volume_integral
@@ -227,7 +227,8 @@ class TestBuildBasis:
     def test_shared_arrays_are_read_only(self):
         basis = get_basis("spheroid", 2)
         nums, dens = basis.rows
-        for arr in (basis.gram, basis.coeff_array, basis.classes, nums, dens):
+        for arr in (basis.gram, basis.coeff_array, basis.classes, basis.vander, basis.values,
+                    basis.grad, nums, dens):
             first = (0,) * arr.ndim
             with pytest.raises(ValueError, match="read-only"):
                 arr[first] = arr[first]
@@ -249,6 +250,36 @@ class TestBuildBasis:
         assert basis.fields is fields and len(fields) == basis.dim
         for f, c in zip(fields, basis.coeff_array):
             np.testing.assert_array_equal(monomials.field_to_array(f.to_float(), 3), c)
+
+
+class TestOneEvaluation:
+    """The Basis constructor is the one evaluation of a set of fields at the basis rule."""
+
+    @staticmethod
+    def _assert_same_evaluation(basis, other):
+        for name in ("classes", "vander", "values", "gram"):
+            a, b = getattr(basis, name), getattr(other, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert basis.grad.tobytes() == other.grad.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    def test_a_rebuilt_basis_is_bit_identical(self, kind, degree, method):
+        basis = (get_basis(kind, degree) if method == "exact"
+                 else build_basis(DOMAINS[kind], degree, method))
+        self._assert_same_evaluation(basis, Basis(DOMAINS[kind], degree, basis.coeff_array))
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 3, 6])
+    def test_a_loaded_basis_is_bit_identical(self, kind, degree, tmp_path):
+        basis = get_basis(kind, degree)
+        path = tmp_path / "basis.txt"
+        save_basis(basis, path)
+        loaded = load_basis(path)
+        assert loaded.coeff_array.tobytes() == basis.coeff_array.tobytes()
+        self._assert_same_evaluation(basis, loaded)
+        assert math.isnan(loaded.raw_gram_cond)
 
 
 class TestCurlForm:
@@ -335,10 +366,7 @@ class TestProject:
 
     def test_the_volume_nodes_are_evaluated_once(self, monkeypatch):
         basis = build_basis(DOMAINS["spheroid"], 3)
-        builds, degrees = [], []
-        build, vandermonde = basis_module._nodal_values, monomials.vandermonde
-        monkeypatch.setattr(basis_module, "_nodal_values",
-                            lambda b: builds.append(b) or build(b))
+        degrees, vandermonde = [], monomials.vandermonde
         monkeypatch.setattr(monomials, "vandermonde",
                             lambda pts, d: degrees.append(d) or vandermonde(pts, d))
         bc = BoundaryCondition("poincare_stress", poincare_field(Fraction(9, 16), Fraction(1, 4)))
@@ -347,9 +375,8 @@ class TestProject:
                  include_advection=False)
         for _ in range(10):
             project(solid_rotation((0, 0, 1)), basis)
-        # the degree-3 values and the degree-2 gradients, in the one build
-        assert builds == [basis]
-        assert sorted(degrees) == [2, 3]
+        # the build evaluated the degree-3 values; only the degree-2 gradients are left
+        assert degrees == [2]
 
     @staticmethod
     def _octant_rule_projection(v, basis):
@@ -504,10 +531,10 @@ def _raw_fields_exact(domain, degree):
     return _fields_from_nullspace(dense, dim_v, degree)
 
 
-def _coeff_gram(fields, domain, degree, classes):
+def _coeff_gram(fields, domain, degree):
     """(dim, 3, D_N) float coefficients of the fields and their (nodal) mass Gram."""
     coeff = np.stack([monomials.field_to_array(f.to_float(), degree) for f in fields])
-    return coeff, mass_gram(domain, degree, coeff, classes)
+    return coeff, Basis(domain, degree, coeff).gram
 
 
 def _combine_exact(raw, q):
@@ -537,12 +564,12 @@ def _fraction_build(domain, degree):
     """
     raw = _raw_fields_exact(domain, degree)
     raw_arr = np.stack([monomials.field_to_array(f.to_float(), degree) for f in raw])
-    classes = coefficient_classes(raw_arr, degree)
-    g_raw = mass_gram(domain, degree, raw_arr, classes)
+    raw_basis = Basis(domain, degree, raw_arr)
+    classes, g_raw = raw_basis.classes, raw_basis.gram
 
     def orthonormalize(q):
         fields = _combine_exact(raw, q)
-        coeff, gram = _coeff_gram(fields, domain, degree, classes)
+        coeff, gram = _coeff_gram(fields, domain, degree)
         return fields, coeff, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
 
     q = _by_class(_orthonormal_coefficients, g_raw, classes)
@@ -671,9 +698,8 @@ class TestExactRowCheck:
 def _raw_gram(kind, degree):
     """Float coefficients, mass Gram and classes of the raw exact nullspace fields."""
     nums, dens = _raw_rows_exact(DOMAINS[kind], degree)
-    raw_arr = _rows_to_float(nums, dens, degree)
-    classes = coefficient_classes(raw_arr, degree)
-    return raw_arr, mass_gram(DOMAINS[kind], degree, raw_arr, classes), classes
+    raw = Basis(DOMAINS[kind], degree, _rows_to_float(nums, dens, degree))
+    return raw.coeff_array, raw.gram, raw.classes
 
 
 # axes in the ratio 5 : 4 : 3, more eccentric than DOMAINS["triaxial"]

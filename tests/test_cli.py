@@ -414,8 +414,25 @@ class TestExitCodes:
         ("steady", STEADY_LINES.replace("0.024", "1e-320"), "nu_inverse = 1e-320 is too small"),
         ("steady", STEADY_LINES.replace("poincare_stress", "no_slip"),
          "unknown boundary condition form 'no_slip'"),
+        # keys that the run would ignore
+        ("run", RUN_LINES + "restart.omega = 0.5\n",
+         "config key restart.omega is ignored without restart.time"),
+        ("run", RUN_LINES.replace("init.type = solid_rotation", "init.type = poincare"),
+         "config key init.amplitude is ignored unless init.type is solid_rotation, not poincare"),
+        ("run", RUN_LINES + "init.omega = 3\n",
+         "config key init.omega is ignored unless init.type is poincare_plus_rotation"),
+        ("run", RUN_LINES + "init.eps_p = 0.25\n",
+         "config key init.eps_p is ignored unless init.type is poincare or poincare_plus_rotation"),
+        ("run", RUN_LINES + "init.path = coeffs.txt\n",
+         "config key init.path is ignored unless init.type is coefficients"),
+        ("run", RUN_LINES.replace("init.type = solid_rotation\ninit.amplitude = 0.1",
+                                  "init.type = coefficients\ninit.path = nodir/coeffs.txt"),
+         "init.path nodir/coeffs.txt: no such file"),
     ], ids=["eig_huge_axis", "eig_tiny_axis", "run_huge_beta", "run_tiny_nu_inverse",
-            "steady_tiny_nu_inverse", "steady_unknown_bc_form"])
+            "steady_tiny_nu_inverse", "steady_unknown_bc_form", "run_restart_omega_without_time",
+            "run_amplitude_without_solid_rotation", "run_omega_without_its_init_type",
+            "run_init_eps_p_without_poincare", "run_path_without_coefficients",
+            "run_path_to_no_file"])
     def test_input_out_of_range_fails_before_the_build(self, tmp_path, capsys, monkeypatch,
                                                        command, lines, message):
         def no_build(*args, **kwargs):

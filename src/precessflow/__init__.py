@@ -7,13 +7,11 @@ from .basis import (Basis, build_basis, curl_form_fields, load_basis, poincare_f
                     project, save_basis, solid_rotation, stream_cross_field)
 from .diagnostics import (CSV_HEADER, DiagnosticsContext, DiagnosticsRecord, TimeSeries,
                           constraint_projection, momentum_balance_residual, record)
-from .geometry import (Domain, SurfaceRule, converged_surface_integral,
-                       half_monomial_integral, monomial_integral, surface_integral,
+from .geometry import (Domain, SurfaceRule, half_monomial_integral, monomial_integral,
                        surface_rule, volume_integral)
-from .operators import (BC_FORMS, BoundaryCondition, OperatorSet, advection_term,
-                        angular_momentum, assemble, dump_operator_set,
-                        momentum_coupling_identity, residual)
-from .polynomials import Polynomial3, VectorField, position_cross, remainder_mod
+from .operators import (BC_FORMS, BoundaryCondition, OperatorSet, advection_term, assemble,
+                        dump_operator_set, momentum_coupling_identity, residual)
+from .polynomials import Polynomial3, VectorField, remainder_mod
 from .spectral import (CoercivityResult, KernelReport, NeutralModes, coercivity_constant,
                        neutral_modes, viscous_kernel)
 from .timestepper import (BlowUpError, ScenarioConfig, State, initial_coefficients,

@@ -43,7 +43,8 @@ is one product of Python ints, and the float coefficients are the correctly
 rounded num / den.  Integer maps from the monomial derivative and shift
 tables, independent of the constraint system, prove div v = 0 and
 v . grad(chi) = chi q on every row.  Basis.fields (Fraction coefficients) is
-formed from the rows on first read (verify, save_basis), never by the build.
+formed from the rows on first read by verify's checks alone, never by the build
+or the export.
 
 The coefficient array, the class labels, the nodal values and gradients and
 the mass Gram are read-only: one basis is shared by every operator set
@@ -78,6 +79,8 @@ GRAM_IDENTITY_TOL = 1e-12
 # diagnostics reference; in every basis that admits u_P the residual is round-off
 REFERENCE_RESIDUAL_TOL = 1e-10
 N_CLASSES = 8     # mirror-reflection classes: one bit per axis
+# rank cutoff of the svd fallback, relative to a class block's largest singular value
+_SVD_RANK_RTOL = 1e-10
 _CLASS_BITS = np.array([1, 2, 4])
 
 
@@ -150,11 +153,15 @@ class Basis:
 
     @functools.cached_property
     def grad(self) -> np.ndarray:
-        """grad[i, c, a, n] = d(b_i)_c / d x_a at the rule nodes, evaluated on first read."""
+        """grad[i, c, a, n] = d(b_i)_c / d x_a at the rule nodes, evaluated on first read.
+
+        The degree-(N-1) monomials lead the graded list, so their Vandermonde
+        matrix is the first D_(N-1) columns of vander.
+        """
         n = self.degree
         coeff = self.coeff_array
         db = np.stack([monomials.apply_derivative(coeff, n, a) for a in range(3)], axis=2)
-        grad = db @ monomials.vandermonde(self.points, n - 1).T
+        grad = db @ self.vander[:, :monomials.space_dim(n - 1)].T
         grad.flags.writeable = False
         return grad
 
@@ -380,7 +387,7 @@ def _fields_from_rows(nums: np.ndarray, dens: np.ndarray, degree: int) -> list[V
     return _fields_from_nullspace(vectors, dim_v, degree)
 
 
-def _raw_coeff_svd(domain: Domain, degree: int, rank_rtol: float = 1e-10) -> np.ndarray:
+def _raw_coeff_svd(domain: Domain, degree: int) -> np.ndarray:
     """Float fallback: (fields, 3, D_N) coefficients of the SVD nullspace of each class
     block of the system (each identity and the columns it reads share its monomial's
     class), with a rank cutoff relative to the block's largest singular value."""
@@ -396,7 +403,7 @@ def _raw_coeff_svd(domain: Domain, degree: int, rank_rtol: float = 1e-10) -> np.
     for p in range(N_CLASSES):
         cols = np.flatnonzero(col_cls == p)
         _, s, vt = np.linalg.svd(mat[np.ix_(row_cls == p, cols)], full_matrices=True)
-        rank = int(np.sum(s > rank_rtol * s[0])) if s.size else 0
+        rank = int(np.sum(s > _SVD_RANK_RTOL * s[0])) if s.size else 0
         block = np.zeros((len(cols) - rank, ncols))
         block[:, cols] = vt[rank:]
         blocks.append(block)
@@ -674,7 +681,15 @@ EXPORT_MAGIC = "# precessflow basis"
 
 
 def save_basis(basis: Basis, path) -> None:
-    """Portable text export: one line per field, exponent/coefficient pairs."""
+    """Portable text export: one line per field, exponent/coefficient pairs.
+
+    The pairs are the nonzero entries of coeff_array in exponent order.  An
+    exact basis's float coefficients are the correctly rounded values of its
+    rows, so they print as the Fraction fields would.
+    """
+    exps = monomials.exponents(basis.degree)
+    order = np.lexsort(exps.T[::-1])     # by (i, j, k)
+    tokens = [f"{i},{j},{k}" for i, j, k in exps[order].tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{EXPORT_MAGIC} v1\n")
         if basis.domain.axes_exact is not None:
@@ -683,15 +698,9 @@ def save_basis(basis: Basis, path) -> None:
         else:
             fh.write(f"# beta {basis.domain.beta}\n")
         fh.write(f"# degree {basis.degree} dim {basis.dim}\n")
-        for f in basis.fields:
-            groups = []
-            for comp in f.components:
-                if comp.is_zero():
-                    groups.append("-")
-                    continue
-                items = sorted(comp.coeffs.items())
-                groups.append(" ".join(
-                    f"{i},{j},{k}:{float(c):.17g}" for (i, j, k), c in items))
+        for field in basis.coeff_array[:, :, order].tolist():
+            groups = [" ".join(f"{t}:{c:.17g}" for t, c in zip(tokens, comp) if c) or "-"
+                      for comp in field]
             fh.write(" ; ".join(groups) + "\n")
 
 

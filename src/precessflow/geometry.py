@@ -289,38 +289,3 @@ def octant_rule(domain: Domain, degree: int) -> tuple[np.ndarray, np.ndarray]:
 def volume_integral(poly: Polynomial3, domain: Domain) -> float:
     """Exact integral of a polynomial over the ellipsoid (term by term)."""
     return sum(float(c) * monomial_integral(*e, domain) for e, c in poly.coeffs.items())
-
-
-def surface_integral(f, rule: SurfaceRule) -> float:
-    """Weighted sum of a scalar integrand over the rule's nodes.
-
-    ``f`` may be a callable taking an (n, 3) point array, or a Polynomial3.
-    """
-    if isinstance(f, Polynomial3):
-        pts = rule.points
-        values = f.evaluate(pts[:, 0], pts[:, 1], pts[:, 2])
-    else:
-        values = f(rule.points)
-    values = np.asarray(values, dtype=float)
-    if values.shape != rule.weights.shape:
-        raise ValueError("integrand returned wrong shape")
-    return float(values @ rule.weights)
-
-
-def converged_surface_integral(f, domain: Domain, start: int = 16, max_doublings: int = 5,
-                               rtol: float = 1e-10):
-    """Integrate on Gamma, doubling the order until the value moves less than rtol.
-
-    Returns (value, orders_used), the (n, 2n) of the last rule.  Raises if
-    convergence is not reached.
-    """
-    n = start
-    prev = surface_integral(f, surface_rule(domain, n))
-    for _ in range(max_doublings):
-        n *= 2
-        rule = surface_rule(domain, n)
-        cur = surface_integral(f, rule)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur, rule.orders
-        prev = cur
-    raise RuntimeError("surface integral did not converge under order doubling")

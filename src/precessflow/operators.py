@@ -358,11 +358,6 @@ def residual(coeffs: np.ndarray, ops: OperatorSet) -> np.ndarray:
     return r
 
 
-def angular_momentum(coeffs: np.ndarray, ops: OperatorSet) -> np.ndarray:
-    """M_alpha = integral of (x cross u)_alpha for u = sum c_i b_i."""
-    return ops.mom @ np.asarray(coeffs, dtype=float)
-
-
 def momentum_coupling_identity(v: VectorField, domain: Domain):
     """Both sides of  int e_y.(x cross v) = 2 int (e_z cross x).(e_x cross v).
 

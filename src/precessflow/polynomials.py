@@ -189,10 +189,6 @@ class VectorField:
         cx, cy, cz = components
         self.components = (cx, cy, cz)
 
-    @classmethod
-    def zero(cls) -> "VectorField":
-        return cls((Polynomial3(), Polynomial3(), Polynomial3()))
-
     @property
     def degree(self) -> int:
         return max(c.degree for c in self.components)
@@ -232,10 +228,6 @@ class VectorField:
         """v . grad(p)."""
         return sum((self.components[a] * p.diff(a) for a in range(3)), Polynomial3())
 
-    def advect(self, other: "VectorField") -> "VectorField":
-        """(self . grad) other."""
-        return VectorField(tuple(self.dot_grad_scalar(c) for c in other.components))
-
     def cross_const(self, w) -> "VectorField":
         """Constant vector w crossed with this field: w x u."""
         ux, uy, uz = self.components
@@ -262,12 +254,3 @@ class VectorField:
 
     def __repr__(self) -> str:
         return f"VectorField({self.components!r})"
-
-
-def position_cross(v: VectorField) -> VectorField:
-    """x cross v, a polynomial field of degree deg(v)+1."""
-    x = Polynomial3.variable(0)
-    y = Polynomial3.variable(1)
-    z = Polynomial3.variable(2)
-    vx, vy, vz = v.components
-    return VectorField((y * vz - z * vy, z * vx - x * vz, x * vy - y * vx))

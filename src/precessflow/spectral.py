@@ -35,8 +35,6 @@ from .operators import _ROTATION_CLASSES, BoundaryCondition, OperatorSet, assemb
 # _ROTATION_CLASSES 6, 5, 3): the strain-rate kernel of that kind, class by class
 NEUTRAL_MODE_CLASSES = {"sphere": tuple(sorted(map(int, _ROTATION_CLASSES))),
                         "spheroid_z": (int(_ROTATION_CLASSES[2]),), "triaxial": ()}
-# kernel dimension of the strain-rate stiffness for each domain kind
-NEUTRAL_MODE_DIMS = {kind: len(cls) for kind, cls in NEUTRAL_MODE_CLASSES.items()}
 # kernel cut, relative to the largest eigenvalue; exact assembly pushes true
 # kernel eigenvalues to round-off so the gap is wide
 TOL_KERNEL = 1e-10

@@ -54,8 +54,8 @@ from .geometry import Domain
 from .operators import BC_FORMS, BoundaryCondition, OperatorSet, advection_term, assemble
 
 INIT_TYPES = ("solid_rotation", "poincare", "poincare_plus_rotation", "coefficients")
-# a run raises BlowUpError once the state norm exceeds this multiple of the larger of
-# its initial norm and the norm of the projected bc data c_P
+# a run raises BlowUpError once the state norm exceeds this multiple of the largest of
+# its initial norm, the norm of the projected bc data c_P and the norm of the restart kick
 BLOWUP_FACTOR = 1e6
 
 
@@ -317,9 +317,12 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     ctx = diagnostics.shared_context(basis, bc_data)
 
     state = State(t=0.0, coeffs=initial_coefficients(cfg, basis))
-    # a forced run from rest grows towards c_P; a zero state without forcing stays zero
+    # a forced run from rest grows towards c_P and a kicked one jumps by the kick; a zero
+    # state with neither stays zero
+    kick = (abs(cfg.restart_omega) * float(np.linalg.norm(rotation_projection(basis)[0]))
+            if cfg.restart_time is not None else 0.0)
     max_norm = BLOWUP_FACTOR * max(float(np.linalg.norm(state.coeffs)),
-                                   float(np.linalg.norm(ctx.c_p)))
+                                   float(np.linalg.norm(ctx.c_p)), kick)
 
     # validate() has put t_end, record_every and restart_time on the dt grid
     n_steps = int(round(cfg.t_end / cfg.dt))

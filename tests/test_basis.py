@@ -281,6 +281,19 @@ class TestOneEvaluation:
         self._assert_same_evaluation(basis, loaded)
         assert math.isnan(loaded.raw_gram_cond)
 
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", range(1, 9))
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    def test_grad_matches_its_own_vandermonde_bit_for_bit(self, kind, degree, method):
+        # the reference evaluates the degree-(N-1) monomials on their own
+        basis = (get_basis(kind, degree) if method == "exact"
+                 else build_basis(DOMAINS[kind], degree, method))
+        db = np.stack([monomials.apply_derivative(basis.coeff_array, degree, a)
+                       for a in range(3)], axis=2)
+        reference = db @ monomials.vandermonde(basis.points, degree - 1).T
+        assert basis.grad.shape == reference.shape
+        assert basis.grad.tobytes() == reference.tobytes()
+
 
 class TestCurlForm:
     def test_psi_z_gives_twice_rotation(self):
@@ -375,8 +388,9 @@ class TestProject:
                  include_advection=False)
         for _ in range(10):
             project(solid_rotation((0, 0, 1)), basis)
-        # the build evaluated the degree-3 values; only the degree-2 gradients are left
-        assert degrees == [2]
+        # the build evaluated the degree-3 values, whose Vandermonde matrix the
+        # degree-2 gradients read too
+        assert degrees == []
 
     @staticmethod
     def _octant_rule_projection(v, basis):
@@ -406,6 +420,27 @@ class TestProject:
 
 
 class TestExportImport:
+    @pytest.mark.parametrize("domain", [DOMAINS["sphere"], DOMAINS["triaxial"],
+                                        Domain.from_beta(Fraction(1, 2))],
+                             ids=["sphere", "triaxial", "beta_half"])
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    def test_export_forms_no_fields_and_prints_them(self, tmp_path, monkeypatch, domain,
+                                                    method):
+        calls = []
+        fields_from_rows = basis_module._fields_from_rows
+        monkeypatch.setattr(basis_module, "_fields_from_rows",
+                            lambda *args: calls.append(len(args[0])) or fields_from_rows(*args))
+        basis = build_basis(domain, 4, method)
+        path = tmp_path / "basis.txt"
+        save_basis(basis, path)
+        assert calls == [] and "fields" not in vars(basis)
+        # each field line is what the fields' coefficients print, in exponent order
+        for line, field in zip(path.read_text().splitlines()[3:], basis.fields, strict=True):
+            groups = [" ".join(f"{i},{j},{k}:{float(c):.17g}"
+                               for (i, j, k), c in sorted(comp.coeffs.items())) or "-"
+                      for comp in field.components]
+            assert line == " ; ".join(groups)
+
     def test_roundtrip(self, tmp_path):
         basis = get_basis("spheroid", 2)
         path = tmp_path / "basis.txt"

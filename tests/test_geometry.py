@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from precessflow import monomials
 from precessflow.basis import poincare_field, solid_rotation
-from precessflow.geometry import (Domain, converged_surface_integral,
-                                  half_monomial_integral, monomial_integral,
-                                  surface_integral, surface_rule, volume_integral)
+from precessflow.geometry import (Domain, half_monomial_integral, monomial_integral,
+                                  surface_rule, volume_integral)
 from precessflow.polynomials import Polynomial3
 
 from conftest import DOMAINS
@@ -17,6 +16,11 @@ from conftest import DOMAINS
 SPHERE = DOMAINS["sphere"]
 SPHEROID = DOMAINS["spheroid"]
 TRIAXIAL = DOMAINS["triaxial"]
+
+
+def surface_sum(poly, rule):
+    """The rule's weighted sum of a polynomial at its nodes."""
+    return rule.weights @ poly.evaluate(*rule.points.T)
 
 
 class TestDomain:
@@ -218,13 +222,13 @@ class TestSurfaceRule:
     def test_odd_integrand_vanishes(self):
         rule = surface_rule(SPHERE, 32)
         z = Polynomial3.variable(2)
-        assert abs(surface_integral(z, rule)) < 1e-12
+        assert abs(surface_sum(z, rule)) < 1e-12
 
     def test_z_squared_moment(self):
         # by symmetry int z^2 = area/3 = 4 pi / 3 on the unit sphere
         rule = surface_rule(SPHERE, 32)
         z2 = Polynomial3.monomial((0, 0, 2), 1.0)
-        assert abs(surface_integral(z2, rule) - 4 * math.pi / 3) < 1e-8
+        assert abs(surface_sum(z2, rule) - 4 * math.pi / 3) < 1e-8
 
     def test_nodes_on_boundary(self):
         for d in (SPHERE, SPHEROID, TRIAXIAL):
@@ -257,32 +261,22 @@ class TestSurfaceRule:
                 ], axis=1)
                 normal = -grad / np.linalg.norm(grad, axis=1, keepdims=True)
                 return np.einsum("nc,nc->n", vals, normal)
-            assert abs(surface_integral(flux, surface_rule(d, 32))) < 1e-12
+            rule = surface_rule(d, 32)
+            assert abs(rule.weights @ flux(rule.points)) < 1e-12
 
     def test_zero_integrand(self):
         u_p = poincare_field(Fraction(9, 16), Fraction(1, 4))
         diff = u_p - u_p
         rule = surface_rule(SPHEROID, 16)
-        assert surface_integral(diff.dot(u_p), rule) == 0.0
+        assert surface_sum(diff.dot(u_p), rule) == 0.0
 
     def test_poincare_rotation_baseline(self):
-        # frozen regression value, converged under order doubling to < 1e-10
+        # frozen regression value, converged under order doubling to < 1e-10; the
+        # runs' order-32 rule matches it
         u_p = poincare_field(Fraction(9, 16), Fraction(1, 4))
         rot = solid_rotation((0, 0, 1))
-        value, orders = converged_surface_integral(u_p.dot(rot), SPHEROID)
+        value = surface_sum(u_p.dot(rot), surface_rule(SPHEROID, 32))
         assert value == pytest.approx(7.059257062001076, rel=1e-10)
-
-    def test_wrong_shape_rejected(self):
-        rule = surface_rule(SPHERE, 8)
-        with pytest.raises(ValueError):
-            surface_integral(lambda pts: np.ones((3, 3)), rule)
-
-
-def test_converged_integral_rejects_nonconverging_integrand():
-    # integrand value depends on the node count, so doubling never settles
-    bad = lambda pts: np.full(len(pts), float(len(pts)))
-    with pytest.raises(RuntimeError):
-        converged_surface_integral(bad, SPHERE, start=4, max_doublings=3)
 
 
 def test_volume_integral_matches_monomials():

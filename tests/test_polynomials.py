@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from precessflow.polynomials import (Polynomial3, VectorField, position_cross,
-                                     remainder_mod)
+from precessflow.polynomials import Polynomial3, VectorField, remainder_mod
 
 coeffs_strategy = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
@@ -119,26 +118,6 @@ def test_vector_field_operations():
     assert w.components[0].is_zero()
     assert w.components[1] == -z
     assert w.components[2] == x * x
-    # x cross v, z-component = x*v_y - y*v_x
-    pc = position_cross(v)
-    assert pc.components[2] == x * x * x - y * y * z
-
-
-def test_advect_matches_finite_differences():
-    x = Polynomial3.variable(0)
-    y = Polynomial3.variable(1)
-    v = VectorField((x * y, -y, Polynomial3.constant(Fraction(1, 2))))
-    u = VectorField((y, x, x * y))
-    adv = v.advect(u)  # (v . grad) u
-    pt = np.array([[0.4, -0.7, 0.2]])
-    h = 1e-6
-    vv = v.evaluate(pt)[0]
-    num = np.zeros(3)
-    for axis in range(3):
-        shift = np.zeros(3)
-        shift[axis] = h
-        num += vv[axis] * (u.evaluate(pt + shift)[0] - u.evaluate(pt - shift)[0]) / (2 * h)
-    np.testing.assert_allclose(adv.evaluate(pt)[0], num, atol=1e-8)
 
 
 def test_tangency_remainder_detects_non_tangent_fields():

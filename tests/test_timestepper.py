@@ -325,6 +325,16 @@ class TestRun:
         assert series.records[-1].t == pytest.approx(1.0)
         assert series.records[0].E_K == 0.0 < series.records[-1].E_K
 
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-9])
+    def test_kick_from_rest_runs_to_t_end(self, amplitude):
+        # the blow-up guard scales with the kick, not only the initial state and c_P
+        cfg = base_config(eps_p=0.25, init_amplitude=amplitude, t_end=1.0, record_every=0.1,
+                          restart_time=0.5, restart_omega=0.025)
+        series = run(cfg)
+        t, lam = series.column("t"), series.column("lambda")
+        assert t[-1] == pytest.approx(1.0)
+        assert lam[np.isclose(t, 0.5)] == pytest.approx([0.025], abs=1e-8)
+
     def test_rest_without_forcing_stays_at_rest(self):
         series = run(base_config(init_amplitude=0.0))
         assert series.records[-1].t == pytest.approx(0.1)

@@ -4,11 +4,11 @@ Quadratic quantities (energies, hemispheric energies, angular momentum and the
 rotation amplitude lambda) come from the exactly assembled Gram/moment
 operators.  The three surface constraint functionals are quadrature sums over
 the polynomial reconstruction of the state, precomputed as linear functionals
-of the coefficients.  ``dEK_dt`` is a post-hoc centered
-difference of the recorded energy; the instantaneous energy rate (viscous
-dissipation plus boundary-forcing work) is emitted alongside it as the
-``dissipation`` column, so the two estimates bracket the time-discretization
-error.
+of the coefficients.  ``dEK_dt`` is a post-hoc centered difference of the
+recorded energy, never taken across a restart kick; the instantaneous energy
+rate (viscous dissipation plus boundary-forcing work) is emitted alongside it
+as the ``dissipation`` column, so the two estimates bracket the
+time-discretization error.
 """
 
 from __future__ import annotations
@@ -150,14 +150,22 @@ class TimeSeries:
     records: list
     dt: float
     record_interval: float
+    restart_time: float | None = None   # the time of the restart kick, if any
 
     def finalize(self) -> "TimeSeries":
-        """Fill dEK_dt by centered differences (one-sided at the ends)."""
+        """Fill dEK_dt by centered differences, one-sided at the ends of each segment.
+
+        A restart kick splits the series into the records before it and those
+        from it on (the record at the kick holds the kicked state), and no
+        difference spans the kick.  A record alone in its segment gets 0.
+        """
         recs = self.records
         n = len(recs)
+        kicked = [self.restart_time is not None and r.t >= self.restart_time - 0.5 * self.dt
+                  for r in recs]
         for i in range(n):
-            lo = max(i - 1, 0)
-            hi = min(i + 1, n - 1)
+            lo = i - 1 if i > 0 and kicked[i - 1] == kicked[i] else i
+            hi = i + 1 if i < n - 1 and kicked[i + 1] == kicked[i] else i
             span = recs[hi].t - recs[lo].t
             if span > 0:
                 recs[i].dEK_dt = (recs[hi].E_K - recs[lo].E_K) / span

@@ -330,8 +330,8 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     restart_step = (int(round(cfg.restart_time / cfg.dt))
                     if cfg.restart_time is not None else None)
 
-    series = diagnostics.TimeSeries(records=[], dt=cfg.dt,
-                                    record_interval=every * cfg.dt)
+    series = diagnostics.TimeSeries(records=[], dt=cfg.dt, record_interval=every * cfg.dt,
+                                    restart_time=cfg.restart_time)
 
     k = 0
 

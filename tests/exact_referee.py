@@ -1,4 +1,10 @@
-"""Exact-rational referee for sampled entries of M, A_sym, C_x and T, and for mom and F_bc.
+"""Exact-rational referees: the constraint nullspace in Fraction arithmetic, and sampled
+entries of M, A_sym, C_x and T, and of mom and F_bc.
+
+The nullspace referee is a textbook Gauss-Jordan elimination over Fractions,
+one new object and one gcd per operation, with the reduced echelon form read
+off as one vector per free column: the reference that the build's
+fraction-free integer elimination must reproduce exactly.
 
 Every float coefficient of a basis is a binary rational m 2^-e, so field i is
 an integer coefficient array over one power of two.  Every monomial integral
@@ -18,8 +24,70 @@ from fractions import Fraction
 import numpy as np
 
 from precessflow import monomials
-from precessflow.basis import solid_rotation
+from precessflow.basis import _constraint_rows, solid_rotation
 from precessflow.geometry import _ball_monomial_fraction
+
+
+def fraction_nullspace(rows: list[dict], ncols: int) -> list[dict]:
+    """Nullspace basis of a sparse rational matrix; rows {col: number}, vectors {col: Fraction}."""
+    pivot_rows: dict[int, dict] = {}  # pivot column -> normalized row
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            piv = pivot_rows.get(lead)
+            if piv is None:
+                inv = 1 / row[lead]
+                pivot_rows[lead] = {c: v * inv for c, v in row.items()}
+                break
+            factor = row[lead]
+            for c, v in piv.items():
+                s = row.get(c, Fraction(0)) - factor * v
+                if s:
+                    row[c] = s
+                elif c in row:
+                    del row[c]
+    # back-substitution to reduced echelon form
+    for lead in sorted(pivot_rows, reverse=True):
+        piv = pivot_rows[lead]
+        for other_lead, other in pivot_rows.items():
+            if other_lead >= lead or lead not in other:
+                continue
+            factor = other[lead]
+            for c, v in piv.items():
+                s = other.get(c, Fraction(0)) - factor * v
+                if s:
+                    other[c] = s
+                elif c in other:
+                    del other[c]
+    free_cols = [c for c in range(ncols) if c not in pivot_rows]
+    vectors = []
+    for f in free_cols:
+        vec = {f: Fraction(1)}
+        for lead, piv in pivot_rows.items():
+            if f in piv:
+                vec[lead] = -piv[f]
+        vectors.append(vec)
+    return vectors
+
+
+def vectors_to_rows(vectors: list[dict], ncols: int):
+    """(nums, dens) of Fraction vectors: object arrays of ints, dens[i] the lcm of the
+    denominators of vector i and nums[i] its entries over dens[i]."""
+    nums = np.zeros((len(vectors), ncols), dtype=object)
+    dens = np.ones(len(vectors), dtype=object)
+    for i, vec in enumerate(vectors):
+        den = math.lcm(*(v.denominator for v in vec.values()))
+        for c, v in vec.items():
+            nums[i, c] = v.numerator * (den // v.denominator)
+        dens[i] = den
+    return nums, dens
+
+
+def exact_nullspace(domain, degree):
+    """The constraint nullspace of a degree-N basis on domain as Fraction vectors."""
+    rows, dim_v, dim_q, _ = _constraint_rows(domain, degree)
+    return fraction_nullspace(rows, 3 * dim_v + dim_q), dim_v, dim_q
 
 
 def _integer_rows(coeff: np.ndarray):

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from precessflow import geometry, monomials
 from precessflow import basis as basis_module
 from precessflow.basis import (GRAM_IDENTITY_TOL, Basis, InvariantError, build_basis,
                                coefficient_classes, curl_form_fields, gram_form, load_basis,
-                               poincare_field, poincare_obstacle, project, save_basis,
-                               solid_rotation, stream_cross_field, _by_class, _check_exact_rows,
-                               _constraint_rows, _fields_from_nullspace, _fraction_nullspace,
+                               poincare_field, poincare_obstacle, project, project_fields,
+                               save_basis, solid_rotation, stream_cross_field, _by_class,
+                               _check_exact_rows, _fields_from_nullspace, _integer_nullspace,
                                _orthonormal_coefficients, _raw_coeff_svd, _raw_rows_exact,
                                _rows_to_float)
 from precessflow.geometry import Domain, surface_rule, volume_integral
@@ -20,6 +20,7 @@ from precessflow.operators import BoundaryCondition, assemble
 from precessflow.polynomials import Polynomial3, VectorField
 
 from conftest import DOMAINS, MALFORMED_EXPORTS, get_basis, import_error, malformed_export
+from exact_referee import exact_nullspace, fraction_nullspace, vectors_to_rows
 
 # dimension of the constrained space, from the exact nullspace (regression;
 # empirically N (N+1) (2N+7) / 6, identical across domain kinds)
@@ -371,6 +372,19 @@ class TestProject:
         gram_identity = norm2 - float(coeffs @ np.linalg.solve(basis.gram, coeffs))
         assert res**2 == pytest.approx(gram_identity, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    def test_batched_projection_matches_one_field_at_a_time(self, kind):
+        # one solve with k right-hand sides: the same coefficients up to the round-off of
+        # the triangular solves (the Gram is I to 1e-12), and every residual at round-off
+        basis = get_basis(kind, 4)
+        fields = curl_form_fields(DOMAINS[kind], 4)
+        coeffs, residuals = project_fields(fields, basis)
+        single = [project(f, basis) for f in fields]
+        np.testing.assert_allclose(coeffs, np.stack([c for c, _ in single]), rtol=0,
+                                   atol=64 * np.finfo(float).eps * np.max(np.abs(coeffs)))
+        assert residuals.shape == (len(fields),)
+        assert np.max(residuals) < 1e-13 and max(r for _, r in single) < 1e-13
+
     def test_field_above_the_basis_degree_rejected(self):
         x = Polynomial3.variable(0)
         cubic = VectorField((Polynomial3.zero(), Polynomial3.zero(), x * x * x))
@@ -560,8 +574,7 @@ class TestReflectionClasses:
 
 def _raw_fields_exact(domain, degree):
     """The exact nullspace as Fraction-valued VectorFields (velocity part only)."""
-    rows, dim_v, dim_q = _constraint_rows(domain, degree)
-    vectors = _fraction_nullspace(rows, 3 * dim_v + dim_q)
+    vectors, dim_v, _ = exact_nullspace(domain, degree)
     dense = [[vec.get(c, Fraction(0)) for c in range(3 * dim_v)] for vec in vectors]
     return _fields_from_nullspace(dense, dim_v, degree)
 
@@ -740,6 +753,61 @@ def _raw_gram(kind, degree):
 # axes in the ratio 5 : 4 : 3, more eccentric than DOMAINS["triaxial"]
 TRIAXIAL_543 = Domain(1, Fraction(4, 5), Fraction(3, 5))
 ALL_DOMAINS = DOMAINS | {"triaxial_543": TRIAXIAL_543}
+
+
+def _scaled_to_integers(rows):
+    """Each rational row {col: Fraction} times the lcm of its denominators."""
+    scaled = []
+    for row in rows:
+        den = math.lcm(*(Fraction(v).denominator for v in row.values()))
+        scaled.append({c: int(v * den) for c, v in row.items()})
+    return scaled
+
+
+@st.composite
+def _rational_systems(draw):
+    """(ncols, rows): sparse rational rows with zero, duplicate and dependent rows among them."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)))
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    rows = list(base)
+    if base:
+        pick = st.integers(0, len(base) - 1)
+        coef = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 2)])
+        for i, j, a, b in draw(st.lists(st.tuples(pick, pick, coef, coef), max_size=4)):
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [a * x + b * y for x, y in zip(base[i], base[j])])
+    return ncols, [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+class TestIntegerNullspace:
+    """The fraction-free elimination returns the Fraction referee's reduced echelon basis."""
+
+    @pytest.mark.parametrize("kind", ALL_DOMAINS)
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_raw_rows_match_the_fraction_referee(self, kind, degree):
+        nums, dens = _raw_rows_exact(ALL_DOMAINS[kind], degree)
+        vectors, dim_v, dim_q = exact_nullspace(ALL_DOMAINS[kind], degree)
+        ref_nums, ref_dens = vectors_to_rows(vectors, 3 * dim_v + dim_q)
+        assert nums.shape == ref_nums.shape
+        assert nums.tolist() == ref_nums.tolist()
+        assert dens.tolist() == ref_dens.tolist()
+        assert all(type(x) is int for x in nums.ravel().tolist() + dens.tolist())
+
+    @given(_rational_systems())
+    @example((3, [{0: Fraction(1)}, {1: Fraction(2, 3)}, {2: Fraction(-5, 4)}]))   # full rank
+    @example((4, [{}, {1: Fraction(1, 2), 3: Fraction(1, 3)}, {1: Fraction(3), 3: Fraction(2)}]))
+    def test_random_systems_match_the_fraction_referee(self, system):
+        ncols, rows = system
+        nums, dens = _integer_nullspace(_scaled_to_integers(rows), ncols)
+        ref_nums, ref_dens = vectors_to_rows(fraction_nullspace(rows, ncols), ncols)
+        assert nums.shape == ref_nums.shape
+        assert nums.tolist() == ref_nums.tolist()
+        assert dens.tolist() == ref_dens.tolist()
+        for row in rows:
+            for vec in nums.tolist():
+                assert sum(v * vec[c] for c, v in row.items()) == 0
 
 
 class TestClassBlocks:

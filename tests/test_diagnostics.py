@@ -92,6 +92,20 @@ class TestTimeSeries:
         assert d[0] == pytest.approx(1.0)    # one-sided at the ends
         assert d[-1] == pytest.approx(7.0)
 
+    @pytest.mark.parametrize("restart_time", [2.0, 1.5], ids=["on_a_record", "between_records"])
+    def test_no_difference_spans_a_restart(self, restart_time):
+        # E_K = t before the kick and 10 + 3 t from the first record after it: each
+        # segment's differences are exact, one-sided beside the kick
+        ops = make_ops()
+        ctx = make_ctx(ops)
+        series = TimeSeries(records=[], dt=0.5, record_interval=1.0, restart_time=restart_time)
+        for i in range(5):
+            rec = record(State(float(i), np.zeros(ops.dim)), ops, ctx)
+            rec.E_K = float(i) if i < 2 else 10.0 + 3.0 * i
+            series.records.append(rec)
+        series.finalize()
+        np.testing.assert_array_equal(series.column("dEK_dt"), [1.0, 1.0, 3.0, 3.0, 3.0])
+
     def test_csv_format(self, tmp_path):
         cfg = ScenarioConfig(degree=1, bc_form="stress_free", nu_inverse=1.0, eps_p=0.0,
                              init_type="solid_rotation", init_amplitude=0.1,

@@ -334,6 +334,11 @@ class TestRun:
         t, lam = series.column("t"), series.column("lambda")
         assert t[-1] == pytest.approx(1.0)
         assert lam[np.isclose(t, 0.5)] == pytest.approx([0.025], abs=1e-8)
+        # the energy rate beside the kick is the decay of its own segment, never the jump
+        rate, dissipation = series.column("dEK_dt"), series.column("dissipation")
+        before = t < 0.5 - 1e-9
+        assert np.all(np.abs(rate[before] - dissipation[before]) <= 1e-9)
+        assert np.all(rate[~before] < 0.0)
 
     def test_rest_without_forcing_stays_at_rest(self):
         series = run(base_config(init_amplitude=0.0))

@@ -16,7 +16,8 @@ its completeness is not established.
 Reflection classes.  chi is even in each variable, so every constraint
 identity involves coefficients of one parity under the mirror reflections
 x_a -> -x_a: the system splits into 8 class blocks, and every nullspace field,
-exact or svd, lies in one class (coefficient_classes labels them).
+exact or svd, lies in one class (coefficient_classes labels them).  Every
+per-class loop reads the partition that the Basis constructor finds once.
 
 Nodal forms.  A product of fields of classes P and Q flips sign under
 x_a -> -x_a when bit a of P ^ Q is set, so a form is 0 between classes, and
@@ -96,7 +97,8 @@ class Basis:
     The constructor is the one evaluation of the fields at the basis rule: the
     rule's points and weights, the degree-N Vandermonde matrix vander (nodes,
     D_N), values[i, c, n] = (b_i)_c and the mass Gram, the symmetrized nodal_form
-    of the values.  grad is evaluated on first read.  rows, for an exact basis,
+    of the values; members maps each class present to the ascending indices of
+    its fields.  grad is evaluated on first read.  rows, for an exact basis,
     holds the integer rows (nums, dens) of the fields (see the module
     docstring); it is None for a float basis.
     """
@@ -110,13 +112,15 @@ class Basis:
         self.coeff_array = coeff_array
         # reflection class of each field; ValueError names a field outside one class
         self.classes = coefficient_classes(coeff_array, degree)
+        self.members = {p: np.flatnonzero(self.classes == p)
+                        for p in np.unique(self.classes).tolist()}
         self.points, self.weights = basis_rule(domain, degree)
         self.vander = monomials.vandermonde(self.points, degree)
         self.values = coeff_array @ self.vander.T
-        g = nodal_form(self.values, self.weights, self.values, self.classes, self.classes)
+        g = nodal_form(self.values, self.weights, self.values, self.members, self.members)
         self.gram = 0.5 * (g + g.T)
         for arr in (coeff_array, self.classes, self.vander, self.values, self.gram,
-                    *(rows or ())):
+                    *self.members.values(), *(rows or ())):
             arr.flags.writeable = False
         self.raw_gram_cond = raw_gram_cond
         self.rows = rows
@@ -462,14 +466,14 @@ def coefficient_classes(coeff: np.ndarray, degree: int) -> np.ndarray:
     return hi
 
 
-def _by_class(fn, mat: np.ndarray, classes: np.ndarray) -> np.ndarray:
+def _by_class(fn, mat: np.ndarray, members: dict) -> np.ndarray:
     """fn applied to each class block of mat, scattered into one block-diagonal matrix.
 
-    fn(block, index) also gets the indices of the block's fields in mat.
+    members is a class partition (Basis.members); fn(block, index) also gets the
+    indices of the block's fields in mat.
     """
     out = np.zeros_like(mat)
-    for p in np.unique(classes):
-        index = np.flatnonzero(classes == p)
+    for index in members.values():
         block = np.ix_(index, index)
         out[block] = fn(mat[block], index)
     return out
@@ -520,9 +524,14 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
     else:
         raise ValueError(f"unknown method {method!r}")
     raw = Basis(domain, degree, raw_arr)
-    classes, raw_cond = raw.classes, float(np.linalg.cond(raw.gram))
+    members = raw.members
+    # the Gram is 0 between classes: its eigenvalues are its class blocks' (cond = inf
+    # for dependent fields, as np.linalg.cond gives)
+    eigs = np.abs(np.concatenate([np.linalg.eigvalsh(raw.gram[np.ix_(m, m)])
+                                  for m in members.values()]))
+    raw_cond = float(eigs.max() / eigs.min()) if eigs.min() > 0 else math.inf
     if method == "exact":
-        blocks = _class_blocks(nums, dens, classes)
+        blocks = _class_blocks(nums, dens, members)
 
     def orthonormalize(q):
         # exact: the integer rows (nums, dens) of q @ raw, rounded; svd: q @ raw in float
@@ -532,10 +541,10 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
         return Basis(domain, degree, np.tensordot(q, raw_arr, 1), raw_gram_cond=raw_cond)
 
     # q is block diagonal by class, so each orthonormal field keeps its raw field's class
-    q = _by_class(_orthonormal_coefficients, raw.gram, classes)
+    q = _by_class(_orthonormal_coefficients, raw.gram, members)
     basis = orthonormalize(q)
     if basis.gram_identity_deviation() > 1e-13:     # the polish pass
-        q = _by_class(_orthonormal_coefficients, basis.gram, classes) @ q
+        q = _by_class(_orthonormal_coefficients, basis.gram, members) @ q
         basis = orthonormalize(q)
     dev = basis.gram_identity_deviation()
     if dev > GRAM_IDENTITY_TOL:
@@ -561,23 +570,25 @@ def basis_rule(domain: Domain, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return octant_rule(domain, 3 * degree - 1)
 
 
-def nodal_form(u: np.ndarray, weights: np.ndarray, v: np.ndarray, cls_u: np.ndarray,
-               cls_v: np.ndarray) -> np.ndarray:
-    """G[i, k] = sum_(c, n) u[i, c, n] w[n] v[k, c, n] where cls_u[i] = cls_v[k], else 0.
+def nodal_form(u: np.ndarray, weights: np.ndarray, v: np.ndarray, rows_u: dict,
+               rows_v: dict) -> np.ndarray:
+    """G[i, k] = sum_(c, n) u[i, c, n] w[n] v[k, c, n] for i in rows_u[p], k in rows_v[p], else 0.
 
     u and v are (rows, C, nodes) values on an octant rule (C = 3 for fields, 9 for
-    gradients); each kept block, whose integrand is even, is one product (U w) V^T.
+    gradients), and rows_u, rows_v map class labels to rows (Basis.members, say);
+    each kept block, whose integrand is even, is one product (U w) V^T.
     """
     out = np.zeros((len(u), len(v)))
     uw = (u * weights).reshape(len(u), -1)
     v = v.reshape(len(v), -1)
-    for p in np.unique(cls_u):
-        i, k = np.flatnonzero(cls_u == p), np.flatnonzero(cls_v == p)
-        out[np.ix_(i, k)] = uw[i] @ v[k].T
+    for p, i in rows_u.items():
+        k = rows_v.get(p)
+        if k is not None:
+            out[np.ix_(i, k)] = uw[i] @ v[k].T
     return out
 
 
-def _class_blocks(nums: np.ndarray, dens: np.ndarray, classes: np.ndarray) -> list:
+def _class_blocks(nums: np.ndarray, dens: np.ndarray, members: dict) -> list:
     """The class blocks of integer rows, found once per build for _combine_rows.
 
     Block p is (idx, cols, lcm, raw): the indices of the rows of class p, the
@@ -585,8 +596,7 @@ def _class_blocks(nums: np.ndarray, dens: np.ndarray, classes: np.ndarray) -> li
     those columns over L.
     """
     blocks = []
-    for p in np.unique(classes):
-        idx = np.flatnonzero(classes == p)
+    for idx in members.values():
         cols = np.flatnonzero(np.any(nums[idx] != 0, axis=0))
         lcm = math.lcm(*dens[idx])
         blocks.append((idx, cols, lcm, nums[np.ix_(idx, cols)] * (lcm // dens[idx])[:, None]))
@@ -692,13 +702,12 @@ def project_fields(fields: list[VectorField], basis: Basis):
     right-hand sides from it; one solve with k right-hand sides gives the
     coefficients, and the residual fields are evaluated alike.
     """
-    arr = np.stack([monomials.field_to_array(v.to_float(), basis.degree) for v in fields])
+    arr = np.stack([monomials.field_to_array(v, basis.degree) for v in fields])
     vander, weights = basis.vander.T, basis.weights
     masks = _class_table(basis.degree) == np.arange(N_CLASSES)[:, None, None]
     values_w = basis.values * weights
     rhs = np.empty((len(arr), basis.dim))
-    for p in np.unique(basis.classes):
-        idx = np.flatnonzero(basis.classes == p)
+    for p, idx in basis.members.items():
         rhs[:, idx] = np.einsum("icn,kcn->ki", values_w[idx], np.where(masks[p], arr, 0.0) @ vander)
     coeffs = np.linalg.solve(basis.gram, rhs.T).T
     arr -= np.einsum("ki,icm->kcm", coeffs, basis.coeff_array)

@@ -152,17 +152,18 @@ class TimeSeries:
     record_interval: float
     restart_time: float | None = None   # the time of the restart kick, if any
 
-    def finalize(self) -> "TimeSeries":
-        """Fill dEK_dt by centered differences, one-sided at the ends of each segment.
+    def kicked(self) -> np.ndarray:
+        """Whether each record follows the restart kick: the kick splits the series in two
+        segments, the second from the record that holds the kicked state on."""
+        kick = math.inf if self.restart_time is None else self.restart_time - 0.5 * self.dt
+        return self.column("t") >= kick
 
-        A restart kick splits the series into the records before it and those
-        from it on (the record at the kick holds the kicked state), and no
-        difference spans the kick.  A record alone in its segment gets 0.
-        """
+    def finalize(self) -> "TimeSeries":
+        """Fill dEK_dt by centered differences, one-sided at the ends of each segment
+        (see kicked).  A record alone in its segment gets 0."""
         recs = self.records
         n = len(recs)
-        kicked = [self.restart_time is not None and r.t >= self.restart_time - 0.5 * self.dt
-                  for r in recs]
+        kicked = self.kicked()
         for i in range(n):
             lo = i - 1 if i > 0 and kicked[i - 1] == kicked[i] else i
             hi = i + 1 if i < n - 1 and kicked[i + 1] == kicked[i] else i
@@ -185,17 +186,17 @@ class TimeSeries:
 
 
 def momentum_balance_residual(series: TimeSeries, eps_p: float) -> np.ndarray:
-    """Centered-difference residual of  dM_z/dt + eps_p M_y  at interior records."""
+    """Centered-difference residual of  dM_z/dt + eps_p M_y  at the interior records
+    whose stencil stays in one segment (TimeSeries.kicked): none beside a kick."""
     if len(series.records) < 3:
         raise ValueError("need at least three records for a centered difference")
     t = series.column("t")
     spacing = np.diff(t)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=1e-12):
         raise ValueError("records are not uniformly spaced")
-    m_z = series.column("M_z")
-    m_y = series.column("M_y")
-    delta = spacing[0]
-    return (m_z[2:] - m_z[:-2]) / (2.0 * delta) + eps_p * m_y[1:-1]
+    m_z, m_y, kicked = series.column("M_z"), series.column("M_y"), series.kicked()
+    one_segment = kicked[2:] == kicked[:-2]
+    return ((m_z[2:] - m_z[:-2]) / (2.0 * spacing[0]) + eps_p * m_y[1:-1])[one_segment]
 
 
 def constraint_projection(state, mode: str, ctx: DiagnosticsContext) -> object:

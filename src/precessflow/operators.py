@@ -20,16 +20,18 @@ Basis.grad evaluates on first read, each once per basis.  The
 hemispheric Grams are M / 2 on matching classes and +-K, from exact
 half-ellipsoid monomial integrals, on classes that differ in the z bit only.
 
-Class-pair assembly of T.  T is assembled only on the class triples
-(Q ^ R, Q, R), 64 of the 512 for 8 classes, as (triple, i, k, j) blocks kept
-on the basis; the packed copy below is gathered from them, and OperatorSet.T
-(read by dump_operator_set, the bench digest and the tests, not by verify)
-scatters them into the dense tensor on first read, once per basis.
+Class-pair assembly of T.  T[i, j, k] is 0 unless the classes of i, j and k
+XOR to 0, so T is assembled as one block per class pair (P, Q) whose
+R = P ^ Q is present, 64 for 8 classes, on the partition Basis.members (m):
+blocks[P, Q][i, k, j] = T[m_P[i], m_Q[j], m_R[k]], of shape (n_P, n_R, n_Q),
+kept on the basis.  The packed copy below is gathered from them, and
+OperatorSet.T (read by dump_operator_set, the bench digest and the tests, not
+by verify) scatters them into the dense tensor on first read, once per basis.
 
 Packed advection.  Only the (i, j)-symmetric part of T enters
-N_k = sum_ij c_i c_j T[i, j, k].  For each output class P, G[P] holds
+N_k = sum_ij c_i c_j T[i, j, k].  For each output class R, G[R] holds
 T[i, j, k] + T[j, i, k] (T[i, i, k] on the diagonal) for the outputs k of
-class P and the pairs i <= j with cls(i) ^ cls(j) = P, zero-padded to one
+class R and the pairs i <= j with cls(i) ^ cls(j) = R, zero-padded to one
 (classes, rows, pairs) array: advection is two gathers of c, one batched
 matrix-vector product and one gather back, about dim^3 / 16 multiply-adds.
 
@@ -57,6 +59,8 @@ BC_FORMS = ("stress_free", "poincare_stress", "normal_gradient", "poincare_norma
 
 # reflection class of the rotation field e_a x x: odd in the two axes other than a
 _ROTATION_CLASSES = (N_CLASSES - 1) ^ _CLASS_BITS
+# rotation a's row of the (3, C, nodes) rotation values, by class: nodal_form's rows of mom
+_ROTATION_ROWS = {p: [a] for a, p in enumerate(_ROTATION_CLASSES.tolist())}
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ class OperatorSet:
     def T(self) -> np.ndarray | None:
         """The dense advection tensor, None without advection.
 
-        Scattered from the class-triple blocks on first read, once per basis;
+        Scattered from the class-pair blocks on first read, once per basis;
         the result is read-only.  Nothing on the run path reads it.
         """
         if self.T_packed is None:
@@ -178,115 +182,98 @@ def _core_matrices(basis: Basis) -> dict:
     grad = basis.grad
     g9 = grad.reshape(basis.dim, 9, -1)
     s9 = 0.5 * (grad + grad.transpose(0, 2, 1, 3)).reshape(basis.dim, 9, -1)
-    a_sym, a_grad = (nodal_form(g, basis.weights, g, cls, cls) for g in (s9, g9))
+    a_sym, a_grad = (nodal_form(g, basis.weights, g, basis.members, basis.members)
+                     for g in (s9, g9))
     a_sym, a_grad = a_sym + a_sym.T, 0.5 * (a_grad + a_grad.T)     # 2 eps:eps, grad:grad
 
     # (x cross b_i)_a = b_i . (e_a x x): the rotation fields' values against the basis
     rotations = np.cross(np.eye(3)[:, None], basis.points).transpose(0, 2, 1)
-    mom = nodal_form(rotations, basis.weights, basis.values, _ROTATION_CLASSES, cls)
+    mom = nodal_form(rotations, basis.weights, basis.values, _ROTATION_ROWS, basis.members)
     return dict(M=basis.gram, A_sym=a_sym, A_grad=a_grad, mom=mom, Hn=hn, Hs=hs)
 
 
 def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarray:
     """C = sum_a w_a C^a, C^a[i, k] = integral of b_i . (e_a x b_k): class P with P ^ cls(e_a x x)."""
-    values, weights = basis.values, basis.weights
+    values, weights, members = basis.values, basis.weights, basis.members
     return sum(w_a * nodal_form(values, weights, np.cross(e_a, values, axisb=1, axisc=1),
-                                basis.classes, basis.classes ^ shift)
-               for w_a, e_a, shift in zip(axis, np.eye(3), _ROTATION_CLASSES) if w_a)
+                                members, {p ^ shift: m for p, m in members.items()})
+               for w_a, e_a, shift in zip(axis, np.eye(3), _ROTATION_CLASSES.tolist()) if w_a)
 
 
-class _ClassTriples(NamedTuple):
-    """The class partition of a basis and the class triples T can be nonzero on.
-
-    rows is (classes, n_rows), padded with dim (a zero row); slot and pos give
-    each field's class slot and row within it.  Triple t pairs the slots
-    (li[t], lj[t], lk[t]) whose classes XOR to 0, and tri[li, lj] is that t.
-    """
-
-    rows: np.ndarray
-    slot: np.ndarray
-    pos: np.ndarray
-    li: np.ndarray
-    lj: np.ndarray
-    lk: np.ndarray
-    tri: np.ndarray
-
-
-def _class_triples(cls: np.ndarray) -> _ClassTriples:
-    labels = np.flatnonzero(np.bincount(cls, minlength=N_CLASSES))
-    n_cls = len(labels)
+def _pack_advection(blocks: dict, basis: Basis) -> PackedAdvection:
+    """Gather the packed operator from the class-pair blocks of T, one slice of pairs
+    for each two classes P <= Q."""
+    members, cls = basis.members, basis.classes
+    n_cls, n_rows = len(members), max(len(m) for m in members.values())
     slot_of = np.full(N_CLASSES, -1)
-    slot_of[labels] = np.arange(n_cls)
-    slot = slot_of[cls]
-    pos = np.cumsum(slot[:, None] == np.arange(n_cls), axis=0)[np.arange(len(cls)), slot] - 1
-    rows = np.full((n_cls, pos.max() + 1), len(cls))
-    rows[slot, pos] = np.arange(len(cls))
-    li, lj = np.divmod(np.arange(n_cls * n_cls), n_cls)
-    lk = slot_of[labels[li] ^ labels[lj]]
-    li, lj, lk = li[lk >= 0], lj[lk >= 0], lk[lk >= 0]
-    tri = np.full((n_cls, n_cls), -1)
-    tri[li, lj] = np.arange(len(li))
-    return _ClassTriples(rows, slot, pos, li, lj, lk, tri)
-
-
-def _pack_advection(blocks: np.ndarray, tr: _ClassTriples) -> PackedAdvection:
-    """Gather the packed operator from the (triple, i, k, j) blocks of T, every class at once."""
-    n_cls, n_rows = tr.rows.shape
-    iu, ju = np.triu_indices(len(tr.slot))
-    si, sj = tr.slot[iu], tr.slot[ju]
-    t_ij = tr.tri[si, sj]
-    on_rule = t_ij >= 0
-    iu, ju, si, sj, t_ij = iu[on_rule], ju[on_rule], si[on_rule], sj[on_rule], t_ij[on_rule]
-    out = tr.lk[t_ij]                                 # output class slot of each pair
+    slot_of[list(members)] = np.arange(n_cls)
+    pos = np.empty(basis.dim, dtype=np.intp)        # each field's row within its class
+    for m in members.values():
+        pos[m] = np.arange(len(m))
+    iu, ju = np.triu_indices(basis.dim)
+    out = slot_of[cls[iu] ^ cls[ju]]                  # output class slot of each pair
+    on_rule = out >= 0
+    iu, ju, out = iu[on_rule], ju[on_rule], out[on_rule]
     # the pair's column within its output class, pairs kept in triu order
     col = np.cumsum(out[:, None] == np.arange(n_cls), axis=0)[np.arange(len(out)), out] - 1
     pi = np.zeros((n_cls, col.max() + 1), dtype=np.intp)
     pj = np.zeros_like(pi)
     pi[out, col] = iu
     pj[out, col] = ju
-    # T[i, j, k] + T[j, i, k] over the (zero-padded) rows k of the output class
-    pos_i, pos_j = tr.pos[iu], tr.pos[ju]
-    sym = blocks[t_ij, pos_i, :, pos_j]
-    sym += blocks[tr.tri[sj, si], pos_j, :, pos_i]
-    sym[iu == ju] *= 0.5                              # (T_iik + T_iik) / 2 is T_iik exactly
+    # T[i, j, k] + T[j, i, k] over the rows k of the output class, read at (a, b) of
+    # S = blocks[P, Q] + blocks[Q, P] (axes i and j swapped) for the classes P <= Q of
+    # i and j: sorted by (P, Q), the pairs of each class pair are one slice
+    ci, cj = cls[iu], cls[ju]
+    swap = ci > cj
+    a, b = np.where(swap, pos[ju], pos[iu]), np.where(swap, pos[iu], pos[ju])
+    pair_cls = np.minimum(ci, cj) * N_CLASSES + np.maximum(ci, cj)
+    order = np.argsort(pair_cls)
+    pair_cls, a, b, out_s, col_s = pair_cls[order], a[order], b[order], out[order], col[order]
+    starts = np.flatnonzero(np.diff(pair_cls, prepend=-1))
     g = np.zeros((n_cls, n_rows, pi.shape[1]))
-    g[out, :, col] = sym
-    return PackedAdvection(g, pi, pj, tr.slot * n_rows + tr.pos)
+    for key, lo, hi, s in zip(pair_cls[starts].tolist(), starts.tolist(),
+                              [*starts[1:].tolist(), len(pair_cls)], out_s[starts].tolist()):
+        p, q = divmod(key, N_CLASSES)
+        sym = blocks[p, q] + blocks[q, p].transpose(2, 1, 0)
+        g[s, :sym.shape[1], col_s[lo:hi]] = sym[a[lo:hi], :, b[lo:hi]]
+    diag = iu == ju
+    g[out[diag], :, col[diag]] *= 0.5                 # (T_iik + T_iik) / 2 is T_iik exactly
+    return PackedAdvection(g, pi, pj, slot_of[cls] * n_rows + pos)
 
 
 def _advection_operators(basis: Basis):
-    """The (triple, i, k, j) blocks of T and the packed copy, class triple by class triple.
+    """The blocks of T, keyed by class pair, and the packed copy.
 
-    B[n, a, k, j] = sum_c b_k[c] d_a b_j[c] at the nodes is one batch of (k, 3) x (3, j)
+    blocks[P, Q][i, k, j] = T[m_P[i], m_Q[j], m_R[k]] for R = P ^ Q and the
+    members m of each class, for every pair whose R is present (see the module
+    docstring).  B[n, a, k, j] = sum_c b_k[c] d_a b_j[c] at the nodes is one batch of (k, 3) x (3, j)
     products; the block is then one product of the weighted values w_n b_i[a] with B.
     """
-    tr = _class_triples(basis.classes)
+    members = basis.members
     values, grad, weights = basis.values, basis.grad, basis.weights
-    members = [rows[rows < basis.dim] for rows in tr.rows]
-    u_k = [np.ascontiguousarray(values[m].transpose(2, 0, 1)[:, None]) for m in members]
-    g_j = [np.ascontiguousarray(grad[m].transpose(3, 2, 1, 0)) for m in members]
-    uw = [(values[m] * weights).transpose(0, 2, 1).reshape(len(m), -1) for m in members]
-    blocks = np.zeros((len(tr.li),) + (tr.rows.shape[1],) * 3)
-    for t, (p, q, r) in enumerate(zip(tr.li.tolist(), tr.lj.tolist(), tr.lk.tolist())):
-        b = np.matmul(u_k[r], g_j[q])                         # (n, a, k, j)
-        n_i, (n_k, n_j) = len(uw[p]), b.shape[2:]
-        blocks[t, :n_i, :n_k, :n_j] = (uw[p] @ b.reshape(-1, n_k * n_j)).reshape(n_i, n_k, n_j)
-    return blocks, _pack_advection(blocks, tr)
+    u_k = {p: np.ascontiguousarray(values[m].transpose(2, 0, 1)[:, None])
+           for p, m in members.items()}
+    g_j = {p: np.ascontiguousarray(grad[m].transpose(3, 2, 1, 0)) for p, m in members.items()}
+    uw = {p: (values[m] * weights).transpose(0, 2, 1).reshape(len(m), -1)
+          for p, m in members.items()}
+    blocks = {}
+    for p in members:
+        for q in members:
+            if p ^ q in members:
+                b = np.matmul(u_k[p ^ q], g_j[q])             # (n, a, k, j)
+                n_k, n_j = b.shape[2:]
+                blocks[p, q] = (uw[p] @ b.reshape(-1, n_k * n_j)).reshape(-1, n_k, n_j)
+    return blocks, _pack_advection(blocks, basis)
 
 
 def _dense_advection(basis: Basis) -> np.ndarray:
-    """T[i, j, k], scattered from the cached (triple, i, k, j) blocks of the basis."""
+    """T[i, j, k], scattered from the cached blocks of the basis, one block at a time."""
     blocks = basis.cached("T", _advection_operators)[0]
-    tr = _class_triples(basis.classes)
-    dim = basis.dim
-    # padding entries (zeros) hit a spare slot
-    size = dim ** 3
-    at = [np.where(tr.rows == dim, size, tr.rows * stride) for stride in (dim * dim, dim, 1)]
-    flat = (at[0][tr.li][:, :, None, None] + at[2][tr.lk][:, None, :, None]
-            + at[1][tr.lj][:, None, None, :])
-    t = np.zeros(size + 1)
-    t[np.minimum(flat, size)] = blocks
-    return t[:size].reshape(dim, dim, dim)
+    members = basis.members
+    t = np.zeros((basis.dim,) * 3)
+    for (p, q), b in blocks.items():
+        t[np.ix_(members[p], members[q], members[p ^ q])] = b.transpose(0, 2, 1)
+    return t
 
 
 def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,

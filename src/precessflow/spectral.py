@@ -12,7 +12,7 @@ of a kernel ("sym" or "grad"); K_N always excludes the strain-rate kernel.
 
 The eigenproblem is solved per reflection class.  Every volume form vanishes
 between fields of different classes (see basis), so A and M are block-diagonal
-on the class blocks of Basis.classes, and one eigh per block gives the
+on the class blocks of Basis.members, and one eigh per block gives the
 spectrum.  Bit a of a class is set when its fields flip sign under
 x_a -> -x_a; the rotation e_a x x is odd in the two axes other than a, so it
 lies in class 6 (a = x), 5 (a = y) or 3 (a = z).  Each kernel field thus
@@ -88,7 +88,6 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
         raise ValueError("stiffness must be 'sym' or 'grad'")
     a_mat, form = ((ops.A_sym, "stress_free") if stiffness == "sym"
                    else (ops.A_grad, "normal_gradient"))
-    classes = ops.basis.classes
     eigvals = np.empty(ops.dim)
 
     def solve(a_block, index):
@@ -96,7 +95,7 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
         return vecs
 
     # block-diagonal: the eigenvectors of class P fill the rows and columns of class P
-    eigvecs = _by_class(solve, a_mat, classes)
+    eigvecs = _by_class(solve, a_mat, ops.basis.members)
     order = np.argsort(eigvals, kind="stable")
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     scale = max(float(eigvals[-1]), 0.0)
@@ -112,7 +111,7 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
         kernel_dim=int(kernel_mask.sum()),
         kernel_fields=kernel_fields,
         eigenvalues=eigvals,
-        kernel_classes=tuple(int(p) for p in classes[order][kernel_mask]),
+        kernel_classes=tuple(int(p) for p in ops.basis.classes[order][kernel_mask]),
     )
 
 

@@ -17,8 +17,8 @@ from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, loa
                     poincare_field, poincare_obstacle, project_fields, reference_projection,
                     rotation_projection)
 from .geometry import Domain, half_monomial_integral, monomial_integral, surface_rule
-from .operators import (BoundaryCondition, _advection_operators, _class_triples, advection_term,
-                        assemble, momentum_coupling_identity, residual)
+from .operators import (BoundaryCondition, _advection_operators, advection_term, assemble,
+                        momentum_coupling_identity, residual)
 from .spectral import class_label, neutral_modes
 from .timestepper import State, integrate
 
@@ -106,29 +106,30 @@ def _basis_checks(results, label, domain, basis: Basis):
         _check(results, "basis.contains_poincare", ctx, res_p < 1e-12, f"residual {res_p:.2e}")
 
 
-def advection_skew(blocks: np.ndarray, triples) -> float:
-    """max |T[i, j, k] + T[i, k, j]| on T's (triple, i, k, j) blocks: (P, Q, R) against (P, R, Q)."""
-    return max(float(np.max(np.abs(b + blocks[t].transpose(0, 2, 1))))
-               for b, t in zip(blocks, triples.tri[triples.li, triples.lk]))
+def advection_skew(blocks: dict) -> float:
+    """max |T[i, j, k] + T[i, k, j]| on T's class-pair blocks: (P, Q) against (P, P ^ Q)."""
+    return max(float(np.max(np.abs(b + blocks[p, p ^ q].transpose(0, 2, 1))))
+               for (p, q), b in blocks.items())
 
 
 def _operator_checks(results, label, domain, basis):
     ctx = f"domain={label} N={basis.degree}"
     ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.25)
     blocks = basis.cached("T", _advection_operators)[0]
-    tr = _class_triples(basis.classes)
+    members = basis.members
 
-    dev_t = advection_skew(blocks, tr)
+    dev_t = advection_skew(blocks)
     _check(results, "operators.advection_antisymmetry", ctx, dev_t <= 1e-12,
            f"max dev {dev_t:.2e}")
     # the pack that runs use against sum_ij c_i c_j T[i, j, k] of the blocks it is gathered from
     c = np.random.default_rng(20240517).standard_normal(ops.dim)
-    c_pad, rows = np.append(c, 0.0), tr.rows          # padding rows point at index dim
-    by_triple = np.einsum("tikj,ti,tj->tk", blocks, c_pad[rows[tr.li]], c_pad[rows[tr.lj]])
-    n_c = np.bincount(rows[tr.lk].ravel(), by_triple.ravel(), minlength=ops.dim + 1)[:-1]
-    dev_p = float(np.max(np.abs(advection_term(ops, c) - n_c)) / np.max(np.abs(blocks)) / (c @ c))
+    n_c = np.zeros(ops.dim)
+    for (p, q), b in blocks.items():
+        n_c[members[p ^ q]] += np.einsum("ikj,i,j->k", b, c[members[p]], c[members[q]])
+    t_max = max(float(np.max(np.abs(b))) for b in blocks.values())
+    dev_p = float(np.max(np.abs(advection_term(ops, c) - n_c)) / t_max / (c @ c))
     _check(results, "operators.advection_parity", ctx, dev_p <= 1e-14,
-           f"{len(rows)} classes, max |pack - blocks| {dev_p:.2e} of max|T| |c|^2")
+           f"{len(members)} classes, max |pack - blocks| {dev_p:.2e} of max|T| |c|^2")
     dev_c = float(np.max(np.abs(ops.C_x + ops.C_x.T)))
     _check(results, "operators.coriolis_antisymmetry", ctx, dev_c <= 1e-13,
            f"max dev {dev_c:.2e}")

@@ -296,6 +296,44 @@ class TestOneEvaluation:
         assert basis.grad.tobytes() == reference.tobytes()
 
 
+class TestMembers:
+    """Basis.members, found once by the constructor, partitions the fields by class."""
+
+    @staticmethod
+    def _assert_partition(basis):
+        members = basis.members
+        assert list(members) == np.unique(basis.classes).tolist()
+        assert all(type(p) is int for p in members)
+        for p, m in members.items():
+            assert m.dtype == np.intp and np.all(np.diff(m) > 0)
+            assert np.all(basis.classes[m] == p)
+            with pytest.raises(ValueError, match="read-only"):
+                m[0] = m[0]
+        # disjoint and covering: the indices, merged, are range(dim) once each
+        merged = np.concatenate(list(members.values()))
+        assert np.array_equal(np.sort(merged), np.arange(basis.dim))
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    def test_members_partition_the_fields(self, kind, degree, method):
+        basis = (get_basis(kind, degree) if method == "exact"
+                 else build_basis(DOMAINS[kind], degree, method))
+        self._assert_partition(basis)
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 3, 6])
+    def test_a_loaded_basis_has_the_same_members(self, kind, degree, tmp_path):
+        basis = get_basis(kind, degree)
+        path = tmp_path / "basis.txt"
+        save_basis(basis, path)
+        loaded = load_basis(path)
+        self._assert_partition(loaded)
+        assert list(loaded.members) == list(basis.members)
+        for p, m in basis.members.items():
+            assert np.array_equal(loaded.members[p], m)
+
+
 class TestCurlForm:
     def test_psi_z_gives_twice_rotation(self):
         f = stream_cross_field(DOMAINS["spheroid"], Polynomial3.variable(2))
@@ -620,17 +658,24 @@ def _fraction_build(domain, degree):
         coeff, gram = _coeff_gram(fields, domain, degree)
         return fields, coeff, gram, float(np.max(np.abs(gram - np.eye(len(fields)))))
 
-    q = _by_class(_orthonormal_coefficients, g_raw, classes)
+    q = _by_class(_orthonormal_coefficients, g_raw, raw_basis.members)
     fields, coeff, gram, dev = orthonormalize(q)
     polished = dev > 1e-13
     if polished:
-        q = _by_class(_orthonormal_coefficients, gram, classes) @ q
+        q = _by_class(_orthonormal_coefficients, gram, raw_basis.members) @ q
         fields, coeff, gram, dev = orthonormalize(q)
     assert dev <= GRAM_IDENTITY_TOL
     for f in fields:
         assert f.divergence().is_zero()
         assert f.tangency_remainder(domain.chi).is_zero()
-    return coeff, gram, float(np.linalg.cond(g_raw)), classes, fields, polished
+    return coeff, gram, _class_block_cond(g_raw, raw_basis.members), classes, fields, polished
+
+
+def _class_block_cond(gram, members):
+    """The condition number of a Gram that is 0 between classes, from its class blocks."""
+    eigs = np.abs(np.concatenate([np.linalg.eigvalsh(gram[np.ix_(m, m)])
+                                  for m in members.values()]))
+    return float(eigs.max() / eigs.min())
 
 
 class TestIntegerLattice:
@@ -841,12 +886,27 @@ class TestClassBlocks:
         assert np.any(c_x[coupled] != 0.0)
 
     @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_raw_gram_cond_matches_the_full_gram(self, kind, method, degree):
+        # the build takes it from the class blocks' eigenvalues, not the full Gram's SVD
+        domain = DOMAINS[kind]
+        if method == "exact":
+            basis, g_raw = get_basis(kind, degree), _raw_gram(kind, degree)[1]
+        else:
+            basis = build_basis(domain, degree, method)
+            g_raw = Basis(domain, degree, _raw_coeff_svd(domain, degree)).gram
+        cond = np.linalg.cond(g_raw)
+        assert abs(basis.raw_gram_cond - cond) <= cond * 1e-14 * cond
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
     @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
     def test_blocked_mgs_is_block_diagonal_and_matches_one_block(self, kind, degree):
         # the orthonormalization kernel (an inverse Cholesky factor) run per class block
         _, g_raw, cls = _raw_gram(kind, degree)
         g_raw = 0.5 * (g_raw + g_raw.T)
-        q = _by_class(_orthonormal_coefficients, g_raw, cls)
+        q = _by_class(_orthonormal_coefficients, g_raw,
+                      {p: np.flatnonzero(cls == p) for p in np.unique(cls)})
         assert np.all(q[cls[:, None] != cls[None, :]] == 0.0)
         # same Cholesky factor, other summation order: first-order round-off is cond * eps
         dense = _orthonormal_coefficients(g_raw)

@@ -502,8 +502,9 @@ class TestVerifyCommand:
 
         def perturbed(basis):
             blocks, packed = advection_operators(basis)
-            blocks = blocks.copy()
-            blocks[0, 0, 0, 0] += 1e-6
+            key = next(iter(blocks))
+            blocks = blocks | {key: blocks[key].copy()}
+            blocks[key][0, 0, 0] += 1e-6
             return blocks, packed
 
         monkeypatch.setattr(operators, "_advection_operators", perturbed)

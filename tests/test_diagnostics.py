@@ -148,6 +148,24 @@ class TestMomentumBalance:
         with pytest.raises(ValueError):
             momentum_balance_residual(series, 0.25)
 
+    def test_no_difference_spans_a_restart_kick(self):
+        # the CI kick-from-rest config: the kick jumps M_z, so a centered difference
+        # across it reads 0.17; the records at t = 0.4 and 0.5 are left out
+        cfg = ScenarioConfig(degree=2, bc_form="stress_free", nu_inverse=1.0, eps_p=0.25,
+                             init_type="solid_rotation", init_amplitude=0.0,
+                             dt=0.01, t_end=1.0, record_every=0.1, beta=Fraction(9, 16),
+                             restart_time=0.5, restart_omega=0.025)
+        series = run(cfg)
+        t, m_z, m_y = (series.column(name) for name in ("t", "M_z", "M_y"))
+        assert len(t) == 11
+        res = momentum_balance_residual(series, 0.25)
+        centered = (m_z[2:] - m_z[:-2]) / (2.0 * (t[1] - t[0])) + 0.25 * m_y[1:-1]
+        kept = ~np.isclose(t[1:-1], 0.4) & ~np.isclose(t[1:-1], 0.5)
+        assert np.count_nonzero(kept) == 7
+        np.testing.assert_array_equal(res, centered[kept])
+        assert np.max(np.abs(res)) < 1e-5
+        assert np.min(np.abs(centered[~kept])) > 0.1
+
     def test_rotation_momentum_conserved_without_precession(self):
         cfg = ScenarioConfig(degree=2, bc_form="stress_free", nu_inverse=1.0, eps_p=0.0,
                              init_type="poincare", init_eps_p=0.25,

@@ -8,7 +8,7 @@ from precessflow import monomials
 from precessflow.basis import (build_basis, load_basis, poincare_field, project, save_basis,
                                solid_rotation)
 from precessflow.geometry import volume_integral
-from precessflow.operators import (BoundaryCondition, advection_term, assemble, _class_triples,
+from precessflow.operators import (BoundaryCondition, advection_term, assemble,
                                    dump_operator_set, momentum_coupling_identity, residual)
 from precessflow.polynomials import Polynomial3, VectorField
 from precessflow.verification import advection_skew
@@ -178,7 +178,8 @@ class TestSharedArrays:
         ops = spheroid_ops(3, "poincare_stress", nu=2.0, eps_p=0.25)
         shared = {"M": ops.M, "gram": ops.basis.gram, "A_sym": ops.A_sym,
                   "A_grad": ops.A_grad, "mom": ops.mom, "Hn": ops.Hn, "Hs": ops.Hs,
-                  "C_x": ops.C_x, "T": ops.T, "blocks": ops.basis._assembly_cache["T"][0]}
+                  "C_x": ops.C_x, "T": ops.T}
+        shared |= {f"blocks{key}": b for key, b in ops.basis._assembly_cache["T"][0].items()}
         shared |= {f"pack.{name}": a for name, a in ops.T_packed._asdict().items()}
         assert ops.M is ops.basis.gram
         for name, arr in shared.items():
@@ -370,18 +371,19 @@ def _dense_advection_tensor(basis):
 
 
 def _scattered_tensor(basis):
-    """T from the cached (triple, i, k, j) blocks, one class triple at a time.
+    """T from the cached class-pair blocks, one (i, j) field pair at a time.
 
-    The assignments of _dense_advection's flat-index scatter, written
-    independently of it.
+    The assignments of _dense_advection's per-block scatter, written
+    independently of it: the fields of each class are found from basis.classes.
     """
     blocks = basis._assembly_cache["T"][0]
-    tr = _class_triples(basis.classes)
-    dim = basis.dim
-    t = np.zeros((dim + 1,) * 3)             # padding rows point at index dim
-    for n, (li, lj, lk) in enumerate(zip(tr.li, tr.lj, tr.lk)):
-        t[np.ix_(tr.rows[li], tr.rows[lj], tr.rows[lk])] = blocks[n].transpose(0, 2, 1)
-    return t[:dim, :dim, :dim]
+    members = {p: np.flatnonzero(basis.classes == p) for p in range(8)}
+    t = np.zeros((basis.dim,) * 3)
+    for (p, q), b in blocks.items():
+        for a, i in enumerate(members[p]):
+            for c, j in enumerate(members[q]):
+                t[i, j, members[p ^ q]] = b[a, :, c]
+    return t
 
 
 _svd_bases: dict = {}
@@ -418,6 +420,19 @@ class TestClassBlockedTensor:
         for i, j, k in sample_triples(t, basis.classes, 12, rng):
             assert abs(t[i, j, k] - referee.advection(i, j, k)) <= tol * np.max(np.abs(t))
 
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    def test_blocks_are_keyed_by_class_pair_without_padding(self, kind, method, degree):
+        basis = get_any_basis(kind, degree, method)
+        assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
+        blocks = basis._assembly_cache["T"][0]
+        present = set(basis.classes.tolist())
+        assert set(blocks) == {(p, q) for p in present for q in present if p ^ q in present}
+        sizes = np.bincount(basis.classes, minlength=8)
+        for (p, q), b in blocks.items():
+            assert b.shape == (sizes[p], sizes[p ^ q], sizes[q])
+            assert b.flags.c_contiguous and not b.flags.writeable
 
     @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
     @pytest.mark.parametrize("method", ["exact", "svd"])
@@ -427,13 +442,14 @@ class TestClassBlockedTensor:
         ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
         blocks, pack = basis._assembly_cache["T"]
         assert "T_dense" not in basis._assembly_cache
-        assert all(a.size < basis.dim ** 3 for a in (blocks, *pack))
+        assert sum(b.size for b in blocks.values()) < basis.dim ** 3
+        assert all(a.size < basis.dim ** 3 for a in pack)
         t = ops.T
         assert basis._assembly_cache["T_dense"] is t
         assert t.tobytes() == _scattered_tensor(basis).tobytes()
         assert not t.flags.writeable and t.flags.c_contiguous
         # verify's antisymmetry, read on the blocks, is the dense max |T + T^T| bit for bit
-        skew = advection_skew(blocks, _class_triples(basis.classes))
+        skew = advection_skew(blocks)
         assert skew == float(np.max(np.abs(t + t.transpose(0, 2, 1))))
         # once per basis: a second read, or another operator set, gives the same array
         assert ops.T is t

@@ -490,7 +490,8 @@ class TestRunBasisMemo:
         basis = built[0]
         blocks, pack = basis._assembly_cache["T"]
         assert "T_dense" not in basis._assembly_cache
-        assert all(a.size < basis.dim ** 3 for a in (blocks, *pack))
+        assert sum(b.size for b in blocks.values()) < basis.dim ** 3
+        assert all(a.size < basis.dim ** 3 for a in pack)
         assert "fields" not in vars(basis)
 
     def test_a_warm_twin_run_sets_up_only_its_forcing_vector(self, tmp_path, built,

@@ -5,7 +5,8 @@ coercivity constant), ``steady`` (steady-state residual sweep), ``run`` (time
 integration to CSV), ``verify`` (full invariant battery).  Configuration is a
 line-oriented ``key = value`` file; unknown keys are rejected with their line
 number.  Exit codes: 0 success, 1 config/usage error, 2 blow-up, 3 invariant
-failure (a failed check, or a basis that fails its construction gates).
+failure (a failed check, a basis that fails its construction gates, or a kernel
+vector that fails its A k = 0 self-check).
 """
 
 from __future__ import annotations
@@ -118,28 +119,6 @@ def domain_from_config(cfg) -> Domain:
     return scenario_domain(**_fields(cfg, "domain."))
 
 
-# init keys -> the init types that read them; a run rejects them under any other
-_INIT_TYPES_READING = {
-    "init.amplitude": ("solid_rotation",),
-    "init.omega": ("poincare_plus_rotation",),
-    "init.eps_p": ("poincare", "poincare_plus_rotation"),
-    "init.path": ("coefficients",),
-}
-
-
-def _reject_ignored_keys(cfg) -> None:
-    """Reject a key that the run would ignore: a kick without its time, or an init key
-    that the init type does not read.  Only a config file can tell such a key from a
-    default (ScenarioConfig holds 0 for both), so basis, eig and steady, which read
-    fewer keys of the same files, do not check it."""
-    if "restart.omega" in cfg and "restart.time" not in cfg:
-        raise ConfigError("config key restart.omega is ignored without restart.time")
-    for key, types in _INIT_TYPES_READING.items():
-        if key in cfg and cfg["init.type"] not in types:
-            raise ConfigError(f"config key {key} is ignored unless init.type is "
-                              f"{' or '.join(types)}, not {cfg['init.type']}")
-
-
 def scenario_from_config(cfg) -> ScenarioConfig:
     _require(cfg, *RUN_KEYS)
     scenario = ScenarioConfig(**_fields(cfg))
@@ -147,7 +126,6 @@ def scenario_from_config(cfg) -> ScenarioConfig:
         scenario.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _reject_ignored_keys(cfg)
     return scenario
 
 

@@ -74,7 +74,6 @@ class DiagnosticsContext:
     def __init__(self, basis: Basis, u_p: VectorField | None):
         domain = basis.domain
         self.rule = surface_rule(domain, SURFACE_ORDER)
-        self.u_p = u_p
         if u_p is not None:
             self.c_p, p_res = reference_projection(u_p, basis)
             if p_res > REFERENCE_RESIDUAL_TOL:
@@ -149,7 +148,6 @@ def record(state, ops: OperatorSet, ctx: DiagnosticsContext) -> DiagnosticsRecor
 class TimeSeries:
     records: list
     dt: float
-    record_interval: float
     restart_time: float | None = None   # the time of the restart kick, if any
 
     def kicked(self) -> np.ndarray:

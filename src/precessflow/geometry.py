@@ -222,7 +222,6 @@ class SurfaceRule:
 
     points: np.ndarray
     weights: np.ndarray
-    orders: tuple[int, int]     # (n, 2n): polar nodes, azimuths
 
     @property
     def total_weight(self) -> float:
@@ -257,7 +256,7 @@ def surface_rule(domain: Domain, n: int) -> SurfaceRule:
     )
     weights = np.outer(w_theta, w_phi) * area
     points = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-    return SurfaceRule(points=points, weights=weights.ravel(), orders=(n_theta, n_phi))
+    return SurfaceRule(points=points, weights=weights.ravel())
 
 
 @lru_cache(maxsize=None)

@@ -24,9 +24,10 @@ Class-pair assembly of T.  T[i, j, k] is 0 unless the classes of i, j and k
 XOR to 0, so T is assembled as one block per class pair (P, Q) whose
 R = P ^ Q is present, 64 for 8 classes, on the partition Basis.members (m):
 blocks[P, Q][i, k, j] = T[m_P[i], m_Q[j], m_R[k]], of shape (n_P, n_R, n_Q),
-kept on the basis.  The packed copy below is gathered from them, and
-OperatorSet.T (read by dump_operator_set, the bench digest and the tests, not
-by verify) scatters them into the dense tensor on first read, once per basis.
+kept on the basis and read as OperatorSet.T_blocks.  The packed copy below is
+gathered from them, and OperatorSet.T (read by dump_operator_set, the output
+digests and the tests, not by verify) scatters them into the dense tensor on
+first read, once per basis.
 
 Packed advection.  Only the (i, j)-symmetric part of T enters
 N_k = sum_ij c_i c_j T[i, j, k].  For each output class R, G[R] holds
@@ -118,8 +119,8 @@ class OperatorSet:
     by every operator set of the basis.  T index convention:
     T[i][j][k] = integral of (b_i . grad b_j) . b_k, so the advection
     contribution to the k-th residual entry is sum_ij c_i c_j T[i,j,k].
-    T_packed is None when assembled without advection; advection_term reads it,
-    not T.
+    T_blocks (T's class-pair blocks, see the module docstring) and T_packed are
+    None when assembled without advection; advection_term reads T_packed, not T.
     """
 
     basis: Basis
@@ -131,6 +132,7 @@ class OperatorSet:
     A_sym: np.ndarray
     A_grad: np.ndarray
     C_x: np.ndarray
+    T_blocks: dict | None
     T_packed: PackedAdvection | None
     F_bc: np.ndarray
     mom: np.ndarray          # (3, dim): mom[alpha][i] = integral (x cross b_i)_alpha
@@ -148,9 +150,9 @@ class OperatorSet:
         Scattered from the class-pair blocks on first read, once per basis;
         the result is read-only.  Nothing on the run path reads it.
         """
-        if self.T_packed is None:
+        if self.T_blocks is None:
             return None
-        return self.basis.cached("T_dense", _dense_advection)
+        return self.basis.cached("T_dense", _dense_advection, self.T_blocks)
 
     @functools.cached_property
     def implicit_params(self) -> tuple:
@@ -266,9 +268,8 @@ def _advection_operators(basis: Basis):
     return blocks, _pack_advection(blocks, basis)
 
 
-def _dense_advection(basis: Basis) -> np.ndarray:
-    """T[i, j, k], scattered from the cached blocks of the basis, one block at a time."""
-    blocks = basis.cached("T", _advection_operators)[0]
+def _dense_advection(basis: Basis, blocks: dict) -> np.ndarray:
+    """T[i, j, k], scattered from the class-pair blocks of the basis, one block at a time."""
     members = basis.members
     t = np.zeros((basis.dim,) * 3)
     for (p, q), b in blocks.items():
@@ -283,8 +284,8 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
     The bc-independent matrices are cached on the basis, read-only: the
     axis-independent ones once, C_x for the last precession axis and the
     blocks and pack of T on first request.  Repeated assembly with different
-    (nu, eps_p, bc) is cheap, and T_packed (hence T) is None whenever
-    include_advection is False.
+    (nu, eps_p, bc) is cheap, and T_blocks and T_packed (hence T) are None
+    whenever include_advection is False.
     """
     # each test is written so that NaN fails it
     if not 0 < nu < math.inf:
@@ -297,13 +298,11 @@ def assemble(basis: Basis, bc: BoundaryCondition, nu: float, eps_p: float,
 
     core = basis.cached("core", _core_matrices)
     c_x = basis.cached(("C_x", axis), _coriolis_matrix, axis)
-    t_packed = basis.cached("T", _advection_operators)[1] if include_advection else None
-    f_bc = _forcing_vector(basis, bc, nu)
-    return OperatorSet(
-        basis=basis, bc=bc, nu=float(nu), eps_p=float(eps_p), precession_axis=axis,
-        M=core["M"], A_sym=core["A_sym"], A_grad=core["A_grad"], C_x=c_x,
-        T_packed=t_packed, F_bc=f_bc, mom=core["mom"], Hn=core["Hn"], Hs=core["Hs"],
-    )
+    t_blocks, t_packed = (basis.cached("T", _advection_operators) if include_advection
+                          else (None, None))
+    return OperatorSet(basis=basis, bc=bc, nu=float(nu), eps_p=float(eps_p),
+                       precession_axis=axis, C_x=c_x, T_blocks=t_blocks, T_packed=t_packed,
+                       F_bc=_forcing_vector(basis, bc, nu), **core)
 
 
 def _forcing_vector(basis: Basis, bc: BoundaryCondition, nu: float) -> np.ndarray:

@@ -132,9 +132,6 @@ class Polynomial3:
             total = total + float(c) * (x**i) * (y**j) * (z**k)
         return total
 
-    def to_float(self) -> "Polynomial3":
-        return Polynomial3({e: float(c) for e, c in self.coeffs.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial3) and self.coeffs == other.coeffs
 
@@ -204,9 +201,6 @@ class VectorField:
 
     def scale(self, s) -> "VectorField":
         return VectorField(tuple(c.scale(s) for c in self.components))
-
-    def to_float(self) -> "VectorField":
-        return VectorField(tuple(c.to_float() for c in self.components))
 
     def divergence(self) -> Polynomial3:
         return sum((self.components[a].diff(a) for a in range(3)), Polynomial3())

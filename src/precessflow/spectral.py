@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import _by_class
+from .basis import InvariantError, _by_class
 from .operators import _ROTATION_CLASSES, BoundaryCondition, OperatorSet, assemble
 
 # classes of the rigid rotations each domain kind admits (e_x, e_y, e_z x x are in
@@ -82,7 +82,8 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
 
     ``stiffness`` is "sym" (A = A_sym, strain rate) or "grad" (A = A_grad, gradient).
     One eigh per class block of the basis: an eigenvector of class P's block is zero
-    off the rows of class P, and the merged eigenvalues are sorted stably.
+    off the rows of class P, and the merged eigenvalues are sorted stably.  A kernel
+    vector that fails A k = 0 raises InvariantError (CLI exit 3).
     """
     if stiffness not in ("sym", "grad"):
         raise ValueError("stiffness must be 'sym' or 'grad'")
@@ -105,7 +106,7 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
     for vec in kernel_fields:
         res = np.linalg.norm(a_mat @ vec)
         if res > cut * np.linalg.norm(vec) * 10:
-            raise RuntimeError("claimed kernel vector fails A k = 0")
+            raise InvariantError("claimed kernel vector fails A k = 0")
     return KernelReport(
         bc_form=form,
         kernel_dim=int(kernel_mask.sum()),

@@ -13,26 +13,23 @@ fixed within a run for reproducible output.
 Per BDF2 step: the parity-packed advection (see operators.advection_term),
 about dim^3 / 16 multiply-adds plus three gathers, one mass-matrix product
 and one LU back-substitution.  The back-substitution is a direct LAPACK
-getrs on the cached factors (_lu_solve).  scipy.linalg.lu_solve calls the
-same routine, so the solution is bit-identical, but at dim 26 its wrapper
-took 14 us per call against 1.8 us for getrs itself; with it gone a step
-takes about 13 us there instead of 24 us (2-vCPU x86-64 host, best of 7
-runs of 5000 steps).  No finiteness scan precedes the solve: the right-hand
-side comes from a state that the post-step guard has checked, and run()
-rejects non-finite inputs before the first step.  The guard is one dot
-product.  A constraint projection adds one (3, dim) matrix-vector product
+getrs on the cached factors (_lu_solve): scipy.linalg.lu_solve calls the
+same routine, so the solution is bit-identical, but at desk-scale dims its
+wrapper costs several times the solve.  No finiteness scan precedes the
+solve: the right-hand side comes from a state that the post-step guard (one
+dot product) has checked, and run() rejects non-finite inputs before the
+first step.  A constraint projection adds one (3, dim) matrix-vector product
 per step.
 
 Set-up once per basis.  run() takes its basis from _run_basis, a one-entry
 functools.lru_cache keyed on (domain, degree), so consecutive runs on one
-basis (the +/- omega twins of scripts/poincare_family.py, say) build it
-once and share its assembly cache: the core matrices, C_x, the advection
-blocks and pack, the LU factors, the diagnostics context (with its surface
-rule) and the projections of e_z x x and u_P are each formed once, and a warm
-run forms only the forcing vector.  The cache keeps one entry of each kind,
-replaced when its key changes, so a sweep over dt or nu holds one set of
-factors.  The shared arrays are read-only.  Nothing on the run path forms the
-dense advection tensor or the Fraction basis fields.
+basis (the +/- omega twins of scripts/poincare_family.py, say) share its
+assembly cache: the core matrices, C_x, the advection blocks and pack, the
+LU factors, the diagnostics context and the projections of e_z x x and u_P
+are each formed once, and a warm run forms only the forcing vector.  The
+cache keeps one entry of each kind, replaced when its key changes, so a
+sweep over dt or nu holds one set of factors.  The shared arrays are
+read-only; nothing on the run path forms the dense T or the Fraction fields.
 """
 
 from __future__ import annotations
@@ -53,7 +50,13 @@ from .basis import (REFERENCE_RESIDUAL_TOL, Basis, build_basis, poincare_field, 
 from .geometry import Domain
 from .operators import BC_FORMS, BoundaryCondition, OperatorSet, advection_term, assemble
 
-INIT_TYPES = ("solid_rotation", "poincare", "poincare_plus_rotation", "coefficients")
+# init type -> the init fields it reads; validate() rejects any other init field that is set
+INIT_TYPES = {
+    "solid_rotation": ("init_amplitude",),
+    "poincare": ("init_eps_p",),
+    "poincare_plus_rotation": ("init_omega", "init_eps_p"),
+    "coefficients": ("init_path",),
+}
 # a run raises BlowUpError once the state norm exceeds this multiple of the largest of
 # its initial norm, the norm of the projected bc data c_P and the norm of the restart kick
 BLOWUP_FACTOR = 1e6
@@ -80,17 +83,9 @@ def _solver(ops: OperatorSet, dt: float):
     """LU factors of the full-step, half-step and BDF2 matrices, kept on the basis.
 
     The key, dt and ops.implicit_params, is everything the matrices read
-    beyond the basis's cached M, A_sym, A_grad and C_x.  Every step asks for
-    the factors, so the (params, factors) entry that Basis.cached keeps is
-    read here first: a lookup through Basis.cached took 0.28 us at dim 26
-    and this read 0.15 us (timeit, 2-vCPU x86-64 host), against a step of
-    about 13 us.
+    beyond the basis's cached M, A_sym, A_grad and C_x.
     """
-    params = (dt, ops.implicit_params)
-    cached_params, factors = ops.basis._assembly_cache.get("lu", (None, None))
-    if cached_params != params:
-        factors = ops.basis.cached(("lu", params), _factor, ops, dt)
-    return factors
+    return ops.basis.cached(("lu", (dt, ops.implicit_params)), _factor, ops, dt)
 
 
 def _factor(basis: Basis, ops: OperatorSet, dt: float):
@@ -161,7 +156,10 @@ def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
 
 @dataclass
 class ScenarioConfig:
-    """Complete description of one run (mirrors the CLI config file)."""
+    """Complete description of one run (mirrors the CLI config file).
+
+    A field that the run would ignore stays None; validate() rejects it when set.
+    """
 
     degree: int
     bc_form: str
@@ -175,12 +173,12 @@ class ScenarioConfig:
     a: object = None
     b: object = None
     c: object = None
-    init_amplitude: float = 0.0
-    init_omega: float = 0.0
+    init_amplitude: float | None = None
+    init_omega: float | None = None
     init_eps_p: float | None = None
     init_path: str | None = None
     restart_time: float | None = None
-    restart_omega: float = 0.0
+    restart_omega: float | None = None
     constraint_mode: str | None = None
     output_path: str | None = None
 
@@ -227,6 +225,14 @@ class ScenarioConfig:
         if self.init_type == "coefficients" and not os.path.isfile(self.init_path):
             raise ValueError(f"init.path {self.init_path}: no such file")
         self.check_output_path(self.output_path)
+        if self.restart_omega is not None and self.restart_time is None:
+            raise ValueError("config key restart.omega is ignored without restart.time")
+        # config-key spelling: the field name with its first "_" read as "."
+        for name in ("init_amplitude", "init_omega", "init_eps_p", "init_path"):
+            types = [t for t, fields in INIT_TYPES.items() if name in fields]
+            if getattr(self, name) is not None and self.init_type not in types:
+                raise ValueError(f"config key {name.replace('_', '.', 1)} is ignored unless "
+                                 f"init.type is {' or '.join(types)}, not {self.init_type}")
 
     @staticmethod
     def check_output_path(path: str | None) -> None:
@@ -266,10 +272,15 @@ def _poincare_data(domain: Domain, eps_value) -> object:
     return poincare_field(domain.beta, Fraction(eps_value))
 
 
+def _or_zero(value: float | None) -> float:
+    """An unset amplitude, omega or kick as 0.0; `value or 0.0` would turn -0.0 into 0.0."""
+    return 0.0 if value is None else value
+
+
 def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
     eps = cfg.init_eps_p if cfg.init_eps_p is not None else cfg.eps_p
     if cfg.init_type == "solid_rotation":
-        return cfg.init_amplitude * rotation_projection(basis)[0]
+        return _or_zero(cfg.init_amplitude) * rotation_projection(basis)[0]
     if cfg.init_type in ("poincare", "poincare_plus_rotation"):
         c_p, res = reference_projection(_poincare_data(basis.domain, eps), basis)
         if res > REFERENCE_RESIDUAL_TOL:
@@ -277,7 +288,7 @@ def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
                              f"(projection residual {res:.2e})")
         if cfg.init_type == "poincare":
             return c_p.copy()
-        return c_p + cfg.init_omega * rotation_projection(basis)[0]
+        return c_p + _or_zero(cfg.init_omega) * rotation_projection(basis)[0]
     data = np.loadtxt(cfg.init_path).ravel()
     if data.shape != (basis.dim,):
         raise ValueError(
@@ -319,8 +330,7 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     state = State(t=0.0, coeffs=initial_coefficients(cfg, basis))
     # a forced run from rest grows towards c_P and a kicked one jumps by the kick; a zero
     # state with neither stays zero
-    kick = (abs(cfg.restart_omega) * float(np.linalg.norm(rotation_projection(basis)[0]))
-            if cfg.restart_time is not None else 0.0)
+    kick = abs(_or_zero(cfg.restart_omega)) * float(np.linalg.norm(rotation_projection(basis)[0]))
     max_norm = BLOWUP_FACTOR * max(float(np.linalg.norm(state.coeffs)),
                                    float(np.linalg.norm(ctx.c_p)), kick)
 
@@ -330,8 +340,7 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     restart_step = (int(round(cfg.restart_time / cfg.dt))
                     if cfg.restart_time is not None else None)
 
-    series = diagnostics.TimeSeries(records=[], dt=cfg.dt, record_interval=every * cfg.dt,
-                                    restart_time=cfg.restart_time)
+    series = diagnostics.TimeSeries(records=[], dt=cfg.dt, restart_time=cfg.restart_time)
 
     k = 0
 
@@ -366,5 +375,5 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
 
 def _apply_restart(state: State, cfg: ScenarioConfig, basis: Basis) -> State:
     """Add the configured rigid-rotation perturbation and restart the multistep."""
-    return State(t=state.t, coeffs=state.coeffs + cfg.restart_omega * rotation_projection(basis)[0],
-                 prev_coeffs=None)
+    kick = _or_zero(cfg.restart_omega) * rotation_projection(basis)[0]
+    return State(t=state.t, coeffs=state.coeffs + kick, prev_coeffs=None)

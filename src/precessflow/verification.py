@@ -17,8 +17,8 @@ from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, loa
                     poincare_field, poincare_obstacle, project_fields, reference_projection,
                     rotation_projection)
 from .geometry import Domain, half_monomial_integral, monomial_integral, surface_rule
-from .operators import (BoundaryCondition, _advection_operators, advection_term, assemble,
-                        momentum_coupling_identity, residual)
+from .operators import (BoundaryCondition, advection_term, assemble, momentum_coupling_identity,
+                        residual)
 from .spectral import class_label, neutral_modes
 from .timestepper import State, integrate
 
@@ -115,7 +115,7 @@ def advection_skew(blocks: dict) -> float:
 def _operator_checks(results, label, domain, basis):
     ctx = f"domain={label} N={basis.degree}"
     ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.25)
-    blocks = basis.cached("T", _advection_operators)[0]
+    blocks = ops.T_blocks
     members = basis.members
 
     dev_t = advection_skew(blocks)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from precessflow import basis as basis_module
 from precessflow import operators, timestepper
@@ -34,6 +35,22 @@ RUN_LINES = SPHEROID_LINES + (
     "time.t_end = 0.05\n"
     "time.record_every = 0.01\n"
 )
+
+
+# keys that a run would ignore: (test id, config lines, message)
+IGNORED_KEYS = [
+    ("run_restart_omega_without_time", RUN_LINES + "restart.omega = 0.5\n",
+     "config key restart.omega is ignored without restart.time"),
+    ("run_amplitude_without_solid_rotation",
+     RUN_LINES.replace("init.type = solid_rotation", "init.type = poincare"),
+     "config key init.amplitude is ignored unless init.type is solid_rotation, not poincare"),
+    ("run_omega_without_its_init_type", RUN_LINES + "init.omega = 3\n",
+     "config key init.omega is ignored unless init.type is poincare_plus_rotation"),
+    ("run_init_eps_p_without_poincare", RUN_LINES + "init.eps_p = 0.25\n",
+     "config key init.eps_p is ignored unless init.type is poincare or poincare_plus_rotation"),
+    ("run_path_without_coefficients", RUN_LINES + "init.path = coeffs.txt\n",
+     "config key init.path is ignored unless init.type is coefficients"),
+]
 
 
 class TestParseConfig:
@@ -414,24 +431,12 @@ class TestExitCodes:
         ("steady", STEADY_LINES.replace("0.024", "1e-320"), "nu_inverse = 1e-320 is too small"),
         ("steady", STEADY_LINES.replace("poincare_stress", "no_slip"),
          "unknown boundary condition form 'no_slip'"),
-        # keys that the run would ignore
-        ("run", RUN_LINES + "restart.omega = 0.5\n",
-         "config key restart.omega is ignored without restart.time"),
-        ("run", RUN_LINES.replace("init.type = solid_rotation", "init.type = poincare"),
-         "config key init.amplitude is ignored unless init.type is solid_rotation, not poincare"),
-        ("run", RUN_LINES + "init.omega = 3\n",
-         "config key init.omega is ignored unless init.type is poincare_plus_rotation"),
-        ("run", RUN_LINES + "init.eps_p = 0.25\n",
-         "config key init.eps_p is ignored unless init.type is poincare or poincare_plus_rotation"),
-        ("run", RUN_LINES + "init.path = coeffs.txt\n",
-         "config key init.path is ignored unless init.type is coefficients"),
+        *(("run", lines, message) for _, lines, message in IGNORED_KEYS),
         ("run", RUN_LINES.replace("init.type = solid_rotation\ninit.amplitude = 0.1",
                                   "init.type = coefficients\ninit.path = nodir/coeffs.txt"),
          "init.path nodir/coeffs.txt: no such file"),
     ], ids=["eig_huge_axis", "eig_tiny_axis", "run_huge_beta", "run_tiny_nu_inverse",
-            "steady_tiny_nu_inverse", "steady_unknown_bc_form", "run_restart_omega_without_time",
-            "run_amplitude_without_solid_rotation", "run_omega_without_its_init_type",
-            "run_init_eps_p_without_poincare", "run_path_without_coefficients",
+            "steady_tiny_nu_inverse", "steady_unknown_bc_form", *(i for i, _, _ in IGNORED_KEYS),
             "run_path_to_no_file"])
     def test_input_out_of_range_fails_before_the_build(self, tmp_path, capsys, monkeypatch,
                                                        command, lines, message):
@@ -446,6 +451,47 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and message in captured.err
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("lines, message", [case[1:] for case in IGNORED_KEYS],
+                             ids=[case[0] for case in IGNORED_KEYS])
+    def test_ignored_key_is_rejected_by_validate_and_run(self, tmp_path, capsys, monkeypatch,
+                                                         lines, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr("precessflow.timestepper._run_basis", no_build)
+        cfg = write(tmp_path, "x.cfg", lines)
+        assert main(["run", "--config", cfg]) == 1
+        cli_message = capsys.readouterr().err.removeprefix("error: ").removesuffix("\n")
+        assert message in cli_message
+        scenario = ScenarioConfig(**{CONFIG_KEYS[key][0]: CONFIG_KEYS[key][1](value)
+                                     for key, value in parse_config(cfg).items()})
+        for reject in (scenario.validate, lambda: timestepper.run(scenario)):
+            with pytest.raises(ValueError) as rejected:
+                reject()
+            assert str(rejected.value) == cli_message
+
+    @pytest.mark.parametrize("argv", [["eig", "--config"], ["verify", "--degrees", "3"]],
+                             ids=["eig", "verify"])
+    def test_failed_kernel_self_check_is_invariant_failure(self, tmp_path, capsys, monkeypatch,
+                                                           argv):
+        eigh = scipy.linalg.eigh
+
+        def corrupted(a, b):
+            # the lowest eigenvector of each block gains the top one: a kernel vector
+            # among them no longer satisfies A k = 0
+            w, v = eigh(a, b)
+            v = v.copy()
+            v[:, 0] += v[:, -1]
+            return w, v
+
+        monkeypatch.setattr(scipy.linalg, "eigh", corrupted)
+        if argv[0] == "eig":
+            argv = argv + [write(tmp_path, "k.cfg", SPHEROID_LINES.replace("= 2", "= 4"))]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: claimed kernel vector fails A k = 0\n"
+        assert "Traceback" not in captured.out
 
     @pytest.mark.parametrize("command", ["basis", "eig"])
     def test_failed_basis_gate_is_invariant_failure(self, tmp_path, capsys, monkeypatch, command):

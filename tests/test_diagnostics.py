@@ -78,7 +78,7 @@ class TestTimeSeries:
     def test_centered_differences(self):
         # quadratic E_K(t): interior centered differences are exact
         ops = make_ops()
-        series = TimeSeries(records=[], dt=0.1, record_interval=0.1)
+        series = TimeSeries(records=[], dt=0.1)
         ctx = make_ctx(ops)
         c_r, _ = project(solid_rotation((0, 0, 1)), ops.basis)
         for i in range(5):
@@ -98,7 +98,7 @@ class TestTimeSeries:
         # segment's differences are exact, one-sided beside the kick
         ops = make_ops()
         ctx = make_ctx(ops)
-        series = TimeSeries(records=[], dt=0.5, record_interval=1.0, restart_time=restart_time)
+        series = TimeSeries(records=[], dt=0.5, restart_time=restart_time)
         for i in range(5):
             rec = record(State(float(i), np.zeros(ops.dim)), ops, ctx)
             rec.E_K = float(i) if i < 2 else 10.0 + 3.0 * i
@@ -126,7 +126,7 @@ class TestMomentumBalance:
     def test_rest_state_is_exact(self):
         ops = make_ops()
         ctx = make_ctx(ops)
-        series = TimeSeries(records=[], dt=0.01, record_interval=0.01)
+        series = TimeSeries(records=[], dt=0.01)
         for i in range(5):
             rec = record(State(i * 0.01, np.zeros(ops.dim)), ops, ctx)
             series.records.append(rec)
@@ -135,14 +135,14 @@ class TestMomentumBalance:
         np.testing.assert_array_equal(res, np.zeros(3))
 
     def test_needs_three_records(self):
-        series = TimeSeries(records=[], dt=0.01, record_interval=0.01)
+        series = TimeSeries(records=[], dt=0.01)
         with pytest.raises(ValueError):
             momentum_balance_residual(series, 0.25)
 
     def test_uniform_spacing_required(self):
         ops = make_ops()
         ctx = make_ctx(ops)
-        series = TimeSeries(records=[], dt=0.01, record_interval=0.01)
+        series = TimeSeries(records=[], dt=0.01)
         for t in (0.0, 0.01, 0.03):
             series.records.append(record(State(t, np.zeros(ops.dim)), ops, ctx))
         with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ class TestSurfaceFunctionals:
         for _ in range(10):
             c = rng.standard_normal(ops.dim)
             got = ctx.surface_functionals(c)
-            ref = self.node_quadrature(ctx, ops.basis, ctx.u_p, c)
+            ref = self.node_quadrature(ctx, ops.basis, U_P if with_up else None, c)
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-13 * abs(r)
 

@@ -179,7 +179,7 @@ class TestSharedArrays:
         shared = {"M": ops.M, "gram": ops.basis.gram, "A_sym": ops.A_sym,
                   "A_grad": ops.A_grad, "mom": ops.mom, "Hn": ops.Hn, "Hs": ops.Hs,
                   "C_x": ops.C_x, "T": ops.T}
-        shared |= {f"blocks{key}": b for key, b in ops.basis._assembly_cache["T"][0].items()}
+        shared |= {f"blocks{key}": b for key, b in ops.T_blocks.items()}
         shared |= {f"pack.{name}": a for name, a in ops.T_packed._asdict().items()}
         assert ops.M is ops.basis.gram
         for name, arr in shared.items():
@@ -370,13 +370,12 @@ def _dense_advection_tensor(basis):
     return np.einsum("iam,majk->ijk", bc_arr, v2, optimize=True)
 
 
-def _scattered_tensor(basis):
-    """T from the cached class-pair blocks, one (i, j) field pair at a time.
+def _scattered_tensor(basis, blocks):
+    """T from the class-pair blocks, one (i, j) field pair at a time.
 
     The assignments of _dense_advection's per-block scatter, written
     independently of it: the fields of each class are found from basis.classes.
     """
-    blocks = basis._assembly_cache["T"][0]
     members = {p: np.flatnonzero(basis.classes == p) for p in range(8)}
     t = np.zeros((basis.dim,) * 3)
     for (p, q), b in blocks.items():
@@ -425,8 +424,7 @@ class TestClassBlockedTensor:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     def test_blocks_are_keyed_by_class_pair_without_padding(self, kind, method, degree):
         basis = get_any_basis(kind, degree, method)
-        assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
-        blocks = basis._assembly_cache["T"][0]
+        blocks = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0).T_blocks
         present = set(basis.classes.tolist())
         assert set(blocks) == {(p, q) for p in present for q in present if p ^ q in present}
         sizes = np.bincount(basis.classes, minlength=8)
@@ -434,19 +432,33 @@ class TestClassBlockedTensor:
             assert b.shape == (sizes[p], sizes[p ^ q], sizes[q])
             assert b.flags.c_contiguous and not b.flags.writeable
 
+    def test_every_operator_set_of_a_basis_shares_one_blocks_dict(self):
+        basis = build_basis(DOMAINS["spheroid"], 3)
+        assert assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                        include_advection=False).T_blocks is None
+        assert "T" not in basis._assembly_cache
+        ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
+        assert isinstance(ops.T_blocks, dict) and ops.T_blocks
+        others = [assemble(basis, BoundaryCondition("normal_gradient"), nu=2.0, eps_p=0.1),
+                  assemble(basis, BoundaryCondition("poincare_stress", U_P), nu=0.5,
+                           eps_p=0.25, precession_axis=(0.0, 0.0, 1.0))]
+        assert all(other.T_blocks is ops.T_blocks for other in others)
+        assert assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                        include_advection=False).T_blocks is None
+
     @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
     @pytest.mark.parametrize("method", ["exact", "svd"])
     @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
     def test_dense_tensor_is_formed_on_first_read(self, kind, method, degree):
         basis = build_basis(DOMAINS[kind], degree, method)
         ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
-        blocks, pack = basis._assembly_cache["T"]
+        blocks, pack = ops.T_blocks, ops.T_packed
         assert "T_dense" not in basis._assembly_cache
         assert sum(b.size for b in blocks.values()) < basis.dim ** 3
         assert all(a.size < basis.dim ** 3 for a in pack)
         t = ops.T
         assert basis._assembly_cache["T_dense"] is t
-        assert t.tobytes() == _scattered_tensor(basis).tobytes()
+        assert t.tobytes() == _scattered_tensor(basis, blocks).tobytes()
         assert not t.flags.writeable and t.flags.c_contiguous
         # verify's antisymmetry, read on the blocks, is the dense max |T + T^T| bit for bit
         skew = advection_skew(blocks)

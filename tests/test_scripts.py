@@ -1,10 +1,14 @@
-"""The scripts under scripts/ exit nonzero when a claim that they print fails."""
+"""The scripts under scripts/ exit nonzero when a claim that they print fails, and
+output_digests repeats its digests and sees a one-ulp change."""
 
 import dataclasses
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from precessflow import operators
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -56,3 +60,35 @@ def test_decay_overview_fails_on_a_nonnegative_rate(monkeypatch, tmp_path, capsy
     assert ("(negative everywhere)" in out) is not rising
     if rising:
         assert "max dEK_dt over the run = 0.000e+00\n" in out
+
+
+KICK_LINES = ("domain.beta = 9/16\nbasis.degree = 2\nbc.form = stress_free\n"
+              "physics.nu_inverse = 1\nphysics.eps_p = 0.25\ninit.type = solid_rotation\n"
+              "init.amplitude = 0\nrestart.time = 0.5\nrestart.omega = 0.025\ntime.dt = 0.01\n"
+              "time.t_end = 1\ntime.record_every = 0.1\noutput.path = kick.csv\n")
+
+
+def test_output_digests_repeat_and_see_one_ulp(monkeypatch, tmp_path, capsys):
+    script = load("output_digests")
+    (tmp_path / "kick.cfg").write_text(KICK_LINES)
+    monkeypatch.setattr(script, "CONFIGS", [tmp_path / "kick.cfg"])
+
+    def digests():
+        assert script.main(["--degrees", "1,2"]) == 0
+        return dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+
+    first = digests()
+    assert digests() == first
+    assert list(first) == sorted(first) and "config/kick.cfg" in first
+    assert all(len(value) == 64 for value in first.values())
+    # one ulp on the inhomogeneous forcing changes the spheroid's F_bc lines and no other
+    forcing = operators._forcing_vector
+
+    def nudged(basis, bc, nu):
+        f_bc = forcing(basis, bc, nu)
+        return np.nextafter(f_bc, np.inf) if bc.is_inhomogeneous else f_bc
+
+    monkeypatch.setattr(operators, "_forcing_vector", nudged)
+    changed = {label for label, value in digests().items() if first[label] != value}
+    assert changed == {f"{method}/spheroid/N={degree}/F_bc"
+                       for method in ("exact", "svd") for degree in (1, 2)}

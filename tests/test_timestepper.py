@@ -27,9 +27,11 @@ def spheroid_ops(degree=2, form="stress_free", nu=1.0, eps_p=0.0, **kw):
 
 def base_config(**overrides):
     cfg = dict(degree=2, bc_form="stress_free", nu_inverse=1.0, eps_p=0.0,
-               init_type="solid_rotation", init_amplitude=0.1,
-               dt=0.01, t_end=0.1, record_every=0.02, beta=Fraction(9, 16))
+               init_type="solid_rotation", dt=0.01, t_end=0.1, record_every=0.02,
+               beta=Fraction(9, 16))
     cfg.update(overrides)
+    if cfg["init_type"] == "solid_rotation":     # the one init type that reads it
+        cfg.setdefault("init_amplitude", 0.1)
     return ScenarioConfig(**cfg)
 
 
@@ -488,8 +490,9 @@ class TestRunBasisMemo:
     def test_no_dense_tensor_or_fraction_fields_on_the_run_path(self, tmp_path, built):
         run(twin_config(+1, "rot_momentum", tmp_path / "run.csv"))
         basis = built[0]
-        blocks, pack = basis._assembly_cache["T"]
-        assert "T_dense" not in basis._assembly_cache
+        assert "T" in basis._assembly_cache and "T_dense" not in basis._assembly_cache
+        ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
+        blocks, pack = ops.T_blocks, ops.T_packed
         assert sum(b.size for b in blocks.values()) < basis.dim ** 3
         assert all(a.size < basis.dim ** 3 for a in pack)
         assert "fields" not in vars(basis)

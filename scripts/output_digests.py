@@ -12,7 +12,10 @@ verify`), one `label sha256` line per item:
 - both viscous spectra with the classes of their kernels;
 - the projection of e_z x x onto the basis and its residual;
 
-and one line for the CSV of each configs/*.cfg run, written in a temporary
+one line for the CSV of each configs/*.cfg run, and one for each of four short
+spheroid N = 3 poincare_stress runs that take the paths no bundled config
+takes: the per-step constraint projection in each of its three modes, and a
+restart kick between two records.  The CSVs are written in a temporary
 directory.  The lines are sorted, so two source trees agree bit for bit when
 they print the same text:
 
@@ -33,13 +36,21 @@ import numpy as np
 
 from precessflow import cli, run
 from precessflow.basis import build_basis, poincare_field, rotation_projection
+from precessflow.diagnostics import CONSTRAINT_MODES
 from precessflow.operators import BoundaryCondition, assemble
 from precessflow.spectral import viscous_kernel
+from precessflow.timestepper import ScenarioConfig
 from precessflow.verification import DOMAINS
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 METHODS = ("exact", "svd")
 AXES = ((1.0, 0.0, 0.0), (0.0, 0.6, 0.8))
+# the kicked steady Poincare flow, 100 steps; each of RUNS changes it as it says
+RUN = dict(degree=3, bc_form="poincare_stress", nu_inverse=0.00375, eps_p=0.25,
+           init_type="poincare_plus_rotation", init_omega=0.025, dt=0.01, t_end=1.0,
+           record_every=0.1, beta=Fraction(9, 16))
+RUNS = {**{f"constraint={mode}": dict(constraint_mode=mode) for mode in CONSTRAINT_MODES},
+        "restart=0.55": dict(restart_time=0.55, restart_omega=0.025)}
 
 
 def digest(value) -> str:
@@ -85,11 +96,10 @@ def basis_items(kind, basis):
     yield "rotation_residual", float(residual).hex()
 
 
-def config_csv(path) -> bytes:
-    """The CSV of the run of config `path`, written in a temporary directory."""
-    scenario = cli.scenario_from_config(cli.parse_config(path))
+def run_csv(scenario) -> bytes:
+    """The CSV of the run of scenario, written in a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / Path(scenario.output_path).name
+        out = Path(tmp) / Path(scenario.output_path or "run.csv").name
         run(dataclasses.replace(scenario, output_path=str(out)))
         return out.read_bytes()
 
@@ -102,7 +112,11 @@ def digest_lines(degrees, configs) -> list[str]:
                 basis = build_basis(domain, degree, method)
                 lines += [f"{method}/{kind}/N={degree}/{name} {digest(value)}"
                           for name, value in basis_items(kind, basis)]
-    lines += [f"config/{Path(path).name} {digest(config_csv(path))}" for path in configs]
+    lines += [f"config/{Path(path).name} "
+              f"{digest(run_csv(cli.scenario_from_config(cli.parse_config(path))))}"
+              for path in configs]
+    lines += [f"run/{name} {digest(run_csv(ScenarioConfig(**(RUN | changes))))}"
+              for name, changes in RUNS.items()]
     return sorted(lines)
 
 

@@ -26,7 +26,9 @@ from .geometry import surface_rule, volume_integral
 from .operators import OperatorSet
 from .polynomials import VectorField
 
-CONSTRAINT_MODES = ("rot_momentum", "orth_poincare", "total_momentum")
+# constraint mode -> the row of DiagnosticsContext.functionals (c_rot, c_orth, c_tot) it zeroes
+CONSTRAINT_ROWS = {"rot_momentum": 0, "orth_poincare": 1, "total_momentum": 2}
+CONSTRAINT_MODES = tuple(CONSTRAINT_ROWS)
 
 # order n of the surface rule behind the constraint functionals: n x 2n nodes
 SURFACE_ORDER = 32
@@ -106,12 +108,26 @@ class DiagnosticsContext:
         # size of the rotation direction on the surface, for the degeneracy test
         dir_nodes = vander @ np.einsum("i,icm->cm", self.c_rot_dir, basis.coeff_array).T
         self.degeneracy_scale = float(np.sum(w)) * max(1.0, float(np.max(np.abs(dir_nodes))))
+        self._constraints = {}
         _read_only((self.c_p, self.functionals, self.offsets, self.rule.points, self.rule.weights))
 
     def surface_functionals(self, coeffs: np.ndarray):
         """(c_rot, c_orth, c_tot) of the state with the given coefficients."""
         c_rot, c_orth, c_tot = self.functionals @ coeffs - self.offsets
         return float(c_rot), float(c_orth), float(c_tot)
+
+    def constraint(self, mode: str) -> tuple[int, float]:
+        """(row, den): the functional that constraint mode zeroes and its value on the
+        rotation direction.  Chosen and tested for degeneracy once per mode."""
+        entry = self._constraints.get(mode)
+        if entry is None:
+            row = CONSTRAINT_ROWS[mode]
+            den = (self.den_rot, self.den_orth, self.den_rot)[row]
+            if abs(den) <= 1e-12 * self.degeneracy_scale:
+                raise ValueError(f"constraint functional is degenerate on the rotation "
+                                 f"direction (denominator {den:.3e})")
+            entry = self._constraints[mode] = (row, den)
+        return entry
 
 
 def shared_context(basis: Basis, u_p: VectorField | None) -> DiagnosticsContext:
@@ -202,20 +218,12 @@ def constraint_projection(state, mode: str, ctx: DiagnosticsContext) -> object:
 
     Subtracts alpha * (projected e_z x x) from the state so that c_rot,
     c_orth, or c_tot vanishes; everything orthogonal to the rotation direction
-    is untouched.  ``ctx`` is the run's prepared DiagnosticsContext.
+    is untouched.  ``ctx`` is the run's prepared DiagnosticsContext and
+    ``state`` a timestepper.State.
     """
-    if mode not in CONSTRAINT_MODES:
+    if mode not in CONSTRAINT_ROWS:
         raise ValueError(f"unknown constraint mode {mode!r}")
+    row, den = ctx.constraint(mode)
     c = np.asarray(state.coeffs, dtype=float)
-    c_rot, c_orth, c_tot = ctx.surface_functionals(c)
-    if mode == "rot_momentum":
-        value, den = c_rot, ctx.den_rot
-    elif mode == "orth_poincare":
-        value, den = c_orth, ctx.den_orth
-    else:
-        value, den = c_tot, ctx.den_rot
-    if abs(den) <= 1e-12 * ctx.degeneracy_scale:
-        raise ValueError(f"constraint functional is degenerate on the rotation direction "
-                         f"(denominator {den:.3e})")
-    alpha = value / den
-    return dataclasses.replace(state, coeffs=c - alpha * ctx.c_rot_dir)
+    alpha = (ctx.functionals @ c - ctx.offsets)[row] / den
+    return type(state)(state.t, c - alpha * ctx.c_rot_dir, state.prev_coeffs)

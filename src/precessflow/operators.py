@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import monomials
-from .basis import _CLASS_BITS, N_CLASSES, Basis, gram_form, nodal_form, solid_rotation
+from .basis import _CLASS_BITS, N_CLASSES, Basis, _read_only, gram_form, nodal_form, solid_rotation
 from .geometry import Domain, volume_integral
 from .polynomials import Polynomial3, VectorField
 
@@ -162,12 +162,12 @@ class OperatorSet:
         """
         return (self.nu, self.eps_p, self.bc.uses_gradient_stiffness, self.precession_axis)
 
-    @property
+    @functools.cached_property
     def V(self) -> np.ndarray:
-        """Viscous operator selected by the boundary-condition form."""
-        if self.bc.uses_gradient_stiffness:
-            return self.nu * self.A_grad
-        return self.nu * self.A_sym
+        """Viscous operator selected by the boundary-condition form; formed on first read,
+        read-only."""
+        return _read_only(self.nu * (self.A_grad if self.bc.uses_gradient_stiffness
+                                     else self.A_sym))
 
 
 def _core_matrices(basis: Basis) -> dict:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from precessflow import diagnostics, monomials
+from precessflow import diagnostics, monomials, timestepper
 from precessflow.basis import REFERENCE_RESIDUAL_TOL, poincare_field, project, solid_rotation
 from precessflow.diagnostics import (CSV_HEADER, DiagnosticsContext, TimeSeries,
                                      constraint_projection, momentum_balance_residual,
@@ -247,6 +247,32 @@ class TestConstraintProjection:
         ctx = make_ctx(ops)
         with pytest.raises(ValueError):
             constraint_projection(State(0.0, np.zeros(ops.dim)), "orth_poincare", ctx)
+
+    def test_degenerate_functional_fails_before_the_first_step(self, tmp_path, monkeypatch):
+        steps = []
+        monkeypatch.setattr(timestepper, "integrate", lambda *args: steps.append(args))
+
+        def degenerate(ctx, mode):
+            raise ValueError("constraint functional is degenerate on the rotation direction")
+
+        monkeypatch.setattr(DiagnosticsContext, "constraint", degenerate)
+        out = tmp_path / "series.csv"
+        cfg = ScenarioConfig(degree=2, bc_form="stress_free", nu_inverse=1.0, eps_p=0.0,
+                             init_type="solid_rotation", init_amplitude=0.1, dt=0.01,
+                             t_end=0.1, record_every=0.02, beta=Fraction(9, 16),
+                             constraint_mode="rot_momentum", output_path=str(out))
+        with pytest.raises(ValueError, match="degenerate"):
+            run(cfg)
+        assert steps == [] and not out.exists()
+
+    def test_the_functional_is_chosen_once_per_context(self):
+        ops = make_ops("poincare_stress", nu=1.0, eps_p=0.25)
+        ctx = make_ctx(ops)
+        dens = {"rot_momentum": ctx.den_rot, "orth_poincare": ctx.den_orth,
+                "total_momentum": ctx.den_rot}
+        for row, mode in enumerate(diagnostics.CONSTRAINT_MODES):
+            entry = ctx.constraint(mode)
+            assert entry == (row, dens[mode]) and ctx.constraint(mode) is entry
 
     def test_unknown_mode(self):
         ops = make_ops()

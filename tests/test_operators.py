@@ -189,6 +189,14 @@ class TestSharedArrays:
         # the per-assembly forcing vector is the caller's own
         ops.F_bc[0] = ops.F_bc[0]
 
+    @pytest.mark.parametrize("form, stiffness", [("stress_free", "A_sym"),
+                                                 ("normal_gradient", "A_grad")])
+    def test_viscous_operator_is_formed_once_read_only(self, form, stiffness):
+        ops = spheroid_ops(3, form, nu=2.0 / 3.0, eps_p=0.25)
+        v = ops.V
+        assert ops.V is v and not v.flags.writeable
+        assert v.tobytes() == (2.0 / 3.0 * getattr(ops, stiffness)).tobytes()
+
 
 def _contract(s, t) -> Polynomial3:
     """Full contraction s : t of two 3x3 tensors of polynomials."""

@@ -81,7 +81,10 @@ def test_output_digests_repeat_and_see_one_ulp(monkeypatch, tmp_path, capsys):
     assert digests() == first
     assert list(first) == sorted(first) and "config/kick.cfg" in first
     assert all(len(value) == 64 for value in first.values())
-    # one ulp on the inhomogeneous forcing changes the spheroid's F_bc lines and no other
+    runs = {label for label in first if label.startswith("run/")}
+    assert runs == {f"run/{name}" for name in script.RUNS} and len(runs) == 4
+    # one ulp on the inhomogeneous forcing changes the spheroid's F_bc lines, the
+    # poincare_stress runs and no other line
     forcing = operators._forcing_vector
 
     def nudged(basis, bc, nu):
@@ -91,4 +94,4 @@ def test_output_digests_repeat_and_see_one_ulp(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(operators, "_forcing_vector", nudged)
     changed = {label for label, value in digests().items() if first[label] != value}
     assert changed == {f"{method}/spheroid/N={degree}/F_bc"
-                       for method in ("exact", "svd") for degree in (1, 2)}
+                       for method in ("exact", "svd") for degree in (1, 2)} | runs

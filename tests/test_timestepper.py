@@ -203,10 +203,23 @@ class TestLuSolve:
         c0, c1 = 0.1 * rng.standard_normal((2, ops.dim))
         starts = [State(0.0, c0), State(0.01, c1, prev_coeffs=c0)]
         got = [step(st, ops, 0.01) for st in starts]
-        monkeypatch.setattr(timestepper, "_lu_solve", scipy_lu_solve)
+        got5 = integrate(starts[0], ops, 0.01, 5)       # the startup, then four BDF2 steps
+        solves = []
+
+        def counted(lu_piv, rhs):
+            solves.append(rhs.shape)
+            return scipy_lu_solve(lu_piv, rhs)
+
+        monkeypatch.setattr(timestepper, "_lu_solve", counted)
         for st, new in zip(starts, got):
             ref = step(st, ops, 0.01)
             assert np.array_equal(new.coeffs, ref.coeffs)
+        # the startup solves three systems, a BDF2 step one
+        assert solves == [(ops.dim,)] * (3 + 1)
+        ref5 = integrate(starts[0], ops, 0.01, 5)
+        assert len(solves) == 4 + 3 + 4
+        assert np.array_equal(got5.coeffs, ref5.coeffs)
+        assert np.array_equal(got5.prev_coeffs, ref5.prev_coeffs)
 
     @pytest.mark.parametrize("bdf2", [False, True])
     def test_nan_state_raises(self, bdf2):

@@ -44,9 +44,10 @@ float combination coefficient is m 2^-e, so a class block of the combination
 is one product of Python ints, and the float coefficients are the correctly
 rounded num / den.  Integer maps from the monomial derivative and shift
 tables, independent of the constraint system, prove div v = 0 and
-v . grad(chi) = chi q on every row.  Basis.fields (Fraction coefficients) is
-formed from the rows on first read by verify's checks alone, never by the build
-or the export.
+v . grad(chi) = chi q on every row (exact_row_failures): the one exact proof
+of both identities, which the build runs as its gate and verify and the basis
+command report.  Basis.fields is the float view of coeff_array, formed on
+first read; no code here turns the rows into Fraction fields.
 
 The coefficient array, the class labels, the nodal values and gradients and
 the mass Gram are read-only: one basis is shared by every operator set
@@ -73,7 +74,7 @@ __all__ = [
     "Basis", "build_basis", "curl_form_fields", "stream_cross_field",
     "poincare_field", "solid_rotation", "project", "project_fields", "save_basis", "load_basis",
     "gram_form", "coefficient_classes", "InvariantError", "basis_rule", "nodal_form",
-    "rotation_projection", "reference_projection",
+    "rotation_projection", "reference_projection", "exact_row_failures",
 ]
 
 GRAM_IDENTITY_TOL = 1e-12
@@ -98,8 +99,8 @@ class Basis:
     rule's points and weights, the degree-N Vandermonde matrix vander (nodes,
     D_N), values[i, c, n] = (b_i)_c and the mass Gram, the symmetrized nodal_form
     of the values; members maps each class present to the ascending indices of
-    its fields.  grad is evaluated on first read.  rows, for an exact basis,
-    holds the integer rows (nums, dens) of the fields (see the module
+    its fields.  grad and fields are formed on first read.  rows, for an exact
+    basis, holds the integer rows (nums, dens) of the fields (see the module
     docstring); it is None for a float basis.
     """
 
@@ -129,9 +130,7 @@ class Basis:
 
     @functools.cached_property
     def fields(self) -> list[VectorField]:
-        """The basis fields: Fraction coefficients from the exact rows, else float ones."""
-        if self.rows is not None:
-            return _fields_from_rows(*self.rows, self.degree)
+        """The basis fields with the float coefficients of coeff_array, formed on first read."""
         return [monomials.array_to_field(c, self.degree) for c in self.coeff_array]
 
     def gram_identity_deviation(self) -> float:
@@ -366,19 +365,6 @@ def _constraint_rows(domain: Domain, degree: int):
     return rows, dim_v, dim_q, scale
 
 
-def _fields_from_nullspace(vectors, dim_v: int, degree: int) -> list[VectorField]:
-    """Velocity fields of nullspace vectors laid out as (v_x, v_y, v_z, q) coefficients.
-
-    No field comes out zero: v = 0 forces chi q = 0, hence q = 0.
-    """
-    exps = [tuple(e) for e in monomials.exponents(degree).tolist()]
-    fields = []
-    for vec in vectors:
-        comps = (Polynomial3(dict(zip(exps, vec[a * dim_v:(a + 1) * dim_v]))) for a in range(3))
-        fields.append(VectorField(tuple(comps)))
-    return fields
-
-
 def _raw_rows_exact(domain: Domain, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact nullspace as integer rows (nums, dens) over (v_x, v_y, v_z, q)
     coefficients: row i is nums[i] / dens[i] (see _integer_nullspace)."""
@@ -403,14 +389,6 @@ def _rows_to_float(nums: np.ndarray, dens: np.ndarray, degree: int) -> np.ndarra
         raise ValueError(f"a coefficient of the degree-{degree} basis rows is beyond the "
                          "double range") from None
     return out.reshape(-1, 3, dim_v)
-
-
-def _fields_from_rows(nums: np.ndarray, dens: np.ndarray, degree: int) -> list[VectorField]:
-    """Velocity fields of integer rows, one Fraction per nonzero coefficient."""
-    dim_v = monomials.space_dim(degree)
-    vectors = [[Fraction(c, den) if c else 0 for c in row[:3 * dim_v]]
-               for row, den in zip(nums.tolist(), dens.tolist())]
-    return _fields_from_nullspace(vectors, dim_v, degree)
 
 
 def _raw_coeff_svd(domain: Domain, degree: int) -> np.ndarray:
@@ -635,14 +613,16 @@ def _shift_index(degree: int, exponent) -> np.ndarray:
     return idx
 
 
-def _check_exact_rows(domain: Domain, degree: int, nums: np.ndarray) -> None:
+def exact_row_failures(domain: Domain, degree: int, nums: np.ndarray) -> dict:
     """Prove div v = 0 and v.grad(chi) = chi q on every integer row (v, q) of nums.
 
+    Returns {"divergence free": i, "tangent to the boundary": j}, i and j the
+    first rows that fail each identity, or None where every row holds it.
     Both identities are linear and homogeneous, so they hold for nums / den
     exactly when they hold for the numerators.  The maps are integer: the
     monomial derivative and shift tables, and chi's coefficients times K, the
     lcm of their denominators.  They are built here rather than taken from
-    _constraint_rows, so the check does not rest on the system that produced
+    _constraint_rows, so the proof does not rest on the system that produced
     the nullspace.
     """
     n = degree
@@ -671,10 +651,18 @@ def _check_exact_rows(domain: Domain, degree: int, nums: np.ndarray) -> None:
     for m in np.flatnonzero(kchi != 0):
         tan[:, _shift_index(n - 1, exps2[m])] -= q * kchi[m]
 
+    failures = {}
     for what, residual in (("divergence free", div), ("tangent to the boundary", tan)):
         bad = np.flatnonzero(np.any(residual != 0, axis=1))
-        if bad.size:
-            raise InvariantError(f"basis field {bad[0]} is not exactly {what}")
+        failures[what] = int(bad[0]) if bad.size else None
+    return failures
+
+
+def _check_exact_rows(domain: Domain, degree: int, nums: np.ndarray) -> None:
+    """exact_row_failures as a gate: InvariantError names the first failing row."""
+    for what, bad in exact_row_failures(domain, degree, nums).items():
+        if bad is not None:
+            raise InvariantError(f"basis field {bad} is not exactly {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +738,7 @@ def save_basis(basis: Basis, path) -> None:
 
     The pairs are the nonzero entries of coeff_array in exponent order.  An
     exact basis's float coefficients are the correctly rounded values of its
-    rows, so they print as the Fraction fields would.
+    rows.
     """
     exps = monomials.exponents(basis.degree)
     order = np.lexsort(exps.T[::-1])     # by (i, j, k)

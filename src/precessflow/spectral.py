@@ -42,7 +42,6 @@ TOL_KERNEL = 1e-10
 
 @dataclass
 class KernelReport:
-    bc_form: str
     kernel_dim: int
     kernel_fields: list
     eigenvalues: np.ndarray
@@ -87,8 +86,7 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
     """
     if stiffness not in ("sym", "grad"):
         raise ValueError("stiffness must be 'sym' or 'grad'")
-    a_mat, form = ((ops.A_sym, "stress_free") if stiffness == "sym"
-                   else (ops.A_grad, "normal_gradient"))
+    a_mat = ops.A_sym if stiffness == "sym" else ops.A_grad
     eigvals = np.empty(ops.dim)
 
     def solve(a_block, index):
@@ -108,7 +106,6 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
         if res > cut * np.linalg.norm(vec) * 10:
             raise InvariantError("claimed kernel vector fails A k = 0")
     return KernelReport(
-        bc_form=form,
         kernel_dim=int(kernel_mask.sum()),
         kernel_fields=kernel_fields,
         eigenvalues=eigvals,

@@ -41,7 +41,7 @@ LU factors, the diagnostics context and the projections of e_z x x and u_P
 are each formed once, and a warm run forms only the forcing vector.  The
 cache keeps one entry of each kind, replaced when its key changes, so a
 sweep over dt or nu holds one set of factors.  The shared arrays are
-read-only; nothing on the run path forms the dense T or the Fraction fields.
+read-only; nothing on the run path forms the dense T or Basis.fields.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
-"""Exact-rational referees: the constraint nullspace in Fraction arithmetic, and sampled
-entries of M, A_sym, C_x and T, and of mom and F_bc.
+"""Exact-rational referees: the constraint nullspace in Fraction arithmetic, the Fraction
+fields of an exact basis, and sampled entries of M, A_sym, C_x and T, and of mom and F_bc.
 
 The nullspace referee is a textbook Gauss-Jordan elimination over Fractions,
 one new object and one gcd per operation, with the reduced echelon form read
 off as one vector per free column: the reference that the build's
 fraction-free integer elimination must reproduce exactly.
+
+The field referee turns integer rows into Fraction polynomial fields, on
+which Polynomial3 arithmetic proves div v = 0 and tangency independently of
+the integer maps that the build's exact_row_failures runs.
 
 Every float coefficient of a basis is a binary rational m 2^-e, so field i is
 an integer coefficient array over one power of two.  Every monomial integral
@@ -26,6 +30,7 @@ import numpy as np
 from precessflow import monomials
 from precessflow.basis import _constraint_rows, solid_rotation
 from precessflow.geometry import _ball_monomial_fraction
+from precessflow.polynomials import Polynomial3, VectorField
 
 
 def fraction_nullspace(rows: list[dict], ncols: int) -> list[dict]:
@@ -88,6 +93,28 @@ def exact_nullspace(domain, degree):
     """The constraint nullspace of a degree-N basis on domain as Fraction vectors."""
     rows, dim_v, dim_q, _ = _constraint_rows(domain, degree)
     return fraction_nullspace(rows, 3 * dim_v + dim_q), dim_v, dim_q
+
+
+def fields_from_vectors(vectors, dim_v: int, degree: int) -> list[VectorField]:
+    """Velocity fields of nullspace vectors laid out as (v_x, v_y, v_z, q) coefficients.
+
+    No field comes out zero: v = 0 forces chi q = 0, hence q = 0.
+    """
+    exps = [tuple(e) for e in monomials.exponents(degree).tolist()]
+    fields = []
+    for vec in vectors:
+        comps = (Polynomial3(dict(zip(exps, vec[a * dim_v:(a + 1) * dim_v]))) for a in range(3))
+        fields.append(VectorField(tuple(comps)))
+    return fields
+
+
+def exact_fields(basis) -> list[VectorField]:
+    """The fields of an exact basis's integer rows, one Fraction per nonzero coefficient."""
+    nums, dens = basis.rows
+    dim_v = monomials.space_dim(basis.degree)
+    vectors = [[Fraction(c, den) if c else 0 for c in row[:3 * dim_v]]
+               for row, den in zip(nums.tolist(), dens.tolist())]
+    return fields_from_vectors(vectors, dim_v, basis.degree)
 
 
 def _integer_rows(coeff: np.ndarray):

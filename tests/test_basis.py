@@ -12,7 +12,7 @@ from precessflow.basis import (GRAM_IDENTITY_TOL, Basis, InvariantError, build_b
                                coefficient_classes, curl_form_fields, gram_form, load_basis,
                                poincare_field, poincare_obstacle, project, project_fields,
                                save_basis, solid_rotation, stream_cross_field, _by_class,
-                               _check_exact_rows, _fields_from_nullspace, _integer_nullspace,
+                               _check_exact_rows, _integer_nullspace,
                                _orthonormal_coefficients, _raw_coeff_svd, _raw_rows_exact,
                                _rows_to_float)
 from precessflow.geometry import Domain, surface_rule, volume_integral
@@ -20,7 +20,8 @@ from precessflow.operators import BoundaryCondition, assemble
 from precessflow.polynomials import Polynomial3, VectorField
 
 from conftest import DOMAINS, MALFORMED_EXPORTS, get_basis, import_error, malformed_export
-from exact_referee import exact_nullspace, fraction_nullspace, vectors_to_rows
+from exact_referee import (exact_fields, exact_nullspace, fields_from_vectors,
+                           fraction_nullspace, vectors_to_rows)
 
 # dimension of the constrained space, from the exact nullspace (regression;
 # empirically N (N+1) (2N+7) / 6, identical across domain kinds)
@@ -133,12 +134,14 @@ class TestBuildBasis:
             assert res < 1e-12
 
     @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
-    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     def test_fields_satisfy_constraints_exactly(self, kind, degree):
+        # Polynomial3 arithmetic on the rows' Fraction fields: a proof independent of the
+        # integer maps of exact_row_failures, which the build and verify run
         domain = DOMAINS[kind]
         basis = get_basis(kind, degree)
         chi = domain.chi
-        for f in basis.fields:
+        for f in exact_fields(basis):
             assert f.is_exact()
             assert f.divergence().is_zero()
             assert f.tangency_remainder(chi).is_zero()
@@ -237,19 +240,21 @@ class TestBuildBasis:
     @pytest.mark.parametrize("method", ["exact", "svd"])
     def test_fields_are_formed_on_first_read(self, monkeypatch, method):
         calls = []
-        fields_from_rows = basis_module._fields_from_rows
+        array_to_field = monomials.array_to_field
 
         def counting(*args):
-            calls.append(len(args[0]))
-            return fields_from_rows(*args)
+            calls.append(args[1])
+            return array_to_field(*args)
 
-        monkeypatch.setattr(basis_module, "_fields_from_rows", counting)
+        monkeypatch.setattr(monomials, "array_to_field", counting)
         basis = build_basis(DOMAINS["triaxial"], 3, method)
         assert calls == [] and "fields" not in vars(basis)
         fields = basis.fields
-        assert calls == ([basis.dim] if method == "exact" else [])
+        # the float view: one field per row of coeff_array, formed once
+        assert calls == [3] * basis.dim
         assert basis.fields is fields and len(fields) == basis.dim
         for f, c in zip(fields, basis.coeff_array):
+            assert all(type(v) is float for comp in f.components for v in comp.coeffs.values())
             np.testing.assert_array_equal(monomials.field_to_array(f, 3), c)
 
 
@@ -479,19 +484,22 @@ class TestExportImport:
     def test_export_forms_no_fields_and_prints_them(self, tmp_path, monkeypatch, domain,
                                                     method):
         calls = []
-        fields_from_rows = basis_module._fields_from_rows
-        monkeypatch.setattr(basis_module, "_fields_from_rows",
-                            lambda *args: calls.append(len(args[0])) or fields_from_rows(*args))
+        array_to_field = monomials.array_to_field
+        monkeypatch.setattr(monomials, "array_to_field",
+                            lambda *args: calls.append(args[1]) or array_to_field(*args))
         basis = build_basis(domain, 4, method)
         path = tmp_path / "basis.txt"
         save_basis(basis, path)
         assert calls == [] and "fields" not in vars(basis)
-        # each field line is what the fields' coefficients print, in exponent order
-        for line, field in zip(path.read_text().splitlines()[3:], basis.fields, strict=True):
-            groups = [" ".join(f"{i},{j},{k}:{float(c):.17g}"
-                               for (i, j, k), c in sorted(comp.coeffs.items())) or "-"
-                      for comp in field.components]
-            assert line == " ; ".join(groups)
+        # each field line is what the fields' coefficients print, in exponent order: the
+        # float view's, and for an exact basis the correctly rounded Fraction fields' too
+        references = [basis.fields] + ([exact_fields(basis)] if method == "exact" else [])
+        for fields in references:
+            for line, field in zip(path.read_text().splitlines()[3:], fields, strict=True):
+                groups = [" ".join(f"{i},{j},{k}:{float(c):.17g}"
+                                   for (i, j, k), c in sorted(comp.coeffs.items())) or "-"
+                          for comp in field.components]
+                assert line == " ; ".join(groups)
 
     def test_roundtrip(self, tmp_path):
         basis = get_basis("spheroid", 2)
@@ -575,7 +583,7 @@ class TestReflectionClasses:
     def test_exact_fields_are_parity_pure(self, kind, degree):
         basis = get_basis(kind, degree)
         cls = basis.classes
-        assert [_field_classes(f) for f in basis.fields] == [{int(k)} for k in cls]
+        assert [_field_classes(f) for f in exact_fields(basis)] == [{int(k)} for k in cls]
 
     @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
@@ -615,7 +623,7 @@ def _raw_fields_exact(domain, degree):
     """The exact nullspace as Fraction-valued VectorFields (velocity part only)."""
     vectors, dim_v, _ = exact_nullspace(domain, degree)
     dense = [[vec.get(c, Fraction(0)) for c in range(3 * dim_v)] for vec in vectors]
-    return _fields_from_nullspace(dense, dim_v, degree)
+    return fields_from_vectors(dense, dim_v, degree)
 
 
 def _coeff_gram(fields, domain, degree):
@@ -689,8 +697,9 @@ class TestIntegerLattice:
         np.testing.assert_array_equal(basis.gram, gram)
         assert basis.raw_gram_cond == cond
         np.testing.assert_array_equal(basis.classes, classes)
-        assert len(basis.fields) == len(fields)
-        for f, g in zip(basis.fields, fields):
+        basis_fields = exact_fields(basis)
+        assert len(basis_fields) == len(fields)
+        for f, g in zip(basis_fields, fields):
             for a, b in zip(f.components, g.components):
                 assert a.coeffs == b.coeffs
                 assert all(type(c) is Fraction for c in a.coeffs.values())

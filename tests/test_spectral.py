@@ -54,7 +54,11 @@ class TestViscousKernel:
     def test_default_stiffness_follows_bc(self):
         ops = assemble(get_basis("spheroid", 2), BoundaryCondition("normal_gradient"),
                        nu=1.0, eps_p=0.0, include_advection=False)
-        assert viscous_kernel(ops, "grad").bc_form == "normal_gradient"
+        # each report's spectrum is its stiffness's: A_grad for "grad", A_sym for "sym"
+        for stiffness, a_mat in (("grad", ops.A_grad), ("sym", ops.A_sym)):
+            reference = scipy.linalg.eigh(a_mat, ops.M, eigvals_only=True)
+            np.testing.assert_allclose(viscous_kernel(ops, stiffness).eigenvalues, reference,
+                                       rtol=0, atol=1e-12 * reference[-1])
         assert viscous_kernel(ops, "grad").kernel_dim == 0
         with pytest.raises(TypeError):
             viscous_kernel(ops)     # the stiffness form has no default

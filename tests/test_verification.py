@@ -1,8 +1,16 @@
 """The verify battery reads the objects that runs use, as the basis keeps them."""
 
-from precessflow import diagnostics, operators
+import math
+
+import numpy as np
+import pytest
+
+from precessflow import diagnostics, monomials, operators
+from precessflow.basis import Basis
 from precessflow.diagnostics import SURFACE_ORDER
-from precessflow.verification import run_battery
+from precessflow.verification import _basis_checks, run_battery
+
+from conftest import get_basis
 
 
 def test_battery_never_forms_the_dense_advection_tensor(monkeypatch):
@@ -27,3 +35,35 @@ def test_battery_builds_one_diagnostics_context_on_the_run_rule(monkeypatch):
     assert all(r.ok for r in results)
     assert len(contexts) == 1
     assert len(contexts[0].rule.weights) == SURFACE_ORDER * 2 * SURFACE_ORDER
+
+
+@pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+def test_basis_checks_name_the_field_whose_row_breaks_one_identity(kind):
+    basis = get_basis(kind, 3)
+    domain, n = basis.domain, basis.degree
+    nums, dens = basis.rows
+    dim_v = monomials.space_dim(n)
+    k = math.lcm(*(c.denominator for c in domain.chi.coeffs.values()))
+    # (k chi, 0, 0) with q = k d_x chi is tangent, v.grad(chi) = chi q, but its divergence
+    # is k d_x chi; a constant added to q breaks tangency alone
+    tangent = np.zeros(nums.shape[1], dtype=object)
+    for e, c in domain.chi.coeffs.items():
+        tangent[monomials.index_map(n)[e]] = int(c * k)
+    for e, c in domain.chi.diff(0).coeffs.items():
+        tangent[3 * dim_v + monomials.index_map(n - 1)[e]] = int(c * k)
+    constant_q = np.zeros(nums.shape[1], dtype=object)
+    constant_q[3 * dim_v] = 1
+    ctx = f"domain={kind} N={n}"
+    for row, delta, broken, kept in ((5, tangent, "divergence_free", "tangency"),
+                                     (7, constant_q, "tangency", "divergence_free")):
+        perturbed = nums.copy()
+        perturbed[row] += delta
+        results = []
+        _basis_checks(results, kind, domain,
+                      Basis(domain, n, basis.coeff_array, (perturbed, dens)))
+        lines = {r.name: r.line() for r in results}
+        what = "divergence free" if broken == "divergence_free" else "tangent to the boundary"
+        assert lines[f"basis.{broken}"] == (f"FAIL basis.{broken} {ctx}  "
+                                            f"[basis field {row} is not exactly {what}]")
+        assert lines[f"basis.{kept}"] == f"PASS basis.{kept} {ctx}"
+        assert [r.name for r in results if not r.ok] == [f"basis.{broken}"]

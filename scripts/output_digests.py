@@ -15,7 +15,10 @@ verify`), one `label sha256` line per item:
 one line for the CSV of each configs/*.cfg run, and one for each of four short
 spheroid N = 3 poincare_stress runs that take the paths no bundled config
 takes: the per-step constraint projection in each of its three modes, and a
-restart kick between two records.  The CSVs are written in a temporary
+restart kick between two records.  Each of these runs also prints a
+`run:<name> classes ...` line with the reflection classes of the basis it
+stepped (timestepper.run steps the classes it can reach), so a change of the
+stepped subspace shows in the diff too.  The CSVs are written in a temporary
 directory.  The lines are sorted, so two source trees agree bit for bit when
 they print the same text:
 
@@ -96,12 +99,14 @@ def basis_items(kind, basis):
     yield "rotation_residual", float(residual).hex()
 
 
-def run_csv(scenario) -> bytes:
-    """The CSV of the run of scenario, written in a temporary directory."""
+def run_lines(kind, name, scenario) -> list[str]:
+    """The digest line of the CSV of the run of scenario, written in a temporary directory,
+    and the line of the classes it stepped."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / Path(scenario.output_path or "run.csv").name
-        run(dataclasses.replace(scenario, output_path=str(out)))
-        return out.read_bytes()
+        series = run(dataclasses.replace(scenario, output_path=str(out)))
+        return [f"{kind}/{name} {digest(out.read_bytes())}",
+                f"run:{name} classes {','.join(map(str, series.classes))}"]
 
 
 def digest_lines(degrees, configs) -> list[str]:
@@ -112,11 +117,11 @@ def digest_lines(degrees, configs) -> list[str]:
                 basis = build_basis(domain, degree, method)
                 lines += [f"{method}/{kind}/N={degree}/{name} {digest(value)}"
                           for name, value in basis_items(kind, basis)]
-    lines += [f"config/{Path(path).name} "
-              f"{digest(run_csv(cli.scenario_from_config(cli.parse_config(path))))}"
-              for path in configs]
-    lines += [f"run/{name} {digest(run_csv(ScenarioConfig(**(RUN | changes))))}"
-              for name, changes in RUNS.items()]
+    for path in configs:
+        lines += run_lines("config", Path(path).name,
+                           cli.scenario_from_config(cli.parse_config(path)))
+    for name, changes in RUNS.items():
+        lines += run_lines("run", name, ScenarioConfig(**(RUN | changes)))
     return sorted(lines)
 
 

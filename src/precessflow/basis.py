@@ -45,13 +45,17 @@ is one product of Python ints, and the float coefficients are the correctly
 rounded num / den.  Integer maps from the monomial derivative and shift
 tables, independent of the constraint system, prove div v = 0 and
 v . grad(chi) = chi q on every row (exact_row_failures): the one exact proof
-of both identities, which the build runs as its gate and verify and the basis
-command report.  Basis.fields is the float view of coeff_array, formed on
-first read; no code here turns the rows into Fraction fields.
+of both identities, run once per basis and kept as Basis.row_failures, which
+the build gates on and verify and the basis command report.  Basis.fields is
+the float view of coeff_array, formed on first read; no code here turns the
+rows into Fraction fields.
 
 The coefficient array, the class labels, the nodal values and gradients and
 the mass Gram are read-only: one basis is shared by every operator set
-assembled on it and, through timestepper.run, by consecutive runs.  What
+assembled on it and, through timestepper.run, by consecutive runs.
+Basis.restrict(classes) is the basis of the fields of some classes, sliced
+from these arrays with nothing evaluated again; timestepper.run steps it
+when the run cannot reach the other classes.  What
 those derive from the basis (operators, LU factors, the diagnostics context,
 the projections of e_z x x and u_P) is kept in its assembly cache
 (Basis.cached), read-only as well.
@@ -74,7 +78,8 @@ __all__ = [
     "Basis", "build_basis", "curl_form_fields", "stream_cross_field",
     "poincare_field", "solid_rotation", "project", "project_fields", "save_basis", "load_basis",
     "gram_form", "coefficient_classes", "InvariantError", "basis_rule", "nodal_form",
-    "rotation_projection", "reference_projection", "exact_row_failures",
+    "rotation_projection", "reference_projection", "exact_row_failures", "class_subgroup",
+    "field_classes",
 ]
 
 GRAM_IDENTITY_TOL = 1e-12
@@ -101,25 +106,34 @@ class Basis:
     of the values; members maps each class present to the ascending indices of
     its fields.  grad and fields are formed on first read.  rows, for an exact
     basis, holds the integer rows (nums, dens) of the fields (see the module
-    docstring); it is None for a float basis.
+    docstring); it is None for a float basis.  A restriction (restrict) is
+    made with parent = (basis, index) and evaluates nothing: it slices basis.
     """
 
     def __init__(self, domain: Domain, degree: int, coeff_array: np.ndarray,
                  rows: tuple[np.ndarray, np.ndarray] | None = None,
-                 raw_gram_cond: float = math.nan):
+                 raw_gram_cond: float = math.nan, parent: tuple | None = None):
         self.domain = domain
         self.degree = degree
         # (dim, 3, D_N) float coefficients over the degree-N monomial list
         self.coeff_array = coeff_array
-        # reflection class of each field; ValueError names a field outside one class
-        self.classes = coefficient_classes(coeff_array, degree)
+        if parent is None:
+            # reflection class of each field; ValueError names a field outside one class
+            self.classes = coefficient_classes(coeff_array, degree)
+            self.points, self.weights = basis_rule(domain, degree)
+            self.vander = monomials.vandermonde(self.points, degree)
+            self.values = coeff_array @ self.vander.T
+        else:   # (basis, index): these are basis's fields at index, evaluated there
+            basis, index = parent
+            self.classes, self.values = basis.classes[index], basis.values[index]
+            self.points, self.weights, self.vander = basis.points, basis.weights, basis.vander
         self.members = {p: np.flatnonzero(self.classes == p)
                         for p in np.unique(self.classes).tolist()}
-        self.points, self.weights = basis_rule(domain, degree)
-        self.vander = monomials.vandermonde(self.points, degree)
-        self.values = coeff_array @ self.vander.T
-        g = nodal_form(self.values, self.weights, self.values, self.members, self.members)
-        self.gram = 0.5 * (g + g.T)
+        if parent is None:
+            g = nodal_form(self.values, self.weights, self.values, self.members, self.members)
+            self.gram = 0.5 * (g + g.T)
+        else:
+            self.gram = basis.gram[np.ix_(index, index)]
         for arr in (coeff_array, self.classes, self.vander, self.values, self.gram,
                     *self.members.values(), *(rows or ())):
             arr.flags.writeable = False
@@ -132,6 +146,28 @@ class Basis:
     def fields(self) -> list[VectorField]:
         """The basis fields with the float coefficients of coeff_array, formed on first read."""
         return [monomials.array_to_field(c, self.degree) for c in self.coeff_array]
+
+    @functools.cached_property
+    def row_failures(self) -> dict | None:
+        """exact_row_failures of the integer rows, proved on first read (None without rows).
+
+        build_basis gates on it and verify and the basis command report it, so a
+        built basis is proved once; a Basis made with rows of its own is proved
+        from them.
+        """
+        return None if self.rows is None else exact_row_failures(self.domain, self.degree,
+                                                                 self.rows[0])
+
+    def restrict(self, classes) -> Basis:
+        """The basis of the fields in `classes`, in their order here, kept in the assembly cache.
+
+        It shares this basis's rule and Vandermonde matrix and slices its
+        coefficients, classes, rows, values and Gram, so its forms are the class
+        blocks of this basis's.  The cache keeps the last restriction, so the
+        runs that step one subspace share it and everything assembled on it.
+        """
+        kept = tuple(sorted(set(classes) & set(self.members)))
+        return self.cached(("restrict", kept), _restricted, kept)
 
     def gram_identity_deviation(self) -> float:
         return float(np.max(np.abs(self.gram - np.eye(self.dim))))
@@ -171,6 +207,13 @@ class Basis:
 
     def __repr__(self):
         return (f"Basis(domain={self.domain!r}, degree={self.degree}, dim={self.dim})")
+
+
+def _restricted(basis: Basis, kept: tuple) -> Basis:
+    index = np.flatnonzero(np.isin(basis.classes, kept))
+    rows = None if basis.rows is None else tuple(r[index] for r in basis.rows)
+    return Basis(basis.domain, basis.degree, basis.coeff_array[index], rows,
+                 basis.raw_gram_cond, parent=(basis, index))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +487,20 @@ def coefficient_classes(coeff: np.ndarray, degree: int) -> np.ndarray:
     return hi
 
 
+def class_subgroup(classes) -> tuple[int, ...]:
+    """The subgroup of the reflection classes (Z_2^3 under XOR) that `classes` generate,
+    ascending; {0} for none."""
+    group = {0}
+    for p in classes:
+        group |= {q ^ p for q in group}
+    return tuple(sorted(group))
+
+
+def field_classes(v: VectorField, degree: int) -> set[int]:
+    """The reflection classes of the parts of a field of degree <= N (see project_fields)."""
+    return set(_class_table(degree)[monomials.field_to_array(v, degree) != 0].tolist())
+
+
 def _by_class(fn, mat: np.ndarray, members: dict) -> np.ndarray:
     """fn applied to each class block of mat, scattered into one block-diagonal matrix.
 
@@ -529,7 +586,7 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
         raise InvariantError(f"orthonormalization failed: gram deviates from identity by {dev:.3e}")
 
     if method == "exact":
-        _check_exact_rows(domain, degree, basis.rows[0])
+        _check_exact_rows(basis.row_failures)
     return basis
 
 
@@ -658,9 +715,9 @@ def exact_row_failures(domain: Domain, degree: int, nums: np.ndarray) -> dict:
     return failures
 
 
-def _check_exact_rows(domain: Domain, degree: int, nums: np.ndarray) -> None:
-    """exact_row_failures as a gate: InvariantError names the first failing row."""
-    for what, bad in exact_row_failures(domain, degree, nums).items():
+def _check_exact_rows(failures: dict) -> None:
+    """The gate on a result of exact_row_failures: InvariantError names the first failing row."""
+    for what, bad in failures.items():
         if bad is not None:
             raise InvariantError(f"basis field {bad} is not exactly {what}")
 

@@ -165,6 +165,7 @@ class TimeSeries:
     records: list
     dt: float
     restart_time: float | None = None   # the time of the restart kick, if any
+    classes: tuple | None = None        # the reflection classes of the basis a run stepped
 
     def kicked(self) -> np.ndarray:
         """Whether each record follows the restart kick: the kick splits the series in two

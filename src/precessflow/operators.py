@@ -218,7 +218,8 @@ def _pack_advection(blocks: dict, basis: Basis) -> PackedAdvection:
     iu, ju, out = iu[on_rule], ju[on_rule], out[on_rule]
     # the pair's column within its output class, pairs kept in triu order
     col = np.cumsum(out[:, None] == np.arange(n_cls), axis=0)[np.arange(len(out)), out] - 1
-    pi = np.zeros((n_cls, col.max() + 1), dtype=np.intp)
+    # no pair at all when no two classes XOR to a present one (one class, say): N(u, u) = 0
+    pi = np.zeros((n_cls, int(col.max()) + 1 if col.size else 0), dtype=np.intp)
     pj = np.zeros_like(pi)
     pi[out, col] = iu
     pj[out, col] = ju

@@ -33,12 +33,40 @@ A constraint projection adds one (3, dim) matrix-vector product per step;
 its mode's functional is chosen and tested for degeneracy before the first
 step, not per step.
 
+Reachable classes.  Each basis field lies in one of the 8 mirror-reflection
+classes, Z_2^3 under XOR.  Advection maps classes (P, Q) to P ^ Q, the
+Coriolis term about e_a maps P to P ^ (the class of e_a x x: 6 for e_x),
+and a kick or a constraint projection adds e_z x x (class 3).  So the
+fields of a subgroup G that holds the initial state's classes, u_P's (F_bc
+and c_P lie in them), 3 when a kick or projection is set and the Coriolis
+shift when eps_p != 0 span an invariant subspace: M, V and C_x couple a
+class of G only with classes of G, partial pivoting never picks a pivot
+outside its column's block, so the LU factors and every solve keep the
+other fields at exactly 0.0.  run() therefore steps basis.restrict(G)
+(reachable_classes, _stepped_basis), the full basis only when G holds
+every class present.  u_P (classes 3, 6) and e_z x x (3) generate the
+centrosymmetric classes {0, 3, 5, 6}, the fields with v(-x) = -v(x) (odd
+polynomials); every bundled config steps them, or {0, 3} for an axial
+rotation at eps_p = 0.  The other coset, {1, 2, 4, 7}, holds the even
+fields, and the growing modes of the Poincare instability lie wholly in it
+(ROADMAP items 9 and 10), so a run seeded only in {0, 3, 5, 6} never meets
+that instability: it needs a seed in {1, 2, 4, 7}, which steps the full
+basis.  At N = 5 the restriction keeps 53 of 85 fields and a
+twin_proj_n5-like step takes about 30-44 us against 54-81 us, the advection
+16-17 us against 28-38 us (2-vCPU x86-64 host, one process, 5 timings).
+A coefficients file keeps the full basis's dimension: it is read on the
+full basis and sliced to the stepped one.  The CSV is computed on the
+stepped basis; it differs from the full basis's only by the round-off of
+shorter sums (fig2_poincare.cfg's is byte-identical).
+
 Set-up once per basis.  run() takes its basis from _run_basis, a one-entry
 functools.lru_cache keyed on (domain, degree), so consecutive runs on one
 basis (the +/- omega twins of scripts/poincare_family.py, say) share its
-assembly cache: the core matrices, C_x, the advection blocks and pack, the
-LU factors, the diagnostics context and the projections of e_z x x and u_P
-are each formed once, and a warm run forms only the forcing vector.  The
+assembly cache, and the restriction kept on it shares its own: the core
+matrices, C_x, the advection blocks and pack, the LU factors, the
+diagnostics context and the projections of e_z x x and u_P are each formed
+once, and a warm run forms only the forcing vector.  The full basis itself
+only projects the initial fields, to find G.  The
 cache keeps one entry of each kind, replaced when its key changes, so a
 sweep over dt or nu holds one set of factors.  The shared arrays are
 read-only; nothing on the run path forms the dense T or Basis.fields.
@@ -57,10 +85,11 @@ import scipy.linalg
 from scipy.linalg.lapack import dgetrs
 
 from . import diagnostics
-from .basis import (REFERENCE_RESIDUAL_TOL, Basis, build_basis, poincare_field, poincare_obstacle,
-                    reference_projection, rotation_projection)
+from .basis import (REFERENCE_RESIDUAL_TOL, Basis, build_basis, class_subgroup, field_classes,
+                    poincare_field, poincare_obstacle, reference_projection, rotation_projection)
 from .geometry import Domain
-from .operators import BC_FORMS, BoundaryCondition, OperatorSet, advection_term, assemble
+from .operators import (_ROTATION_CLASSES, BC_FORMS, BoundaryCondition, OperatorSet,
+                        advection_term, assemble)
 
 # init type -> the init fields it reads; validate() rejects any other init field that is set
 INIT_TYPES = {
@@ -321,6 +350,46 @@ def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
     return data
 
 
+def reachable_classes(cfg: ScenarioConfig, basis: Basis, coeffs: np.ndarray,
+                      bc_data) -> tuple[int, ...]:
+    """G, the reflection classes that the run of cfg from coeffs on basis can reach.
+
+    G is the subgroup generated by the classes of the nonzero coeffs, of the
+    Poincare data bc_data (F_bc and c_P lie in them), of e_z x x when a kick
+    or a projection adds it, and, for eps_p != 0, of the Coriolis shift about
+    e_x, run's precession axis.  Advection maps classes P, Q to P ^ Q and
+    Coriolis P to P ^ shift, so the fields outside G stay exactly 0 (see the
+    module docstring).
+    """
+    found = set(basis.classes[coeffs != 0].tolist())
+    if bc_data is not None:
+        found |= field_classes(bc_data, basis.degree)
+    if cfg.restart_time is not None or cfg.constraint_mode is not None:
+        found.add(int(_ROTATION_CLASSES[2]))
+    if cfg.eps_p != 0:
+        found.add(int(_ROTATION_CLASSES[0]))
+    return class_subgroup(found)
+
+
+def _stepped_basis(cfg: ScenarioConfig, full: Basis, bc_data) -> tuple[Basis, np.ndarray]:
+    """The basis that the run of cfg steps, and its initial coefficients there.
+
+    That is full.restrict(G) when G (reachable_classes, from the initial
+    coefficients on full) leaves out a class of full, else full itself; it is
+    full too when G holds no class of full, a zero state that nothing drives.
+    A coefficients file is read on full and sliced; a projected initial state
+    is projected on the restriction, as the diagnostics' c_P is.
+    """
+    coeffs = initial_coefficients(cfg, full)
+    kept = set(reachable_classes(cfg, full, coeffs, bc_data)) & set(full.members)
+    if not kept or kept == set(full.members):
+        return full, coeffs
+    basis = full.restrict(kept)
+    if cfg.init_type == "coefficients":
+        return basis, coeffs[np.isin(full.classes, list(kept))]
+    return basis, initial_coefficients(cfg, basis)
+
+
 @functools.lru_cache(maxsize=1)
 def _run_basis(domain: Domain, degree: int) -> Basis:
     """The basis of the last run, reused while (domain, degree) stays the same.
@@ -334,23 +403,25 @@ def _run_basis(domain: Domain, degree: int) -> Basis:
 def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     """Execute a scenario: build, integrate, record, and write the CSV output.
 
-    The basis, with everything cached on it, is shared with the previous run
+    The run steps the restriction of the basis to the classes it can reach
+    (see the module docstring), and the series names them (classes).  The
+    basis, with everything cached on it, is shared with the previous run
     when that had the same domain and degree.  On blow-up the partial series
     is written to the configured output path before BlowUpError is raised
     (with the series attached).
     """
     cfg.validate()
     domain = cfg.domain()
-    basis = _run_basis(domain, cfg.degree)
-
     bc_data = (_poincare_data(domain, cfg.eps_p)
                if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
+    basis, coeffs = _stepped_basis(cfg, _run_basis(domain, cfg.degree), bc_data)
+
     bc = BoundaryCondition(cfg.bc_form, bc_data)
     ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p)
 
     ctx = diagnostics.shared_context(basis, bc_data)
 
-    state = State(t=0.0, coeffs=initial_coefficients(cfg, basis))
+    state = State(t=0.0, coeffs=coeffs)
     # a forced run from rest grows towards c_P and a kicked one jumps by the kick; a zero
     # state with neither stays zero
     kick = abs(_or_zero(cfg.restart_omega)) * float(np.linalg.norm(rotation_projection(basis)[0]))
@@ -363,7 +434,8 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     restart_step = (int(round(cfg.restart_time / cfg.dt))
                     if cfg.restart_time is not None else None)
 
-    series = diagnostics.TimeSeries(records=[], dt=cfg.dt, restart_time=cfg.restart_time)
+    series = diagnostics.TimeSeries(records=[], dt=cfg.dt, restart_time=cfg.restart_time,
+                                    classes=tuple(basis.members))
 
     project = None
     if cfg.constraint_mode is not None:

@@ -13,14 +13,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import diagnostics
-from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields,
-                    exact_row_failures, load_basis, poincare_field, poincare_obstacle,
-                    project_fields, reference_projection, rotation_projection)
+from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, load_basis,
+                    poincare_field, poincare_obstacle, project_fields, reference_projection,
+                    rotation_projection)
 from .geometry import Domain, half_monomial_integral, monomial_integral, surface_rule
 from .operators import (BoundaryCondition, advection_term, assemble, momentum_coupling_identity,
                         residual)
 from .spectral import class_label, neutral_modes
-from .timestepper import State, integrate
+from .timestepper import (ScenarioConfig, State, initial_coefficients, integrate,
+                          reachable_classes)
 
 # shifts omega of the steady family u_P + omega (e_z x x) and its residual bound
 STEADY_SWEEP = (0.0, 0.025, -0.025, 0.1, -0.1, 1.0)
@@ -81,11 +82,11 @@ def _geometry_checks(results, label, domain):
 
 
 def _basis_checks(results, label, domain, basis: Basis):
-    """Checks on an exact basis: both constraints are proved on its integer rows, and a
-    failure names the first field that breaks each."""
+    """Checks on an exact basis: both constraints are proved on its integer rows (the
+    build's proof, Basis.row_failures), and a failure names the first field that breaks each."""
     ctx = f"domain={label} N={basis.degree}"
-    failures = exact_row_failures(domain, basis.degree, basis.rows[0])
-    for name, (what, bad) in zip(("basis.divergence_free", "basis.tangency"), failures.items()):
+    for name, (what, bad) in zip(("basis.divergence_free", "basis.tangency"),
+                                 basis.row_failures.items()):
         _check(results, name, ctx, bad is None,
                "" if bad is None else f"basis field {bad} is not exactly {what}")
     _check(results, "basis.gram_identity", ctx,
@@ -204,9 +205,50 @@ def _dynamics_checks(results, label, basis):
            f"dev {dev:.2e}")
 
 
+def _unreached_classes_check(results, label, basis, n_steps=100):
+    """The forced, precessing run of timestepper.run's reachable classes, stepped on the
+    whole basis: every field outside G stays exactly 0 at every step.
+
+    G is reachable_classes of a poincare_stress run at eps_p = 0.25 from
+    u_P + 0.025 e_z x x, the set-up of the bundled poincare configs.
+    """
+    ctx = f"domain={label} N={basis.degree}"
+    cfg = ScenarioConfig(degree=basis.degree, bc_form="poincare_stress", nu_inverse=0.024,
+                         eps_p=0.25, init_type="poincare_plus_rotation", init_omega=0.025,
+                         dt=0.01, t_end=n_steps * 0.01, record_every=n_steps * 0.01,
+                         beta=basis.domain.beta)
+    u_p = poincare_field(basis.domain.beta, Fraction(1, 4))
+    coeffs = initial_coefficients(cfg, basis)
+    group = reachable_classes(cfg, basis, coeffs, u_p)
+    outside = set(basis.members) - set(group)
+    if not outside:
+        _check(results, "timestepper.unreached_classes_zero", ctx, True,
+               f"G {class_label(group)} holds every class present, {class_label(basis.members)}")
+        return
+    mask = np.isin(basis.classes, list(outside))
+    worst = 0.0
+
+    def watch(st):
+        nonlocal worst
+        worst = max(worst, float(np.max(np.abs(st.coeffs[mask]))))
+
+    ops = assemble(basis, BoundaryCondition("poincare_stress", u_p), nu=1.0 / cfg.nu_inverse,
+                   eps_p=cfg.eps_p)
+    integrate(State(0.0, coeffs), ops, cfg.dt, n_steps, callback=watch)
+    _check(results, "timestepper.unreached_classes_zero", ctx, worst == 0.0,
+           f"G {class_label(group)}; classes {class_label(outside)} max |c| {worst:.1e} "
+           f"over {n_steps} steps")
+
+
 def run_battery(degrees=(1, 2, 4), basis_file: str | None = None) -> list[CheckResult]:
-    """Run every module's invariant checks; returns one result per check."""
+    """Run every module's invariant checks; returns one result per check.
+
+    The dynamics checks run on the spheroid at the smallest degree, and the
+    unreached-classes check at the smallest degree >= 2 (at N = 1 every class
+    present lies in G), or at N = 1 when no other degree is listed.
+    """
     results: list[CheckResult] = []
+    subspace_degree = min((d for d in degrees if d >= 2), default=min(degrees))
     for label, domain in DOMAINS:
         _geometry_checks(results, label, domain)
     for label, domain in DOMAINS:
@@ -217,6 +259,8 @@ def run_battery(degrees=(1, 2, 4), basis_file: str | None = None) -> list[CheckR
             _spectral_checks(results, label, basis)
             if label == "spheroid" and degree == min(degrees):
                 _dynamics_checks(results, label, basis)
+            if label == "spheroid" and degree == subspace_degree:
+                _unreached_classes_check(results, label, basis)
     if basis_file is not None:
         results.extend(check_basis_file(basis_file))
     return results

@@ -5,7 +5,9 @@ builds a State per step and integrate() calls it, run() passes a per-step
 closure that projects, kicks and records, and the projection picks its
 functional and tests it for degeneracy on every call.  The loop in
 timestepper steps in chunks between records instead; every CSV byte and
-every BlowUpError message must stay the same.
+every BlowUpError message must stay the same.  The reference steps the
+basis that run steps, the restriction to the classes the run can reach
+(timestepper._stepped_basis), from the same initial coefficients.
 """
 
 import dataclasses
@@ -19,8 +21,7 @@ import scipy.linalg
 from precessflow import diagnostics, timestepper
 from precessflow.basis import build_basis, rotation_projection
 from precessflow.operators import BoundaryCondition, advection_term, assemble
-from precessflow.timestepper import (BlowUpError, ScenarioConfig, State, initial_coefficients,
-                                     integrate, run, step)
+from precessflow.timestepper import BlowUpError, ScenarioConfig, State, integrate, run, step
 
 from conftest import get_basis, get_ops
 
@@ -89,13 +90,15 @@ def reference_projection(state, mode, ctx):
 def reference_run(cfg):
     cfg.validate()
     domain = cfg.domain()
-    basis = timestepper._run_basis(domain, cfg.degree)
     bc_data = (timestepper._poincare_data(domain, cfg.eps_p)
                if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
+    # the basis of the classes the run can reach, as run steps it
+    basis, coeffs = timestepper._stepped_basis(cfg, timestepper._run_basis(domain, cfg.degree),
+                                               bc_data)
     ops = assemble(basis, BoundaryCondition(cfg.bc_form, bc_data), nu=1.0 / cfg.nu_inverse,
                    eps_p=cfg.eps_p)
     ctx = diagnostics.shared_context(basis, bc_data)
-    state = State(t=0.0, coeffs=initial_coefficients(cfg, basis))
+    state = State(t=0.0, coeffs=coeffs)
     kick = (abs(timestepper._or_zero(cfg.restart_omega))
             * float(np.linalg.norm(rotation_projection(basis)[0])))
     max_norm = timestepper.BLOWUP_FACTOR * max(float(np.linalg.norm(state.coeffs)),

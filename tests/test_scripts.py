@@ -75,12 +75,17 @@ def test_output_digests_repeat_and_see_one_ulp(monkeypatch, tmp_path, capsys):
 
     def digests():
         assert script.main(["--degrees", "1,2"]) == 0
-        return dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+        return dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
 
     first = digests()
     assert digests() == first
     assert list(first) == sorted(first) and "config/kick.cfg" in first
-    assert all(len(value) == 64 for value in first.values())
+    # one line of stepped classes per run: at N = 2 the kick and the Coriolis shift reach
+    # G = {0, 3, 5, 6}, whose classes present are 3, 5 and 6; the N = 3 runs step all four
+    stepped = {label: value for label, value in first.items() if label.startswith("run:")}
+    assert stepped == {"run:kick.cfg": "classes 3,5,6",
+                       **{f"run:{name}": "classes 0,3,5,6" for name in script.RUNS}}
+    assert all(len(value) == 64 for label, value in first.items() if label not in stepped)
     runs = {label for label in first if label.startswith("run/")}
     assert runs == {f"run/{name}" for name in script.RUNS} and len(runs) == 4
     # one ulp on the inhomogeneous forcing changes the spheroid's F_bc lines, the

@@ -435,6 +435,14 @@ def built(monkeypatch):
     timestepper._run_basis.cache_clear()
 
 
+def stepped(built, series):
+    """The basis the run of series stepped: the restriction kept on the one basis built."""
+    (full,) = built
+    basis = full.restrict(series.classes)
+    assert basis is not full and basis is full.restrict(series.classes)
+    return basis
+
+
 @pytest.fixture
 def set_up_calls(monkeypatch):
     """Running counts of the set-up work of runs: factorizations, contexts, surface rules, projections."""
@@ -467,7 +475,9 @@ def set_up_per_run(counts, configs):
     return per_run
 
 
-COLD_SET_UP = dict(lu_factor=3, context=1, surface_rule=1, project=2)
+# a cold run projects its initial fields, u_P and e_z x x, on the full basis to find the
+# classes it can reach, and again on the restriction it steps (see stepped)
+COLD_SET_UP = dict(lu_factor=3, context=1, surface_rule=1, project=4)
 WARM_SET_UP = dict.fromkeys(COLD_SET_UP, 0)
 
 
@@ -501,14 +511,20 @@ class TestRunBasisMemo:
             assert (built[-1].domain, built[-1].degree) == (cfg.domain(), cfg.degree)
 
     def test_no_dense_tensor_or_fraction_fields_on_the_run_path(self, tmp_path, built):
-        run(twin_config(+1, "rot_momentum", tmp_path / "run.csv"))
-        basis = built[0]
+        basis = stepped(built, run(twin_config(+1, "rot_momentum", tmp_path / "run.csv")))
         assert "T" in basis._assembly_cache and "T_dense" not in basis._assembly_cache
         ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
         blocks, pack = ops.T_blocks, ops.T_packed
         assert sum(b.size for b in blocks.values()) < basis.dim ** 3
         assert all(a.size < basis.dim ** 3 for a in pack)
-        assert "fields" not in vars(basis)
+        assert "fields" not in vars(basis) and "fields" not in vars(built[0])
+
+    def test_the_full_basis_only_projects_the_initial_fields(self, tmp_path, built):
+        # no operator, factorization or context: they are the stepped basis's
+        series = run(twin_config(+1, "rot_momentum", tmp_path / "run.csv"))
+        assert series.classes == (0, 3, 5, 6)
+        assert sorted(built[0]._assembly_cache) == sorted(["restrict", "u_P", "e_z x x"])
+        assert "grad" not in vars(built[0])
 
     def test_a_warm_twin_run_sets_up_only_its_forcing_vector(self, tmp_path, built,
                                                             set_up_calls):
@@ -553,17 +569,19 @@ class TestRunBasisMemo:
 
     def test_a_dt_sweep_keeps_one_entry_of_each_kind(self, tmp_path, built):
         for dt in (0.01, 0.02, 0.025, 0.05, 0.1):
-            run(twin_config(+1, "rot_momentum", tmp_path / "run.csv", dt=dt))
-        cache = built[0]._assembly_cache
+            series = run(twin_config(+1, "rot_momentum", tmp_path / "run.csv", dt=dt))
+        assert sorted(built[0]._assembly_cache) == sorted(["restrict", "u_P", "e_z x x"])
+        cache = stepped(built, series)._assembly_cache
         assert sorted(cache) == sorted(["core", "C_x", "T", "lu", "context", "u_P", "e_z x x"])
         assert cache["lu"][0][0] == 0.1
 
     def test_the_shared_run_set_up_is_read_only(self, tmp_path, built):
-        run(twin_config(+1, "rot_momentum", tmp_path / "run.csv"))
-        cache = built[0]._assembly_cache
+        basis = stepped(built, run(twin_config(+1, "rot_momentum", tmp_path / "run.csv")))
+        cache = basis._assembly_cache
         ctx = cache["context"][1]
         arrays = [a for lu_piv in cache["lu"][1] for a in lu_piv]
-        arrays += [cache["u_P"][1][0], cache["e_z x x"][0], built[0].values, built[0].grad]
+        arrays += [cache["u_P"][1][0], cache["e_z x x"][0], basis.values, basis.grad]
+        arrays += [basis.coeff_array, basis.classes, basis.gram, *basis.rows]
         arrays += [ctx.c_p, ctx.c_rot_dir, ctx.functionals, ctx.offsets,
                    ctx.rule.points, ctx.rule.weights]
         assert not any(a.flags.writeable for a in arrays)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from precessflow import diagnostics, monomials, operators
+from precessflow import basis as basis_module
+from precessflow import cli, diagnostics, monomials, operators, verification
 from precessflow.basis import Basis
 from precessflow.diagnostics import SURFACE_ORDER
 from precessflow.verification import _basis_checks, run_battery
@@ -67,3 +68,66 @@ def test_basis_checks_name_the_field_whose_row_breaks_one_identity(kind):
                                             f"[basis field {row} is not exactly {what}]")
         assert lines[f"basis.{kept}"] == f"PASS basis.{kept} {ctx}"
         assert [r.name for r in results if not r.ok] == [f"basis.{broken}"]
+
+
+def test_each_basis_is_proved_once(monkeypatch, tmp_path, capsys):
+    # the build's proof is kept on the basis (Basis.row_failures); verify and the basis
+    # command report it instead of proving the rows again
+    proofs = []
+    prove = basis_module.exact_row_failures
+
+    def counting(domain, degree, nums):
+        proofs.append((domain, degree))
+        return prove(domain, degree, nums)
+
+    monkeypatch.setattr(basis_module, "exact_row_failures", counting)
+    results = run_battery(degrees=(1, 2))
+    assert all(r.ok for r in results)
+    assert len(proofs) == 6 and len(set(proofs)) == 6
+    proofs.clear()
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("domain.beta = 9/16\nbasis.degree = 3\n")
+    assert cli.main(["basis", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS basis.divergence_free" in out and "PASS basis.tangency" in out
+    assert len(proofs) == 1
+
+
+@pytest.mark.parametrize("degrees, line", [
+    ((1,), "PASS timestepper.unreached_classes_zero domain=spheroid N=1  "
+           "[G 0 3 5 6 holds every class present, 3 5 6]"),
+    ((1, 3, 2), "PASS timestepper.unreached_classes_zero domain=spheroid N=2  "
+                "[G 0 3 5 6; classes 1 2 4 7 max |c| 0.0e+00 over 100 steps]"),
+])
+def test_unreached_classes_line_runs_at_the_smallest_degree_from_2(degrees, line):
+    lines = [r.line() for r in run_battery(degrees=degrees)
+             if r.name == "timestepper.unreached_classes_zero"]
+    assert lines == [line]
+
+
+def test_unreached_classes_line_fails_when_g_misses_a_reached_class(monkeypatch):
+    # without the Coriolis shift, G = {0, 3}: classes 5 and 6 are reached all the same
+    monkeypatch.setattr(verification, "reachable_classes", lambda *args: (0, 3))
+    results = []
+    verification._unreached_classes_check(results, "spheroid", get_basis("spheroid", 2))
+    (result,) = results
+    assert not result.ok
+    assert result.line().startswith("FAIL timestepper.unreached_classes_zero domain=spheroid "
+                                    "N=2  [G 0 3; classes 1 2 4 5 6 7 max |c| ")
+
+
+def test_unreached_classes_line_sees_one_tiny_coefficient(monkeypatch):
+    # a 1e-30 seed in class 1 that G leaves out must fail the line: the check is exact
+    initial = verification.initial_coefficients
+
+    def seeded(cfg, basis):
+        coeffs = initial(cfg, basis).copy()
+        coeffs[basis.members[1][0]] = 1e-30
+        return coeffs
+
+    monkeypatch.setattr(verification, "initial_coefficients", seeded)
+    monkeypatch.setattr(verification, "reachable_classes", lambda *args: (0, 3, 5, 6))
+    results = []
+    verification._unreached_classes_check(results, "spheroid", get_basis("spheroid", 2))
+    (result,) = results
+    assert not result.ok and "classes 1 2 4 7 max |c| " in result.line()

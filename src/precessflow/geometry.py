@@ -1,10 +1,10 @@
 """Ellipsoidal container geometry: exact volume integrals and the quadrature rules.
 
 Volume integrals of monomials over the ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 < 1
-have a closed form in half-integer Gamma functions, computed as (exact
-rational) * pi * (product of axes) with one final floating conversion.  They
-serve the odd-in-z part of the hemispheric Grams, the one form that is not
-even in x, y and z, and exact references.  Every other form of the basis
+have a closed form in half-integer Gamma functions: pi times a rational times
+powers of the axes, formed as one unreduced pair of Python ints and divided
+once, which rounds correctly.  They serve the odd-in-z part of the hemispheric
+Grams, the one form that is not even in x, y and z, and exact references.  Every other form of the basis
 fields (see basis) has an integrand even in x, y and z, which the
 octant rule integrates exactly from the nodes with x, y, z > 0 alone, weights
 times 8: a Gauss product rule for the ball (Stroud, Approximate Calculation
@@ -143,31 +143,31 @@ class Domain:
         return f"Domain(a={self.a!r}, b={self.b!r}, c={self.c!r}, kind={self.kind!r})"
 
 
-@lru_cache(maxsize=None)
-def _gamma_half_ratio(k: int) -> Fraction:
-    """Gamma(k + 1/2) / sqrt(pi) = (2k)! / (4^k k!)."""
-    return Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
+def _times_axes(num: int, den: int, powers, domain: Domain) -> float:
+    """pi (num / den) a^P b^Q c^R for powers (P, Q, R), with one division of Python ints.
 
-
-@lru_cache(maxsize=4096)
-def _ball_monomial_fraction(p: int, q: int, r: int) -> Fraction:
-    """Integral of x^p y^q z^r over the unit ball, divided by pi (even exponents)."""
-    k1, k2, k3 = p // 2, q // 2, r // 2
-    num = _gamma_half_ratio(k1) * _gamma_half_ratio(k2) * _gamma_half_ratio(k3)
-    return num / _gamma_half_ratio(k1 + k2 + k3 + 2)
-
-
-@lru_cache(maxsize=4096)
-def _half_ball_odd_fraction(p: int, q: int, r: int) -> Fraction:
-    """Northern-half integral of x^p y^q z^r over the unit ball, divided by pi.
-
-    Requires p, q even and r odd; from the hemisphere surface moment formula
-    integrated radially.
+    With exact axes the whole rational is one unreduced pair of ints.  With an
+    irrational axis the squares carry the even part of each power and the
+    float axes, multiplied in after the division in the order a, b, c, the odd
+    part.  A division of ints is correctly rounded, as Fraction.__float__ is,
+    so the value is float(Fraction(num, den) * ...) to the last bit.
     """
-    k1, k2 = p // 2, q // 2
-    n = (r + 1) // 2
-    num = _gamma_half_ratio(k1) * _gamma_half_ratio(k2) * math.factorial(n - 1)
-    return num / (2 * math.factorial(k1 + k2 + n + 1))
+    if domain.axes_exact is not None:
+        for axis, power in zip(domain.axes_exact, powers):
+            num *= axis.numerator ** power
+            den *= axis.denominator ** power
+        return num / den * math.pi
+    odd = []
+    for square, axis, power in zip((domain.a2, domain.b2, domain.c2),
+                                   (domain.a, domain.b, domain.c), powers):
+        num *= square.numerator ** (power // 2)
+        den *= square.denominator ** (power // 2)
+        if power % 2:
+            odd.append(axis)
+    value = num / den
+    for axis in odd:
+        value *= axis
+    return value * math.pi
 
 
 def monomial_integral(p: int, q: int, r: int, domain: Domain) -> float:
@@ -175,24 +175,30 @@ def monomial_integral(p: int, q: int, r: int, domain: Domain) -> float:
 
     Zero when any exponent is odd; otherwise
     a^(p+1) b^(q+1) c^(r+1) * Gamma((p+1)/2) Gamma((q+1)/2) Gamma((r+1)/2)
-    / Gamma((p+q+r+3)/2 + 1), evaluated in exact rational arithmetic with one
-    final float conversion (validated against a Monte Carlo oracle in the
-    test suite).
+    / Gamma((p+q+r+3)/2 + 1), which is pi a^(p+1) b^(q+1) c^(r+1) times
+    the rational 16 p! q! r! k! / ((p/2)! (q/2)! (r/2)! (2k)!), k = (p+q+r)/2 + 2.
+    That rational is formed as an unreduced pair of Python ints and divided
+    once (_times_axes), correctly rounded (validated against a Monte Carlo
+    oracle and, bit for bit, against the Fraction formula in the test suite).
     """
     if min(p, q, r) < 0:
         raise ValueError("exponents must be nonnegative")
     if (p | q | r) & 1:
         return 0.0
-    rational = (_ball_monomial_fraction(p, q, r)
-                * domain.a2 ** (p // 2) * domain.b2 ** (q // 2) * domain.c2 ** (r // 2))
-    if domain.axes_exact is not None:
-        fa, fb, fc = domain.axes_exact
-        return float(rational * fa * fb * fc) * math.pi
-    return float(rational) * domain.a * domain.b * domain.c * math.pi
+    f = math.factorial
+    k = (p + q + r) // 2 + 2
+    return _times_axes(16 * f(p) * f(q) * f(r) * f(k), f(p // 2) * f(q // 2) * f(r // 2) * f(2 * k),
+                       (p + 1, q + 1, r + 1), domain)
 
 
 def half_monomial_integral(p: int, q: int, r: int, domain: Domain, hemisphere: str) -> float:
-    """Integral of x^p y^q z^r over the half-ellipsoid z > 0 (north) or z < 0 (south)."""
+    """Integral of x^p y^q z^r over the half-ellipsoid z > 0 (north) or z < 0 (south).
+
+    Half the full integral for even r.  For odd r, from the hemisphere surface
+    moment formula integrated radially, the north integral is
+    pi a^(p+1) b^(q+1) c^(r+1) times p! q! (n-1)! / (2^(p+q+1) (p/2)! (q/2)!
+    (p/2 + q/2 + n + 1)!), n = (r+1)/2, formed and divided as monomial_integral's.
+    """
     if hemisphere not in ("north", "south"):
         raise ValueError("hemisphere must be 'north' or 'south'")
     if min(p, q, r) < 0:
@@ -201,13 +207,11 @@ def half_monomial_integral(p: int, q: int, r: int, domain: Domain, hemisphere: s
         return 0.0
     if r % 2 == 0:
         return 0.5 * monomial_integral(p, q, r, domain)
-    rational = (_half_ball_odd_fraction(p, q, r)
-                * domain.a2 ** (p // 2) * domain.b2 ** (q // 2) * domain.c2 ** ((r + 1) // 2))
-    if domain.axes_exact is not None:
-        fa, fb, _ = domain.axes_exact
-        value = float(rational * fa * fb) * math.pi
-    else:
-        value = float(rational) * domain.a * domain.b * math.pi
+    f = math.factorial
+    n = (r + 1) // 2
+    value = _times_axes(f(p) * f(q) * f(n - 1),
+                        f(p // 2) * f(q // 2) * f((p + q) // 2 + n + 1) << (p + q + 1),
+                        (p + 1, q + 1, r + 1), domain)
     return value if hemisphere == "north" else -value
 
 

@@ -13,12 +13,13 @@ of a kernel ("sym" or "grad"); K_N always excludes the strain-rate kernel.
 The eigenproblem is solved per reflection class.  Every volume form vanishes
 between fields of different classes (see basis), so A and M are block-diagonal
 on the class blocks of Basis.members, and one eigh per block gives the
-spectrum.  Bit a of a class is set when its fields flip sign under
-x_a -> -x_a; the rotation e_a x x is odd in the two axes other than a, so it
-lies in class 6 (a = x), 5 (a = y) or 3 (a = z).  Each kernel field thus
-carries the class of the one rotation it can be, and the 3/1/0 check asks for
-classes (3, 5, 6) on a sphere, (3,) on a z-spheroid and none on a triaxial
-ellipsoid.
+spectrum.  Each report is kept on its basis, so each stiffness is solved
+once per basis, and K_N reads the strain-rate report.  Bit a of a class is
+set when its fields flip sign under x_a -> -x_a; the rotation e_a x x is odd
+in the two axes other than a, so it lies in class 6 (a = x), 5 (a = y) or 3
+(a = z).  Each kernel field thus carries the class of the one rotation it can
+be, and the 3/1/0 check asks for classes (3, 5, 6) on a sphere, (3,) on a
+z-spheroid and none on a triaxial ellipsoid.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ TOL_KERNEL = 1e-10
 @dataclass
 class KernelReport:
     kernel_dim: int
-    kernel_fields: list
+    kernel_fields: tuple     # read-only vectors, like eigenvalues: the report is shared
     eigenvalues: np.ndarray
     kernel_classes: tuple   # reflection class of each kernel field
 
@@ -82,10 +83,16 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
     ``stiffness`` is "sym" (A = A_sym, strain rate) or "grad" (A = A_grad, gradient).
     One eigh per class block of the basis: an eigenvector of class P's block is zero
     off the rows of class P, and the merged eigenvalues are sorted stably.  A kernel
-    vector that fails A k = 0 raises InvariantError (CLI exit 3).
+    vector that fails A k = 0 raises InvariantError (CLI exit 3).  A, like M, is the
+    basis's shared core matrix, so the report is kept on the basis (Basis.cached),
+    read-only: each stiffness is solved once per basis.
     """
     if stiffness not in ("sym", "grad"):
         raise ValueError("stiffness must be 'sym' or 'grad'")
+    return ops.basis.cached(f"kernel {stiffness}", lambda basis: _kernel_report(ops, stiffness))
+
+
+def _kernel_report(ops: OperatorSet, stiffness: str) -> KernelReport:
     a_mat = ops.A_sym if stiffness == "sym" else ops.A_grad
     eigvals = np.empty(ops.dim)
 
@@ -100,11 +107,13 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
     scale = max(float(eigvals[-1]), 0.0)
     cut = TOL_KERNEL * scale if scale > 0 else TOL_KERNEL
     kernel_mask = eigvals < cut
-    kernel_fields = [eigvecs[:, i].copy() for i in np.nonzero(kernel_mask)[0]]
+    kernel_fields = tuple(eigvecs[:, i].copy() for i in np.nonzero(kernel_mask)[0])
     for vec in kernel_fields:
         res = np.linalg.norm(a_mat @ vec)
         if res > cut * np.linalg.norm(vec) * 10:
             raise InvariantError("claimed kernel vector fails A k = 0")
+    for arr in (eigvals, *kernel_fields):
+        arr.flags.writeable = False
     return KernelReport(
         kernel_dim=int(kernel_mask.sum()),
         kernel_fields=kernel_fields,
@@ -113,29 +122,26 @@ def viscous_kernel(ops: OperatorSet, stiffness: str) -> KernelReport:
     )
 
 
-def _coercivity(report: KernelReport, degree: int) -> CoercivityResult:
-    """K_N from a strain-rate kernel report: half its first eigenvalue above the kernel."""
-    first = report.kernel_dim
-    # a kernel spanning the whole space leaves the infimum over nothing
-    k_n = (float(report.eigenvalues[first]) / 2.0 if first < len(report.eigenvalues)
-           else float("inf"))
-    return CoercivityResult(K_N=k_n, excluded_subspace=f"viscous kernel (dim {first})",
-                            degree=degree)
-
-
 def coercivity_constant(ops: OperatorSet, exclusion="kernel") -> CoercivityResult:
     """K_N = min of  x.A_sym x / (2 x.M x)  over the M-orthogonal complement of the kernel.
 
     The eigenvectors above the kernel span that complement, so the minimum is
-    the first eigenvalue there.  ``exclusion`` names the excluded subspace and
-    must be "kernel": without the exclusion the quotient vanishes on a
-    nontrivial kernel, and on an empty one the two coincide.
+    half the first eigenvalue there, read from the basis's strain-rate report
+    (viscous_kernel), solved once per basis.  ``exclusion`` names the excluded
+    subspace and must be "kernel": without the exclusion the quotient vanishes
+    on a nontrivial kernel, and on an empty one the two coincide.
     A_sym carries 2 int eps:eps, hence the factor 1/2 to match
     int |eps(v)|^2 / int v^2.
     """
     if exclusion != "kernel":
         raise ValueError("exclusion must be 'kernel'")
-    return _coercivity(viscous_kernel(ops, stiffness="sym"), ops.basis.degree)
+    report = viscous_kernel(ops, stiffness="sym")
+    first = report.kernel_dim
+    # a kernel spanning the whole space leaves the infimum over nothing
+    k_n = (float(report.eigenvalues[first]) / 2.0 if first < len(report.eigenvalues)
+           else float("inf"))
+    return CoercivityResult(K_N=k_n, excluded_subspace=f"viscous kernel (dim {first})",
+                            degree=ops.basis.degree)
 
 
 def neutral_modes(basis) -> NeutralModes:
@@ -151,5 +157,5 @@ def neutral_modes(basis) -> NeutralModes:
     grad = viscous_kernel(ops, stiffness="grad")
     expected = NEUTRAL_MODE_CLASSES[basis.domain.kind]
     strain_ok, gradient_ok = tuple(sorted(sym.kernel_classes)) == expected, grad.kernel_dim == 0
-    return NeutralModes(sym, grad, _coercivity(sym, basis.degree), expected,
+    return NeutralModes(sym, grad, coercivity_constant(ops), expected,
                         strain_ok, gradient_ok, strain_ok and gradient_ok)

@@ -54,7 +54,10 @@ that instability: it needs a seed in {1, 2, 4, 7}, which steps the full
 basis.  At N = 5 the restriction keeps 53 of 85 fields and a
 twin_proj_n5-like step takes about 30-44 us against 54-81 us, the advection
 16-17 us against 28-38 us (2-vCPU x86-64 host, one process, 5 timings).
-A coefficients file keeps the full basis's dimension: it is read on the
+The classes of a projected initial state are those of the fields it adds
+with a nonzero amplitude (projected_classes): a projection keeps each
+field's classes, so G is known before anything is projected.  A
+coefficients file keeps the full basis's dimension: it is read on the
 full basis and sliced to the stepped one.  The CSV is computed on the
 stepped basis; it differs from the full basis's only by the round-off of
 shorter sums (fig2_poincare.cfg's is byte-identical).
@@ -66,7 +69,7 @@ assembly cache, and the restriction kept on it shares its own: the core
 matrices, C_x, the advection blocks and pack, the LU factors, the
 diagnostics context and the projections of e_z x x and u_P are each formed
 once, and a warm run forms only the forcing vector.  The full basis itself
-only projects the initial fields, to find G.  The
+forms nothing but the restriction (and reads a coefficients file).  The
 cache keeps one entry of each kind, replaced when its key changes, so a
 sweep over dt or nu holds one set of factors.  The shared arrays are
 read-only; nothing on the run path forms the dense T or Basis.fields.
@@ -86,7 +89,8 @@ from scipy.linalg.lapack import dgetrs
 
 from . import diagnostics
 from .basis import (REFERENCE_RESIDUAL_TOL, Basis, build_basis, class_subgroup, field_classes,
-                    poincare_field, poincare_obstacle, reference_projection, rotation_projection)
+                    poincare_field, poincare_obstacle, reference_projection, rotation_projection,
+                    solid_rotation)
 from .geometry import Domain
 from .operators import (_ROTATION_CLASSES, BC_FORMS, BoundaryCondition, OperatorSet,
                         advection_term, assemble)
@@ -350,20 +354,38 @@ def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
     return data
 
 
-def reachable_classes(cfg: ScenarioConfig, basis: Basis, coeffs: np.ndarray,
-                      bc_data) -> tuple[int, ...]:
-    """G, the reflection classes that the run of cfg from coeffs on basis can reach.
+def projected_classes(cfg: ScenarioConfig, basis: Basis) -> set[int]:
+    """The reflection classes of cfg's projected initial state on basis: those of the
+    fields it adds with a nonzero amplitude, u_P and e_z x x (field_classes).
 
-    G is the subgroup generated by the classes of the nonzero coeffs, of the
-    Poincare data bc_data (F_bc and c_P lie in them), of e_z x x when a kick
-    or a projection adds it, and, for eps_p != 0, of the Coriolis shift about
-    e_x, run's precession axis.  Advection maps classes P, Q to P ^ Q and
-    Coriolis P to P ^ shift, so the fields outside G stay exactly 0 (see the
-    module docstring).
+    A projection keeps each field's classes, so nothing is projected here.
     """
-    found = set(basis.classes[coeffs != 0].tolist())
+    if cfg.init_type == "coefficients":
+        raise ValueError("a coefficients file is not a projected initial state")
+    fields = []
+    if cfg.init_type in ("poincare", "poincare_plus_rotation"):
+        eps = cfg.init_eps_p if cfg.init_eps_p is not None else cfg.eps_p
+        fields.append(_poincare_data(basis.domain, eps))
+    amplitude = cfg.init_amplitude if cfg.init_type == "solid_rotation" else cfg.init_omega
+    if _or_zero(amplitude):     # e_z x x, alone or added to u_P
+        fields.append(solid_rotation((0, 0, 1)))
+    return set().union(*(field_classes(v, basis.degree) for v in fields))
+
+
+def reachable_classes(cfg: ScenarioConfig, found: set, bc_data, degree: int) -> tuple[int, ...]:
+    """G, the reflection classes that the run of cfg from an initial state in the classes
+    `found` can reach, for a basis of degree `degree`.
+
+    G is the subgroup generated by `found`, the classes of the Poincare data
+    bc_data (F_bc and c_P lie in them), of e_z x x when a kick or a projection
+    adds it, and, for eps_p != 0, of the Coriolis shift about e_x, run's
+    precession axis.  Advection maps classes P, Q to P ^ Q and Coriolis P to
+    P ^ shift, so the fields outside G stay exactly 0 (see the module
+    docstring).
+    """
+    found = set(found)
     if bc_data is not None:
-        found |= field_classes(bc_data, basis.degree)
+        found |= field_classes(bc_data, degree)
     if cfg.restart_time is not None or cfg.constraint_mode is not None:
         found.add(int(_ROTATION_CLASSES[2]))
     if cfg.eps_p != 0:
@@ -374,20 +396,23 @@ def reachable_classes(cfg: ScenarioConfig, basis: Basis, coeffs: np.ndarray,
 def _stepped_basis(cfg: ScenarioConfig, full: Basis, bc_data) -> tuple[Basis, np.ndarray]:
     """The basis that the run of cfg steps, and its initial coefficients there.
 
-    That is full.restrict(G) when G (reachable_classes, from the initial
-    coefficients on full) leaves out a class of full, else full itself; it is
-    full too when G holds no class of full, a zero state that nothing drives.
-    A coefficients file is read on full and sliced; a projected initial state
-    is projected on the restriction, as the diagnostics' c_P is.
+    That is full.restrict(G) when G (reachable_classes) leaves out a class of
+    full, else full itself; it is full too when G holds no class of full, a
+    zero state that nothing drives.  A coefficients file is read on full,
+    where its classes are those of its nonzero entries, and sliced; a
+    projected initial state (projected_classes) is projected on the stepped
+    basis alone, as the diagnostics' c_P is.
     """
-    coeffs = initial_coefficients(cfg, full)
-    kept = set(reachable_classes(cfg, full, coeffs, bc_data)) & set(full.members)
-    if not kept or kept == set(full.members):
-        return full, coeffs
-    basis = full.restrict(kept)
     if cfg.init_type == "coefficients":
-        return basis, coeffs[np.isin(full.classes, list(kept))]
-    return basis, initial_coefficients(cfg, basis)
+        coeffs = initial_coefficients(cfg, full)
+        found = set(full.classes[coeffs != 0].tolist())
+    else:
+        coeffs, found = None, projected_classes(cfg, full)
+    kept = set(reachable_classes(cfg, found, bc_data, full.degree)) & set(full.members)
+    basis = full if not kept or kept == set(full.members) else full.restrict(kept)
+    if coeffs is None:
+        return basis, initial_coefficients(cfg, basis)
+    return basis, coeffs if basis is full else coeffs[np.isin(full.classes, list(kept))]
 
 
 @functools.lru_cache(maxsize=1)

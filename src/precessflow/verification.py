@@ -21,7 +21,7 @@ from .operators import (BoundaryCondition, advection_term, assemble, momentum_co
                         residual)
 from .spectral import class_label, neutral_modes
 from .timestepper import (ScenarioConfig, State, initial_coefficients, integrate,
-                          reachable_classes)
+                          projected_classes, reachable_classes)
 
 # shifts omega of the steady family u_P + omega (e_z x x) and its residual bound
 STEADY_SWEEP = (0.0, 0.025, -0.025, 0.1, -0.1, 1.0)
@@ -219,7 +219,7 @@ def _unreached_classes_check(results, label, basis, n_steps=100):
                          beta=basis.domain.beta)
     u_p = poincare_field(basis.domain.beta, Fraction(1, 4))
     coeffs = initial_coefficients(cfg, basis)
-    group = reachable_classes(cfg, basis, coeffs, u_p)
+    group = reachable_classes(cfg, projected_classes(cfg, basis), u_p, basis.degree)
     outside = set(basis.members) - set(group)
     if not outside:
         _check(results, "timestepper.unreached_classes_zero", ctx, True,

@@ -1,5 +1,6 @@
 """Exact-rational referees: the constraint nullspace in Fraction arithmetic, the Fraction
-fields of an exact basis, and sampled entries of M, A_sym, C_x and T, and of mom and F_bc.
+fields of an exact basis, sampled entries of M, A_sym, C_x and T, and of mom and F_bc,
+the dense integer kernels of the exact build and the Fraction monomial integrals.
 
 The nullspace referee is a textbook Gauss-Jordan elimination over Fractions,
 one new object and one gcd per operation, with the reduced echelon form read
@@ -10,10 +11,17 @@ The field referee turns integer rows into Fraction polynomial fields, on
 which Polynomial3 arithmetic proves div v = 0 and tangency independently of
 the integer maps that the build's exact_row_failures runs.
 
+The dense kernels are the integer-row combination and the row proof as
+products of whole object arrays, zeros included (dense_combine_rows,
+dense_row_failures): the oracles the build's nonzero-only kernels must match
+entry for entry and first failing row for first failing row.  The integral
+oracles evaluate the closed forms of geometry.monomial_integral and
+half_monomial_integral in Fraction arithmetic with one float conversion.
+
 Every float coefficient of a basis is a binary rational m 2^-e, so field i is
 an integer coefficient array over one power of two.  Every monomial integral
 over an ellipsoid with rational semi-axes is pi times a rational
-(geometry._ball_monomial_fraction), so the integrals up to the degree of T
+(ball_monomial_fraction), so the integrals up to the degree of T
 are one integer table over a common denominator.  An entry is then an exact
 integer sum over the monomials its fields use, divided once and times pi:
 the value of the operator for the fields the basis really holds, free of the
@@ -28,8 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from precessflow import monomials
-from precessflow.basis import _constraint_rows, solid_rotation
-from precessflow.geometry import _ball_monomial_fraction
+from precessflow.basis import _constraint_rows, _shift_index, solid_rotation
 from precessflow.polynomials import Polynomial3, VectorField
 
 
@@ -129,6 +136,114 @@ def _integer_rows(coeff: np.ndarray):
     return ints, dens
 
 
+def dense_combine_rows(nums, dens, members: dict, q):
+    """The exact rows of q @ (nums / dens), q block diagonal by class, as dense products.
+
+    Per class block, the rows are brought over L, the lcm of their
+    denominators, and row i of q over 2^E_i, the largest denominator of its
+    floats (float.as_integer_ratio); the block is one object-array product
+    over the columns the class's rows use.
+    """
+    out = np.zeros((q.shape[0], nums.shape[1]), dtype=object)
+    out_dens = np.ones(q.shape[0], dtype=object)
+    for idx in members.values():
+        cols = np.flatnonzero(np.any(nums[idx] != 0, axis=0))
+        lcm = math.lcm(*dens[idx])
+        raw = nums[np.ix_(idx, cols)] * (lcm // dens[idx])[:, None]
+        scaled = []
+        for i, row in zip(idx, q[np.ix_(idx, idx)].tolist()):
+            ratios = [x.as_integer_ratio() for x in row]
+            scale = max(d for _, d in ratios)
+            scaled.append([m * (scale // d) for m, d in ratios])
+            out_dens[i] = scale * lcm
+        out[np.ix_(idx, cols)] = np.array(scaled, dtype=object).dot(raw)
+    return out, out_dens
+
+
+def dense_row_failures(domain, degree, nums) -> dict:
+    """exact_row_failures by dense object arrays: div v and K (v.grad(chi) - chi q) of every
+    row in full, K the lcm of chi's denominators; the first row with a nonzero of each."""
+    n = degree
+    dim_v = monomials.space_dim(n)
+    v = [nums[:, a * dim_v:(a + 1) * dim_v] for a in range(3)]
+    q = nums[:, 3 * dim_v:]
+
+    div = np.zeros((nums.shape[0], monomials.space_dim(n - 1)), dtype=object)
+    for a in range(3):
+        src, dst, mult = monomials.derivative_arrays(n, a)
+        div[:, dst] += v[a][:, src] * mult.astype(np.int64).astype(object)
+
+    chi = domain.chi.coeffs
+    k = math.lcm(*(c.denominator for c in chi.values()))
+    exps2 = [tuple(e) for e in monomials.exponents(2).tolist()]
+    kchi = np.array([int(chi.get(e, 0) * k) for e in exps2], dtype=object)
+    exps1 = monomials.exponents(1).tolist()
+    tan = np.zeros((nums.shape[0], monomials.space_dim(n + 1)), dtype=object)
+    for a in range(3):
+        src, dst, mult = monomials.derivative_arrays(2, a)
+        grad = np.zeros(len(exps1), dtype=object)
+        grad[dst] = kchi[src] * mult.astype(np.int64).astype(object)
+        for m in np.flatnonzero(grad != 0):
+            tan[:, _shift_index(n, exps1[m])] += v[a] * grad[m]
+    for m in np.flatnonzero(kchi != 0):
+        tan[:, _shift_index(n - 1, exps2[m])] -= q * kchi[m]
+
+    failures = {}
+    for what, residual in (("divergence free", div), ("tangent to the boundary", tan)):
+        bad = np.flatnonzero(np.any(residual != 0, axis=1))
+        failures[what] = int(bad[0]) if bad.size else None
+    return failures
+
+
+def _gamma_half_ratio(k: int) -> Fraction:
+    """Gamma(k + 1/2) / sqrt(pi) = (2k)! / (4^k k!)."""
+    return Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
+
+
+def ball_monomial_fraction(p: int, q: int, r: int) -> Fraction:
+    """Integral of x^p y^q z^r over the unit ball, divided by pi (even exponents)."""
+    k1, k2, k3 = p // 2, q // 2, r // 2
+    num = _gamma_half_ratio(k1) * _gamma_half_ratio(k2) * _gamma_half_ratio(k3)
+    return num / _gamma_half_ratio(k1 + k2 + k3 + 2)
+
+
+def half_ball_odd_fraction(p: int, q: int, r: int) -> Fraction:
+    """Northern-half integral of x^p y^q z^r over the unit ball, divided by pi (p, q even,
+    r odd)."""
+    k1, k2 = p // 2, q // 2
+    n = (r + 1) // 2
+    num = _gamma_half_ratio(k1) * _gamma_half_ratio(k2) * math.factorial(n - 1)
+    return num / (2 * math.factorial(k1 + k2 + n + 1))
+
+
+def fraction_monomial_integral(p: int, q: int, r: int, domain) -> float:
+    """geometry.monomial_integral in Fraction arithmetic, one float conversion."""
+    if (p | q | r) & 1:
+        return 0.0
+    rational = (ball_monomial_fraction(p, q, r)
+                * domain.a2 ** (p // 2) * domain.b2 ** (q // 2) * domain.c2 ** (r // 2))
+    if domain.axes_exact is not None:
+        fa, fb, fc = domain.axes_exact
+        return float(rational * fa * fb * fc) * math.pi
+    return float(rational) * domain.a * domain.b * domain.c * math.pi
+
+
+def fraction_half_monomial_integral(p: int, q: int, r: int, domain, hemisphere: str) -> float:
+    """geometry.half_monomial_integral in Fraction arithmetic, one float conversion."""
+    if (p & 1) or (q & 1):
+        return 0.0
+    if r % 2 == 0:
+        return 0.5 * fraction_monomial_integral(p, q, r, domain)
+    rational = (half_ball_odd_fraction(p, q, r)
+                * domain.a2 ** (p // 2) * domain.b2 ** (q // 2) * domain.c2 ** ((r + 1) // 2))
+    if domain.axes_exact is not None:
+        fa, fb, _ = domain.axes_exact
+        value = float(rational * fa * fb) * math.pi
+    else:
+        value = float(rational) * domain.a * domain.b * math.pi
+    return value if hemisphere == "north" else -value
+
+
 class Referee:
     def __init__(self, basis):
         domain, n = basis.domain, basis.degree
@@ -146,7 +261,7 @@ class Referee:
             for q in range(0, self.span - p, 2):
                 for r in range(0, self.span - p - q, 2):
                     table[(p * self.span + q) * self.span + r] = (
-                        _ball_monomial_fraction(p, q, r) * domain.a2 ** (p // 2)
+                        ball_monomial_fraction(p, q, r) * domain.a2 ** (p // 2)
                         * domain.b2 ** (q // 2) * domain.c2 ** (r // 2) * fa * fb * fc)
         self.lcm = math.lcm(*(v.denominator for v in table.values()))
         self.table = np.zeros(self.span ** 3, dtype=object)

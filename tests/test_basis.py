@@ -21,8 +21,9 @@ from precessflow.operators import BoundaryCondition, assemble
 from precessflow.polynomials import Polynomial3, VectorField
 
 from conftest import DOMAINS, MALFORMED_EXPORTS, get_basis, import_error, malformed_export
-from exact_referee import (exact_fields, exact_nullspace, fields_from_vectors,
-                           fraction_nullspace, vectors_to_rows)
+from exact_referee import (dense_combine_rows, dense_row_failures, exact_fields,
+                           exact_nullspace, fields_from_vectors, fraction_nullspace,
+                           vectors_to_rows)
 
 # dimension of the constrained space, from the exact nullspace (regression;
 # empirically N (N+1) (2N+7) / 6, identical across domain kinds)
@@ -797,6 +798,73 @@ class TestExactRowCheck:
         monkeypatch.setattr(basis_module, "_combine_rows", corrupted)
         with pytest.raises(InvariantError, match="basis field 4 is not exactly"):
             build_basis(DOMAINS["triaxial"], 3)
+
+
+def _both_passes(kind, degree):
+    """The raw rows (nums, dens), their class partition and the two combinations q that a
+    build can apply: the first pass and the polish pass's product of triangles."""
+    nums, dens = _raw_rows_exact(DOMAINS[kind], degree)
+    raw = Basis(DOMAINS[kind], degree, _rows_to_float(nums, dens, degree))
+    q = _by_class(_orthonormal_coefficients, raw.gram, raw.members)
+    first = Basis(DOMAINS[kind], degree, _rows_to_float(
+        *dense_combine_rows(nums, dens, raw.members, q), degree))
+    polish = _by_class(_orthonormal_coefficients, first.gram, raw.members) @ q
+    return nums, dens, raw.members, (q, polish)
+
+
+class TestNonzeroKernels:
+    """The build's nonzero-only combination and proof against the dense object-array
+    oracles of exact_referee: the same rows, entry for entry, and the same failing rows."""
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_combination_and_proof_match_the_dense_kernels(self, kind, degree):
+        nums, dens, members, qs = _both_passes(kind, degree)
+        blocks = basis_module._class_blocks(nums, dens, members)
+        for q in qs:
+            rows = basis_module._combine_rows(blocks, q, nums.shape[1])
+            expected = dense_combine_rows(nums, dens, members, q)
+            for got, want in zip(rows, expected, strict=True):
+                assert got.dtype == object and got.shape == want.shape
+                assert got.tolist() == want.tolist()
+                assert all(type(v) is int for v in got.ravel().tolist())
+            failures = exact_row_failures(DOMAINS[kind], degree, rows[0])
+            assert failures == dense_row_failures(DOMAINS[kind], degree, rows[0])
+            assert failures == {"divergence free": None, "tangent to the boundary": None}
+        assert exact_row_failures(DOMAINS[kind], degree, nums) == \
+            {"divergence free": None, "tangent to the boundary": None}
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("degree", [2, 4, 7])
+    def test_negative_controls_name_the_same_first_row(self, kind, degree):
+        nums, dens, members, (q, _) = _both_passes(kind, degree)
+        blocks = basis_module._class_blocks(nums, dens, members)
+        rows = basis_module._combine_rows(blocks, q, nums.shape[1])[0]
+        dim_v = monomials.space_dim(degree)
+        classes = np.empty(len(q), dtype=int)
+        for p, idx in members.items():
+            classes[idx] = p
+        col_classes = np.concatenate([basis_module._class_table(degree).ravel(),
+                                      (monomials.exponents(degree - 1) % 2) @ basis_module._CLASS_BITS])
+        last = len(rows) - 1
+
+        def v_plus_one(nums, i):      # +1 on a v numerator the row holds
+            nums[i, np.flatnonzero(nums[i, :3 * dim_v] != 0)[0]] += 1
+
+        def q_plus_one(nums, i):      # +1 on the constant term of q
+            nums[i, 3 * dim_v] += 1
+
+        def off_class(nums, i):       # a nonzero where the row's class has none
+            nums[i, np.flatnonzero(col_classes != classes[i])[-1]] = -7
+
+        for corrupt in (v_plus_one, q_plus_one, off_class):
+            for picked in ((last,), (last, last // 2), (0, last)):
+                bad = rows.copy()
+                for i in picked:
+                    corrupt(bad, i)
+                failures = exact_row_failures(DOMAINS[kind], degree, bad)
+                assert failures == dense_row_failures(DOMAINS[kind], degree, bad)
+                assert min(r for r in failures.values() if r is not None) == min(picked)
 
 
 def _raw_gram(kind, degree):

@@ -12,6 +12,7 @@ from precessflow.geometry import (Domain, half_monomial_integral, monomial_integ
 from precessflow.polynomials import Polynomial3
 
 from conftest import DOMAINS
+from exact_referee import fraction_half_monomial_integral, fraction_monomial_integral
 
 SPHERE = DOMAINS["sphere"]
 SPHEROID = DOMAINS["spheroid"]
@@ -285,3 +286,28 @@ def test_volume_integral_matches_monomials():
                 - monomial_integral(0, 0, 0, SPHEROID)
                 + 3.0 * monomial_integral(1, 1, 0, SPHEROID))
     assert volume_integral(poly, SPHEROID) == pytest.approx(expected, rel=1e-15)
+
+
+# the integral tables' domains: exact axes, beta = 1/3 (c = sqrt(3) / 2, irrational) and
+# float axes (exact binary rationals with long numerators and denominators)
+TABLE_DOMAINS = {"sphere": SPHERE, "spheroid": SPHEROID, "triaxial": TRIAXIAL,
+                 "beta_1_3": Domain.from_beta(Fraction(1, 3)),
+                 "float_axes": Domain(0.9, 1.1, 0.7)}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DOMAINS))
+def test_integral_tables_match_the_fraction_formulas_bit_for_bit(name):
+    domain = TABLE_DOMAINS[name]
+    assert (domain.axes_exact is None) == (name == "beta_1_3")
+    degree = 16
+    span = degree + 1
+    for hemisphere in (None, "north", "south"):
+        expected = np.zeros(span ** 3)
+        for p in range(span):
+            for q in range(span - p):
+                for r in range(span - p - q):
+                    expected[(p * span + q) * span + r] = (
+                        fraction_monomial_integral(p, q, r, domain) if hemisphere is None
+                        else fraction_half_monomial_integral(p, q, r, domain, hemisphere))
+        table = monomials._integral_flat(domain, degree, hemisphere)
+        assert table.tobytes() == expected.tobytes(), hemisphere

@@ -88,9 +88,12 @@ def test_bundled_configs_stay_in_their_subgroup(path, tmp_path, monkeypatch):
     full = timestepper._run_basis(cfg.domain(), cfg.degree)
     bc_data = (timestepper._poincare_data(cfg.domain(), cfg.eps_p)
                if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
-    coeffs = timestepper.initial_coefficients(cfg, full)
-    group = timestepper.reachable_classes(cfg, full, coeffs, bc_data)
+    found = timestepper.projected_classes(cfg, full)
+    group = timestepper.reachable_classes(cfg, found, bc_data, cfg.degree)
     assert group == CONFIG_GROUPS[path.name]
+    # the classes of the projected state are those of its nonzero coefficients
+    coeffs = timestepper.initial_coefficients(cfg, full)
+    assert found == set(full.classes[coeffs != 0].tolist())
     full_text, text = assert_invariant_subspace(cfg, monkeypatch, group)
     if path.name == "fig2_poincare.cfg":
         assert text == full_text
@@ -138,8 +141,10 @@ class TestReachableClasses:
         basis = get_basis("spheroid", 3)
         bc_data = (timestepper._poincare_data(cfg.domain(), cfg.eps_p)
                    if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
+        found = timestepper.projected_classes(cfg, basis)
+        assert timestepper.reachable_classes(cfg, found, bc_data, basis.degree) == group
         coeffs = timestepper.initial_coefficients(cfg, basis)
-        assert timestepper.reachable_classes(cfg, basis, coeffs, bc_data) == group
+        assert found == set(basis.classes[coeffs != 0].tolist())
 
     def test_a_zero_state_that_nothing_drives_steps_the_full_basis(self, tmp_path,
                                                                   monkeypatch):

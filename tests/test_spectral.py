@@ -21,9 +21,13 @@ SPHEROID_K = {2: 0.3086890243902438, 3: 0.23255052415478786,
               4: 0.2325505241547687, 5: 0.2318076671766105}
 
 
+def stress_ops_on(basis):
+    return assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0,
+                    include_advection=False)
+
+
 def stress_ops(kind, degree):
-    return assemble(get_basis(kind, degree), BoundaryCondition("stress_free"),
-                    nu=1.0, eps_p=0.0, include_advection=False)
+    return stress_ops_on(get_basis(kind, degree))
 
 
 def complement_k_n(ops):
@@ -121,10 +125,8 @@ class TestPerClassSolve:
         assert tuple(sorted(report.kernel_classes)) == EXPECTED_CLASSES[kind]
         assert viscous_kernel(stress_ops(kind, degree), stiffness="grad").kernel_classes == ()
 
-    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
-    def test_no_eigensolve_exceeds_a_class_block(self, kind, monkeypatch):
-        ops = stress_ops(kind, 4)
-        largest = int(np.bincount(ops.basis.classes).max())
+    @staticmethod
+    def recorded_eigh_sizes(monkeypatch) -> list:
         sizes = []
         eigh = scipy.linalg.eigh
 
@@ -133,9 +135,32 @@ class TestPerClassSolve:
             return eigh(a, b, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+        return sizes
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    def test_no_eigensolve_exceeds_a_class_block(self, kind, monkeypatch):
+        # a fresh basis: the shared one keeps the reports of earlier tests
+        ops = stress_ops_on(build_basis(DOMAINS[kind], 4))
+        largest = int(np.bincount(ops.basis.classes).max())
+        sizes = self.recorded_eigh_sizes(monkeypatch)
         neutral_modes(ops.basis)
         coercivity_constant(ops, "kernel")
         assert sizes and max(sizes) <= largest < ops.dim
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    def test_each_stiffness_is_solved_once_per_basis(self, kind, monkeypatch):
+        basis = build_basis(DOMAINS[kind], 3)
+        sizes = self.recorded_eigh_sizes(monkeypatch)
+        first = [viscous_kernel(stress_ops_on(basis), stiffness) for stiffness in ("sym", "grad")]
+        coercivity_constant(stress_ops_on(basis), "kernel")
+        modes = neutral_modes(basis)
+        # one eigh per class block and stiffness, however many operator sets ask
+        assert len(sizes) == 2 * len(basis.members)
+        assert (modes.sym, modes.grad) == tuple(first)
+        assert modes.sym is first[0] and modes.grad is first[1]
+        report = first[0]
+        assert not report.eigenvalues.flags.writeable
+        assert not any(k.flags.writeable for k in report.kernel_fields)
 
 
 class TestCoercivity:

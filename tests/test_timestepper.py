@@ -475,9 +475,9 @@ def set_up_per_run(counts, configs):
     return per_run
 
 
-# a cold run projects its initial fields, u_P and e_z x x, on the full basis to find the
-# classes it can reach, and again on the restriction it steps (see stepped)
-COLD_SET_UP = dict(lu_factor=3, context=1, surface_rule=1, project=4)
+# a cold run projects its initial fields, u_P and e_z x x, once, on the restriction it
+# steps (see stepped): their classes give the classes it can reach without a projection
+COLD_SET_UP = dict(lu_factor=3, context=1, surface_rule=1, project=2)
 WARM_SET_UP = dict.fromkeys(COLD_SET_UP, 0)
 
 
@@ -519,11 +519,11 @@ class TestRunBasisMemo:
         assert all(a.size < basis.dim ** 3 for a in pack)
         assert "fields" not in vars(basis) and "fields" not in vars(built[0])
 
-    def test_the_full_basis_only_projects_the_initial_fields(self, tmp_path, built):
-        # no operator, factorization or context: they are the stepped basis's
+    def test_the_full_basis_forms_only_the_restriction(self, tmp_path, built):
+        # no projection, operator, factorization or context: they are the stepped basis's
         series = run(twin_config(+1, "rot_momentum", tmp_path / "run.csv"))
         assert series.classes == (0, 3, 5, 6)
-        assert sorted(built[0]._assembly_cache) == sorted(["restrict", "u_P", "e_z x x"])
+        assert sorted(built[0]._assembly_cache) == ["restrict"]
         assert "grad" not in vars(built[0])
 
     def test_a_warm_twin_run_sets_up_only_its_forcing_vector(self, tmp_path, built,
@@ -570,7 +570,7 @@ class TestRunBasisMemo:
     def test_a_dt_sweep_keeps_one_entry_of_each_kind(self, tmp_path, built):
         for dt in (0.01, 0.02, 0.025, 0.05, 0.1):
             series = run(twin_config(+1, "rot_momentum", tmp_path / "run.csv", dt=dt))
-        assert sorted(built[0]._assembly_cache) == sorted(["restrict", "u_P", "e_z x x"])
+        assert sorted(built[0]._assembly_cache) == ["restrict"]
         cache = stepped(built, series)._assembly_cache
         assert sorted(cache) == sorted(["core", "C_x", "T", "lu", "context", "u_P", "e_z x x"])
         assert cache["lu"][0][0] == 0.1

@@ -54,14 +54,12 @@ The rows are 8-9.5 % nonzero at N = 3-8, so every integer kernel reads the
 nonzeros alone and sums its Python-int products by output entry
 (_sum_by_key: a stable argsort, then np.add.reduceat on an object array, in
 the manner of Gustavson's row-by-row sparse product, ACM TOMS 4, 1978).
-_class_blocks finds the raw rows' nonzeros in one pass; _combine_rows pairs
-each nonzero of a class block of q, lower triangular, with the nonzeros of
-its raw row; exact_row_failures sends each nonzero numerator to the few
-monomials its derivative and shift maps reach.  Per cold build on a shared
-2-vCPU x86-64 host (median over the three verify domains), the combination
-takes 1.8 ms a pass at N = 6, 6.8 ms at N = 8 and 22 ms at N = 10 (4.2, 26
-and 129 ms as dense object-array products), and the proof 2.3, 7.7 and 22 ms
-(5.0, 18 and 57 ms).
+build_basis scans the raw rows for nonzeros once, for _class_blocks and
+_rows_to_float; _combine_rows pairs each nonzero of a class block of q, lower
+triangular, with the nonzeros of its raw row, and returns the entries it
+wrote, which _rows_to_float reads; exact_row_failures sends each nonzero
+numerator to the few monomials its derivative and shift maps reach.  The
+per-kernel times of a build are in BENCH_28.json and CHANGES.md.
 
 The coefficient array, the class labels, the nodal values and gradients and
 the mass Gram are read-only: one basis is shared by every operator set
@@ -245,9 +243,7 @@ def poincare_field(beta, eps_p) -> VectorField:
     if fb <= -1:
         raise ValueError("beta must exceed -1")
     k = 2 * fe / fb
-    x = Polynomial3.variable(0)
-    y = Polynomial3.variable(1)
-    z = Polynomial3.variable(2)
+    x, y, z = (Polynomial3.variable(a) for a in range(3))
     return VectorField((-y, x - z.scale(k * (1 + fb)), y.scale(k)))
 
 
@@ -266,9 +262,7 @@ def solid_rotation(axis) -> VectorField:
     nrm2 = float(sum(a * a for a in ax))
     if abs(nrm2 - 1.0) > 1e-12:
         raise ValueError("axis must be a unit vector")
-    x = Polynomial3.variable(0)
-    y = Polynomial3.variable(1)
-    z = Polynomial3.variable(2)
+    x, y, z = (Polynomial3.variable(a) for a in range(3))
     return VectorField((
         z.scale(ax[1]) - y.scale(ax[2]),
         x.scale(ax[2]) - z.scale(ax[0]),
@@ -292,11 +286,8 @@ def curl_form_fields(domain: Domain, degree: int) -> list[VectorField]:
     """grad(chi) x grad(psi) for every monomial psi with 1 <= deg psi <= degree."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    fields = []
-    for e in monomials.exponents(degree)[1:]:
-        psi = Polynomial3.monomial(tuple(int(v) for v in e), Fraction(1))
-        fields.append(stream_cross_field(domain, psi))
-    return fields
+    return [stream_cross_field(domain, Polynomial3.monomial(tuple(e), Fraction(1)))
+            for e in monomials.exponents(degree)[1:].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +374,7 @@ def _constraint_rows(domain: Domain, degree: int):
     exps_q = monomials.exponents(n - 1).tolist()
     imap_v = monomials.index_map(n)
     imap_q = monomials.index_map(n - 1)
-    dim_v = len(exps_v)
-    dim_q = len(exps_q)
+    dim_v, dim_q = len(exps_v), len(exps_q)
     q_offset = 3 * dim_v
     squares = (domain.a2, domain.b2, domain.c2)
     scale = math.lcm(*(s.numerator for s in squares))
@@ -428,19 +418,20 @@ def _raw_rows_exact(domain: Domain, degree: int) -> tuple[np.ndarray, np.ndarray
     return _integer_nullspace(rows, 3 * dim_v + dim_q)
 
 
-def _rows_to_float(nums: np.ndarray, dens: np.ndarray, degree: int) -> np.ndarray:
+def _rows_to_float(nums: np.ndarray, dens: np.ndarray, at: tuple, degree: int) -> np.ndarray:
     """(rows, 3, D_N) float velocity coefficients of integer rows.
 
+    at = (rows, cols) holds the positions of every nonzero of nums (and may hold
+    zeros too), found by the kernel that made or scanned the rows; the rest is 0.
     Each entry is the Python int division num / den, correctly rounded: the
     value float(Fraction(num, den)) takes.  An entry beyond the double range
     raises ValueError.
     """
     dim_v = monomials.space_dim(degree)
-    v = nums[:, :3 * dim_v]
-    out = np.zeros(v.shape)
-    nonzero = np.nonzero(v != 0)
+    out = np.zeros((len(nums), 3 * dim_v))
+    rows, cols = (a[at[1] < 3 * dim_v] for a in at)      # the velocity entries
     try:
-        out[nonzero] = v[nonzero] / dens[nonzero[0]]
+        out[rows, cols] = nums[rows, cols] / dens[rows]
     except OverflowError:
         raise ValueError(f"a coefficient of the degree-{degree} basis rows is beyond the "
                          "double range") from None
@@ -566,7 +557,8 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
         raise ValueError("degree must be at least 1")
     if method == "exact":
         nums, dens = _raw_rows_exact(domain, degree)
-        raw_arr = _rows_to_float(nums, dens, degree)
+        nonzero = np.nonzero(nums != 0)     # the one scan of the raw rows
+        raw_arr = _rows_to_float(nums, dens, nonzero, degree)
     elif method == "svd":
         raw_arr = _raw_coeff_svd(domain, degree)
     else:
@@ -579,13 +571,14 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
                                   for m in members.values()]))
     raw_cond = float(eigs.max() / eigs.min()) if eigs.min() > 0 else math.inf
     if method == "exact":
-        blocks = _class_blocks(nums, dens, members)
+        blocks = _class_blocks(nums, dens, nonzero, members)
 
     def orthonormalize(q):
         # exact: the integer rows (nums, dens) of q @ raw, rounded; svd: q @ raw in float
         if method == "exact":
-            rows = _combine_rows(blocks, q, nums.shape[1])
-            return Basis(domain, degree, _rows_to_float(*rows, degree), rows, raw_cond)
+            q_nums, q_dens, at = _combine_rows(blocks, q, nums.shape[1])
+            return Basis(domain, degree, _rows_to_float(q_nums, q_dens, at, degree),
+                         (q_nums, q_dens), raw_cond)
         return Basis(domain, degree, np.tensordot(q, raw_arr, 1), raw_gram_cond=raw_cond)
 
     # q is block diagonal by class, so each orthonormal field keeps its raw field's class
@@ -665,15 +658,15 @@ def _dyadic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m >> zeros, 53 - exponent - zeros
 
 
-def _class_blocks(nums: np.ndarray, dens: np.ndarray, members: dict) -> list:
+def _class_blocks(nums: np.ndarray, dens: np.ndarray, nonzero: tuple, members: dict) -> list:
     """The class blocks of integer rows, found once per build for _combine_rows.
 
     Block p is (idx, lcm, start, cols, vals): the indices of the rows of class
     p, L, the lcm of their denominators, and their nonzero entries over L,
     row by row (row k of the block holds cols and vals [start[k]:start[k + 1]]).
-    One pass over nums finds every nonzero.
+    nonzero = np.nonzero(nums != 0), the build's one scan of nums.
     """
-    rows, cols = np.nonzero(nums != 0)
+    rows, cols = nonzero
     row_start = np.searchsorted(rows, np.arange(len(nums) + 1))
     blocks = []
     for idx in members.values():
@@ -684,9 +677,10 @@ def _class_blocks(nums: np.ndarray, dens: np.ndarray, members: dict) -> list:
     return blocks
 
 
-def _combine_rows(blocks: list, q: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exact rows of q @ (nums / dens), for q block diagonal by class and the class
-    blocks of (nums, dens) from _class_blocks.
+def _combine_rows(blocks: list, q: np.ndarray, ncols: int) -> tuple:
+    """(nums, dens, at): the exact rows of q @ (nums / dens), for q block diagonal by class
+    and the class blocks of (nums, dens) from _class_blocks, and at = (rows, cols), the
+    entries the sums were written to (every nonzero, maybe some cancelled to 0).
 
     Each float q[i, k] is m / 2^d exactly.  Row i of a class block is brought
     over the denominator 2^E_i L, with 2^E_i the largest 2^d in its row of q
@@ -696,7 +690,7 @@ def _combine_rows(blocks: list, q: np.ndarray, ncols: int) -> tuple[np.ndarray, 
     """
     out = np.zeros((q.shape[0], ncols), dtype=object)
     out_dens = np.ones(q.shape[0], dtype=object)
-    flat = out.reshape(-1)
+    flat, written = out.reshape(-1), []
     for idx, lcm, start, cols, vals in blocks:
         block = q[np.ix_(idx, idx)]
         i, k = np.nonzero(block)
@@ -707,8 +701,9 @@ def _combine_rows(blocks: list, q: np.ndarray, ncols: int) -> tuple[np.ndarray, 
         pos, owner = _ranges(start[k], start[k + 1])
         keys, sums = _sum_by_key(idx[i[owner]] * ncols + cols[pos], scaled[owner] * vals[pos])
         flat[keys] = sums
+        written.append(keys)
         out_dens[idx] = np.array([lcm << s for s in e.tolist()], dtype=object)
-    return out, out_dens
+    return out, out_dens, np.divmod(np.concatenate(written), ncols)
 
 
 def _shift_index(degree: int, exponent) -> np.ndarray:
@@ -765,11 +760,9 @@ def exact_row_failures(domain: Domain, degree: int, nums: np.ndarray) -> dict:
     keys, sums = _sum_by_key(r[owner] * width + outs[pos], nums[r, c][owner] * mults[pos])
     # keys ascend with the row, so the first failing key of each identity names its first row
     row, out = np.divmod(keys[sums != 0], width)
-    failures = {}
-    for what, bad in (("divergence free", row[out < n_div]),
-                      ("tangent to the boundary", row[out >= n_div])):
-        failures[what] = int(bad[0]) if bad.size else None
-    return failures
+    return {what: int(bad[0]) if bad.size else None
+            for what, bad in (("divergence free", row[out < n_div]),
+                              ("tangent to the boundary", row[out >= n_div]))}
 
 
 def _check_exact_rows(failures: dict) -> None:
@@ -874,8 +867,9 @@ def save_basis(basis: Basis, path) -> None:
 def load_basis(path) -> Basis:
     """Read a basis export; fields come back with float coefficients.
 
-    A malformed header or field line, a non-finite coefficient, a monomial above the
-    degree or a field outside one reflection class raises ValueError naming the line.
+    A malformed or repeated header, a malformed field line, a non-finite coefficient, a
+    monomial above the degree or twice in one component, or a field outside one
+    reflection class raises ValueError naming the line.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -886,11 +880,15 @@ def load_basis(path) -> Basis:
         parts = ln[1:].split() if ln.startswith("#") else None
         try:
             if parts and parts[0] in ("axes", "beta"):
+                if domain is not None:
+                    raise ValueError("second domain header")
                 if len(parts) != (4 if parts[0] == "axes" else 2):
                     raise ValueError(f"malformed {parts[0]} header")
                 values = [Fraction(p) for p in parts[1:]]
                 domain = Domain(*values) if parts[0] == "axes" else Domain.from_beta(values[0])
             elif parts and parts[0] == "degree":
+                if degree is not None:
+                    raise ValueError("second degree header")
                 if len(parts) != 4 or parts[2] != "dim" or min(int(parts[1]), int(parts[3])) < 1:
                     raise ValueError("malformed degree header")
                 degree, dim = int(parts[1]), int(parts[3])
@@ -915,12 +913,16 @@ def _parse_field(line: str, degree: int | None) -> np.ndarray:
         raise ValueError(f"{len(groups)} components, expected 3")
     arr = np.zeros((3, monomials.space_dim(degree)))
     for c, group in enumerate(groups):
+        seen = set()
         for tok in group.split() if group.strip() != "-" else ():
             exp, val = tok.split(":")
             m = monomials.index_map(degree).get(tuple(int(e) for e in exp.split(",")))
             if m is None or not math.isfinite(float(val)):
                 raise ValueError(f"monomial {exp} of degree > {degree}" if m is None
                                  else f"non-finite coefficient {val}")
+            if m in seen:
+                raise ValueError(f"monomial {exp} twice in component {c}")
+            seen.add(m)
             arr[c, m] = float(val)
     if len(np.unique(_class_table(degree)[arr != 0.0])) != 1:
         raise ValueError("the field is zero or mixes reflection classes")

@@ -35,6 +35,9 @@ T[i, j, k] + T[j, i, k] (T[i, i, k] on the diagonal) for the outputs k of
 class R and the pairs i <= j with cls(i) ^ cls(j) = R, zero-padded to one
 (classes, rows, pairs) array: advection is two gathers of c, one batched
 matrix-vector product and one gather back, about dim^3 / 16 multiply-adds.
+The pairs of each R keep np.triu_indices order, the summation order of
+advection_term, and column (i, j) is blocks[P, Q][a, :, b] + blocks[Q, P][b, :, a]
+for the classes P, Q of i, j and their rows a, b: one gather per class P of i in R.
 
 Sharing.  The operators that do not depend on (nu, eps_p, bc) are cached on
 the basis (Basis.cached, see assemble) and are read-only, as is the dense T:
@@ -100,9 +103,10 @@ class BoundaryCondition:
 class PackedAdvection(NamedTuple):
     """Parity-packed symmetric half of T (see the module docstring).
 
-    g is (classes, rows, pairs); pi and pj are the (classes, pairs) field
-    indices of each pair; unpad maps basis index k to its flat (class, row)
-    slot.  Padding pairs point at field 0 and meet zero columns of g.
+    g is (classes, rows, pairs), classes in Basis.members order; pi and pj are the
+    (classes, pairs) field indices of each pair, in np.triu_indices order; unpad
+    maps basis index k to its flat (class, row) slot.  Padding pairs point at field
+    0 and meet zero columns of g.
     """
 
     g: np.ndarray
@@ -203,45 +207,31 @@ def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarr
 
 
 def _pack_advection(blocks: dict, basis: Basis) -> PackedAdvection:
-    """Gather the packed operator from the class-pair blocks of T, one slice of pairs
-    for each two classes P <= Q."""
+    """Gather the packed operator from the class-pair blocks of T, one output class R at a
+    time, and in R one class P of i at a time (j is then of class P ^ R)."""
     members, cls = basis.members, basis.classes
-    n_cls, n_rows = len(members), max(len(m) for m in members.values())
-    slot_of = np.full(N_CLASSES, -1)
-    slot_of[list(members)] = np.arange(n_cls)
+    n_rows = max(len(m) for m in members.values())
     pos = np.empty(basis.dim, dtype=np.intp)        # each field's row within its class
     for m in members.values():
         pos[m] = np.arange(len(m))
     iu, ju = np.triu_indices(basis.dim)
-    out = slot_of[cls[iu] ^ cls[ju]]                  # output class slot of each pair
-    on_rule = out >= 0
-    iu, ju, out = iu[on_rule], ju[on_rule], out[on_rule]
-    # the pair's column within its output class, pairs kept in triu order
-    col = np.cumsum(out[:, None] == np.arange(n_cls), axis=0)[np.arange(len(out)), out] - 1
-    # no pair at all when no two classes XOR to a present one (one class, say): N(u, u) = 0
-    pi = np.zeros((n_cls, int(col.max()) + 1 if col.size else 0), dtype=np.intp)
-    pj = np.zeros_like(pi)
-    pi[out, col] = iu
-    pj[out, col] = ju
-    # T[i, j, k] + T[j, i, k] over the rows k of the output class, read at (a, b) of
-    # S = blocks[P, Q] + blocks[Q, P] (axes i and j swapped) for the classes P <= Q of
-    # i and j: sorted by (P, Q), the pairs of each class pair are one slice
-    ci, cj = cls[iu], cls[ju]
-    swap = ci > cj
-    a, b = np.where(swap, pos[ju], pos[iu]), np.where(swap, pos[iu], pos[ju])
-    pair_cls = np.minimum(ci, cj) * N_CLASSES + np.maximum(ci, cj)
-    order = np.argsort(pair_cls)
-    pair_cls, a, b, out_s, col_s = pair_cls[order], a[order], b[order], out[order], col[order]
-    starts = np.flatnonzero(np.diff(pair_cls, prepend=-1))
-    g = np.zeros((n_cls, n_rows, pi.shape[1]))
-    for key, lo, hi, s in zip(pair_cls[starts].tolist(), starts.tolist(),
-                              [*starts[1:].tolist(), len(pair_cls)], out_s[starts].tolist()):
-        p, q = divmod(key, N_CLASSES)
-        sym = blocks[p, q] + blocks[q, p].transpose(2, 1, 0)
-        g[s, :sym.shape[1], col_s[lo:hi]] = sym[a[lo:hi], :, b[lo:hi]]
-    diag = iu == ju
-    g[out[diag], :, col[diag]] *= 0.5                 # (T_iik + T_iik) / 2 is T_iik exactly
-    return PackedAdvection(g, pi, pj, slot_of[cls] * n_rows + pos)
+    out = cls[iu] ^ cls[ju]
+    pairs = [(iu[out == r], ju[out == r]) for r in members]     # triu order in each R
+    width = max(len(i) for i, _ in pairs)       # 0 when no two classes XOR to a present one
+    g = np.zeros((len(members), n_rows, width))
+    pi, pj = np.zeros((2, len(members), width), dtype=np.intp)
+    for s, (r, (i, j)) in enumerate(zip(members, pairs)):
+        pi[s, :len(i)], pj[s, :len(j)] = i, j
+        ci, a, b = cls[i], pos[i], pos[j]
+        for p in members:
+            if (q := p ^ r) in members:
+                col = (ci == p).nonzero()[0]
+                # T[i, j, k] + T[j, i, k] over the outputs k of class R
+                g[s, :len(members[r]), col] = (blocks[p, q][a[col], :, b[col]]
+                                               + blocks[q, p][b[col], :, a[col]])
+        g[s, :, (i == j).nonzero()[0]] *= 0.5     # (T_iik + T_iik) / 2 is T_iik exactly
+    slot = np.searchsorted(list(members), cls)      # members is in ascending class order
+    return PackedAdvection(g, pi, pj, slot * n_rows + pos)
 
 
 def _advection_operators(basis: Basis):

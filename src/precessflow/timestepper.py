@@ -26,10 +26,7 @@ wrapper costs several times the solve.  No finiteness scan precedes the
 solve: the right-hand side comes from a state that the post-step guard has
 checked, and run() rejects non-finite inputs before the first step.  The
 guard is one dot product: new @ new is both the finiteness test and the
-squared norm that the blow-up guard compares.  At dim 26 (N = 3) a step
-takes about 13 us, against 16 us for the earlier loop that called step()
-and built a State per step (2-vCPU x86-64 host, both timed in one process).
-A constraint projection adds one (3, dim) matrix-vector product per step;
+squared norm that the blow-up guard compares.  A constraint projection adds one (3, dim) matrix-vector product per step;
 its mode's functional is chosen and tested for degeneracy before the first
 step, not per step.
 

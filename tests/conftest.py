@@ -49,6 +49,10 @@ MALFORMED_EXPORTS = {
     "no_axes_header": (2, "# shape 1 1 4/5", "basis export is missing its header"),
     "dim_mismatch": (3, "# degree 2 dim 12",
                      "basis export announces dim 12 but carries 11 fields"),
+    "repeated_monomial": (4, "0,1,0:-1.0 0,1,0:5.0 ; 1,0,0:1.0 ; -",
+                          "monomial 0,1,0 twice in component 0"),
+    "second_domain_header": (4, "# beta 9/16", "second domain header"),
+    "second_degree_header": (5, "# degree 2 dim 11", "second degree header"),
 }
 _FILE_FAULTS = ("no_axes_header", "dim_mismatch")
 

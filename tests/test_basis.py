@@ -30,6 +30,11 @@ from exact_referee import (dense_combine_rows, dense_row_failures, exact_fields,
 EXPECTED_DIMS = {1: 3, 2: 11, 3: 26, 4: 50}
 
 
+def _to_float(nums, dens, degree):
+    """_rows_to_float of integer rows at the nonzeros one scan finds."""
+    return _rows_to_float(nums, dens, np.nonzero(nums != 0), degree)
+
+
 class TestPoincareField:
     def test_components_beta_05625(self):
         u = poincare_field(Fraction(9, 16), Fraction(1, 4))
@@ -727,9 +732,9 @@ class TestIntegerLattice:
         nums[0, 1], nums[1, 2] = 3, 10 ** 400
         dens = np.array([7, 1], dtype=object)
         with pytest.raises(ValueError, match="degree-1 basis rows"):
-            _rows_to_float(nums, dens, 1)
+            _to_float(nums, dens, 1)
         nums[1, 2] = 10 ** 300
-        assert _rows_to_float(nums, dens, 1)[0, 0, 1] == 3 / 7
+        assert _to_float(nums, dens, 1)[0, 0, 1] == 3 / 7
 
 
 def _velocity_row(field, degree, dim_q):
@@ -791,9 +796,9 @@ class TestExactRowCheck:
         combine = basis_module._combine_rows
 
         def corrupted(*args):
-            nums, dens = combine(*args)
+            nums, dens, at = combine(*args)
             nums[4, np.flatnonzero(nums[4] != 0)[0]] += 1
-            return nums, dens
+            return nums, dens, at
 
         monkeypatch.setattr(basis_module, "_combine_rows", corrupted)
         with pytest.raises(InvariantError, match="basis field 4 is not exactly"):
@@ -804,10 +809,10 @@ def _both_passes(kind, degree):
     """The raw rows (nums, dens), their class partition and the two combinations q that a
     build can apply: the first pass and the polish pass's product of triangles."""
     nums, dens = _raw_rows_exact(DOMAINS[kind], degree)
-    raw = Basis(DOMAINS[kind], degree, _rows_to_float(nums, dens, degree))
+    raw = Basis(DOMAINS[kind], degree, _to_float(nums, dens, degree))
     q = _by_class(_orthonormal_coefficients, raw.gram, raw.members)
-    first = Basis(DOMAINS[kind], degree, _rows_to_float(
-        *dense_combine_rows(nums, dens, raw.members, q), degree))
+    first = Basis(DOMAINS[kind], degree,
+                  _to_float(*dense_combine_rows(nums, dens, raw.members, q), degree))
     polish = _by_class(_orthonormal_coefficients, first.gram, raw.members) @ q
     return nums, dens, raw.members, (q, polish)
 
@@ -820,14 +825,19 @@ class TestNonzeroKernels:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_combination_and_proof_match_the_dense_kernels(self, kind, degree):
         nums, dens, members, qs = _both_passes(kind, degree)
-        blocks = basis_module._class_blocks(nums, dens, members)
+        blocks = basis_module._class_blocks(nums, dens, np.nonzero(nums != 0), members)
         for q in qs:
-            rows = basis_module._combine_rows(blocks, q, nums.shape[1])
+            *rows, at = basis_module._combine_rows(blocks, q, nums.shape[1])
             expected = dense_combine_rows(nums, dens, members, q)
             for got, want in zip(rows, expected, strict=True):
                 assert got.dtype == object and got.shape == want.shape
                 assert got.tolist() == want.tolist()
                 assert all(type(v) is int for v in got.ravel().tolist())
+            # the written entries hold every nonzero, so the float view reads them alone
+            written = set(zip(*(a.tolist() for a in at)))
+            assert set(zip(*(a.tolist() for a in np.nonzero(rows[0] != 0)))) <= written
+            np.testing.assert_array_equal(_rows_to_float(*rows, at, degree),
+                                          _to_float(*rows, degree))
             failures = exact_row_failures(DOMAINS[kind], degree, rows[0])
             assert failures == dense_row_failures(DOMAINS[kind], degree, rows[0])
             assert failures == {"divergence free": None, "tangent to the boundary": None}
@@ -838,7 +848,7 @@ class TestNonzeroKernels:
     @pytest.mark.parametrize("degree", [2, 4, 7])
     def test_negative_controls_name_the_same_first_row(self, kind, degree):
         nums, dens, members, (q, _) = _both_passes(kind, degree)
-        blocks = basis_module._class_blocks(nums, dens, members)
+        blocks = basis_module._class_blocks(nums, dens, np.nonzero(nums != 0), members)
         rows = basis_module._combine_rows(blocks, q, nums.shape[1])[0]
         dim_v = monomials.space_dim(degree)
         classes = np.empty(len(q), dtype=int)
@@ -870,7 +880,7 @@ class TestNonzeroKernels:
 def _raw_gram(kind, degree):
     """Float coefficients, mass Gram and classes of the raw exact nullspace fields."""
     nums, dens = _raw_rows_exact(DOMAINS[kind], degree)
-    raw = Basis(DOMAINS[kind], degree, _rows_to_float(nums, dens, degree))
+    raw = Basis(DOMAINS[kind], degree, _to_float(nums, dens, degree))
     return raw.coeff_array, raw.gram, raw.classes
 
 
@@ -997,7 +1007,7 @@ class TestClassBlocks:
         for degree in range(1, 9):
             raw = _raw_coeff_svd(ALL_DOMAINS[kind], degree)
             assert len(raw) == degree * (degree + 1) * (2 * degree + 7) // 6
-            exact = _rows_to_float(*_raw_rows_exact(ALL_DOMAINS[kind], degree), degree)
+            exact = _to_float(*_raw_rows_exact(ALL_DOMAINS[kind], degree), degree)
             np.testing.assert_array_equal(
                 np.bincount(coefficient_classes(raw, degree), minlength=8),
                 np.bincount(coefficient_classes(exact, degree), minlength=8))

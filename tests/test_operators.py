@@ -478,6 +478,54 @@ class TestClassBlockedTensor:
                         include_advection=False).T is None
 
 
+def _pack_from_dense(ops):
+    """(g, pi, pj, unpad) read off the dense T: for each output class R, in Basis.members
+    order, the pairs i <= j with cls(i) ^ cls(j) = R in np.triu_indices order, their
+    column T[i, j, k] + T[j, i, k] (T[i, i, k] on the diagonal) over the outputs k of
+    R, and zero padding; unpad sends k to its (class slot, row) entry."""
+    basis, t = ops.basis, ops.T
+    members, cls = basis.members, basis.classes
+    rows = max(len(m) for m in members.values())
+    pairs = {r: [] for r in members}
+    for i, j in zip(*np.triu_indices(basis.dim)):
+        if cls[i] ^ cls[j] in pairs:
+            pairs[cls[i] ^ cls[j]].append((i, j))
+    width = max(len(p) for p in pairs.values())
+    g = np.zeros((len(members), rows, width))
+    pi = np.zeros((len(members), width), dtype=np.intp)
+    pj = np.zeros_like(pi)
+    unpad = np.empty(basis.dim, dtype=np.intp)
+    for s, (r, k) in enumerate(members.items()):
+        unpad[k] = s * rows + np.arange(len(k))
+        for col, (i, j) in enumerate(pairs[r]):
+            pi[s, col], pj[s, col] = i, j
+            g[s, :len(k), col] = t[i, i, k] if i == j else t[i, j, k] + t[j, i, k]
+    return g, pi, pj, unpad
+
+
+class TestPackLayout:
+    """The packed advection operator, array for array and bit for bit, against its
+    definition on the dense tensor: the column order is the summation order of
+    advection_term, so it is pinned as well as the values."""
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+    @pytest.mark.parametrize("method", ["exact", "svd"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("classes", [None, (0, 3, 5, 6), (3,)])
+    def test_pack_is_the_dense_definition(self, kind, method, degree, classes):
+        basis = get_any_basis(kind, degree, method)
+        if classes is not None:
+            basis = basis.restrict(classes)
+        ops = assemble(basis, BoundaryCondition("stress_free"), nu=1.0, eps_p=0.0)
+        for got, want in zip(ops.T_packed, _pack_from_dense(ops), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        if classes == (3,):       # no two classes XOR to a present one: no pair at all
+            assert ops.T_packed.g.shape[2] == 0
+            np.testing.assert_array_equal(advection_term(ops, np.ones(basis.dim)),
+                                          np.zeros(basis.dim))
+
+
 class TestExactReferee:
     """Sampled entries of the float operators against exact rationals of the same fields."""
 

@@ -131,3 +131,34 @@ def test_unreached_classes_line_sees_one_tiny_coefficient(monkeypatch):
     verification._unreached_classes_check(results, "spheroid", get_basis("spheroid", 2))
     (result,) = results
     assert not result.ok and "classes 1 2 4 7 max |c| " in result.line()
+
+
+@pytest.mark.parametrize("kind", ["sphere", "spheroid", "triaxial"])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_coupling_sides_from_the_operators_match_the_exact_integrals(kind, degree):
+    # verify's momentum_coupling_identity line reads mom[1] and a nodal form; the exact
+    # operators.momentum_coupling_identity integrates each field's polynomials
+    basis = get_basis(kind, degree)
+    ops = operators.assemble(basis, operators.BoundaryCondition("stress_free"), nu=1.0,
+                             eps_p=0.25)
+    exact = np.array([operators.momentum_coupling_identity(f, basis.domain)
+                      for f in basis.fields])
+    lhs, rhs = verification.momentum_coupling_sides(ops)
+    assert np.max(np.abs(lhs - exact[:, 0])) <= 1e-14
+    assert np.max(np.abs(rhs - exact[:, 1])) <= 1e-14
+
+
+def test_coupling_sides_see_a_field_that_breaks_the_identity():
+    # e_y x x = (z, 0, -x) is solenoidal but not tangent to the spheroid (c != a):
+    # lhs - rhs = int z^2 - x^2 = (4 pi / 15) a b c (c^2 - a^2)
+    domain = get_basis("spheroid", 1).domain
+    rotation = basis_module.solid_rotation((0, 1, 0))
+    one = Basis(domain, 1, monomials.field_to_array(rotation, 1)[None])
+    ops = operators.assemble(one, operators.BoundaryCondition("stress_free"), nu=1.0,
+                             eps_p=0.0)
+    lhs, rhs = verification.momentum_coupling_sides(ops)
+    exact = operators.momentum_coupling_identity(rotation, domain)
+    np.testing.assert_allclose([lhs[0], rhs[0]], exact, rtol=0, atol=1e-14)
+    a, b, c = (float(s) for s in domain.axes_exact)
+    assert lhs[0] - rhs[0] == pytest.approx(4 * math.pi / 15 * a * b * c * (c * c - a * a))
+    assert abs(lhs[0] - rhs[0]) > 0.1

@@ -19,8 +19,9 @@ restart kick between two records.  Each of these runs also prints a
 `run:<name> classes ...` line with the reflection classes of the basis it
 stepped (timestepper.run steps the classes it can reach), so a change of the
 stepped subspace shows in the diff too.  The CSVs are written in a temporary
-directory.  The lines are sorted, so two source trees agree bit for bit when
-they print the same text:
+directory.  One `verify:<degrees>` line digests the stdout of `precessflow
+verify --degrees <degrees>`.  The lines are sorted, so two source trees agree
+bit for bit when they print the same text:
 
     PYTHONPATH=src python scripts/output_digests.py > new.txt
     PYTHONPATH=/path/to/other/src python scripts/output_digests.py > old.txt
@@ -28,8 +29,10 @@ they print the same text:
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import sys
 import tempfile
 from fractions import Fraction
@@ -109,8 +112,16 @@ def run_lines(kind, name, scenario) -> list[str]:
                 f"run:{name} classes {','.join(map(str, series.classes))}"]
 
 
+def verify_line(degrees) -> str:
+    """The digest line of the stdout of `precessflow verify` at degrees."""
+    label = ",".join(map(str, degrees))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(["verify", "--degrees", label])
+    return f"verify:{label} {digest(out.getvalue())}"
+
+
 def digest_lines(degrees, configs) -> list[str]:
-    lines = []
+    lines = [verify_line(degrees)]
     for method in METHODS:
         for kind, domain in DOMAINS:
             for degree in degrees:

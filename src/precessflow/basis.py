@@ -82,7 +82,7 @@ import numpy as np
 import scipy.linalg
 
 from . import monomials
-from .geometry import Domain, octant_rule
+from .geometry import Domain, _close, octant_rule
 from .polynomials import Polynomial3, VectorField
 
 __all__ = [
@@ -90,7 +90,7 @@ __all__ = [
     "poincare_field", "solid_rotation", "project", "project_fields", "save_basis", "load_basis",
     "gram_form", "coefficient_classes", "InvariantError", "basis_rule", "nodal_form",
     "rotation_projection", "reference_projection", "exact_row_failures", "class_subgroup",
-    "field_classes",
+    "field_classes", "ROTATION_CLASSES", "coriolis_shifts",
 ]
 
 GRAM_IDENTITY_TOL = 1e-12
@@ -101,6 +101,8 @@ N_CLASSES = 8     # mirror-reflection classes: one bit per axis
 # rank cutoff of the svd fallback, relative to a class block's largest singular value
 _SVD_RANK_RTOL = 1e-10
 _CLASS_BITS = np.array([1, 2, 4])
+# class of the rotation field e_a x x for a = x, y, z: odd in the two axes other than a
+ROTATION_CLASSES = tuple(int(p) for p in (N_CLASSES - 1) ^ _CLASS_BITS)
 
 
 class InvariantError(RuntimeError):
@@ -249,7 +251,7 @@ def poincare_field(beta, eps_p) -> VectorField:
 
 def poincare_obstacle(domain: Domain) -> str | None:
     """Why poincare_field is not a flow in `domain` (needs a = b = 1, beta != 0), or None."""
-    if abs(domain.a - 1.0) > 1e-12 or abs(domain.b - 1.0) > 1e-12:
+    if not (_close(domain.a, 1.0) and _close(domain.b, 1.0)):
         return "the Poincare flow needs unit equatorial axes (a = b = 1)"
     if domain.kind == "sphere":  # beta within round-off of 0, as Domain.kind decides it
         return "the Poincare flow is singular on the sphere (beta = 0)"
@@ -498,6 +500,12 @@ def class_subgroup(classes) -> tuple[int, ...]:
     for p in classes:
         group |= {q ^ p for q in group}
     return tuple(sorted(group))
+
+
+def coriolis_shifts(axis) -> tuple[int, ...]:
+    """The class shifts of the Coriolis term about `axis`: the term about e_a maps class P
+    to P ^ ROTATION_CLASSES[a], for each nonzero component a of the axis."""
+    return tuple(p for w_a, p in zip(axis, ROTATION_CLASSES) if w_a)
 
 
 def field_classes(v: VectorField, degree: int) -> set[int]:

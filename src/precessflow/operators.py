@@ -55,16 +55,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import monomials
-from .basis import _CLASS_BITS, N_CLASSES, Basis, _read_only, gram_form, nodal_form, solid_rotation
+from .basis import (_CLASS_BITS, ROTATION_CLASSES, Basis, _read_only, gram_form, nodal_form,
+                    solid_rotation)
 from .geometry import Domain, volume_integral
 from .polynomials import Polynomial3, VectorField
 
 BC_FORMS = ("stress_free", "poincare_stress", "normal_gradient", "poincare_normal_gradient")
 
-# reflection class of the rotation field e_a x x: odd in the two axes other than a
-_ROTATION_CLASSES = (N_CLASSES - 1) ^ _CLASS_BITS
 # rotation a's row of the (3, C, nodes) rotation values, by class: nodal_form's rows of mom
-_ROTATION_ROWS = {p: [a] for a, p in enumerate(_ROTATION_CLASSES.tolist())}
+_ROTATION_ROWS = {p: [a] for a, p in enumerate(ROTATION_CLASSES)}
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ def _coriolis_matrix(basis: Basis, axis: tuple[float, float, float]) -> np.ndarr
     values, weights, members = basis.values, basis.weights, basis.members
     return sum(w_a * nodal_form(values, weights, np.cross(e_a, values, axisb=1, axisc=1),
                                 members, {p ^ shift: m for p, m in members.items()})
-               for w_a, e_a, shift in zip(axis, np.eye(3), _ROTATION_CLASSES.tolist()) if w_a)
+               for w_a, e_a, shift in zip(axis, np.eye(3), ROTATION_CLASSES) if w_a)
 
 
 def _pack_advection(blocks: dict, basis: Basis) -> PackedAdvection:

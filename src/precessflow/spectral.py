@@ -29,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import InvariantError, _by_class
-from .operators import _ROTATION_CLASSES, BoundaryCondition, OperatorSet, assemble
+from .basis import ROTATION_CLASSES, InvariantError, _by_class
+from .operators import BoundaryCondition, OperatorSet, assemble
 
-# classes of the rigid rotations each domain kind admits (e_x, e_y, e_z x x are in
-# _ROTATION_CLASSES 6, 5, 3): the strain-rate kernel of that kind, class by class
-NEUTRAL_MODE_CLASSES = {"sphere": tuple(sorted(map(int, _ROTATION_CLASSES))),
-                        "spheroid_z": (int(_ROTATION_CLASSES[2]),), "triaxial": ()}
+# the strain-rate kernel of each domain kind, class by class: the rotations it admits
+NEUTRAL_MODE_CLASSES = {"sphere": tuple(sorted(ROTATION_CLASSES)),
+                        "spheroid_z": (ROTATION_CLASSES[2],), "triaxial": ()}
 # kernel cut, relative to the largest eigenvalue; exact assembly pushes true
 # kernel eigenvalues to round-off so the gap is wide
 TOL_KERNEL = 1e-10

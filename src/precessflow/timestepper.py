@@ -31,33 +31,30 @@ its mode's functional is chosen and tested for degeneracy before the first
 step, not per step.
 
 Reachable classes.  Each basis field lies in one of the 8 mirror-reflection
-classes, Z_2^3 under XOR.  Advection maps classes (P, Q) to P ^ Q, the
-Coriolis term about e_a maps P to P ^ (the class of e_a x x: 6 for e_x),
-and a kick or a constraint projection adds e_z x x (class 3).  So the
-fields of a subgroup G that holds the initial state's classes, u_P's (F_bc
-and c_P lie in them), 3 when a kick or projection is set and the Coriolis
-shift when eps_p != 0 span an invariant subspace: M, V and C_x couple a
-class of G only with classes of G, partial pivoting never picks a pivot
-outside its column's block, so the LU factors and every solve keep the
-other fields at exactly 0.0.  run() therefore steps basis.restrict(G)
-(reachable_classes, _stepped_basis), the full basis only when G holds
-every class present.  u_P (classes 3, 6) and e_z x x (3) generate the
+classes, Z_2^3 under XOR, whose rules basis holds: advection maps classes
+(P, Q) to P ^ Q, the Coriolis term about an axis maps P to P ^ s for each
+of its shifts s (basis.coriolis_shifts: 6 for e_x), and a kick or a
+constraint projection adds e_z x x (class 3).  reachable_classes alone
+decides the subgroup G that a run reaches about PRECESSION_AXIS, the one
+axis run() assembles with.  G's fields span an invariant subspace: M, V and
+C_x couple a class of G only with classes of G, partial pivoting never
+picks a pivot outside its column's block, so the LU factors and every solve
+keep the other fields at exactly 0.0.  run() therefore steps
+basis.restrict(G) (_stepped_basis), the full basis only when G holds every
+class present.  u_P (classes 3, 6) and e_z x x (3) generate the
 centrosymmetric classes {0, 3, 5, 6}, the fields with v(-x) = -v(x) (odd
 polynomials); every bundled config steps them, or {0, 3} for an axial
 rotation at eps_p = 0.  The other coset, {1, 2, 4, 7}, holds the even
 fields, and the growing modes of the Poincare instability lie wholly in it
 (ROADMAP items 9 and 10), so a run seeded only in {0, 3, 5, 6} never meets
 that instability: it needs a seed in {1, 2, 4, 7}, which steps the full
-basis.  At N = 5 the restriction keeps 53 of 85 fields and a
-twin_proj_n5-like step takes about 30-44 us against 54-81 us, the advection
-16-17 us against 28-38 us (2-vCPU x86-64 host, one process, 5 timings).
-The classes of a projected initial state are those of the fields it adds
-with a nonzero amplitude (projected_classes): a projection keeps each
-field's classes, so G is known before anything is projected.  A
-coefficients file keeps the full basis's dimension: it is read on the
-full basis and sliced to the stepped one.  The CSV is computed on the
-stepped basis; it differs from the full basis's only by the round-off of
-shorter sums (fig2_poincare.cfg's is byte-identical).
+basis.  The classes of a projected initial state are those of the analytic
+fields it adds (_initial_fields, which initial_coefficients projects): a
+projection keeps each field's classes, so G is known before anything is
+projected.  A coefficients file keeps the full basis's dimension: it is
+read on the full basis and sliced to the stepped one.  The CSV is computed
+on the stepped basis; it differs from the full basis's only by the
+round-off of shorter sums (fig2_poincare.cfg's is byte-identical).
 
 Set-up once per basis.  run() takes its basis from _run_basis, a one-entry
 functools.lru_cache keyed on (domain, degree), so consecutive runs on one
@@ -85,12 +82,11 @@ import scipy.linalg
 from scipy.linalg.lapack import dgetrs
 
 from . import diagnostics
-from .basis import (REFERENCE_RESIDUAL_TOL, Basis, build_basis, class_subgroup, field_classes,
-                    poincare_field, poincare_obstacle, reference_projection, rotation_projection,
-                    solid_rotation)
+from .basis import (REFERENCE_RESIDUAL_TOL, ROTATION_CLASSES, Basis, build_basis,
+                    class_subgroup, coriolis_shifts, field_classes, poincare_field,
+                    poincare_obstacle, reference_projection, rotation_projection)
 from .geometry import Domain
-from .operators import (_ROTATION_CLASSES, BC_FORMS, BoundaryCondition, OperatorSet,
-                        advection_term, assemble)
+from .operators import BC_FORMS, BoundaryCondition, OperatorSet, advection_term, assemble
 
 # init type -> the init fields it reads; validate() rejects any other init field that is set
 INIT_TYPES = {
@@ -99,6 +95,8 @@ INIT_TYPES = {
     "poincare_plus_rotation": ("init_omega", "init_eps_p"),
     "coefficients": ("init_path",),
 }
+# the precession axis of every run: run() assembles C_x about it, reachable_classes shifts by it
+PRECESSION_AXIS = (1.0, 0.0, 0.0)
 # a run raises BlowUpError once the state norm exceeds this multiple of the largest of
 # its initial norm, the norm of the projected bc data c_P and the norm of the restart kick
 BLOWUP_FACTOR = 1e6
@@ -330,82 +328,77 @@ def _or_zero(value: float | None) -> float:
     return 0.0 if value is None else value
 
 
+def _bc_data(cfg: ScenarioConfig, domain: Domain):
+    """u_P at eps_p, the data of a bc form that carries Poincare data, else None."""
+    return (_poincare_data(domain, cfg.eps_p)
+            if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
+
+
+def _initial_fields(cfg: ScenarioConfig, domain: Domain) -> tuple:
+    """The analytic fields that cfg's projected initial state adds, (u_P at init_eps_p, else
+    at eps_p; the amplitude of e_z x x), each None when it adds none (a coefficients file)."""
+    u_p = amplitude = None
+    if cfg.init_type in ("poincare", "poincare_plus_rotation"):
+        u_p = _poincare_data(domain, cfg.eps_p if cfg.init_eps_p is None else cfg.init_eps_p)
+    if cfg.init_type in ("solid_rotation", "poincare_plus_rotation"):
+        amplitude = _or_zero(cfg.init_amplitude if u_p is None else cfg.init_omega)
+    return u_p, amplitude
+
+
 def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
-    eps = cfg.init_eps_p if cfg.init_eps_p is not None else cfg.eps_p
-    if cfg.init_type == "solid_rotation":
-        return _or_zero(cfg.init_amplitude) * rotation_projection(basis)[0]
-    if cfg.init_type in ("poincare", "poincare_plus_rotation"):
-        c_p, res = reference_projection(_poincare_data(basis.domain, eps), basis)
-        if res > REFERENCE_RESIDUAL_TOL:
-            raise ValueError(f"Poincare flow is not representable in this basis "
-                             f"(projection residual {res:.2e})")
-        if cfg.init_type == "poincare":
-            return c_p.copy()
-        return c_p + _or_zero(cfg.init_omega) * rotation_projection(basis)[0]
-    data = np.loadtxt(cfg.init_path).ravel()
-    if data.shape != (basis.dim,):
-        raise ValueError(
-            f"coefficient file has {data.size} entries, basis dimension is {basis.dim}")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"coefficient file {cfg.init_path} holds non-finite values")
-    return data
-
-
-def projected_classes(cfg: ScenarioConfig, basis: Basis) -> set[int]:
-    """The reflection classes of cfg's projected initial state on basis: those of the
-    fields it adds with a nonzero amplitude, u_P and e_z x x (field_classes).
-
-    A projection keeps each field's classes, so nothing is projected here.
-    """
     if cfg.init_type == "coefficients":
-        raise ValueError("a coefficients file is not a projected initial state")
-    fields = []
-    if cfg.init_type in ("poincare", "poincare_plus_rotation"):
-        eps = cfg.init_eps_p if cfg.init_eps_p is not None else cfg.eps_p
-        fields.append(_poincare_data(basis.domain, eps))
-    amplitude = cfg.init_amplitude if cfg.init_type == "solid_rotation" else cfg.init_omega
-    if _or_zero(amplitude):     # e_z x x, alone or added to u_P
-        fields.append(solid_rotation((0, 0, 1)))
-    return set().union(*(field_classes(v, basis.degree) for v in fields))
+        data = np.loadtxt(cfg.init_path).ravel()
+        if data.shape != (basis.dim,):
+            raise ValueError(
+                f"coefficient file has {data.size} entries, basis dimension is {basis.dim}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"coefficient file {cfg.init_path} holds non-finite values")
+        return data
+    u_p, amplitude = _initial_fields(cfg, basis.domain)
+    if u_p is None:
+        return amplitude * rotation_projection(basis)[0]
+    c_p, res = reference_projection(u_p, basis)
+    if res > REFERENCE_RESIDUAL_TOL:
+        raise ValueError(f"Poincare flow is not representable in this basis "
+                         f"(projection residual {res:.2e})")
+    if amplitude is None:
+        return c_p.copy()
+    return c_p + amplitude * rotation_projection(basis)[0]
 
 
-def reachable_classes(cfg: ScenarioConfig, found: set, bc_data, degree: int) -> tuple[int, ...]:
-    """G, the reflection classes that the run of cfg from an initial state in the classes
-    `found` can reach, for a basis of degree `degree`.
+def reachable_classes(cfg: ScenarioConfig, degree: int, found=()) -> tuple[int, ...]:
+    """G, the reflection classes that the run of cfg can reach on a basis of degree `degree`,
+    given the classes `found` of a coefficients file's nonzero entries.
 
-    G is the subgroup generated by `found`, the classes of the Poincare data
-    bc_data (F_bc and c_P lie in them), of e_z x x when a kick or a projection
-    adds it, and, for eps_p != 0, of the Coriolis shift about e_x, run's
-    precession axis.  Advection maps classes P, Q to P ^ Q and Coriolis P to
-    P ^ shift, so the fields outside G stay exactly 0 (see the module
-    docstring).
+    G is generated by `found`, the classes of the fields the run adds (its
+    projected initial state, and its bc data, whose classes hold F_bc and
+    c_P), e_z x x's when a kick or a projection is set, and for eps_p != 0
+    the Coriolis shifts about PRECESSION_AXIS (see the module docstring).
     """
-    found = set(found)
-    if bc_data is not None:
-        found |= field_classes(bc_data, degree)
-    if cfg.restart_time is not None or cfg.constraint_mode is not None:
-        found.add(int(_ROTATION_CLASSES[2]))
+    domain = cfg.domain()
+    u_p, amplitude = _initial_fields(cfg, domain)
+    classes = set(found).union(*(field_classes(v, degree) for v in (u_p, _bc_data(cfg, domain))
+                                 if v is not None))
+    if _or_zero(amplitude) or cfg.restart_time is not None or cfg.constraint_mode is not None:
+        classes.add(ROTATION_CLASSES[2])
     if cfg.eps_p != 0:
-        found.add(int(_ROTATION_CLASSES[0]))
-    return class_subgroup(found)
+        classes.update(coriolis_shifts(PRECESSION_AXIS))
+    return class_subgroup(classes)
 
 
-def _stepped_basis(cfg: ScenarioConfig, full: Basis, bc_data) -> tuple[Basis, np.ndarray]:
+def _stepped_basis(cfg: ScenarioConfig, full: Basis) -> tuple[Basis, np.ndarray]:
     """The basis that the run of cfg steps, and its initial coefficients there.
 
-    That is full.restrict(G) when G (reachable_classes) leaves out a class of
-    full, else full itself; it is full too when G holds no class of full, a
-    zero state that nothing drives.  A coefficients file is read on full,
-    where its classes are those of its nonzero entries, and sliced; a
-    projected initial state (projected_classes) is projected on the stepped
-    basis alone, as the diagnostics' c_P is.
+    That is full.restrict(G) (reachable_classes), or full when G holds every class
+    of full or none (a zero state that nothing drives).  A coefficients file is read
+    on full, where its classes are those of its nonzero entries, and sliced; a projected
+    initial state is projected on the stepped basis alone, as the diagnostics' c_P is.
     """
+    coeffs, found = None, ()
     if cfg.init_type == "coefficients":
         coeffs = initial_coefficients(cfg, full)
-        found = set(full.classes[coeffs != 0].tolist())
-    else:
-        coeffs, found = None, projected_classes(cfg, full)
-    kept = set(reachable_classes(cfg, found, bc_data, full.degree)) & set(full.members)
+        found = full.classes[coeffs != 0].tolist()
+    kept = set(reachable_classes(cfg, full.degree, found)) & set(full.members)
     basis = full if not kept or kept == set(full.members) else full.restrict(kept)
     if coeffs is None:
         return basis, initial_coefficients(cfg, basis)
@@ -434,12 +427,12 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     """
     cfg.validate()
     domain = cfg.domain()
-    bc_data = (_poincare_data(domain, cfg.eps_p)
-               if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
-    basis, coeffs = _stepped_basis(cfg, _run_basis(domain, cfg.degree), bc_data)
+    bc_data = _bc_data(cfg, domain)
+    basis, coeffs = _stepped_basis(cfg, _run_basis(domain, cfg.degree))
 
     bc = BoundaryCondition(cfg.bc_form, bc_data)
-    ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p)
+    ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p,
+                   precession_axis=PRECESSION_AXIS)
 
     ctx = diagnostics.shared_context(basis, bc_data)
 

@@ -13,14 +13,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import diagnostics
-from .basis import (GRAM_IDENTITY_TOL, Basis, build_basis, curl_form_fields, load_basis,
-                    nodal_form, poincare_field, poincare_obstacle, project_fields,
+from .basis import (GRAM_IDENTITY_TOL, ROTATION_CLASSES, Basis, build_basis, curl_form_fields,
+                    load_basis, nodal_form, poincare_field, poincare_obstacle, project_fields,
                     reference_projection, rotation_projection)
 from .geometry import Domain, half_monomial_integral, monomial_integral, surface_rule
 from .operators import BoundaryCondition, advection_term, assemble, residual
 from .spectral import class_label, neutral_modes
-from .timestepper import (ScenarioConfig, State, initial_coefficients, integrate,
-                          projected_classes, reachable_classes)
+from .timestepper import (PRECESSION_AXIS, ScenarioConfig, State, initial_coefficients,
+                          integrate, reachable_classes)
 
 # shifts omega of the steady family u_P + omega (e_z x x) and its residual bound
 STEADY_SWEEP = (0.0, 0.025, -0.025, 0.1, -0.1, 1.0)
@@ -115,12 +115,13 @@ def advection_skew(blocks: dict) -> float:
 def momentum_coupling_sides(ops) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of operators.momentum_coupling_identity for each basis field, from ops:
     mom[1] (the functional behind M_y) and the nodal form 2 int (e_z x x).(e_x x b_k),
-    which pairs class 3 with the fields shifted by 6, as C_x does (class 5 only)."""
+    which pairs the class of e_z x x with the fields that C_x about e_x shifts into it."""
     basis = ops.basis
     ez_x = np.cross((0.0, 0.0, 1.0), basis.points).T[None]
     ex_b = np.cross((1.0, 0.0, 0.0), basis.values, axisb=1, axisc=1)
-    shifted = {p ^ 6: m for p, m in basis.members.items()}
-    return ops.mom[1], 2.0 * nodal_form(ez_x, basis.weights, ex_b, {3: [0]}, shifted)[0]
+    shifted = {p ^ ROTATION_CLASSES[0]: m for p, m in basis.members.items()}
+    return ops.mom[1], 2.0 * nodal_form(ez_x, basis.weights, ex_b, {ROTATION_CLASSES[2]: [0]},
+                                        shifted)[0]
 
 
 def _operator_checks(results, label, domain, basis):
@@ -219,17 +220,15 @@ def _unreached_classes_check(results, label, basis, n_steps=100):
     """The forced, precessing run of timestepper.run's reachable classes, stepped on the
     whole basis: every field outside G stays exactly 0 at every step.
 
-    G is reachable_classes of a poincare_stress run at eps_p = 0.25 from
-    u_P + 0.025 e_z x x, the set-up of the bundled poincare configs.
+    G is reachable_classes of a poincare_stress run about PRECESSION_AXIS at eps_p =
+    0.25 from u_P + 0.025 e_z x x, the set-up of the bundled poincare configs.
     """
     ctx = f"domain={label} N={basis.degree}"
     cfg = ScenarioConfig(degree=basis.degree, bc_form="poincare_stress", nu_inverse=0.024,
                          eps_p=0.25, init_type="poincare_plus_rotation", init_omega=0.025,
                          dt=0.01, t_end=n_steps * 0.01, record_every=n_steps * 0.01,
                          beta=basis.domain.beta)
-    u_p = poincare_field(basis.domain.beta, Fraction(1, 4))
-    coeffs = initial_coefficients(cfg, basis)
-    group = reachable_classes(cfg, projected_classes(cfg, basis), u_p, basis.degree)
+    group = reachable_classes(cfg, basis.degree)
     outside = set(basis.members) - set(group)
     if not outside:
         _check(results, "timestepper.unreached_classes_zero", ctx, True,
@@ -242,9 +241,10 @@ def _unreached_classes_check(results, label, basis, n_steps=100):
         nonlocal worst
         worst = max(worst, float(np.max(np.abs(st.coeffs[mask]))))
 
+    u_p = poincare_field(basis.domain.beta, Fraction(cfg.eps_p))
     ops = assemble(basis, BoundaryCondition("poincare_stress", u_p), nu=1.0 / cfg.nu_inverse,
-                   eps_p=cfg.eps_p)
-    integrate(State(0.0, coeffs), ops, cfg.dt, n_steps, callback=watch)
+                   eps_p=cfg.eps_p, precession_axis=PRECESSION_AXIS)
+    integrate(State(0.0, initial_coefficients(cfg, basis)), ops, cfg.dt, n_steps, callback=watch)
     _check(results, "timestepper.unreached_classes_zero", ctx, worst == 0.0,
            f"G {class_label(group)}; classes {class_label(outside)} max |c| {worst:.1e} "
            f"over {n_steps} steps")

@@ -90,13 +90,11 @@ def reference_projection(state, mode, ctx):
 def reference_run(cfg):
     cfg.validate()
     domain = cfg.domain()
-    bc_data = (timestepper._poincare_data(domain, cfg.eps_p)
-               if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
+    bc_data = timestepper._bc_data(cfg, domain)
     # the basis of the classes the run can reach, as run steps it
-    basis, coeffs = timestepper._stepped_basis(cfg, timestepper._run_basis(domain, cfg.degree),
-                                               bc_data)
+    basis, coeffs = timestepper._stepped_basis(cfg, timestepper._run_basis(domain, cfg.degree))
     ops = assemble(basis, BoundaryCondition(cfg.bc_form, bc_data), nu=1.0 / cfg.nu_inverse,
-                   eps_p=cfg.eps_p)
+                   eps_p=cfg.eps_p, precession_axis=timestepper.PRECESSION_AXIS)
     ctx = diagnostics.shared_context(basis, bc_data)
     state = State(t=0.0, coeffs=coeffs)
     kick = (abs(timestepper._or_zero(cfg.restart_omega))

@@ -1,12 +1,15 @@
 """run() steps only the reflection classes it can reach.
 
 The classes form Z_2^3 under XOR.  Advection maps classes (P, Q) to P ^ Q,
-Coriolis about e_x maps P to P ^ 6, and a kick or a constraint projection
-adds e_z x x (class 3), so the fields outside the subgroup G that
-timestepper.reachable_classes finds stay exactly 0 on the full basis.  Each
-run below is stepped twice: on the full basis, where those fields must read
-0.0 at every record, and as run() steps it, on the restriction to G, whose
-CSV may differ from the full one by the round-off of shorter sums only.
+Coriolis about timestepper.PRECESSION_AXIS maps P to P ^ s for each of its
+shifts s (basis.coriolis_shifts: 6 for e_x), and a kick or a constraint
+projection adds e_z x x (class 3), so the fields outside the subgroup G
+that timestepper.reachable_classes alone decides stay exactly 0 on the full
+basis.  Each run below is stepped twice: on the full basis, where those
+fields must read 0.0 at every record, and as run() steps it, on the
+restriction to G, whose CSV may differ from the full one by the round-off of
+shorter sums only.  G is also no larger than the XOR-closure of the classes
+of what the run injects.
 """
 
 import dataclasses
@@ -17,7 +20,8 @@ import numpy as np
 import pytest
 
 from precessflow import cli, diagnostics, timestepper
-from precessflow.basis import build_basis, class_subgroup, field_classes, poincare_field
+from precessflow.basis import (build_basis, class_subgroup, field_classes, poincare_field,
+                               reference_projection, rotation_projection)
 from precessflow.operators import BoundaryCondition, assemble
 from precessflow.timestepper import ScenarioConfig, run
 
@@ -33,6 +37,27 @@ CONFIG_GROUPS = {"fig1.cfg": (0, 3, 5, 6), "fig2_poincare.cfg": (0, 3, 5, 6),
 KICKED = dict(degree=3, bc_form="poincare_stress", nu_inverse=0.00375, eps_p=0.25,
               init_type="poincare_plus_rotation", init_omega=0.025, dt=0.01, t_end=1.0,
               record_every=0.1, restart_time=0.55, restart_omega=0.025, beta=Fraction(9, 16))
+_START_FROM = dict(init_type="solid_rotation", init_omega=None, restart_time=None,
+                   restart_omega=None)
+# changes to KICKED and the G they give
+GENERATES = {
+    "kicked_poincare": (dict(), (0, 3, 5, 6)),
+    "axial_rotation": (dict(_START_FROM, eps_p=0.0, bc_form="stress_free", init_amplitude=0.1),
+                       (0, 3)),
+    # from rest, the kick alone reaches class 3 and Coriolis adds 6
+    "kick_from_rest": (dict(bc_form="stress_free", init_type="solid_rotation", init_omega=None,
+                            init_amplitude=0.0), (0, 3, 5, 6)),
+    # from rest without precession, the forcing alone reaches u_P's class: u_P = e_z x x
+    "forced_from_rest": (dict(_START_FROM, eps_p=0.0, init_amplitude=0.0), (0, 3)),
+    "rest": (dict(_START_FROM, eps_p=0.0, bc_form="stress_free", init_amplitude=0.0), (0,)),
+    "projection": (dict(_START_FROM, eps_p=0.0, bc_form="stress_free", init_amplitude=0.0,
+                        constraint_mode="rot_momentum"), (0, 3)),
+    **{f"constraint={mode}": (dict(constraint_mode=mode), (0, 3, 5, 6))
+       for mode in diagnostics.CONSTRAINT_MODES},
+    # a file seeded in class 2 alone, an even field: the Coriolis shift 6 adds class 4
+    "coefficients": (dict(_START_FROM, bc_form="stress_free", init_type="coefficients"),
+                     (0, 2, 4, 6)),
+}
 # largest difference between a column of the restricted run's CSV and the full one's, as a
 # fraction of the column's largest magnitude: the bundled configs reach 2.2e-12 (fig1's
 # E_perp, a difference of two energies)
@@ -62,6 +87,26 @@ def recorded_run(cfg, monkeypatch, full_basis=False):
     return dict(zip(lines[0].split(","), columns)), text, states, bases[0]
 
 
+def injected_closure(cfg, basis, c0):
+    """The XOR-closure of the classes of the nonzero entries of what the run of cfg injects
+    on basis, c0, F_bc, c_P and e_z x x when a kick or a projection is set, and, for
+    eps_p != 0, of the class shifts of C_x's nonzero blocks."""
+    bc_data = timestepper._bc_data(cfg, basis.domain)
+    ops = assemble(basis, BoundaryCondition(cfg.bc_form, bc_data), nu=1.0 / cfg.nu_inverse,
+                   eps_p=cfg.eps_p, precession_axis=timestepper.PRECESSION_AXIS,
+                   include_advection=False)
+    injected = [c0, ops.F_bc]
+    if bc_data is not None:
+        injected.append(reference_projection(bc_data, basis)[0])
+    if cfg.restart_time is not None or cfg.constraint_mode is not None:
+        injected.append(rotation_projection(basis)[0])
+    classes = set(basis.classes[np.any(np.array(injected) != 0, axis=0)].tolist())
+    if cfg.eps_p != 0:
+        m = basis.members
+        classes |= {p ^ q for p in m for q in m if np.any(ops.C_x[np.ix_(m[p], m[q])])}
+    return class_subgroup(classes)
+
+
 def assert_invariant_subspace(cfg, monkeypatch, group):
     """Both runs of cfg: zeros outside group on the full basis, round-off between the CSVs.
 
@@ -85,15 +130,8 @@ def assert_invariant_subspace(cfg, monkeypatch, group):
 def test_bundled_configs_stay_in_their_subgroup(path, tmp_path, monkeypatch):
     cfg = cli.scenario_from_config(cli.parse_config(path))
     cfg = dataclasses.replace(cfg, output_path=str(tmp_path / "run.csv"))
-    full = timestepper._run_basis(cfg.domain(), cfg.degree)
-    bc_data = (timestepper._poincare_data(cfg.domain(), cfg.eps_p)
-               if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
-    found = timestepper.projected_classes(cfg, full)
-    group = timestepper.reachable_classes(cfg, found, bc_data, cfg.degree)
+    group = timestepper.reachable_classes(cfg, cfg.degree)
     assert group == CONFIG_GROUPS[path.name]
-    # the classes of the projected state are those of its nonzero coefficients
-    coeffs = timestepper.initial_coefficients(cfg, full)
-    assert found == set(full.classes[coeffs != 0].tolist())
     full_text, text = assert_invariant_subspace(cfg, monkeypatch, group)
     if path.name == "fig2_poincare.cfg":
         assert text == full_text
@@ -104,6 +142,27 @@ def test_constraint_modes_of_the_kicked_run_stay_in_their_subgroup(mode, tmp_pat
                                                                    monkeypatch):
     cfg = ScenarioConfig(**KICKED, constraint_mode=mode, output_path=str(tmp_path / "run.csv"))
     assert_invariant_subspace(cfg, monkeypatch, (0, 3, 5, 6))
+
+
+@pytest.mark.parametrize("axis, group", [((0.0, 0.0, 1.0), (0, 3)),
+                                         ((1.0, 0.0, 0.0), (0, 3, 5, 6))], ids=["e_z", "e_x"])
+def test_the_run_axis_decides_the_coriolis_shift(axis, group, tmp_path, monkeypatch):
+    # C_x about e_z shifts e_z x x's class 3 by 3, about e_x by 6
+    monkeypatch.setattr(timestepper, "PRECESSION_AXIS", axis)
+    axes, assemble_ = [], timestepper.assemble
+
+    def recording(*args, **kwargs):
+        axes.append(kwargs["precession_axis"])
+        return assemble_(*args, **kwargs)
+
+    monkeypatch.setattr(timestepper, "assemble", recording)
+    cfg = ScenarioConfig(degree=3, bc_form="stress_free", nu_inverse=1.0, eps_p=0.25,
+                         init_type="solid_rotation", init_amplitude=0.1, dt=0.01, t_end=1.0,
+                         record_every=0.1, beta=Fraction(9, 16),
+                         output_path=str(tmp_path / "run.csv"))
+    assert timestepper.reachable_classes(cfg, cfg.degree) == group
+    assert_invariant_subspace(cfg, monkeypatch, group)
+    assert set(axes) == {axis}
 
 
 class TestReachableClasses:
@@ -119,32 +178,18 @@ class TestReachableClasses:
         assert field_classes(poincare_field(Fraction(9, 16), Fraction(1, 4)), 3) == {3, 6}
         assert field_classes(poincare_field(Fraction(9, 16), 0), 3) == {3}
 
-    @pytest.mark.parametrize("changes, group", [
-        (dict(), (0, 3, 5, 6)),
-        (dict(eps_p=0.0, bc_form="stress_free", init_type="solid_rotation", init_omega=None,
-              init_amplitude=0.1, restart_time=None, restart_omega=None), (0, 3)),
-        # from rest, the kick alone reaches class 3 and Coriolis adds 6
-        (dict(bc_form="stress_free", init_type="solid_rotation", init_omega=None,
-              init_amplitude=0.0), (0, 3, 5, 6)),
-        # from rest without precession, the forcing alone reaches u_P's class: u_P = e_z x x
-        (dict(eps_p=0.0, init_type="solid_rotation", init_omega=None, init_amplitude=0.0,
-              restart_time=None, restart_omega=None), (0, 3)),
-        (dict(eps_p=0.0, bc_form="stress_free", init_type="solid_rotation", init_omega=None,
-              init_amplitude=0.0, restart_time=None, restart_omega=None), (0,)),
-        (dict(eps_p=0.0, bc_form="stress_free", init_type="solid_rotation", init_omega=None,
-              init_amplitude=0.0, restart_time=None, restart_omega=None,
-              constraint_mode="rot_momentum"), (0, 3)),
-    ], ids=["kicked_poincare", "axial_rotation", "kick_from_rest", "forced_from_rest", "rest",
-            "projection"])
-    def test_what_generates_g(self, changes, group):
+    @pytest.mark.parametrize("changes, group", GENERATES.values(), ids=list(GENERATES))
+    def test_what_generates_g(self, changes, group, tmp_path):
+        # G is the closure of what the run injects: large enough, and no larger
+        full = get_basis("spheroid", 3)
+        np.savetxt(tmp_path / "init.txt", np.where(full.classes == 2, 0.01, 0.0))
         cfg = ScenarioConfig(**(KICKED | changes))
-        basis = get_basis("spheroid", 3)
-        bc_data = (timestepper._poincare_data(cfg.domain(), cfg.eps_p)
-                   if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
-        found = timestepper.projected_classes(cfg, basis)
-        assert timestepper.reachable_classes(cfg, found, bc_data, basis.degree) == group
-        coeffs = timestepper.initial_coefficients(cfg, basis)
-        assert found == set(basis.classes[coeffs != 0].tolist())
+        if cfg.init_type == "coefficients":
+            cfg.init_path = str(tmp_path / "init.txt")
+        c0 = timestepper.initial_coefficients(cfg, full)
+        found = full.classes[c0 != 0].tolist() if cfg.init_type == "coefficients" else ()
+        assert timestepper.reachable_classes(cfg, 3, found) == group
+        assert group == injected_closure(cfg, full, c0)
 
     def test_a_zero_state_that_nothing_drives_steps_the_full_basis(self, tmp_path,
                                                                   monkeypatch):

@@ -1,14 +1,17 @@
 """The scripts under scripts/ exit nonzero when a claim that they print fails, and
 output_digests repeats its digests and sees a one-ulp change."""
 
+import contextlib
 import dataclasses
+import hashlib
 import importlib.util
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from precessflow import operators
+from precessflow import cli, operators
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -80,6 +83,10 @@ def test_output_digests_repeat_and_see_one_ulp(monkeypatch, tmp_path, capsys):
     first = digests()
     assert digests() == first
     assert list(first) == sorted(first) and "config/kick.cfg" in first
+    # one line digests the stdout of `precessflow verify` at the same degrees
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(["verify", "--degrees", "1,2"])
+    assert first["verify:1,2"] == hashlib.sha256(out.getvalue().encode()).hexdigest()
     # one line of stepped classes per run: at N = 2 the kick and the Coriolis shift reach
     # G = {0, 3, 5, 6}, whose classes present are 3, 5 and 6; the N = 3 runs step all four
     stepped = {label: value for label, value in first.items() if label.startswith("run:")}
@@ -89,7 +96,7 @@ def test_output_digests_repeat_and_see_one_ulp(monkeypatch, tmp_path, capsys):
     runs = {label for label in first if label.startswith("run/")}
     assert runs == {f"run/{name}" for name in script.RUNS} and len(runs) == 4
     # one ulp on the inhomogeneous forcing changes the spheroid's F_bc lines, the
-    # poincare_stress runs and no other line
+    # poincare_stress runs, verify's stdout (its steady residuals) and no other line
     forcing = operators._forcing_vector
 
     def nudged(basis, bc, nu):
@@ -99,4 +106,4 @@ def test_output_digests_repeat_and_see_one_ulp(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(operators, "_forcing_vector", nudged)
     changed = {label for label, value in digests().items() if first[label] != value}
     assert changed == {f"{method}/spheroid/N={degree}/F_bc"
-                       for method in ("exact", "svd") for degree in (1, 2)} | runs
+                       for method in ("exact", "svd") for degree in (1, 2)} | runs | {"verify:1,2"}

@@ -12,16 +12,23 @@ verify`), one `label sha256` line per item:
 - both viscous spectra with the classes of their kernels;
 - the projection of e_z x x onto the basis and its residual;
 
-one line for the CSV of each configs/*.cfg run, and one for each of four short
-spheroid N = 3 poincare_stress runs that take the paths no bundled config
-takes: the per-step constraint projection in each of its three modes, and a
-restart kick between two records.  Each of these runs also prints a
-`run:<name> classes ...` line with the reflection classes of the basis it
-stepped (timestepper.run steps the classes it can reach), so a change of the
-stepped subspace shows in the diff too.  The CSVs are written in a temporary
-directory.  One `verify:<degrees>` line digests the stdout of `precessflow
-verify --degrees <degrees>`.  The lines are sorted, so two source trees agree
-bit for bit when they print the same text:
+one line for the CSV of each configs/*.cfg run, and one for each of seven
+spheroid poincare_stress runs: four short N = 3 runs that take the paths no
+bundled config takes (the per-step constraint projection in each of its
+three modes, and a restart kick between two records), the +/- omega twin
+pair of the twin_proj_n5 benchmark (N = 5, rot_momentum projection, the
+second run warm on the first's basis) and the short kicked run at N = 6,
+where the basis built on the stepped classes alone skips the polish pass
+that the full basis takes.  Each of these runs also prints a `run:<name>
+classes ...` line with the reflection classes of the basis it stepped
+(timestepper.run steps the classes it can reach) and a `stepped/<name>`
+line, the sha256 of that basis's coeff_array and integer rows, so a change
+of the stepped subspace or of its fields shows in the diff too.  The CSVs
+are written in a temporary directory.  One `verify:<degrees>` line digests
+the stdout of `precessflow verify --degrees <degrees>`.  The lines are
+sorted, so two source trees agree bit for bit when they print the same
+text (the stepped/ lines read timestepper._run_fields and _stepped_basis,
+so the other tree needs them too):
 
     PYTHONPATH=src python scripts/output_digests.py > new.txt
     PYTHONPATH=/path/to/other/src python scripts/output_digests.py > old.txt
@@ -40,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from precessflow import cli, run
+from precessflow import cli, run, timestepper
 from precessflow.basis import build_basis, poincare_field, rotation_projection
 from precessflow.diagnostics import CONSTRAINT_MODES
 from precessflow.operators import BoundaryCondition, assemble
@@ -55,8 +62,11 @@ AXES = ((1.0, 0.0, 0.0), (0.0, 0.6, 0.8))
 RUN = dict(degree=3, bc_form="poincare_stress", nu_inverse=0.00375, eps_p=0.25,
            init_type="poincare_plus_rotation", init_omega=0.025, dt=0.01, t_end=1.0,
            record_every=0.1, beta=Fraction(9, 16))
+TWIN = dict(degree=5, t_end=8.0, record_every=1.0, constraint_mode="rot_momentum")
 RUNS = {**{f"constraint={mode}": dict(constraint_mode=mode) for mode in CONSTRAINT_MODES},
-        "restart=0.55": dict(restart_time=0.55, restart_omega=0.025)}
+        "restart=0.55": dict(restart_time=0.55, restart_omega=0.025),
+        "twin_n5=+omega": TWIN, "twin_n5=-omega": TWIN | dict(init_omega=-0.025),
+        "degree=6": dict(degree=6)}
 
 
 def digest(value) -> str:
@@ -102,14 +112,25 @@ def basis_items(kind, basis):
     yield "rotation_residual", float(residual).hex()
 
 
+def stepped_basis(scenario):
+    """The basis that run(scenario) stepped, as run finds it: from the basis the run
+    left in timestepper's one-entry cache, so nothing is built again."""
+    domain = scenario.domain()
+    fields = timestepper._run_fields(scenario, domain)
+    return timestepper._stepped_basis(scenario, domain, fields)[0]
+
+
 def run_lines(kind, name, scenario) -> list[str]:
     """The digest line of the CSV of the run of scenario, written in a temporary directory,
-    and the line of the classes it stepped."""
+    and the lines of the classes and the fields of the basis it stepped."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / Path(scenario.output_path or "run.csv").name
         series = run(dataclasses.replace(scenario, output_path=str(out)))
+        basis = stepped_basis(scenario)
+        fields = "".join(digest(a) for a in (basis.coeff_array, *(basis.rows or ())))
         return [f"{kind}/{name} {digest(out.read_bytes())}",
-                f"run:{name} classes {','.join(map(str, series.classes))}"]
+                f"run:{name} classes {','.join(map(str, series.classes))}",
+                f"stepped/{name} {digest(fields)}"]
 
 
 def verify_line(degrees) -> str:

@@ -18,6 +18,9 @@ identity involves coefficients of one parity under the mirror reflections
 x_a -> -x_a: the system splits into 8 class blocks, and every nullspace field,
 exact or svd, lies in one class (coefficient_classes labels them).  Every
 per-class loop reads the partition that the Basis constructor finds once.
+The reduced echelon form of the system is unique, so build_basis(...,
+classes=G) builds the fields of G alone from G's class blocks: the rows of
+the whole nullspace that lie in G, in their order.
 
 Nodal forms.  A product of fields of classes P and Q flips sign under
 x_a -> -x_a when bit a of P ^ Q is set, so a form is 0 between classes, and
@@ -34,7 +37,8 @@ volume form reads them, and so does project, which takes fields of degree
 Orthonormalization is one kernel, the inverse Cholesky factor of a Gram, run
 on each class block of the raw fields' mass Gram, so every orthonormal field
 stays in its class; one polish pass runs it on the Gram of the result when
-that misses I by more than 1e-13.  GRAM_IDENTITY_TOL gates the same Gram.
+that misses I by more than 1e-13 in any class built.  GRAM_IDENTITY_TOL
+gates the same Gram.
 Each pass (raw fields, first pass, polish) is one Basis, so each Gram is
 its constructor's.
 
@@ -63,13 +67,14 @@ per-kernel times of a build are in BENCH_28.json and CHANGES.md.
 
 The coefficient array, the class labels, the nodal values and gradients and
 the mass Gram are read-only: one basis is shared by every operator set
-assembled on it and, through timestepper.run, by consecutive runs.
-Basis.restrict(classes) is the basis of the fields of some classes, sliced
-from these arrays with nothing evaluated again; timestepper.run steps it
-when the run cannot reach the other classes.  What
-those derive from the basis (operators, LU factors, the diagnostics context,
-the projections of e_z x x and u_P) is kept in its assembly cache
-(Basis.cached), read-only as well.
+assembled on it and, through timestepper.run, by consecutive runs, which
+step a basis built on the classes they can reach.  Basis.restrict(classes)
+is the basis of the fields of some classes, sliced from these arrays with
+nothing evaluated again; a run started from a coefficients file, which is
+read on the full basis, steps it.  What those derive from the basis
+(operators, LU factors, the diagnostics context, the projections of
+e_z x x and u_P) is kept in its assembly cache (Basis.cached), read-only as
+well.
 """
 
 from __future__ import annotations
@@ -312,8 +317,12 @@ def _eliminate(row: dict, pivot: dict, col: int) -> dict:
     return {c: v // g for c, v in out.items()} if g > 1 else out
 
 
-def _integer_nullspace(rows: list[dict], ncols: int) -> tuple[np.ndarray, np.ndarray]:
+def _integer_nullspace(rows: list[dict], ncols: int,
+                       columns=None) -> tuple[np.ndarray, np.ndarray]:
     """Nullspace basis of a sparse integer matrix, rows {col: int}, as integer rows.
+
+    columns (default: all ncols) are the unknowns: the rows read no other
+    column, and the basis spans the vectors that are 0 outside them.
 
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968): a
     row is reduced by a pivot row as p row - f pivot, and every row keeps its
@@ -347,7 +356,7 @@ def _integer_nullspace(rows: list[dict], ncols: int) -> tuple[np.ndarray, np.nda
         for lead in users[col]:
             pivots[lead] = _eliminate(pivots[lead], pivots[col], col)
 
-    free = [c for c in range(ncols) if c not in pivots]
+    free = [c for c in (range(ncols) if columns is None else columns) if c not in pivots]
     entries: dict[int, list] = {}   # free column -> (lead, r, p) of the rows holding it
     for lead, piv in pivots.items():
         for c, r in piv.items():
@@ -413,11 +422,30 @@ def _constraint_rows(domain: Domain, degree: int):
     return rows, dim_v, dim_q, scale
 
 
-def _raw_rows_exact(domain: Domain, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exact nullspace as integer rows (nums, dens) over (v_x, v_y, v_z, q)
-    coefficients: row i is nums[i] / dens[i] (see _integer_nullspace)."""
+def _column_classes(degree: int) -> np.ndarray:
+    """The reflection class of each (v_x, v_y, v_z, q) coefficient of the constraint system.
+
+    Each identity reads the columns of one class, its monomial's, so the system
+    is block-diagonal by class.
+    """
+    return np.concatenate([_class_table(degree).ravel(),
+                           (monomials.exponents(degree - 1) % 2) @ _CLASS_BITS])
+
+
+def _raw_rows_exact(domain: Domain, degree: int,
+                    classes=range(N_CLASSES)) -> tuple[np.ndarray, np.ndarray]:
+    """The exact nullspace of the class blocks `classes` as integer rows (nums, dens) over
+    (v_x, v_y, v_z, q) coefficients: row i is nums[i] / dens[i] (see _integer_nullspace).
+
+    The reduced echelon form is unique and no identity reads two classes, so the
+    rows are those of the whole nullspace that lie in `classes`, in their order.
+    """
     rows, dim_v, dim_q, _ = _constraint_rows(domain, degree)
-    return _integer_nullspace(rows, 3 * dim_v + dim_q)
+    wanted = np.zeros(N_CLASSES, dtype=bool)
+    wanted[list(classes)] = True
+    kept = wanted[_column_classes(degree)].tolist()
+    rows = [row for row in rows if kept[next(iter(row))]]
+    return _integer_nullspace(rows, 3 * dim_v + dim_q, [c for c, k in enumerate(kept) if k])
 
 
 def _rows_to_float(nums: np.ndarray, dens: np.ndarray, at: tuple, degree: int) -> np.ndarray:
@@ -440,10 +468,10 @@ def _rows_to_float(nums: np.ndarray, dens: np.ndarray, at: tuple, degree: int) -
     return out.reshape(-1, 3, dim_v)
 
 
-def _raw_coeff_svd(domain: Domain, degree: int) -> np.ndarray:
+def _raw_coeff_svd(domain: Domain, degree: int, classes=range(N_CLASSES)) -> np.ndarray:
     """Float fallback: (fields, 3, D_N) coefficients of the SVD nullspace of each class
-    block of the system (each identity and the columns it reads share its monomial's
-    class), with a rank cutoff relative to the block's largest singular value."""
+    block of the system in `classes`, ascending (see _column_classes), with a rank
+    cutoff relative to the block's largest singular value."""
     rows, dim_v, dim_q, scale = _constraint_rows(domain, degree)
     ncols = 3 * dim_v + dim_q
     mat = np.zeros((len(rows), ncols))
@@ -451,11 +479,10 @@ def _raw_coeff_svd(domain: Domain, degree: int) -> np.ndarray:
         # the tangency rows divided back by their scale, each entry correctly rounded
         den = 1 if i < dim_q else scale
         mat[i, list(row)] = [v / den for v in row.values()]
-    col_cls = np.concatenate([_class_table(degree).ravel(),
-                              (monomials.exponents(degree - 1) % 2) @ _CLASS_BITS])
+    col_cls = _column_classes(degree)
     row_cls = col_cls[np.argmax(mat != 0.0, axis=1)]
     blocks = []
-    for p in range(N_CLASSES):
+    for p in sorted(classes):
         cols = np.flatnonzero(col_cls == p)
         _, s, vt = np.linalg.svd(mat[np.ix_(row_cls == p, cols)], full_matrices=True)
         rank = int(np.sum(s > _SVD_RANK_RTOL * s[0])) if s.size else 0
@@ -549,7 +576,7 @@ def _orthonormal_coefficients(gram: np.ndarray, index=None) -> np.ndarray:
     return scipy.linalg.lapack.dtrtri(chol, lower=1)[0]
 
 
-def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
+def build_basis(domain: Domain, degree: int, method: str = "exact", classes=None) -> Basis:
     """Construct the orthonormal tangent solenoidal basis of total degree <= N.
 
     method='exact' solves the constraint nullspace exactly, by fraction-free
@@ -560,18 +587,35 @@ def build_basis(domain: Domain, degree: int, method: str = "exact") -> Basis:
     an independent cross-check.  Both orthonormalize alike; the combination q is
     applied to the exact integer rows, with both constraints proved on every
     combined row (InvariantError names a failing field), or to the svd floats.
+
+    classes (default: all 8) builds the fields of those reflection classes
+    alone: the constraint rows and nullspace columns of their class blocks, and
+    the orthonormalization, the Gram gate and the row proof on those fields.
+    The polish pass runs when a built class misses I by more than 1e-13, so a
+    build of every class is the full build.  With the same polish decision the
+    result equals build_basis(domain, degree, method).restrict(classes) bit for
+    bit for the exact method (raw_gram_cond aside: it is the condition of the
+    classes built); where the decisions differ (on the verify domains, at
+    N = 6 alone) the fields differ by round-off, and so do svd fields, whose
+    combination q @ raw is one float product over the fields built.  Classes
+    that hold no field give a basis of dim 0.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    kept = range(N_CLASSES) if classes is None else sorted(set(classes))
+    if not kept or not set(kept) <= set(range(N_CLASSES)):
+        raise ValueError(f"classes must be reflection classes 0-{N_CLASSES - 1}, got {classes}")
     if method == "exact":
-        nums, dens = _raw_rows_exact(domain, degree)
+        nums, dens = _raw_rows_exact(domain, degree, kept)
         nonzero = np.nonzero(nums != 0)     # the one scan of the raw rows
         raw_arr = _rows_to_float(nums, dens, nonzero, degree)
     elif method == "svd":
-        raw_arr = _raw_coeff_svd(domain, degree)
+        raw_arr = _raw_coeff_svd(domain, degree, kept)
     else:
         raise ValueError(f"unknown method {method!r}")
     raw = Basis(domain, degree, raw_arr)
+    if not raw.dim:
+        return raw
     members = raw.members
     # the Gram is 0 between classes: its eigenvalues are its class blocks' (cond = inf
     # for dependent fields, as np.linalg.cond gives)
@@ -628,8 +672,9 @@ def nodal_form(u: np.ndarray, weights: np.ndarray, v: np.ndarray, rows_u: dict,
     each kept block, whose integrand is even, is one product (U w) V^T.
     """
     out = np.zeros((len(u), len(v)))
-    uw = (u * weights).reshape(len(u), -1)
-    v = v.reshape(len(v), -1)
+    width = math.prod(u.shape[1:])      # so that no rows (a basis of dim 0) reshape too
+    uw = (u * weights).reshape(len(u), width)
+    v = v.reshape(len(v), width)
     for p, i in rows_u.items():
         k = rows_v.get(p)
         if k is not None:

@@ -39,34 +39,39 @@ decides the subgroup G that a run reaches about PRECESSION_AXIS, the one
 axis run() assembles with.  G's fields span an invariant subspace: M, V and
 C_x couple a class of G only with classes of G, partial pivoting never
 picks a pivot outside its column's block, so the LU factors and every solve
-keep the other fields at exactly 0.0.  run() therefore steps
-basis.restrict(G) (_stepped_basis), the full basis only when G holds every
-class present.  u_P (classes 3, 6) and e_z x x (3) generate the
-centrosymmetric classes {0, 3, 5, 6}, the fields with v(-x) = -v(x) (odd
-polynomials); every bundled config steps them, or {0, 3} for an axial
-rotation at eps_p = 0.  The other coset, {1, 2, 4, 7}, holds the even
-fields, and the growing modes of the Poincare instability lie wholly in it
-(ROADMAP items 9 and 10), so a run seeded only in {0, 3, 5, 6} never meets
-that instability: it needs a seed in {1, 2, 4, 7}, which steps the full
-basis.  The classes of a projected initial state are those of the analytic
-fields it adds (_initial_fields, which initial_coefficients projects): a
-projection keeps each field's classes, so G is known before anything is
-projected.  A coefficients file keeps the full basis's dimension: it is
-read on the full basis and sliced to the stepped one.  The CSV is computed
-on the stepped basis; it differs from the full basis's only by the
-round-off of shorter sums (fig2_poincare.cfg's is byte-identical).
+keep the other fields at exactly 0.0.  run() therefore steps a basis of
+G's fields alone (_stepped_basis), built on G's classes by
+build_basis(..., classes=G), and the full basis only when G holds no field
+of the degree (G = {0} at N = 2).  u_P (classes 3, 6) and e_z x x (3)
+generate the centrosymmetric classes {0, 3, 5, 6}, the fields with
+v(-x) = -v(x) (odd polynomials); every bundled config steps them, or
+{0, 3} for an axial rotation at eps_p = 0.  The other coset, {1, 2, 4, 7},
+holds the even fields, and the growing modes of the Poincare instability
+lie wholly in it (ROADMAP items 9 and 10), so a run seeded only in
+{0, 3, 5, 6} never meets that instability: it needs a seed in
+{1, 2, 4, 7}, which steps every class.  The classes of a projected
+initial state are those of the analytic fields it adds (_initial_fields,
+which initial_coefficients projects): a projection keeps each field's
+classes, so G is known before anything is built or projected.  A
+coefficients file keeps the full basis's dimension: it is read on the full
+basis, which is built whole, and sliced to full.restrict(G).  The CSV is
+computed on the stepped basis; it differs from the full basis's only by
+the round-off of shorter sums (fig2_poincare.cfg's is byte-identical).  A basis of G holds the full
+basis's fields of G bit for bit unless the two builds take different polish
+decisions (build_basis): at N = 6 on the verify domains, a run's classes
+{0, 3, 5, 6} skip the polish pass that classes outside them trigger, and
+its fields, and so its CSV, move by round-off.
 
-Set-up once per basis.  run() takes its basis from _run_basis, a one-entry
-functools.lru_cache keyed on (domain, degree), so consecutive runs on one
-basis (the +/- omega twins of scripts/poincare_family.py, say) share its
-assembly cache, and the restriction kept on it shares its own: the core
+Set-up once per basis.  run() builds u_P and its Domain once and takes its
+basis from _run_basis, a one-entry functools.lru_cache keyed on (domain,
+degree, G), so consecutive runs that step one basis (the +/- omega twins
+of scripts/poincare_family.py, say) share its assembly cache: the core
 matrices, C_x, the advection blocks and pack, the LU factors, the
 diagnostics context and the projections of e_z x x and u_P are each formed
-once, and a warm run forms only the forcing vector.  The full basis itself
-forms nothing but the restriction (and reads a coefficients file).  The
-cache keeps one entry of each kind, replaced when its key changes, so a
-sweep over dt or nu holds one set of factors.  The shared arrays are
-read-only; nothing on the run path forms the dense T or Basis.fields.
+once, and a warm run forms only the forcing vector.  The basis cache keeps
+one entry of each kind, replaced when its key changes, so a sweep over dt
+or nu holds one set of factors.  The shared arrays are read-only; nothing
+on the run path forms the dense T or Basis.fields.
 """
 
 from __future__ import annotations
@@ -233,8 +238,9 @@ class ScenarioConfig:
     constraint_mode: str | None = None
     output_path: str | None = None
 
-    def validate(self) -> None:
-        self.domain()  # the beta-versus-axes rule and the checks of Domain itself
+    def validate(self) -> Domain:
+        """Reject a config that no run can take, before anything is built; returns its Domain."""
+        domain = self.domain()  # the beta-versus-axes rule and the checks of Domain itself
         if self.degree < 1:
             raise ValueError("basis degree must be at least 1")
         if self.bc_form not in BC_FORMS:
@@ -284,6 +290,7 @@ class ScenarioConfig:
             if getattr(self, name) is not None and self.init_type not in types:
                 raise ValueError(f"config key {name.replace('_', '.', 1)} is ignored unless "
                                  f"init.type is {' or '.join(types)}, not {self.init_type}")
+        return domain
 
     @staticmethod
     def check_output_path(path: str | None) -> None:
@@ -334,27 +341,41 @@ def _bc_data(cfg: ScenarioConfig, domain: Domain):
             if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
 
 
-def _initial_fields(cfg: ScenarioConfig, domain: Domain) -> tuple:
+def _initial_fields(cfg: ScenarioConfig, domain: Domain, bc_data=None) -> tuple:
     """The analytic fields that cfg's projected initial state adds, (u_P at init_eps_p, else
-    at eps_p; the amplitude of e_z x x), each None when it adds none (a coefficients file)."""
+    at eps_p; the amplitude of e_z x x), each None when it adds none (a coefficients file).
+
+    bc_data is u_P at eps_p when the bc form carries it (_bc_data): a u_P at the
+    same eps_p is that field, not a second build.
+    """
     u_p = amplitude = None
     if cfg.init_type in ("poincare", "poincare_plus_rotation"):
-        u_p = _poincare_data(domain, cfg.eps_p if cfg.init_eps_p is None else cfg.init_eps_p)
+        eps = cfg.eps_p if cfg.init_eps_p is None else cfg.init_eps_p
+        u_p = (bc_data if bc_data is not None and eps == cfg.eps_p
+               else _poincare_data(domain, eps))
     if cfg.init_type in ("solid_rotation", "poincare_plus_rotation"):
         amplitude = _or_zero(cfg.init_amplitude if u_p is None else cfg.init_omega)
     return u_p, amplitude
 
 
-def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
-    if cfg.init_type == "coefficients":
-        data = np.loadtxt(cfg.init_path).ravel()
-        if data.shape != (basis.dim,):
-            raise ValueError(
-                f"coefficient file has {data.size} entries, basis dimension is {basis.dim}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError(f"coefficient file {cfg.init_path} holds non-finite values")
-        return data
-    u_p, amplitude = _initial_fields(cfg, basis.domain)
+def _run_fields(cfg: ScenarioConfig, domain: Domain) -> tuple:
+    """(bc data, u_P, amplitude): the fields the run of cfg adds, u_P built at most once
+    per eps (see _bc_data and _initial_fields)."""
+    bc_data = _bc_data(cfg, domain)
+    return (bc_data, *_initial_fields(cfg, domain, bc_data))
+
+
+def _read_coefficients(path: str, dim: int) -> np.ndarray:
+    data = np.loadtxt(path).ravel()
+    if data.shape != (dim,):
+        raise ValueError(f"coefficient file has {data.size} entries, basis dimension is {dim}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"coefficient file {path} holds non-finite values")
+    return data
+
+
+def _projected_state(basis: Basis, u_p, amplitude) -> np.ndarray:
+    """The projection on basis of u_p (or 0 when None) plus amplitude e_z x x."""
     if u_p is None:
         return amplitude * rotation_projection(basis)[0]
     c_p, res = reference_projection(u_p, basis)
@@ -366,7 +387,13 @@ def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
     return c_p + amplitude * rotation_projection(basis)[0]
 
 
-def reachable_classes(cfg: ScenarioConfig, degree: int, found=()) -> tuple[int, ...]:
+def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
+    if cfg.init_type == "coefficients":
+        return _read_coefficients(cfg.init_path, basis.dim)
+    return _projected_state(basis, *_initial_fields(cfg, basis.domain))
+
+
+def reachable_classes(cfg: ScenarioConfig, degree: int, found=(), fields=None) -> tuple[int, ...]:
     """G, the reflection classes that the run of cfg can reach on a basis of degree `degree`,
     given the classes `found` of a coefficients file's nonzero entries.
 
@@ -374,10 +401,10 @@ def reachable_classes(cfg: ScenarioConfig, degree: int, found=()) -> tuple[int, 
     projected initial state, and its bc data, whose classes hold F_bc and
     c_P), e_z x x's when a kick or a projection is set, and for eps_p != 0
     the Coriolis shifts about PRECESSION_AXIS (see the module docstring).
+    fields is _run_fields(cfg, cfg.domain()), built here when run() has not.
     """
-    domain = cfg.domain()
-    u_p, amplitude = _initial_fields(cfg, domain)
-    classes = set(found).union(*(field_classes(v, degree) for v in (u_p, _bc_data(cfg, domain))
+    bc_data, u_p, amplitude = _run_fields(cfg, cfg.domain()) if fields is None else fields
+    classes = set(found).union(*(field_classes(v, degree) for v in (u_p, bc_data)
                                  if v is not None))
     if _or_zero(amplitude) or cfg.restart_time is not None or cfg.constraint_mode is not None:
         classes.add(ROTATION_CLASSES[2])
@@ -386,49 +413,59 @@ def reachable_classes(cfg: ScenarioConfig, degree: int, found=()) -> tuple[int, 
     return class_subgroup(classes)
 
 
-def _stepped_basis(cfg: ScenarioConfig, full: Basis) -> tuple[Basis, np.ndarray]:
+def _stepped_basis(cfg: ScenarioConfig, domain: Domain, fields: tuple) -> tuple[Basis, np.ndarray]:
     """The basis that the run of cfg steps, and its initial coefficients there.
 
-    That is full.restrict(G) (reachable_classes), or full when G holds every class
-    of full or none (a zero state that nothing drives).  A coefficients file is read
-    on full, where its classes are those of its nonzero entries, and sliced; a projected
-    initial state is projected on the stepped basis alone, as the diagnostics' c_P is.
+    A projected initial state has the classes of the fields it adds (fields, from
+    _run_fields), so G (reachable_classes) is known before any build: the basis is
+    _run_basis(domain, N, G), and the state is projected on it alone, as the
+    diagnostics' c_P is.  A coefficients file is read on the full basis, where its
+    classes are those of its nonzero entries, and sliced to full.restrict(G), or kept
+    on full when G holds every class of full or none.
     """
-    coeffs, found = None, ()
-    if cfg.init_type == "coefficients":
-        coeffs = initial_coefficients(cfg, full)
-        found = full.classes[coeffs != 0].tolist()
-    kept = set(reachable_classes(cfg, full.degree, found)) & set(full.members)
-    basis = full if not kept or kept == set(full.members) else full.restrict(kept)
-    if coeffs is None:
-        return basis, initial_coefficients(cfg, basis)
-    return basis, coeffs if basis is full else coeffs[np.isin(full.classes, list(kept))]
+    if cfg.init_type != "coefficients":
+        basis = _run_basis(domain, cfg.degree, reachable_classes(cfg, cfg.degree, (), fields))
+        return basis, _projected_state(basis, *fields[1:])
+    full = _run_basis(domain, cfg.degree, None)
+    coeffs = _read_coefficients(cfg.init_path, full.dim)
+    found = full.classes[coeffs != 0].tolist()
+    kept = set(reachable_classes(cfg, full.degree, found, fields)) & set(full.members)
+    if not kept or kept == set(full.members):
+        return full, coeffs
+    return full.restrict(kept), coeffs[np.isin(full.classes, list(kept))]
 
 
 @functools.lru_cache(maxsize=1)
-def _run_basis(domain: Domain, degree: int) -> Basis:
-    """The basis of the last run, reused while (domain, degree) stays the same.
+def _run_basis(domain: Domain, degree: int, classes) -> Basis:
+    """The basis of the last run, reused while (domain, degree, classes) stays the same.
 
+    It is build_basis on the classes G that a run steps, or on every class
+    for classes None; when G holds no field of this degree (G = {0} at N = 2,
+    say), the full basis.  The build polishes when one of the classes it
+    builds misses I by more than 1e-13 (see build_basis), so a basis of G may
+    differ from the full basis's restriction to G by round-off (on the verify
+    domains, at N = 6 alone).
     build_basis is looked up as a module global at call time, so a wrapper
     installed on it sees every build; cache_clear() makes the next run cold.
     """
-    return build_basis(domain, degree)
+    basis = build_basis(domain, degree, classes=classes)
+    return basis if basis.dim else build_basis(domain, degree)
 
 
 def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     """Execute a scenario: build, integrate, record, and write the CSV output.
 
-    The run steps the restriction of the basis to the classes it can reach
-    (see the module docstring), and the series names them (classes).  The
-    basis, with everything cached on it, is shared with the previous run
-    when that had the same domain and degree.  On blow-up the partial series
+    The run steps a basis of the classes it can reach (see the module
+    docstring), and the series names them (classes).  The basis, with
+    everything cached on it, is shared with the previous run when that had
+    the same domain, degree and classes.  On blow-up the partial series
     is written to the configured output path before BlowUpError is raised
     (with the series attached).
     """
-    cfg.validate()
-    domain = cfg.domain()
-    bc_data = _bc_data(cfg, domain)
-    basis, coeffs = _stepped_basis(cfg, _run_basis(domain, cfg.degree))
+    domain = cfg.validate()
+    fields = _run_fields(cfg, domain)
+    bc_data = fields[0]
+    basis, coeffs = _stepped_basis(cfg, domain, fields)
 
     bc = BoundaryCondition(cfg.bc_form, bc_data)
     ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p,

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import hypothesis
+import numpy as np
 import pytest
 
 from precessflow.basis import build_basis
@@ -23,6 +24,17 @@ def get_basis(kind: str, degree: int):
     if key not in _basis_cache:
         _basis_cache[key] = build_basis(DOMAINS[kind], degree)
     return _basis_cache[key]
+
+
+def assert_same_fields(basis, reference):
+    """basis holds reference's fields bit for bit: coefficients, classes, nodal values and
+    gradients, Gram and, for an exact basis, the integer rows."""
+    assert basis.dim == reference.dim
+    for name in ("coeff_array", "classes", "values", "gram", "grad"):
+        assert np.array_equal(getattr(basis, name), getattr(reference, name)), name
+    assert (basis.rows is None) == (reference.rows is None)
+    for a, b, name in zip(basis.rows or (), reference.rows or (), ("nums", "dens")):
+        assert a.tolist() == b.tolist(), name
 
 
 def get_ops(kind: str, degree: int, form="stress_free", nu=1.0, eps_p=0.0, data=None):

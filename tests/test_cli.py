@@ -507,9 +507,9 @@ class TestExitCodes:
                                                       command):
         raw_rows = basis_module._raw_rows_exact
 
-        def duplicated(domain, degree):
+        def duplicated(domain, degree, classes):
             # field 4 becomes a copy of field 1, which lies in the same class
-            nums, dens = raw_rows(domain, degree)
+            nums, dens = raw_rows(domain, degree, classes)
             nums[4], dens[4] = nums[1], dens[1]
             return nums, dens
 

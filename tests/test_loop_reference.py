@@ -6,7 +6,7 @@ closure that projects, kicks and records, and the projection picks its
 functional and tests it for degeneracy on every call.  The loop in
 timestepper steps in chunks between records instead; every CSV byte and
 every BlowUpError message must stay the same.  The reference steps the
-basis that run steps, the restriction to the classes the run can reach
+basis that run steps, built on the classes the run can reach
 (timestepper._stepped_basis), from the same initial coefficients.
 """
 
@@ -90,9 +90,10 @@ def reference_projection(state, mode, ctx):
 def reference_run(cfg):
     cfg.validate()
     domain = cfg.domain()
-    bc_data = timestepper._bc_data(cfg, domain)
+    fields = timestepper._run_fields(cfg, domain)
+    bc_data = fields[0]
     # the basis of the classes the run can reach, as run steps it
-    basis, coeffs = timestepper._stepped_basis(cfg, timestepper._run_basis(domain, cfg.degree))
+    basis, coeffs = timestepper._stepped_basis(cfg, domain, fields)
     ops = assemble(basis, BoundaryCondition(cfg.bc_form, bc_data), nu=1.0 / cfg.nu_inverse,
                    eps_p=cfg.eps_p, precession_axis=timestepper.PRECESSION_AXIS)
     ctx = diagnostics.shared_context(basis, bc_data)
@@ -207,7 +208,8 @@ class TestRunMatchesReference:
     @pytest.mark.parametrize("method", ["exact", "svd"])
     def test_exact_and_svd_bases(self, method, degree, tmp_path, monkeypatch):
         monkeypatch.setattr(timestepper, "build_basis",
-                            lambda domain, n: build_basis(domain, n, method))
+                            lambda domain, n, classes=None: build_basis(domain, n, method,
+                                                                        classes))
         timestepper._run_basis.cache_clear()
         try:
             assert_same_as_reference(config(degree=degree, constraint_mode="rot_momentum",

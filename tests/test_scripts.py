@@ -88,13 +88,17 @@ def test_output_digests_repeat_and_see_one_ulp(monkeypatch, tmp_path, capsys):
         cli.main(["verify", "--degrees", "1,2"])
     assert first["verify:1,2"] == hashlib.sha256(out.getvalue().encode()).hexdigest()
     # one line of stepped classes per run: at N = 2 the kick and the Coriolis shift reach
-    # G = {0, 3, 5, 6}, whose classes present are 3, 5 and 6; the N = 3 runs step all four
+    # G = {0, 3, 5, 6}, whose classes present are 3, 5 and 6; the N = 3-6 runs step all four
     stepped = {label: value for label, value in first.items() if label.startswith("run:")}
     assert stepped == {"run:kick.cfg": "classes 3,5,6",
                        **{f"run:{name}": "classes 0,3,5,6" for name in script.RUNS}}
     assert all(len(value) == 64 for label, value in first.items() if label not in stepped)
     runs = {label for label in first if label.startswith("run/")}
-    assert runs == {f"run/{name}" for name in script.RUNS} and len(runs) == 4
+    assert runs == {f"run/{name}" for name in script.RUNS} and len(runs) == 7
+    # and one digest of the fields of the basis each run stepped; the twins share theirs
+    fields = {label for label in first if label.startswith("stepped/")}
+    assert fields == {"stepped/kick.cfg", *(f"stepped/{name}" for name in script.RUNS)}
+    assert first["stepped/twin_n5=+omega"] == first["stepped/twin_n5=-omega"]
     # one ulp on the inhomogeneous forcing changes the spheroid's F_bc lines, the
     # poincare_stress runs, verify's stdout (its steady residuals) and no other line
     forcing = operators._forcing_vector

@@ -425,8 +425,8 @@ def built(monkeypatch):
     """The bases run() builds, from a cold memo; the memo is emptied again afterwards."""
     bases = []
 
-    def counting(*args):
-        bases.append(build_basis(*args))
+    def counting(*args, **kwargs):
+        bases.append(build_basis(*args, **kwargs))
         return bases[-1]
 
     timestepper._run_basis.cache_clear()
@@ -436,10 +436,10 @@ def built(monkeypatch):
 
 
 def stepped(built, series):
-    """The basis the run of series stepped: the restriction kept on the one basis built."""
-    (full,) = built
-    basis = full.restrict(series.classes)
-    assert basis is not full and basis is full.restrict(series.classes)
+    """The basis the run of series stepped: the one basis built, of the classes stepped alone."""
+    (basis,) = built
+    assert tuple(basis.members) == series.classes
+    assert basis is timestepper._run_basis(basis.domain, basis.degree, series.classes)
     return basis
 
 
@@ -481,6 +481,19 @@ COLD_SET_UP = dict(lu_factor=3, context=1, surface_rule=1, project=2)
 WARM_SET_UP = dict.fromkeys(COLD_SET_UP, 0)
 
 
+@pytest.mark.parametrize("init_eps_p, u_p_builds", [(None, 1), (0.1, 2)])
+def test_a_run_builds_its_domain_and_u_p_once(tmp_path, monkeypatch, init_eps_p, u_p_builds):
+    # the bc data is u_P at eps_p; an initial state at the same eps_p shares it
+    calls = dict.fromkeys(("scenario_domain", "poincare_field"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(timestepper, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(timestepper, name, counted)
+    run(twin_config(+1, "rot_momentum", tmp_path / "run.csv", init_eps_p=init_eps_p))
+    assert calls == {"scenario_domain": 1, "poincare_field": u_p_builds}
+
+
 class TestRunBasisMemo:
     def test_consecutive_runs_build_the_basis_once(self, tmp_path, built):
         run(twin_config(+1, None, tmp_path / "plus.csv"))
@@ -519,12 +532,13 @@ class TestRunBasisMemo:
         assert all(a.size < basis.dim ** 3 for a in pack)
         assert "fields" not in vars(basis) and "fields" not in vars(built[0])
 
-    def test_the_full_basis_forms_only_the_restriction(self, tmp_path, built):
-        # no projection, operator, factorization or context: they are the stepped basis's
+    def test_the_run_builds_only_the_classes_it_steps(self, tmp_path, built):
+        # one build, of G's classes: no full basis, and so no restriction of one
         series = run(twin_config(+1, "rot_momentum", tmp_path / "run.csv"))
         assert series.classes == (0, 3, 5, 6)
-        assert sorted(built[0]._assembly_cache) == ["restrict"]
-        assert "grad" not in vars(built[0])
+        basis = stepped(built, series)
+        assert basis.dim == 18 < get_basis("spheroid", 3).dim
+        assert "restrict" not in basis._assembly_cache
 
     def test_a_warm_twin_run_sets_up_only_its_forcing_vector(self, tmp_path, built,
                                                             set_up_calls):
@@ -570,7 +584,6 @@ class TestRunBasisMemo:
     def test_a_dt_sweep_keeps_one_entry_of_each_kind(self, tmp_path, built):
         for dt in (0.01, 0.02, 0.025, 0.05, 0.1):
             series = run(twin_config(+1, "rot_momentum", tmp_path / "run.csv", dt=dt))
-        assert sorted(built[0]._assembly_cache) == ["restrict"]
         cache = stepped(built, series)._assembly_cache
         assert sorted(cache) == sorted(["core", "C_x", "T", "lu", "context", "u_P", "e_z x x"])
         assert cache["lu"][0][0] == 0.1

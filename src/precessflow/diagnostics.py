@@ -129,6 +129,17 @@ class DiagnosticsContext:
             entry = self._constraints[mode] = (row, den)
         return entry
 
+    def projector(self, mode: str):
+        """The constraint projection of mode as a map of coefficient arrays (see
+        constraint_projection); its functional is chosen and tested here, once."""
+        row, den = self.constraint(mode)
+        functionals, offsets, direction = self.functionals, self.offsets, self.c_rot_dir
+
+        def project(c: np.ndarray) -> np.ndarray:
+            alpha = (functionals @ c - offsets)[row] / den
+            return c - alpha * direction
+        return project
+
 
 def shared_context(basis: Basis, u_p: VectorField | None) -> DiagnosticsContext:
     """The context of the runs on basis with reference field u_p (or None), kept on the basis."""
@@ -220,11 +231,10 @@ def constraint_projection(state, mode: str, ctx: DiagnosticsContext) -> object:
     Subtracts alpha * (projected e_z x x) from the state so that c_rot,
     c_orth, or c_tot vanishes; everything orthogonal to the rotation direction
     is untouched.  ``ctx`` is the run's prepared DiagnosticsContext and
-    ``state`` a timestepper.State.
+    ``state`` a timestepper.State.  The arithmetic is ctx.projector(mode)'s,
+    the map that timestepper.run steps with.
     """
     if mode not in CONSTRAINT_ROWS:
         raise ValueError(f"unknown constraint mode {mode!r}")
-    row, den = ctx.constraint(mode)
     c = np.asarray(state.coeffs, dtype=float)
-    alpha = (ctx.functionals @ c - ctx.offsets)[row] / den
-    return type(state)(state.t, c - alpha * ctx.c_rot_dir, state.prev_coeffs)
+    return type(state)(state.t, ctx.projector(mode)(c), state.prev_coeffs)

@@ -13,9 +13,22 @@ fixed within a run for reproducible output.
 One loop steps every run: integrate() carries (t, c, prev) as a float and
 two arrays.  Before its first step it fetches the three LU factors, M, F_bc
 and whether advection is on; step() is integrate() for one step.  A State is
-built per step only for a callback.  run() passes a callback only for a
-constraint projection; it integrates in chunks that end at each record step,
-the restart step and the last step, and kicks and records between chunks.
+built per step only for a callback.  run() passes no callback: a constraint
+projection reaches the loop as a map of coefficient arrays
+(DiagnosticsContext.projector).  run() integrates in chunks that end at each
+record step, the restart step and the last step, and kicks and records
+between chunks.
+
+Bitwise fixed points.  A BDF2 step that returns its input (c, c) bit for bit
+is a fixed point of the step map, which is a deterministic function of those
+bits, so every later step repeats it exactly.  integrate() then skips the
+rest of its steps: it adds dt to t once per skipped step, as stepping would,
+and solves nothing.  The test is bitwise (no tolerance, and -0.0 is not
++0.0); it applies only without a callback and only to BDF2 steps.  The steady
+Poincare flow and the kicked u_P + omega e_z x x are such fixed points a few
+dozen steps after their start and after the kick, so a steady stretch costs
+one solve per chunk: fig2_poincare.cfg advances 120,000 steps with 646 LU
+solves, and the benchmark's 8,000-step fig2 run with 86.
 
 Per BDF2 step: the parity-packed advection (see operators.advection_term),
 about dim^3 / 16 multiply-adds plus three gathers, one mass-matrix product
@@ -159,8 +172,8 @@ def step(state: State, ops: OperatorSet, dt: float) -> State:
 
 
 def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
-              max_norm: float | None = None, callback=None) -> State:
-    """Advance n_steps; optional norm guard and per-step callback.
+              max_norm: float | None = None, callback=None, project=None) -> State:
+    """Advance n_steps; optional norm guard, constraint projection and per-step callback.
 
     The advecting velocity is the extrapolant 2 u^n - u^(n-1); the constant
     implicit matrix (3/(2 dt)) M + V + 2 eps_p C_x is factored once per basis
@@ -170,20 +183,33 @@ def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
     2 u_{dt/2,dt/2} - u_dt, which keeps the whole trajectory second-order
     accurate; a plain backward-Euler start would leave a first-order startup
     artifact in difference-based diagnostics such as the momentum-balance
-    residual.  Advection enters when ops was assembled with it.
+    residual.  Advection enters when ops was assembled with it.  A dt that is
+    not positive and finite raises ValueError before anything is factored.
 
     After each step a non-finite state raises BlowUpError, and so does a norm
-    above max_norm.  callback, if given, gets the new State and may return a
-    replacement (a projected or restarted state) or None.
+    above max_norm.  project, if given, maps the checked coefficients to the
+    ones the step keeps (a constraint projection).  callback, if given, gets
+    the new State and may return a replacement (a projected or restarted
+    state) or None.
+
+    Fixed points.  A BDF2 step whose kept coefficients equal both its inputs
+    bit for bit has mapped (c, c) to (c, c), and the step map is a
+    deterministic function of those bits: every later step repeats it, and
+    the guards pass as they just did.  Without a callback, which would see
+    each step, integrate then advances t by the same repeated t += dt of the
+    skipped steps (t + k*dt rounds differently) and returns without solving
+    them.  The test is bitwise, not np.array_equal, which equates -0.0 and
+    +0.0; a squared norm equal to the last step's comes first, as a filter.
     """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_steps < 1:
         return state
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     lu_be, lu_half, lu_bdf = _solver(ops, dt)
     m, f_bc, advect, dt2 = ops.M, ops.F_bc, ops.T_packed is not None, 2.0 * dt
     t, c, prev = state.t, state.coeffs, state.prev_coeffs
-    for _ in range(n_steps):
+    s_last = c @ c
+    for k in range(n_steps):
         if prev is None:
             half = _euler_solve(ops, lu_half, c, c, dt / 2.0)
             half2 = _euler_solve(ops, lu_half, half, half, dt / 2.0)
@@ -202,7 +228,15 @@ def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
             raise BlowUpError(f"non-finite coefficients after step to t = {t:.6g}")
         if max_norm is not None and math.sqrt(s) > max_norm:
             raise BlowUpError(f"state norm exceeded {max_norm:.3e} at t = {t:.6g}")
-        prev, c = c, new
+        if project is not None:
+            new = project(new)
+        # (c, c) -> (c, c) bit for bit: every step left repeats it (see the docstring)
+        if (s == s_last and callback is None and prev is not None
+                and new.tobytes() == c.tobytes() == prev.tobytes()):
+            for _ in range(n_steps - 1 - k):
+                t += dt
+            return State(t, new, c)
+        s_last, prev, c = s, c, new
         if callback is not None:
             replaced = callback(State(t, c, prev))
             if replaced is not None:
@@ -489,12 +523,8 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     series = diagnostics.TimeSeries(records=[], dt=cfg.dt, restart_time=cfg.restart_time,
                                     classes=tuple(basis.members))
 
-    project = None
-    if cfg.constraint_mode is not None:
-        ctx.constraint(cfg.constraint_mode)   # a degenerate functional fails before any step
-
-        def project(st):
-            return diagnostics.constraint_projection(st, cfg.constraint_mode, ctx)
+    # a degenerate functional fails here, before any step
+    project = None if cfg.constraint_mode is None else ctx.projector(cfg.constraint_mode)
 
     if restart_step == 0:
         state = _apply_restart(state, cfg, basis)
@@ -507,7 +537,7 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
             stop = min(n_steps, (k // every + 1) * every)
             if restart_step is not None and k < restart_step < stop:
                 stop = restart_step
-            state = integrate(state, ops, cfg.dt, stop - k, max_norm, project)
+            state = integrate(state, ops, cfg.dt, stop - k, max_norm, project=project)
             k = stop
             if k == restart_step:
                 state = _apply_restart(state, cfg, basis)

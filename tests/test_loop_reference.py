@@ -4,8 +4,9 @@ The reference below is the earlier stepping code, kept as it was: step()
 builds a State per step and integrate() calls it, run() passes a per-step
 closure that projects, kicks and records, and the projection picks its
 functional and tests it for degeneracy on every call.  The loop in
-timestepper steps in chunks between records instead; every CSV byte and
-every BlowUpError message must stay the same.  The reference steps the
+timestepper steps in chunks between records instead, and skips the steps
+after a bitwise fixed point; every CSV byte and every BlowUpError message
+must stay the same.  The reference steps the
 basis that run steps, built on the classes the run can reach
 (timestepper._stepped_basis), from the same initial coefficients.
 """
@@ -13,12 +14,13 @@ basis that run steps, built on the classes the run can reach
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from precessflow import diagnostics, timestepper
+from precessflow import cli, diagnostics, timestepper
 from precessflow.basis import build_basis, rotation_projection
 from precessflow.operators import BoundaryCondition, advection_term, assemble
 from precessflow.timestepper import BlowUpError, ScenarioConfig, State, integrate, run, step
@@ -219,6 +221,41 @@ class TestRunMatchesReference:
                                             init_amplitude=0.1), tmp_path)
         finally:
             timestepper._run_basis.cache_clear()
+
+
+FIG2 = Path(__file__).resolve().parent.parent / "configs" / "fig2_poincare.cfg"
+
+
+def fig2_config(**overrides):
+    """configs/fig2_poincare.cfg as the CLI reads it: u_P, a steady state, kicked at t = 1100
+    by a rotation that persists; from a few dozen steps after its start and after the kick,
+    every BDF2 step returns its input bit for bit."""
+    cfg = cli.scenario_from_config(cli.parse_config(FIG2))
+    return dataclasses.replace(cfg, **overrides)
+
+
+class TestFixedPointsMatchReference:
+    """run() skips the steps after a bitwise fixed point; the reference steps every one."""
+
+    @pytest.mark.parametrize("record_every", [2.0, 4.0], ids=["kick_at_a_record",
+                                                           "kick_between_records"])
+    def test_a_shortened_fig2_run_solves_a_few_percent_of_its_steps(self, record_every,
+                                                                     tmp_path, monkeypatch):
+        cfg = fig2_config(t_end=80.0, restart_time=70.0, record_every=record_every)
+        assert cfg.degree == 3 and cfg.init_type == "poincare"
+        solves = []
+
+        def counted(lu_piv, rhs, _solve=timestepper._lu_solve):
+            solves.append(rhs.shape)
+            return _solve(lu_piv, rhs)
+
+        monkeypatch.setattr(timestepper, "_lu_solve", counted)
+        text, message = assert_same_as_reference(cfg, tmp_path)
+        assert message is None and text.count(b"\n") == 2 + round(80.0 / record_every)
+        assert len(solves) < 0.05 * round(80.0 / cfg.dt)
+
+    def test_the_bundled_fig2_run(self, tmp_path):
+        assert_same_as_reference(fig2_config(), tmp_path)
 
 
 def assert_same_state(got, ref):

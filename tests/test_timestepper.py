@@ -92,6 +92,15 @@ class TestStep:
         with pytest.raises(ValueError):
             step(State(0.0, np.zeros(ops.dim)), ops, 0.0)
 
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, -0.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("n_steps", [0, 1, 5])
+    def test_a_dt_that_is_not_positive_and_finite_fails_before_any_factoring(
+            self, dt, n_steps, monkeypatch):
+        ops = spheroid_ops()
+        monkeypatch.setattr(timestepper, "_solver", None)   # any factoring would raise TypeError
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            integrate(State(0.0, np.zeros(ops.dim)), ops, dt, n_steps)
+
     def test_rotation_is_exact_fixed_point(self):
         ops = spheroid_ops(nu=0.01)
         c_r, _ = project(solid_rotation((0, 0, 1)), ops.basis)
@@ -242,6 +251,124 @@ class TestLuSolve:
         assert not math.isfinite(new.coeffs @ new.coeffs)
         with pytest.raises(BlowUpError, match="state norm exceeded"):
             integrate(state, ops, 0.01, 5, max_norm=1e300)
+
+
+def bits(state):
+    """The bytes of state's t, coeffs and prev_coeffs: -0.0 and +0.0 differ, as in the CSV."""
+    prev = b"" if state.prev_coeffs is None else state.prev_coeffs.tobytes()
+    return np.float64(state.t).tobytes(), state.coeffs.tobytes(), prev
+
+
+def stepped_one_by_one(state, ops, dt, n_steps, projector=None):
+    """n_steps calls of step(), each projected when projector is given."""
+    for _ in range(n_steps):
+        state = step(state, ops, dt)
+        if projector is not None:
+            state = State(state.t, projector(state.coeffs), state.prev_coeffs)
+    return state
+
+
+def counted_solves(monkeypatch):
+    """A list that gains one entry per LU solve of timestepper."""
+    solves = []
+
+    def counted(lu_piv, rhs, _solve=timestepper._lu_solve):
+        solves.append(rhs.shape)
+        return _solve(lu_piv, rhs)
+
+    monkeypatch.setattr(timestepper, "_lu_solve", counted)
+    return solves
+
+
+@pytest.fixture(scope="module")
+def poincare_ops():
+    """N = 3 under Poincare stress at nu^-1 = 0.00375, where u_P is a steady state."""
+    return spheroid_ops(3, form="poincare_stress", nu=1.0 / 0.00375, eps_p=0.25)
+
+
+def settled(ops, projector=None):
+    """The state that stepping u_P one step at a time settles on: a bitwise fixed point."""
+    c_p, _ = project(U_P, ops.basis)
+    state = stepped_one_by_one(State(0.37, c_p), ops, 0.01, 150, projector)
+    assert state.coeffs.tobytes() == state.prev_coeffs.tobytes()
+    return state
+
+
+class TestFixedPoint:
+    """integrate() skips the steps after a BDF2 step that returns its input bit for bit."""
+
+    def test_integrate_equals_repeated_steps_bit_for_bit(self, poincare_ops, monkeypatch):
+        state = settled(poincare_ops)
+        ref = stepped_one_by_one(state, poincare_ops, 0.01, 1000)
+        # t + k*dt would round to other bits than k repeated additions
+        assert ref.t != state.t + 1000 * 0.01
+        solves = counted_solves(monkeypatch)
+        got = integrate(state, poincare_ops, 0.01, 1000)
+        assert bits(got) == bits(ref)
+        assert len(solves) == 1
+
+    def test_a_callback_is_called_on_every_step(self, poincare_ops):
+        state = settled(poincare_ops)
+        times = []
+        got = integrate(state, poincare_ops, 0.01, 50, callback=lambda st: times.append(st.t))
+        assert len(times) == 50 and times[-1] == got.t
+        assert bits(got) == bits(stepped_one_by_one(state, poincare_ops, 0.01, 50))
+
+    def test_a_state_whose_next_differs_only_in_the_sign_of_zero_is_not_skipped(self):
+        # 4 (-0.0) - (-0.0) is +0.0: the step from -0.0 returns +0.0, equal under
+        # np.array_equal but printed otherwise in the CSV
+        ops = spheroid_ops()
+        zero = np.full(ops.dim, -0.0)
+        state = State(0.0, zero, prev_coeffs=zero.copy())
+        after_one = step(state, ops, 0.01)
+        assert np.array_equal(after_one.coeffs, zero)
+        assert after_one.coeffs.tobytes() != zero.tobytes()
+        assert bits(integrate(state, ops, 0.01, 5)) == bits(stepped_one_by_one(state, ops,
+                                                                               0.01, 5))
+
+    def test_a_step_that_keeps_c_but_not_prev_is_not_skipped(self):
+        # one decaying field: find the prev for which a BDF2 step returns c bit for bit;
+        # the next step, from (c, c), decays, so (c, prev) was no fixed point
+        ops = assemble(get_basis("triaxial", 1), BoundaryCondition("stress_free"), nu=1.0,
+                       eps_p=0.0, include_advection=False)
+        c = np.zeros(ops.dim)
+        c[0] = 1.0
+
+        def after(p):
+            return step(State(0.0, c, p * c), ops, 0.01).coeffs
+
+        # the step is affine in prev: aim at the hit and try the 100 doubles around the aim
+        slope = (after(1.0)[0] - after(0.99)[0]) / 0.01
+        aim = np.float64(1.0 + (1.0 - after(1.0)[0]) / slope)
+        near = (aim.view(np.int64) + np.arange(-50, 50)).view(np.float64)
+        hits = [p for p in near if after(p).tobytes() == c.tobytes()]
+        assert hits
+        kept = State(0.0, c, hits[0] * c)
+        assert step(State(0.0, c, c), ops, 0.01).coeffs.tobytes() != c.tobytes()
+        assert bits(integrate(kept, ops, 0.01, 5)) == bits(stepped_one_by_one(kept, ops,
+                                                                              0.01, 5))
+
+    @pytest.mark.parametrize("mode", diagnostics.CONSTRAINT_MODES)
+    def test_a_projected_run_at_a_fixed_point_is_skipped(self, poincare_ops, mode,
+                                                         monkeypatch):
+        projector = diagnostics.shared_context(poincare_ops.basis, U_P).projector(mode)
+        state = settled(poincare_ops, projector)
+        ref = stepped_one_by_one(state, poincare_ops, 0.01, 200, projector)
+        solves = counted_solves(monkeypatch)
+        got = integrate(state, poincare_ops, 0.01, 200, project=projector)
+        assert bits(got) == bits(ref)
+        assert len(solves) <= 2
+
+    @pytest.mark.parametrize("scale, max_norm, message", [
+        (1.0, 0.5, "state norm exceeded 5.000e-01 at t = 1.88"),
+        (math.nan, None, "non-finite coefficients after step to t = 1.88"),
+    ])
+    def test_the_blow_up_messages_are_unchanged(self, poincare_ops, scale, max_norm, message):
+        state = settled(poincare_ops)
+        state = State(state.t, scale * state.coeffs, scale * state.prev_coeffs)
+        with pytest.raises(BlowUpError) as err:
+            integrate(state, poincare_ops, 0.01, 100, max_norm)
+        assert str(err.value) == message
 
 
 class TestInitialConditions:

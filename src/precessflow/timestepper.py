@@ -19,16 +19,26 @@ projection reaches the loop as a map of coefficient arrays
 record step, the restart step and the last step, and kicks and records
 between chunks.
 
-Bitwise fixed points.  A BDF2 step that returns its input (c, c) bit for bit
-is a fixed point of the step map, which is a deterministic function of those
-bits, so every later step repeats it exactly.  integrate() then skips the
-rest of its steps: it adds dt to t once per skipped step, as stepping would,
-and solves nothing.  The test is bitwise (no tolerance, and -0.0 is not
-+0.0); it applies only without a callback and only to BDF2 steps.  The steady
-Poincare flow and the kicked u_P + omega e_z x x are such fixed points a few
-dozen steps after their start and after the kick, so a steady stretch costs
-one solve per chunk: fig2_poincare.cfg advances 120,000 steps with 646 LU
-solves, and the benchmark's 8,000-step fig2 run with 86.
+Bitwise cycles.  The step map, its guards and the constraint projection
+are deterministic functions of the bits of the kept pair (c, prev), and
+nothing in them reads t: F_bc is constant and kicks fall between chunks.
+The step map is autonomous, so once a pair recurs bit for bit, lam steps
+after it was seen, every later step repeats that cycle; a forcing that
+depended on t would break this.  integrate() finds such a cycle with
+Brent's search (one saved pair, refreshed when the steps since its save
+reach a power of two) and then adds dt to t once per step of the whole
+periods left, as stepping would, and solves only the last (steps left) mod
+lam steps.  A BDF2 step that returns its input (c, c) is the period-1
+case, tested on every step.  The test is bitwise (no tolerance, and -0.0
+is not +0.0); it applies only without a callback, and a pair without prev
+is never saved.  The steady Poincare flow and the kicked u_P + omega e_z x x
+are fixed points a few dozen steps after their start and after the kick,
+so a steady stretch costs one solve per chunk: fig2_poincare.cfg advances
+120,000 steps with 646 LU solves, and the benchmark's 8,000-step fig2 run
+with 86.  The rot_momentum twins of scripts/poincare_family.py fall into
+a bitwise orbit about 55 steps in, of period 3 at N = 5: each 800-step run
+of the benchmark's twin pair solves 118 steps, and each 2,000-step run of
+the script (N = 2, period 2) 144.
 
 Per BDF2 step: the parity-packed advection (see operators.advection_term),
 about dim^3 / 16 multiply-adds plus three gathers, one mass-matrix product
@@ -192,14 +202,18 @@ def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
     the new State and may return a replacement (a projected or restarted
     state) or None.
 
-    Fixed points.  A BDF2 step whose kept coefficients equal both its inputs
-    bit for bit has mapped (c, c) to (c, c), and the step map is a
-    deterministic function of those bits: every later step repeats it, and
-    the guards pass as they just did.  Without a callback, which would see
-    each step, integrate then advances t by the same repeated t += dt of the
-    skipped steps (t + k*dt rounds differently) and returns without solving
-    them.  The test is bitwise, not np.array_equal, which equates -0.0 and
-    +0.0; a squared norm equal to the last step's comes first, as a filter.
+    Cycles.  Without a callback, which would see each step, integrate runs
+    Brent's cycle search on the kept pair (c, prev).  When a new pair equals
+    the saved one bit for bit, lam steps after its save, or a BDF2 step maps
+    (c, c) to (c, c) (lam = 1), every later step repeats the cycle: the step
+    map, the guards and project are deterministic functions of those bits
+    and read no t, so the skip relies on an autonomous step map (a forcing
+    that depended on t would invalidate it).  integrate then advances t by
+    the repeated t += dt of the whole periods left (t + k*dt rounds
+    differently) and steps only the remaining (steps left) mod lam.  A pair
+    without prev_coeffs, the input of a startup step, is never saved.  The
+    comparison is bitwise, not np.array_equal, which equates -0.0 and +0.0;
+    equal squared norms of the kept states come first, as a filter.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -209,7 +223,13 @@ def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
     m, f_bc, advect, dt2 = ops.M, ops.F_bc, ops.T_packed is not None, 2.0 * dt
     t, c, prev = state.t, state.coeffs, state.prev_coeffs
     s_last = c @ c
-    for k in range(n_steps):
+    # Brent's search: one saved pair (c, prev, c @ c), `since` steps back, saved
+    # afresh each time `since` reaches a power of two; never a pair without prev
+    saved = None if prev is None else (c, prev, s_last)
+    since, power = 0, 1
+    left = n_steps
+    while left:
+        left -= 1
         if prev is None:
             half = _euler_solve(ops, lu_half, c, c, dt / 2.0)
             half2 = _euler_solve(ops, lu_half, half, half, dt / 2.0)
@@ -230,17 +250,29 @@ def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
             raise BlowUpError(f"state norm exceeded {max_norm:.3e} at t = {t:.6g}")
         if project is not None:
             new = project(new)
-        # (c, c) -> (c, c) bit for bit: every step left repeats it (see the docstring)
-        if (s == s_last and callback is None and prev is not None
-                and new.tobytes() == c.tobytes() == prev.tobytes()):
-            for _ in range(n_steps - 1 - k):
-                t += dt
-            return State(t, new, c)
-        s_last, prev, c = s, c, new
+            s = new @ new   # the norm filters compare kept states
         if callback is not None:
+            prev, c = c, new
             replaced = callback(State(t, c, prev))
             if replaced is not None:
                 t, c, prev = replaced.t, replaced.coeffs, replaced.prev_coeffs
+            continue
+        # a BDF2 step from (c, c) to (c, c), or a new pair (new, c) equal to the saved
+        # pair bit for bit, closes a cycle of lam steps that every step left repeats
+        lam, since = 0, since + 1
+        if (s == s_last and prev is not None
+                and new.tobytes() == c.tobytes() == prev.tobytes()):
+            lam = 1
+        elif (saved is not None and s == saved[2]
+                and new.tobytes() == saved[0].tobytes() and c.tobytes() == saved[1].tobytes()):
+            lam = since
+        elif since == power:
+            saved, since, power = (new, c, s), 0, 2 * power
+        s_last, prev, c = s, c, new
+        if lam:
+            for _ in range(left - left % lam):
+                t += dt
+            left %= lam
     return State(t, c, prev)
 
 

@@ -5,8 +5,8 @@ builds a State per step and integrate() calls it, run() passes a per-step
 closure that projects, kicks and records, and the projection picks its
 functional and tests it for degeneracy on every call.  The loop in
 timestepper steps in chunks between records instead, and skips the steps
-after a bitwise fixed point; every CSV byte and every BlowUpError message
-must stay the same.  The reference steps the
+after a bitwise cycle of the pair (c, prev); every CSV byte and every
+BlowUpError message must stay the same.  The reference steps the
 basis that run steps, built on the classes the run can reach
 (timestepper._stepped_basis), from the same initial coefficients.
 """
@@ -257,6 +257,34 @@ class TestFixedPointsMatchReference:
     def test_the_bundled_fig2_run(self, tmp_path):
         assert_same_as_reference(fig2_config(), tmp_path)
 
+
+
+def twin_config(sign):
+    """The twin_proj_n5 benchmark's run at omega = sign 0.025: from about 55 steps after its
+    start the kept pair (c, prev) repeats every 3 steps bit for bit."""
+    return config(degree=5, init_omega=sign * 0.025, t_end=8.0, record_every=1.0,
+                  restart_time=None, restart_omega=None, constraint_mode="rot_momentum")
+
+
+class TestCyclesMatchReference:
+    """run() skips whole periods of a bitwise cycle; the reference steps every step."""
+
+    def test_the_projected_twin_pair_solves_under_a_fifth_of_its_steps(self, tmp_path,
+                                                                       monkeypatch):
+        solves = []
+
+        def counted(lu_piv, rhs, _solve=timestepper._lu_solve):
+            solves.append(rhs.shape)
+            return _solve(lu_piv, rhs)
+
+        monkeypatch.setattr(timestepper, "_lu_solve", counted)
+        for sign in (+1, -1):
+            cfg = twin_config(sign)
+            del solves[:]
+            text, message = outputs(run, cfg, tmp_path / "run.csv")
+            assert len(solves) < 0.2 * round(cfg.t_end / cfg.dt)
+            assert (text, message) == outputs(reference_run, cfg, tmp_path / "reference.csv")
+            assert message is None and text.count(b"\n") == 2 + 8
 
 def assert_same_state(got, ref):
     assert got.t == ref.t

@@ -27,8 +27,9 @@ of the stepped subspace or of its fields shows in the diff too.  The CSVs
 are written in a temporary directory.  One `verify:<degrees>` line digests
 the stdout of `precessflow verify --degrees <degrees>`.  The lines are
 sorted, so two source trees agree bit for bit when they print the same
-text (the stepped/ lines read timestepper._run_fields and _stepped_basis,
-so the other tree needs them too):
+text.  The stepped basis is ops.basis of a run's first diagnostics.record
+call, not a private helper of timestepper, so one copy of the script
+digests either tree:
 
     PYTHONPATH=src python scripts/output_digests.py > new.txt
     PYTHONPATH=/path/to/other/src python scripts/output_digests.py > old.txt
@@ -47,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from precessflow import cli, run, timestepper
+from precessflow import cli, diagnostics, run
 from precessflow.basis import build_basis, poincare_field, rotation_projection
 from precessflow.diagnostics import CONSTRAINT_MODES
 from precessflow.operators import BoundaryCondition, assemble
@@ -112,12 +113,19 @@ def basis_items(kind, basis):
     yield "rotation_residual", float(residual).hex()
 
 
-def stepped_basis(scenario):
-    """The basis that run(scenario) stepped, as run finds it: from the basis the run
-    left in timestepper's one-entry cache, so nothing is built again."""
-    domain = scenario.domain()
-    fields = timestepper._run_fields(scenario, domain)
-    return timestepper._stepped_basis(scenario, domain, fields)[0]
+def stepped_run(scenario):
+    """The series of run(scenario) and the basis it stepped: ops.basis of its first record."""
+    bases, record = [], diagnostics.record
+
+    def recording(state, ops, ctx):
+        bases.append(ops.basis)
+        return record(state, ops, ctx)
+
+    diagnostics.record = recording
+    try:
+        return run(scenario), bases[0]
+    finally:
+        diagnostics.record = record
 
 
 def run_lines(kind, name, scenario) -> list[str]:
@@ -125,8 +133,7 @@ def run_lines(kind, name, scenario) -> list[str]:
     and the lines of the classes and the fields of the basis it stepped."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / Path(scenario.output_path or "run.csv").name
-        series = run(dataclasses.replace(scenario, output_path=str(out)))
-        basis = stepped_basis(scenario)
+        series, basis = stepped_run(dataclasses.replace(scenario, output_path=str(out)))
         fields = "".join(digest(a) for a in (basis.coeff_array, *(basis.rows or ())))
         return [f"{kind}/{name} {digest(out.read_bytes())}",
                 f"run:{name} classes {','.join(map(str, series.classes))}",

@@ -12,12 +12,12 @@ fixed within a run for reproducible output.
 
 One loop steps every run: integrate() carries (t, c, prev) as a float and
 two arrays.  Before its first step it fetches the three LU factors, M, F_bc
-and whether advection is on; step() is integrate() for one step.  A State is
-built per step only for a callback.  run() passes no callback: a constraint
-projection reaches the loop as a map of coefficient arrays
+and whether advection is on; step() is integrate() for one step.  A
+constraint projection reaches the loop as a map of coefficient arrays
 (DiagnosticsContext.projector).  run() integrates in chunks that end at each
 record step, the restart step and the last step, and kicks and records
-between chunks.
+between chunks.  The loop has no per-step hook: observers call step(), one
+step at a time, and read or replace each State it returns.
 
 Bitwise cycles.  The step map, its guards and the constraint projection
 are deterministic functions of the bits of the kept pair (c, prev), and
@@ -30,12 +30,11 @@ reach a power of two) and then adds dt to t once per step of the whole
 periods left, as stepping would, and solves only the last (steps left) mod
 lam steps.  A BDF2 step that returns its input (c, c) is the period-1
 case, tested on every step.  The test is bitwise (no tolerance, and -0.0
-is not +0.0); it applies only without a callback, and a pair without prev
-is never saved.  The steady Poincare flow and the kicked u_P + omega e_z x x
-are fixed points a few dozen steps after their start and after the kick,
-so a steady stretch costs one solve per chunk: fig2_poincare.cfg advances
-120,000 steps with 646 LU solves, and the benchmark's 8,000-step fig2 run
-with 86.  The rot_momentum twins of scripts/poincare_family.py fall into
+is not +0.0), and a pair without prev is never saved.  The steady
+Poincare flow and the kicked u_P + omega e_z x x are fixed points a few
+dozen steps after their start and after the kick, so a steady stretch
+costs one solve per chunk: fig2_poincare.cfg advances 120,000 steps with
+646 LU solves, and the benchmark's 8,000-step fig2 run with 86.  The rot_momentum twins of scripts/poincare_family.py fall into
 a bitwise orbit about 55 steps in, of period 3 at N = 5: each 800-step run
 of the benchmark's twin pair solves 118 steps, and each 2,000-step run of
 the script (N = 2, period 2) 144.
@@ -85,10 +84,13 @@ decisions (build_basis): at N = 6 on the verify domains, a run's classes
 {0, 3, 5, 6} skip the polish pass that classes outside them trigger, and
 its fields, and so its CSV, move by round-off.
 
-Set-up once per basis.  run() builds u_P and its Domain once and takes its
-basis from _run_basis, a one-entry functools.lru_cache keyed on (domain,
-degree, G), so consecutive runs that step one basis (the +/- omega twins
-of scripts/poincare_family.py, say) share its assembly cache: the core
+Set-up once per basis.  run() builds its Domain once.  u_P comes from
+_poincare_data, a two-entry functools.lru_cache keyed on (domain, eps), so
+the bc data and the initial state at one eps share one build, and so do
+consecutive runs on one domain.  run() takes its basis from _run_basis, a
+one-entry functools.lru_cache keyed on (domain, degree, G), so consecutive
+runs that step one basis (the +/- omega twins of
+scripts/poincare_family.py, say) share its assembly cache: the core
 matrices, C_x, the advection blocks and pack, the LU factors, the
 diagnostics context and the projections of e_z x x and u_P are each formed
 once, and a warm run forms only the forcing vector.  The basis cache keeps
@@ -182,8 +184,8 @@ def step(state: State, ops: OperatorSet, dt: float) -> State:
 
 
 def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
-              max_norm: float | None = None, callback=None, project=None) -> State:
-    """Advance n_steps; optional norm guard, constraint projection and per-step callback.
+              max_norm: float | None = None, project=None) -> State:
+    """Advance n_steps; optional norm guard and constraint projection.
 
     The advecting velocity is the extrapolant 2 u^n - u^(n-1); the constant
     implicit matrix (3/(2 dt)) M + V + 2 eps_p C_x is factored once per basis
@@ -198,20 +200,19 @@ def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
 
     After each step a non-finite state raises BlowUpError, and so does a norm
     above max_norm.  project, if given, maps the checked coefficients to the
-    ones the step keeps (a constraint projection).  callback, if given, gets
-    the new State and may return a replacement (a projected or restarted
-    state) or None.
+    ones the step keeps (a constraint projection).  Only the last State is
+    returned: observers call step() and read or replace each State.
 
-    Cycles.  Without a callback, which would see each step, integrate runs
-    Brent's cycle search on the kept pair (c, prev).  When a new pair equals
-    the saved one bit for bit, lam steps after its save, or a BDF2 step maps
-    (c, c) to (c, c) (lam = 1), every later step repeats the cycle: the step
-    map, the guards and project are deterministic functions of those bits
-    and read no t, so the skip relies on an autonomous step map (a forcing
-    that depended on t would invalidate it).  integrate then advances t by
-    the repeated t += dt of the whole periods left (t + k*dt rounds
-    differently) and steps only the remaining (steps left) mod lam.  A pair
-    without prev_coeffs, the input of a startup step, is never saved.  The
+    Cycles.  integrate runs Brent's cycle search on the kept pair (c, prev).
+    When a new pair equals the saved one bit for bit, lam steps after its
+    save, or a BDF2 step maps (c, c) to (c, c) (lam = 1), every later step
+    repeats the cycle: the step map, the guards and project are
+    deterministic functions of those bits and read no t, so the skip relies
+    on an autonomous step map (a forcing that depended on t would invalidate
+    it).  integrate then advances t by the repeated t += dt of the whole
+    periods left (t + k*dt rounds differently) and steps only the remaining
+    (steps left) mod lam.  A pair without prev_coeffs, the input of a
+    startup step, is never saved.  The
     comparison is bitwise, not np.array_equal, which equates -0.0 and +0.0;
     equal squared norms of the kept states come first, as a filter.
     """
@@ -251,12 +252,6 @@ def integrate(state: State, ops: OperatorSet, dt: float, n_steps: int,
         if project is not None:
             new = project(new)
             s = new @ new   # the norm filters compare kept states
-        if callback is not None:
-            prev, c = c, new
-            replaced = callback(State(t, c, prev))
-            if replaced is not None:
-                t, c, prev = replaced.t, replaced.coeffs, replaced.prev_coeffs
-            continue
         # a BDF2 step from (c, c) to (c, c), or a new pair (new, c) equal to the saved
         # pair bit for bit, closes a cycle of lam steps that every step left repeats
         lam, since = 0, since + 1
@@ -389,7 +384,10 @@ def scenario_domain(beta=None, a=None, b=None, c=None) -> Domain:
     return Domain(a, b, c) if beta is None else Domain.from_beta(beta)
 
 
+@functools.lru_cache(maxsize=2)
 def _poincare_data(domain: Domain, eps_value) -> object:
+    """u_P on domain at eps_value, kept for the last two (domain, eps) keys: a run's bc
+    data and initial state at one eps, and the next run on the domain, share one build."""
     obstacle = poincare_obstacle(domain)
     if obstacle is not None:
         raise ValueError(obstacle)
@@ -407,28 +405,15 @@ def _bc_data(cfg: ScenarioConfig, domain: Domain):
             if BoundaryCondition.form_carries_data(cfg.bc_form) else None)
 
 
-def _initial_fields(cfg: ScenarioConfig, domain: Domain, bc_data=None) -> tuple:
+def _initial_fields(cfg: ScenarioConfig, domain: Domain) -> tuple:
     """The analytic fields that cfg's projected initial state adds, (u_P at init_eps_p, else
-    at eps_p; the amplitude of e_z x x), each None when it adds none (a coefficients file).
-
-    bc_data is u_P at eps_p when the bc form carries it (_bc_data): a u_P at the
-    same eps_p is that field, not a second build.
-    """
+    at eps_p; the amplitude of e_z x x), each None when it adds none (a coefficients file)."""
     u_p = amplitude = None
     if cfg.init_type in ("poincare", "poincare_plus_rotation"):
-        eps = cfg.eps_p if cfg.init_eps_p is None else cfg.init_eps_p
-        u_p = (bc_data if bc_data is not None and eps == cfg.eps_p
-               else _poincare_data(domain, eps))
+        u_p = _poincare_data(domain, cfg.eps_p if cfg.init_eps_p is None else cfg.init_eps_p)
     if cfg.init_type in ("solid_rotation", "poincare_plus_rotation"):
         amplitude = _or_zero(cfg.init_amplitude if u_p is None else cfg.init_omega)
     return u_p, amplitude
-
-
-def _run_fields(cfg: ScenarioConfig, domain: Domain) -> tuple:
-    """(bc data, u_P, amplitude): the fields the run of cfg adds, u_P built at most once
-    per eps (see _bc_data and _initial_fields)."""
-    bc_data = _bc_data(cfg, domain)
-    return (bc_data, *_initial_fields(cfg, domain, bc_data))
 
 
 def _read_coefficients(path: str, dim: int) -> np.ndarray:
@@ -440,8 +425,12 @@ def _read_coefficients(path: str, dim: int) -> np.ndarray:
     return data
 
 
-def _projected_state(basis: Basis, u_p, amplitude) -> np.ndarray:
-    """The projection on basis of u_p (or 0 when None) plus amplitude e_z x x."""
+def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
+    """cfg's initial state on basis: a coefficients file, or the projection of u_P (or 0)
+    plus the amplitude times e_z x x."""
+    if cfg.init_type == "coefficients":
+        return _read_coefficients(cfg.init_path, basis.dim)
+    u_p, amplitude = _initial_fields(cfg, basis.domain)
     if u_p is None:
         return amplitude * rotation_projection(basis)[0]
     c_p, res = reference_projection(u_p, basis)
@@ -453,13 +442,8 @@ def _projected_state(basis: Basis, u_p, amplitude) -> np.ndarray:
     return c_p + amplitude * rotation_projection(basis)[0]
 
 
-def initial_coefficients(cfg: ScenarioConfig, basis: Basis) -> np.ndarray:
-    if cfg.init_type == "coefficients":
-        return _read_coefficients(cfg.init_path, basis.dim)
-    return _projected_state(basis, *_initial_fields(cfg, basis.domain))
-
-
-def reachable_classes(cfg: ScenarioConfig, degree: int, found=(), fields=None) -> tuple[int, ...]:
+def reachable_classes(cfg: ScenarioConfig, degree: int, found=(),
+                      domain: Domain | None = None) -> tuple[int, ...]:
     """G, the reflection classes that the run of cfg can reach on a basis of degree `degree`,
     given the classes `found` of a coefficients file's nonzero entries.
 
@@ -467,9 +451,11 @@ def reachable_classes(cfg: ScenarioConfig, degree: int, found=(), fields=None) -
     projected initial state, and its bc data, whose classes hold F_bc and
     c_P), e_z x x's when a kick or a projection is set, and for eps_p != 0
     the Coriolis shifts about PRECESSION_AXIS (see the module docstring).
-    fields is _run_fields(cfg, cfg.domain()), built here when run() has not.
+    domain is the run's, cfg.domain() when None.
     """
-    bc_data, u_p, amplitude = _run_fields(cfg, cfg.domain()) if fields is None else fields
+    domain = cfg.domain() if domain is None else domain
+    bc_data = _bc_data(cfg, domain)
+    u_p, amplitude = _initial_fields(cfg, domain)
     classes = set(found).union(*(field_classes(v, degree) for v in (u_p, bc_data)
                                  if v is not None))
     if _or_zero(amplitude) or cfg.restart_time is not None or cfg.constraint_mode is not None:
@@ -479,23 +465,23 @@ def reachable_classes(cfg: ScenarioConfig, degree: int, found=(), fields=None) -
     return class_subgroup(classes)
 
 
-def _stepped_basis(cfg: ScenarioConfig, domain: Domain, fields: tuple) -> tuple[Basis, np.ndarray]:
-    """The basis that the run of cfg steps, and its initial coefficients there.
+def _stepped_basis(cfg: ScenarioConfig, domain: Domain) -> tuple[Basis, np.ndarray]:
+    """The basis that the run of cfg on domain steps, and its initial coefficients there.
 
-    A projected initial state has the classes of the fields it adds (fields, from
-    _run_fields), so G (reachable_classes) is known before any build: the basis is
-    _run_basis(domain, N, G), and the state is projected on it alone, as the
-    diagnostics' c_P is.  A coefficients file is read on the full basis, where its
-    classes are those of its nonzero entries, and sliced to full.restrict(G), or kept
-    on full when G holds every class of full or none.
+    A projected initial state has the classes of the fields it adds
+    (_initial_fields), so G (reachable_classes) is known before any build: the
+    basis is _run_basis(domain, N, G), and the state is projected on it alone, as
+    the diagnostics' c_P is.  A coefficients file is read on the full basis, where
+    its classes are those of its nonzero entries, and sliced to full.restrict(G), or
+    kept on full when G holds every class of full or none.
     """
     if cfg.init_type != "coefficients":
-        basis = _run_basis(domain, cfg.degree, reachable_classes(cfg, cfg.degree, (), fields))
-        return basis, _projected_state(basis, *fields[1:])
+        basis = _run_basis(domain, cfg.degree, reachable_classes(cfg, cfg.degree, (), domain))
+        return basis, initial_coefficients(cfg, basis)
     full = _run_basis(domain, cfg.degree, None)
     coeffs = _read_coefficients(cfg.init_path, full.dim)
     found = full.classes[coeffs != 0].tolist()
-    kept = set(reachable_classes(cfg, full.degree, found, fields)) & set(full.members)
+    kept = set(reachable_classes(cfg, full.degree, found, domain)) & set(full.members)
     if not kept or kept == set(full.members):
         return full, coeffs
     return full.restrict(kept), coeffs[np.isin(full.classes, list(kept))]
@@ -529,9 +515,8 @@ def run(cfg: ScenarioConfig) -> diagnostics.TimeSeries:
     (with the series attached).
     """
     domain = cfg.validate()
-    fields = _run_fields(cfg, domain)
-    bc_data = fields[0]
-    basis, coeffs = _stepped_basis(cfg, domain, fields)
+    basis, coeffs = _stepped_basis(cfg, domain)
+    bc_data = _bc_data(cfg, domain)
 
     bc = BoundaryCondition(cfg.bc_form, bc_data)
     ops = assemble(basis, bc, nu=1.0 / cfg.nu_inverse, eps_p=cfg.eps_p,

@@ -20,7 +20,7 @@ from .geometry import Domain, half_monomial_integral, monomial_integral, surface
 from .operators import BoundaryCondition, advection_term, assemble, residual
 from .spectral import class_label, neutral_modes
 from .timestepper import (PRECESSION_AXIS, ScenarioConfig, State, initial_coefficients,
-                          integrate, reachable_classes)
+                          reachable_classes, step)
 
 # shifts omega of the steady family u_P + omega (e_z x x) and its residual bound
 STEADY_SWEEP = (0.0, 0.025, -0.025, 0.1, -0.1, 1.0)
@@ -193,8 +193,9 @@ def _dynamics_checks(results, label, basis):
     state = State(0.0, 0.1 * rotation_projection(basis)[0])
     e0 = 0.5 * float(state.coeffs @ (ops.M @ state.coeffs))
     energies = []
-    integrate(state, ops, 0.01, 200,
-              callback=lambda st: energies.append(0.5 * float(st.coeffs @ (ops.M @ st.coeffs))))
+    for _ in range(200):
+        state = step(state, ops, 0.01)
+        energies.append(0.5 * float(state.coeffs @ (ops.M @ state.coeffs)))
     drift = max(abs(e_k - e0) / e0 for e_k in energies)
     _check(results, "timestepper.rotation_energy_constant", ctx, drift < 1e-12,
            f"max drift {drift:.2e}")
@@ -235,16 +236,14 @@ def _unreached_classes_check(results, label, basis, n_steps=100):
                f"G {class_label(group)} holds every class present, {class_label(basis.members)}")
         return
     mask = np.isin(basis.classes, list(outside))
-    worst = 0.0
-
-    def watch(st):
-        nonlocal worst
-        worst = max(worst, float(np.max(np.abs(st.coeffs[mask]))))
-
     u_p = poincare_field(basis.domain.beta, Fraction(cfg.eps_p))
     ops = assemble(basis, BoundaryCondition("poincare_stress", u_p), nu=1.0 / cfg.nu_inverse,
                    eps_p=cfg.eps_p, precession_axis=PRECESSION_AXIS)
-    integrate(State(0.0, initial_coefficients(cfg, basis)), ops, cfg.dt, n_steps, callback=watch)
+    state = State(0.0, initial_coefficients(cfg, basis))
+    worst = 0.0
+    for _ in range(n_steps):
+        state = step(state, ops, cfg.dt)
+        worst = max(worst, float(np.max(np.abs(state.coeffs[mask]))))
     _check(results, "timestepper.unreached_classes_zero", ctx, worst == 0.0,
            f"G {class_label(group)}; classes {class_label(outside)} max |c| {worst:.1e} "
            f"over {n_steps} steps")

@@ -92,10 +92,9 @@ def reference_projection(state, mode, ctx):
 def reference_run(cfg):
     cfg.validate()
     domain = cfg.domain()
-    fields = timestepper._run_fields(cfg, domain)
-    bc_data = fields[0]
+    bc_data = timestepper._bc_data(cfg, domain)
     # the basis of the classes the run can reach, as run steps it
-    basis, coeffs = timestepper._stepped_basis(cfg, domain, fields)
+    basis, coeffs = timestepper._stepped_basis(cfg, domain)
     ops = assemble(basis, BoundaryCondition(cfg.bc_form, bc_data), nu=1.0 / cfg.nu_inverse,
                    eps_p=cfg.eps_p, precession_axis=timestepper.PRECESSION_AXIS)
     ctx = diagnostics.shared_context(basis, bc_data)
@@ -317,16 +316,24 @@ class TestIntegrateMatchesReference:
             assert_same_state(step(state, ops, 0.01), reference_step(state, ops, 0.01))
 
     def test_a_callback_that_restarts_the_multistep(self):
+        # integrate in chunks with a kicked state, prev_coeffs None, between them, against
+        # the reference's per-step callback that kicks every third step
         ops = get_ops("spheroid", 3, nu=1.0, eps_p=0.25)
         state = State(0.0, 0.1 * np.random.default_rng(3).standard_normal(ops.dim))
 
-        def kick_every_third(st):
-            if round(st.t / 0.01) % 3 == 0:
-                return State(st.t, 1.01 * st.coeffs, prev_coeffs=None)
-            return None
+        def kicked(st):
+            return State(st.t, 1.01 * st.coeffs, prev_coeffs=None)
 
-        assert_same_state(integrate(state, ops, 0.01, 10, 1e3, kick_every_third),
-                          reference_integrate(state, ops, 0.01, 10, 1e3, kick_every_third))
+        def kick_every_third(st):
+            return kicked(st) if round(st.t / 0.01) % 3 == 0 else None
+
+        got, kicks = state, 0
+        for chunk in (3, 3, 3, 1):
+            got = integrate(got, ops, 0.01, chunk, 1e3)
+            if round(got.t / 0.01) % 3 == 0:
+                got, kicks = kicked(got), kicks + 1
+        assert kicks == 3 and got.prev_coeffs is not None
+        assert_same_state(got, reference_integrate(state, ops, 0.01, 10, 1e3, kick_every_third))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("scale, max_norm", [

@@ -268,6 +268,16 @@ def stepped_one_by_one(state, ops, dt, n_steps, projector=None):
     return state
 
 
+def restarted_between_chunks(integrate_chunk, state, chunks):
+    """state advanced chunk by chunk, restarted (prev_coeffs None) after every chunk but
+    the last, as an observer that replaces the state between step() calls would."""
+    for i, n_steps in enumerate(chunks):
+        state = integrate_chunk(state, n_steps)
+        if i < len(chunks) - 1:
+            state = State(state.t, state.coeffs, prev_coeffs=None)
+    return state
+
+
 def counted_solves(monkeypatch):
     """A list that gains one entry per LU solve of timestepper."""
     solves = []
@@ -307,12 +317,17 @@ class TestFixedPoint:
         assert bits(got) == bits(ref)
         assert len(solves) == 1
 
-    def test_a_callback_is_called_on_every_step(self, poincare_ops):
-        state = settled(poincare_ops)
-        times = []
-        got = integrate(state, poincare_ops, 0.01, 50, callback=lambda st: times.append(st.t))
-        assert len(times) == 50 and times[-1] == got.t
-        assert bits(got) == bits(stepped_one_by_one(state, poincare_ops, 0.01, 50))
+    def test_chunks_with_a_restart_between_them_give_the_bits_of_repeated_steps(
+            self, poincare_ops):
+        # a restart drops prev at the fixed point: integrate takes the startup step and
+        # finds the fixed point afresh in every chunk
+        state, chunks = settled(poincare_ops), (40, 1, 25, 60)
+        got = restarted_between_chunks(
+            lambda st, n: integrate(st, poincare_ops, 0.01, n), state, chunks)
+        ref = restarted_between_chunks(
+            lambda st, n: stepped_one_by_one(st, poincare_ops, 0.01, n), state, chunks)
+        assert got.t == ref.t and got.prev_coeffs is not None
+        assert bits(got) == bits(ref)
 
     def test_a_state_whose_next_differs_only_in_the_sign_of_zero_is_not_skipped(self):
         # 4 (-0.0) - (-0.0) is +0.0: the step from -0.0 returns +0.0, equal under
@@ -385,11 +400,11 @@ def period_three():
     twin run falls into about 55 steps after its start."""
     cfg = twin_orbit_config()
     domain = cfg.domain()
-    fields = timestepper._run_fields(cfg, domain)
-    basis, coeffs = timestepper._stepped_basis(cfg, domain, fields)
-    ops = assemble(basis, BoundaryCondition(cfg.bc_form, fields[0]), nu=1.0 / cfg.nu_inverse,
+    basis, coeffs = timestepper._stepped_basis(cfg, domain)
+    bc_data = timestepper._bc_data(cfg, domain)
+    ops = assemble(basis, BoundaryCondition(cfg.bc_form, bc_data), nu=1.0 / cfg.nu_inverse,
                    eps_p=cfg.eps_p, precession_axis=timestepper.PRECESSION_AXIS)
-    projector = diagnostics.shared_context(basis, fields[0]).projector(cfg.constraint_mode)
+    projector = diagnostics.shared_context(basis, bc_data).projector(cfg.constraint_mode)
     state = stepped_one_by_one(State(0.37, coeffs), ops, 0.01, 100, projector)
     pair = bits(state)[1:]
     later = [bits(stepped_one_by_one(state, ops, 0.01, n, projector))[1:] for n in (1, 2, 3)]
@@ -420,13 +435,18 @@ class TestCycle:
         assert bits(integrate(state, ops, 0.01, 800, project=projector)) == bits(ref)
         assert len(solves) <= 8
 
-    def test_a_callback_is_called_on_every_step_of_a_cycle(self, period_three):
+    def test_chunks_with_a_restart_between_them_give_the_bits_of_repeated_steps(
+            self, period_three):
+        # a restart drops prev inside the orbit: the pair (c, None) is never saved, and
+        # the chunks after it search the cycle afresh
         ops, projector, state = period_three
-        times = []
-        got = integrate(state, ops, 0.01, 30, callback=lambda st: times.append(st.t),
-                        project=projector)
-        assert len(times) == 30 and times[-1] == got.t
-        assert bits(got) == bits(stepped_one_by_one(state, ops, 0.01, 30, projector))
+        chunks = (30, 2, 17, 40)
+        got = restarted_between_chunks(
+            lambda st, n: integrate(st, ops, 0.01, n, project=projector), state, chunks)
+        ref = restarted_between_chunks(
+            lambda st, n: stepped_one_by_one(st, ops, 0.01, n, projector), state, chunks)
+        assert got.t == ref.t and got.prev_coeffs is not None
+        assert bits(got) == bits(ref)
 
     def test_a_startup_step_that_returns_its_input_is_not_skipped(self):
         # at a viscosity this small a step moves one decaying field by round-off alone:
@@ -686,15 +706,20 @@ WARM_SET_UP = dict.fromkeys(COLD_SET_UP, 0)
 
 @pytest.mark.parametrize("init_eps_p, u_p_builds", [(None, 1), (0.1, 2)])
 def test_a_run_builds_its_domain_and_u_p_once(tmp_path, monkeypatch, init_eps_p, u_p_builds):
-    # the bc data is u_P at eps_p; an initial state at the same eps_p shares it
+    # the bc data is u_P at eps_p; an initial state at the same eps_p shares it, and the
+    # warm -omega twin on the same domain and eps builds none
     calls = dict.fromkeys(("scenario_domain", "poincare_field"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(timestepper, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(timestepper, name, counted)
-    run(twin_config(+1, "rot_momentum", tmp_path / "run.csv", init_eps_p=init_eps_p))
-    assert calls == {"scenario_domain": 1, "poincare_field": u_p_builds}
+    timestepper._poincare_data.cache_clear()
+    for sign, builds in ((+1, u_p_builds), (-1, 0)):
+        before = dict(calls)
+        run(twin_config(sign, "rot_momentum", tmp_path / "run.csv", init_eps_p=init_eps_p))
+        assert {name: calls[name] - before[name] for name in calls} == {
+            "scenario_domain": 1, "poincare_field": builds}
 
 
 class TestRunBasisMemo:
